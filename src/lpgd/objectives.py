@@ -521,9 +521,13 @@ def blr(
             x_raw.reshape(-1), data_fmt, rounding.RoundScheme("rn")
         ).reshape(n_samples, n_features)
         x_q = xm / data_fmt.scale
+        # |r_i| <= 1, so the residual products r_i * x_ij and their rescaling
+        # inside round_ratio_vec stay below scale^2 * max|xm| in int64
+        resid_peak = data_fmt.scale**2 * int(np.abs(xm).max(initial=0))
     else:
         xm = None
         x_q = x_raw
+        resid_peak = 0
 
     yv = y.astype(np.float64)
     lam = float(reg)
@@ -549,6 +553,10 @@ def blr(
         def gen(t):
             return stream.generator(k, tag_base + t) if scheme.is_random else None
 
+        if resid_peak >= 1 << 62:
+            raise OverflowError(
+                f"blr residual products in {fmt} reach {resid_peak}, beyond int64"
+            )
         peak = int(np.abs(xm).max(initial=0)) * int(np.abs(x.m).max(initial=0))
         if peak * scale >= 1 << 62:
             raise OverflowError("blr mantissa products exceed the int64 fast path")

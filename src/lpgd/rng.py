@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_KEY_SALT = 0x9E3779B97F4A7C15  # fixed second key lane, golden-ratio odd word
+# Fixed second key lane.  Early versions passed the golden-ratio word
+# 0x9E3779B97F4A7C15 through a float64 key list, which rounded it to this
+# value; keeping the rounded word keeps every recorded trajectory replaying.
+_KEY_SALT = 0x9E3779B97F4A8000
 _MASK64 = (1 << 64) - 1
 _FULL = 1 << 64
 
@@ -27,11 +30,13 @@ class RandomStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
+        # an explicit uint64 key: every one of the 2**64 seeds is its own stream
+        self._key = np.array([self.seed, _KEY_SALT], dtype=np.uint64)
 
     def generator(self, k: int, tag: int) -> np.random.Generator:
         """Fresh generator for op `tag` of iteration `k`."""
         bg = np.random.Philox(
-            key=[self.seed, _KEY_SALT],
+            key=self._key,
             counter=[0, 0, int(k) & _MASK64, int(tag) & _MASK64],
         )
         return np.random.Generator(bg)

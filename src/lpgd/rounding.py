@@ -16,6 +16,14 @@ under every scheme, including the eps-perturbed ones.
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
 binary64 rounding anywhere in the emulation itself.
+
+Binary64 inputs (`round_doubles_vec`) are dyadic, so their rounding decision
+is made exactly on whole arrays: the grid position and the residue's
+magnitude are exact in binary64 when the residue is taken from |pos|, while
+pos - floor(pos) itself rounds for pos in (-1/2, 0).  A uniform 64-bit word
+is compared against the 64-bit prefix of P(up); only a word that lands next
+to the prefix (chance about 2**-63 per element) falls back to Fractions and,
+if the probability has bits below 2**-64, to further words.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .qnum import ExactReal, FixedVal, QFormat, to_fraction
 SCHEME_KINDS = ("rn", "sr", "sr_eps", "signed_sr_eps")
 
 _INT64_SAFE = 1 << 62
+_WORD = 1 << 64  # one uniform draw word spans [0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -271,59 +280,82 @@ def round_doubles_vec(
 ) -> np.ndarray:
     """Round binary64 values (taken as exact dyadics) into out_fmt.
 
-    Each element carries its own power-of-two denominator, so this goes
-    through the bitstream Bernoulli rather than the shared-denominator
-    kernel.  Used for quantities computed in double (e.g. logistic values)
-    that then enter the fixed-point pipeline.
+    Used for quantities computed in double (e.g. logistic values) that then
+    enter the fixed-point pipeline.  Every step is exact binary64 or uint64
+    arithmetic on the whole array:
+
+    - pos = v * 2**qf is exact (a power-of-two scaling), and so are
+      q = floor(pos), f = |pos| - floor(|pos|) (Sterbenz) and F = f * 2**64.
+      The residue r = pos - q is never formed in binary64: for pos in
+      (-1/2, 0) it rounds (pos = -9.08e-23 gives r = 1.0).  For pos < 0 the
+      residue is 1 - f, so its 64-bit prefix is 2**64 - ceil(F).
+    - rn: np.rint(pos), ties to the even mantissa.
+    - Stochastic schemes draw one uint64 word u per element and compare it
+      against the 64-bit prefix of P(up) = clamp(r + s*eps, 0, 1) * 2**64,
+      exactly as `rng.bernoulli_ratio` does: u < prefix rounds up, u above
+      it rounds down.  The eps offset adds floor(eps * 2**64) (s = +1) or
+      subtracts it plus one (s = -1), clamped at 0 and 2**64, which pins the
+      prefix to one of two neighbours.  Elements whose u lands on either
+      neighbour (chance about 2**-63 each) are settled with exact Fractions,
+      and those whose u equals the exact prefix of a probability with bits
+      below 2**-64 finish through `rng.bernoulli_ratio` on the remainder.
+
+    The draw layout is therefore one word per element in index order, then
+    the extension words of the undecided elements; on-grid values draw like
+    any other and then round to themselves.
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     n = vals.size
-    scale = out_fmt.scale
-    q = np.empty(n, dtype=np.int64)
-    r_num = np.empty(n, dtype=object)
-    r_den = np.empty(n, dtype=object)
-    for i, v in enumerate(vals):
-        f = Fraction(float(v)) * scale
-        qi = f.numerator // f.denominator
-        q[i] = qi
-        rem = f - qi
-        r_num[i] = rem.numerator
-        r_den[i] = rem.denominator
-    exact = np.array([rn == 0 for rn in r_num], dtype=bool)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = float(vals[np.argmin(finite)])
+        if bad != bad:
+            raise ValueError(f"cannot round NaN into {out_fmt}")
+        raise OverflowError(f"{bad} overflows {out_fmt}")
+    pos = np.ldexp(vals, out_fmt.qf)
+    if n and np.abs(pos).max() >= 2.0**63:
+        raise OverflowError(f"double input overflows {out_fmt}")
 
     if scheme.kind == "rn":
-        half_up = np.array(
-            [
-                2 * rn > rd or (2 * rn == rd and qm % 2 == 1)
-                for rn, rd, qm in zip(r_num, r_den, q)
-            ],
-            dtype=bool,
-        )
-        up = half_up
+        m = np.rint(pos).astype(np.int64)
     else:
         if gen is None:
             raise ValueError(f"{scheme} needs a Generator")
-        if scheme.kind == "sr":
-            up = rng.bernoulli_ratio(gen, r_num, r_den, n)
-        else:
+        q = np.floor(pos)
+        mag = np.abs(pos)
+        f64 = np.ldexp(mag - np.floor(mag), 64)
+        lo = np.where(pos < 0, -np.ceil(f64).astype(np.uint64), np.floor(f64).astype(np.uint64))
+        full = np.zeros(n, dtype=bool)
+        if scheme.eps is not None:
             if scheme.uses_value_sign:
-                s = np.sign(vals).astype(int)
+                s = np.sign(vals)
             else:
                 s = np.sign(np.broadcast_to(np.asarray(v_sign), (n,)).astype(int))
-            a, b = scheme.eps.numerator, scheme.eps.denominator
-            t_num = np.empty(n, dtype=object)
-            t_den = np.empty(n, dtype=object)
-            for i in range(n):
-                tn = r_num[i] * b + int(s[i]) * a * r_den[i]
-                td = r_den[i] * b
-                t_num[i] = min(max(tn, 0), td)
-                t_den[i] = td
-            up = rng.bernoulli_ratio(gen, t_num, t_den, n)
-        up = np.asarray(up, dtype=bool)
-        up[exact] = False
+            e_hi = (scheme.eps.numerator << 64) // scheme.eps.denominator
+            plus, minus = s > 0, s < 0
+            full = plus & (lo > np.uint64(_WORD - 1 - e_hi))
+            down = np.uint64(min(e_hi + 1, _WORD - 1))
+            lo = np.where(plus, lo + np.uint64(e_hi), lo)
+            lo = np.where(minus, np.where(lo >= down, lo - down, 0), lo)
+        # the exact prefix is lo or lo + 1 (or 2**64 when full)
+        u = gen.integers(0, _WORD, size=n, dtype=np.uint64)
+        up = full | (u < lo)
+        pending, nums, dens = [], [], []
+        for i in np.flatnonzero(~full & (u - lo <= np.uint64(1))):
+            p = Fraction(float(vals[i])) * out_fmt.scale - int(q[i])
+            if scheme.eps is not None:
+                p = _clamp01(p + int(s[i]) * scheme.eps)
+            hi, rem = divmod(p.numerator << 64, p.denominator)
+            up[i] = int(u[i]) < hi
+            if int(u[i]) == hi and rem:
+                pending.append(i)
+                nums.append(rem)
+                dens.append(p.denominator)
+        if pending:
+            up[pending] = rng.bernoulli_ratio(gen, nums, dens, len(pending))
+        up[f64 == 0] = False  # representable values round to themselves
+        m = q.astype(np.int64) + up
 
-    m = q + up.astype(np.int64)
-    lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
-    if ((m < lo) | (m > hi)).any():
+    if ((m < out_fmt.min_mantissa) | (m > out_fmt.max_mantissa)).any():
         raise OverflowError(f"double input overflows {out_fmt}")
     return m

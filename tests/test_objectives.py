@@ -210,6 +210,16 @@ class TestBlr:
                 vec_from_exact([0, 0, 0], QFormat(15, 8)), RN, None, 0
             )
 
+    def test_wide_format_refuses_int64_wraparound(self):
+        # Q8.40: r_i * x_ij * 2^40 needs ~2^120, far past int64; the products
+        # used to wrap and give a wrong gradient (0 for -1/4) at w = 0
+        x_data, y = self._tiny()
+        fmt = QFormat(8, 40)
+        obj = make_objective("blr", x_data=x_data, y=y, data_fmt=fmt)
+        with pytest.raises(OverflowError, match="Q8.40"):
+            obj.grad_rounded_fixed(vec_from_exact([0, 0, 0], fmt), RN, None, 0)
+        assert eval_grad_reference(obj, [0.0, 0.0, 0.0]).tolist() == [-0.25, 0.0, 0.125]
+
     def test_no_scalar_recipe(self):
         x_data, y = self._tiny()
         obj = make_objective("blr", x_data=x_data, y=y, data_fmt=QFormat(15, 8))

@@ -19,6 +19,20 @@ class TestRandomStream:
             11457049084958527610,
         ]
 
+    def test_frozen_words_at_largest_exact_float_seed(self):
+        # seeds below 2**53 keep the draws they had when the key went
+        # through float64
+        assert RandomStream(2**53 - 1).u64(7, 3, 2).tolist() == [
+            5464155899517687569,
+            8731085657604688881,
+        ]
+
+    def test_large_seeds_are_distinct_streams(self):
+        # a float64 key would round 2**60 + 1 onto 2**60
+        assert RandomStream(2**60).u64(0, 0, 2).tolist() != RandomStream(2**60 + 1).u64(
+            0, 0, 2
+        ).tolist()
+
     def test_replay_is_exact(self):
         a = RandomStream(42).u64(3, 17, 8)
         b = RandomStream(42).u64(3, 17, 8)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpgd import rng
 from lpgd.qnum import QFormat, make_format
 from lpgd.rng import RandomStream
 from lpgd.rounding import (
@@ -212,3 +213,226 @@ def test_scalar_and_vector_draws_agree(num, den, spec, seed):
         v_sign=v_sign,
     )
     assert fx.m == vec[0]
+
+
+# ---------------------------------------------------------------------------
+# round_doubles_vec against a per-element Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_round_doubles(values, out_fmt, scheme, gen=None, v_sign=0):
+    """One exact Fraction per element, then `bernoulli_ratio` on all of them.
+
+    This is the straightforward form of the doubles kernel; the vectorized
+    kernel must reproduce its mantissas and consume the same words.
+    """
+    vals = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = vals.size
+    scale = out_fmt.scale
+    q = np.empty(n, dtype=np.int64)
+    r_num = np.empty(n, dtype=object)
+    r_den = np.empty(n, dtype=object)
+    for i, v in enumerate(vals):
+        f = Fraction(float(v)) * scale
+        qi = f.numerator // f.denominator
+        q[i] = qi
+        rem = f - qi
+        r_num[i] = rem.numerator
+        r_den[i] = rem.denominator
+    exact = np.array([rn == 0 for rn in r_num], dtype=bool)
+    if scheme.kind == "rn":
+        up = np.array(
+            [
+                2 * rn > rd or (2 * rn == rd and qm % 2 == 1)
+                for rn, rd, qm in zip(r_num, r_den, q)
+            ],
+            dtype=bool,
+        )
+    else:
+        if gen is None:
+            raise ValueError(f"{scheme} needs a Generator")
+        if scheme.kind == "sr":
+            up = rng.bernoulli_ratio(gen, r_num, r_den, n)
+        else:
+            if scheme.uses_value_sign:
+                s = np.sign(vals).astype(int)
+            else:
+                s = np.sign(np.broadcast_to(np.asarray(v_sign), (n,)).astype(int))
+            a, b = scheme.eps.numerator, scheme.eps.denominator
+            t_num = np.empty(n, dtype=object)
+            t_den = np.empty(n, dtype=object)
+            for i in range(n):
+                tn = r_num[i] * b + int(s[i]) * a * r_den[i]
+                td = r_den[i] * b
+                t_num[i] = min(max(tn, 0), td)
+                t_den[i] = td
+            up = rng.bernoulli_ratio(gen, t_num, t_den, n)
+        up = np.asarray(up, dtype=bool)
+        up[exact] = False
+    m = q + up.astype(np.int64)
+    if ((m < out_fmt.min_mantissa) | (m > out_fmt.max_mantissa)).any():
+        raise OverflowError(f"double input overflows {out_fmt}")
+    return m
+
+
+def _draw_probs(vals, fmt, scheme, v_sign):
+    """Exact P(up) the bitstream compares against, on-grid values included."""
+    out = []
+    signs = np.broadcast_to(np.asarray(v_sign), (len(vals),))
+    for v, vs in zip(vals, signs):
+        pos = Fraction(float(v)) * fmt.scale
+        p = pos - (pos.numerator // pos.denominator)
+        if scheme.eps is not None:
+            s = int(np.sign(v)) if scheme.uses_value_sign else int(np.sign(int(vs)))
+            p = min(max(p + s * scheme.eps, Fraction(0)), Fraction(1))
+        out.append(p)
+    return out
+
+
+def _outcome(kernel, *args):
+    """Mantissas as a list, or the exception type (rounding up can overflow)."""
+    try:
+        return kernel(*args).tolist()
+    except OverflowError:
+        return OverflowError
+
+
+class _CountingGen:
+    """Generator stand-in: optional scripted first words, then a real stream.
+
+    The first `integers` call returns `first` when given; every word drawn
+    is counted so two kernels can be held to the same draw layout.
+    """
+
+    def __init__(self, seed, first=None):
+        self._gen = RandomStream(seed).generator(3, 5)
+        self._first = first
+        self.words = 0
+
+    def integers(self, low, high, size, dtype):
+        if self._first is not None:
+            out, self._first = np.array(self._first, dtype=np.uint64), None
+            assert out.size == size
+        else:
+            out = self._gen.integers(low, high, size=size, dtype=dtype)
+        self.words += int(np.size(out))
+        return out
+
+
+_DIFF_FORMATS = [QFormat(1, 0), QFormat(2, 20), QFormat(8, 8), QFormat(15, 8), QFormat(4, 52)]
+_DIFF_EPS = [Fraction(2, 5), Fraction(1, 3), Fraction(3, 4), Fraction(1, 2**70),
+             1 - Fraction(1, 2**70)]
+
+
+@st.composite
+def _double_in_format(draw, fmt):
+    """A binary64 inside fmt's range, drawn from the cases that matter."""
+    u = 2.0 ** -fmt.qf
+    top = fmt.max_mantissa
+    m = draw(st.integers(min_value=fmt.min_mantissa, max_value=top - 1))
+    kind = draw(st.sampled_from(
+        ["grid", "tie", "any", "tiny", "neg_half_gap", "subnormal"]
+    ))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "grid":
+        return m * u
+    if kind == "tie":
+        return (m + 0.5) * u
+    if kind == "any":
+        lo, hi = fmt.min_mantissa * u, top * u
+        return draw(st.floats(min_value=lo, max_value=hi, allow_nan=False))
+    if kind == "tiny":
+        return sign * draw(st.integers(min_value=1, max_value=1000)) * 1e-25
+    if kind == "neg_half_gap":
+        frac = draw(st.floats(min_value=0.0, max_value=0.5, exclude_min=True,
+                              exclude_max=True))
+        return -frac * u
+    return sign * draw(st.integers(min_value=1, max_value=1 << 20)) * 5e-324
+
+
+@st.composite
+def _doubles_case(draw):
+    fmt = draw(st.sampled_from(_DIFF_FORMATS))
+    vals = np.array(draw(st.lists(_double_in_format(fmt), min_size=1, max_size=24)))
+    kind = draw(st.sampled_from(["rn", "sr", "sr_eps", "signed_sr_eps"]))
+    eps = draw(st.sampled_from(_DIFF_EPS)) if kind.endswith("eps") else None
+    scheme = RoundScheme(kind, eps)
+    if draw(st.booleans()):
+        v_sign = draw(st.sampled_from([-1, 0, 1]))
+    else:
+        v_sign = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=vals.size,
+                                        max_size=vals.size)))
+    return vals, fmt, scheme, v_sign
+
+
+@given(case=_doubles_case(), seed=st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=300, deadline=None)
+def test_doubles_kernel_matches_fraction_reference(case, seed):
+    vals, fmt, scheme, v_sign = case
+    g_ref, g_new = _CountingGen(seed), _CountingGen(seed)
+    ref = _outcome(_reference_round_doubles, vals, fmt, scheme, g_ref, v_sign)
+    assert _outcome(round_doubles_vec, vals, fmt, scheme, g_new, v_sign) == ref
+    assert g_new.words == g_ref.words
+
+
+@given(case=_doubles_case(), seed=st.integers(min_value=0, max_value=2**31),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_doubles_kernel_words_on_the_prefix(case, seed, data):
+    """First words placed on, or next to, each element's 64-bit prefix.
+
+    u equal to the prefix of a probability with bits below 2**-64 sends the
+    element down the extension path, word for word; u one off the prefix
+    exercises the neighbours the vectorized kernel settles exactly.
+    """
+    vals, fmt, scheme, v_sign = case
+    if not scheme.is_random:
+        return
+    first = []
+    for p in _draw_probs(vals, fmt, scheme, v_sign):
+        hi = (p.numerator << 64) // p.denominator
+        w = hi + data.draw(st.sampled_from([0, 0, 0, -1, 1, 2]))
+        first.append(min(max(w, 0), (1 << 64) - 1))
+    g_ref, g_new = _CountingGen(seed, first), _CountingGen(seed, first)
+    ref = _outcome(_reference_round_doubles, vals, fmt, scheme, g_ref, v_sign)
+    assert _outcome(round_doubles_vec, vals, fmt, scheme, g_new, v_sign) == ref
+    assert g_new.words == g_ref.words
+
+
+class TestDoublesKernel:
+    def test_negative_residue_below_half_gap(self):
+        # pos = -9.08e-23 * 256: pos - floor(pos) rounds to 1.0 in binary64,
+        # but the exact residue is 1 - 2.3e-20, so sr almost surely rounds up
+        out = round_doubles_vec(
+            np.full(64, -9.08e-23), Q88, parse_scheme("sr"), RandomStream(1).generator(0, 0)
+        )
+        assert out.tolist() == [0] * 64
+
+    def test_forced_tie_extends_like_the_reference(self):
+        # P(up) = 2**-70 * 2**8 has no bits in the first word's range: a
+        # first word of 0 ties the prefix and needs extension words
+        vals = np.array([2.0**-78, 3 * 2.0**-78, 0.5])
+        sr = parse_scheme("sr")
+        g_ref, g_new = _CountingGen(4, [0, 0, 0]), _CountingGen(4, [0, 0, 0])
+        ref = _reference_round_doubles(vals, Q88, sr, g_ref)
+        new = round_doubles_vec(vals, Q88, sr, g_new)
+        assert new.tolist() == ref.tolist()
+        assert g_new.words == g_ref.words > 3
+
+    def test_nan_and_inf_keep_their_errors(self):
+        sr = parse_scheme("sr")
+        gen = RandomStream(0).generator(0, 0)
+        with pytest.raises(ValueError):
+            round_doubles_vec(np.array([0.5, np.nan]), Q88, sr, gen)
+        for bad in (np.inf, -np.inf, 1e300):
+            with pytest.raises(OverflowError):
+                round_doubles_vec(np.array([bad]), Q88, sr, gen)
+            with pytest.raises(OverflowError):
+                round_doubles_vec(np.array([bad]), Q88, parse_scheme("rn"))
+
+    def test_out_of_range_overflows(self):
+        with pytest.raises(OverflowError):
+            round_doubles_vec(np.array([128.0]), Q88, parse_scheme("rn"))
+        with pytest.raises(OverflowError):
+            round_doubles_vec(np.array([127.999]), Q88, parse_scheme("sr_eps:0.5"),
+                              RandomStream(0).generator(0, 0))
