@@ -1,13 +1,18 @@
 """Tests for the instrumented low-precision gradient descent engine."""
 
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpgd.gdengine import GDConfig, classify_case, run, run_ensemble
+from lpgd.harness import load_config, run_experiment
 from lpgd.objectives import make_objective
 from lpgd.qnum import QFormat
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def quad_config(**over):
@@ -344,3 +349,52 @@ class TestReferenceRun:
         assert np.allclose(res.xs[:, 0], 0.75 ** np.arange(7))
         assert (res.sigma1 == 0).all() and (res.sigma2 == 0).all()
         assert (res.case == 0).all()
+
+
+def digest_runs(runs) -> str:
+    """sha256 of the replayable record of an ensemble: every run's iterate,
+    step and rounded-gradient mantissas, with their dtypes and shapes."""
+    h = hashlib.sha256()
+    for r in runs:
+        for a in (r.x_m, r.d_m, r.g_tilde_m):
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDigests:
+    """Trajectories frozen from the per-seed engine, before ensembles ran in
+    lockstep; any change to a draw, a rounding or a stopping rule moves them."""
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("blr_stepsize.yaml", "52e6c756c1acbd2f1c53bae2d9d6ea4748fd9cab7e241ab21cefb702fc785024"),
+            ("himmelblau_exact.yaml", "d38c4770e89b5405bc2cdffccb78c70a5189e06370fdeaf5aaab07a35b82bcd1"),
+            ("rosenbrock_sr.yaml", "cae7a3adfde44d886ebdfe089bcbe7a978ad15128127bf7d381b641c817f55b3"),
+        ],
+    )
+    def test_bundled_config(self, name, want):
+        result = run_experiment(load_config(CONFIGS / name))
+        assert digest_runs(result.runs) == want
+
+    @pytest.mark.parametrize(
+        "sigma2, want",
+        [
+            ("sr", "8f9a2d3348286c5b8e85ad0b3ab8be04b0b428354186d51db344aeb8bbe67c30"),
+            ("sr_eps:0.4", "2bafc70851231d92e958f33cf91b3838886848f7fc387d99c2f70302cb8ff03f"),
+        ],
+    )
+    def test_quadratic_100_seed_ensemble(self, sigma2, want):
+        # the ensembles of acceptance tests 03 and 05
+        cfg = GDConfig(
+            objective=make_objective("quadratic", a_diag=[4, 1, "1/16"], x_star=[0, 0, 0]),
+            t="1/32",
+            x0=["1", "1", "1"],
+            iterations=500,
+            working_fmt="Q8.12",
+            sigma1_scheme="sr",
+            sigma2_scheme=sigma2,
+        )
+        assert digest_runs(run_ensemble(cfg, seeds=range(100))) == want
