@@ -29,13 +29,25 @@ fixed positions in each op's batch.
 For signed_sr_eps the update rounding is steered toward descent: in fixed
 mode that is the sign of t*g (same as sr_eps there); in float mode the
 rounded value is x - t*g, so the favored direction is -sign(g).
+
+Fixed-point ensembles run in lockstep: the R seeds are R lanes of (R, n)
+int64 mantissa arrays, and each iteration runs the gradient recipe, the
+case classification and the update rounding once over every live lane.
+Draw addressing is unchanged -- lane r's words for op (k, tag) come from
+RandomStream(seed_r).generator(k, tag), in index order -- so a lane's
+trajectory is bit for bit the run of its seed alone, and `run(cfg)` is the
+one-lane case of the same engine.  Lanes leave the batch one by one when they
+stop (stop_below_f, stop_on_stagnation) or raise; a run's record is kept as
+the rows of its realized steps, so memory grows with the steps taken, never
+with the iteration budget.  lowfloat and reference runs go one seed at a time.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +56,8 @@ from .objectives import Objective, eval_grad_reference
 from .qnum import FixedVec, QFormat, from_exact, make_format, parse_rational, to_fraction
 
 SIGMA2_TAG = 1 << 20
+
+_INT64_LIMIT = 1 << 63
 
 NUMBER_SYSTEMS = ("fixed", "lowfloat", "reference")
 
@@ -133,24 +147,6 @@ class GDConfig:
 
 
 @dataclass
-class IterationTrace:
-    """One iteration's bookkeeping, unpacked from a RunResult."""
-
-    k: int
-    f: float
-    x: np.ndarray
-    g_exact: np.ndarray
-    g_tilde: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    d: np.ndarray
-    case: int
-    c2_idx: np.ndarray
-    nonopposite_violations: int
-    d_zero: bool
-
-
-@dataclass
 class RunResult:
     """Full record of one run: trajectory, per-step errors, case labels."""
 
@@ -185,26 +181,6 @@ class RunResult:
     def c2_count(self) -> np.ndarray:
         return self.c2_mask.sum(axis=1)
 
-    def trace(self, k: int) -> IterationTrace:
-        return IterationTrace(
-            k=k,
-            f=float(self.fs[k]),
-            x=self.xs[k],
-            g_exact=self.g_exact[k],
-            g_tilde=self.g_tilde[k],
-            sigma1=self.sigma1[k],
-            sigma2=self.sigma2[k],
-            d=self.d[k],
-            case=int(self.case[k]),
-            c2_idx=np.flatnonzero(self.c2_mask[k]),
-            nonopposite_violations=int(self.nonopp_violations[k]),
-            d_zero=bool((self.d[k] == 0).all()),
-        )
-
-    def traces(self) -> Iterator[IterationTrace]:
-        for k in range(self.steps):
-            yield self.trace(k)
-
     def iterations_below(self, threshold: float) -> Optional[int]:
         """First k with f(x_k) <= threshold, or None."""
         hits = np.flatnonzero(self.fs[: self.steps + 1] <= threshold)
@@ -219,33 +195,38 @@ class RunResult:
 def classify_case(g_tilde, t: Fraction, u) -> tuple:
     """(case, c2_mask): coordinate i is C2 when |t * g_i| < u_i.
 
-    g_tilde: FixedVec (exact integer compare) or a sequence of exact values;
-    u: scalar grid spacing or per-coordinate spacings.
+    g_tilde: a FixedVec with a scalar spacing u, compared exactly on integers
+    as |g_m| * tn * u_den < td * u_num * scale; an (R, n) FixedVec of R
+    lanes gives an (R,) case array and an (R, n) mask.  Otherwise a sequence
+    of exact values, with u a scalar spacing or per-coordinate spacings.
     """
     if isinstance(g_tilde, FixedVec):
-        gv = g_tilde.to_fractions()
+        uf = to_fraction(u)
+        lhs = t.numerator * uf.denominator
+        rhs = t.denominator * uf.numerator * g_tilde.fmt.scale
+        m = np.abs(g_tilde.m)
+        if -g_tilde.fmt.min_mantissa * lhs >= _INT64_LIMIT or rhs >= _INT64_LIMIT:
+            m = m.astype(object)
+        mask = m * lhs < rhs
     else:
         gv = [to_fraction(v) for v in g_tilde]
-    us = list(u) if np.ndim(u) else [to_fraction(u)] * len(gv)
-    mask = np.array(
-        [abs(t * g) < to_fraction(ui) for g, ui in zip(gv, us)], dtype=bool
-    )
-    if not mask.any():
-        case = 1
-    elif mask.all():
-        case = 2
-    else:
-        case = 3
-    return case, mask
+        us = list(u) if np.ndim(u) else [to_fraction(u)] * len(gv)
+        mask = np.array(
+            [abs(t * g) < to_fraction(ui) for g, ui in zip(gv, us)], dtype=bool
+        )
+    none, every = ~mask.any(axis=-1), mask.all(axis=-1)
+    case = np.where(none, 1, np.where(every, 2, 3))
+    return (int(case) if case.ndim == 0 else case), mask
 
 
-def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray) -> int:
-    """Count coordinates where the rounded gradient flips the exact sign."""
-    return int((np.sign(g_tilde) * np.sign(g_exact) < 0).sum())
+def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray):
+    """Count coordinates where the rounded gradient flips the exact sign
+    (per row for 2-D inputs)."""
+    return (np.sign(g_tilde) * np.sign(g_exact) < 0).sum(axis=-1)
 
 
 def eval_grad_rounded(
-    obj: Objective, x_state, cfg: GDConfig, stream: Optional[rng.RandomStream], k: int
+    obj: Objective, x_state, cfg: GDConfig, stream, k: int
 ):
     """The rounded gradient at the iterate, per the configured number system."""
     if cfg.number_system == "fixed":
@@ -261,8 +242,14 @@ def _float_gaps(x_state, fmt: lpfloat.FloatFormat) -> List[Fraction]:
     return [lpfloat.binade_gap(v, fmt) for v in x_state]
 
 
-def gd_step(x_state, cfg: GDConfig, stream: Optional[rng.RandomStream], k: int):
-    """One update.  Returns (new_state, step dict)."""
+def gd_step(x_state, cfg: GDConfig, stream, k: int):
+    """One update.  Returns (new_state, step dict).
+
+    Fixed mode steps R lanes at once: x_state is an (R, n) FixedVec, stream
+    the list of the lanes' RandomStreams, and every array in the step dict
+    has a leading lane axis ("case" and "nonopp" are (R,)).  lowfloat and
+    reference step one run: x_state is its iterate, stream its RandomStream.
+    """
     obj = cfg.objective
     t = cfg.t
     tn, td = t.numerator, t.denominator
@@ -270,27 +257,29 @@ def gd_step(x_state, cfg: GDConfig, stream: Optional[rng.RandomStream], k: int):
     if cfg.number_system == "fixed":
         x: FixedVec = x_state
         g_t = eval_grad_rounded(obj, x, cfg, stream, k)
-        x_f = x.to_floats()
-        g_ref = eval_grad_reference(obj, x_f)
+        g_ref = eval_grad_reference(obj, x.to_floats())
         case, c2 = classify_case(g_t, t, cfg.u_mul)
 
         s_w = x.fmt.scale
         s_m = cfg.mul_fmt.scale
-        gen = (
-            stream.generator(k, SIGMA2_TAG) if cfg.sigma2_scheme.is_random else None
+        gens = (
+            [s.generator(k, SIGMA2_TAG) for s in stream]
+            if cfg.sigma2_scheme.is_random
+            else None
         )
         v_sign = np.sign(g_t.m) if cfg.sigma2_scheme.uses_given_sign else 0
-        peak = int(np.abs(g_t.m).max(initial=0)) * tn
-        num = (
-            g_t.m * tn
-            if peak * s_m < 1 << 62
-            else np.array([int(m) * tn for m in g_t.m], dtype=object)
-        )
+        # t * g at the working scale, exact; each lane's rounding path is
+        # chosen from its own values inside round_ratio_vec
+        fits = -x.fmt.min_mantissa * tn < _INT64_LIMIT
+        num = (g_t.m if fits else g_t.m.astype(object)) * tn
         d_m = rounding.round_ratio_vec(
-            num, td * s_w, cfg.mul_fmt, cfg.sigma2_scheme, gen, v_sign
+            num, td * s_w, cfg.mul_fmt, cfg.sigma2_scheme, gens, v_sign
         )
         shift = x.fmt.qf - cfg.mul_fmt.qf
-        new_x = FixedVec(x.m - (d_m << shift), x.fmt)
+        # d << shift stays inside int64 unless the mul format's integer bits
+        # plus the working fraction bits exceed 62; then it is exact in Python ints
+        step = d_m if cfg.mul_fmt.qi + x.fmt.qf <= 62 else d_m.astype(object)
+        new_x = FixedVec(x.m - (step << shift), x.fmt)
 
         g_t_f = g_t.to_floats()
         d_f = d_m / s_m
@@ -377,104 +366,190 @@ def _state_floats(state, number_system: str) -> np.ndarray:
     return np.asarray(state, dtype=np.float64)
 
 
-def run(cfg: GDConfig) -> RunResult:
-    """Run the configured descent and record every iteration."""
-    obj = cfg.objective
-    n = obj.n
-    kmax = cfg.iterations
-    stream = rng.RandomStream(cfg.seed)
+def run(cfg: GDConfig, seeds: Optional[Sequence[int]] = None):
+    """Run the configured descent and record every iteration.
 
-    state = cfg.initial_state()
-    fixed = cfg.number_system == "fixed"
-
-    fs = np.zeros(kmax + 1)
-    xs = np.zeros((kmax + 1, n))
-    g_exact = np.zeros((kmax, n))
-    g_tilde = np.zeros((kmax, n))
-    sigma1 = np.zeros((kmax, n))
-    sigma2 = np.zeros((kmax, n))
-    d = np.zeros((kmax, n))
-    case = np.zeros(kmax, dtype=np.uint8)
-    c2_mask = np.zeros((kmax, n), dtype=bool)
-    nonopp = np.zeros(kmax, dtype=np.int64)
-    x_m = np.zeros((kmax + 1, n), dtype=np.int64) if fixed else None
-    g_tilde_m = np.zeros((kmax, n), dtype=np.int64) if fixed else None
-    d_m = np.zeros((kmax, n), dtype=np.int64) if fixed else None
-
-    xs[0] = _state_floats(state, cfg.number_system)
-    fs[0] = obj.f(xs[0])
-    if fixed:
-        x_m[0] = state.m
-
-    stagnated = False
-    stagnation_iter = -1
-    zero_streak = 0
-    steps = 0
-
+    `run(cfg)` is one run at cfg.seed.  `run(cfg, seeds)` is one run per
+    seed (each with config `replace(cfg, seed=s)`), returned in seed order;
+    fixed-point runs advance together in lockstep, lowfloat and reference
+    runs one after another.  A failing run raises, as running the seeds one
+    after another would: the exception of the first failing seed.
+    """
+    cfgs = [cfg] if seeds is None else [replace(cfg, seed=operator.index(s)) for s in seeds]
     if cfg.number_system == "fixed":
+        results = _run_lanes(cfgs)
+    else:
+        results = [r for c in cfgs for r in _run_lanes([c])]
+    return results[0] if seeds is None else results
+
+
+def run_ensemble(cfg: GDConfig, seeds: Sequence[int]) -> List[RunResult]:
+    """Independent runs of the same config over the given seeds."""
+    return run(cfg, seeds)
+
+
+def _advance(x, cfg: GDConfig, streams: list, k: int):
+    """One iteration of the live lanes: the update, then f at every new
+    iterate.  Every array in the step dict gets a leading lane axis."""
+    if cfg.number_system == "fixed":
+        new_x, rec = gd_step(x, cfg, streams, k)
+        rec["x_m"] = new_x.m
+    else:  # a single run
+        new_x, rec = gd_step(x, cfg, streams[0], k)
+        rec = {key: np.asarray(v)[None] for key, v in rec.items() if v is not None}
+    rec["xs"] = np.reshape(_state_floats(new_x, cfg.number_system), (-1, cfg.objective.n))
+    rec["fs"] = np.array([cfg.objective.f(row) for row in rec["xs"]], dtype=np.float64)
+    return new_x, rec
+
+
+def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
+    """Runs of configs that differ only in seed, one lane each, in lockstep.
+
+    Fixed-point lanes share one (R, n) state; lowfloat and reference runs
+    come one at a time.  The live lanes share one `_advance` per iteration.
+    If it raises, the iteration is replayed lane by lane (the draws are
+    addressed by seed, k and tag, so a replay draws exactly the same words);
+    the lanes that raise again are dropped, and the first one's exception is
+    raised at the end.
+    """
+    if not cfgs:
+        return []
+    cfg = cfgs[0]
+    obj = cfg.objective
+    fixed = cfg.number_system == "fixed"
+    window = cfg.stagnation_window
+    if fixed:
         u_stag = float(cfg.u_mul)
     elif cfg.number_system == "lowfloat":
         u_stag = float(cfg.float_fmt.unit_roundoff)
     else:
         u_stag = 0.0
+    stag_norm = 10.0 * np.sqrt(obj.n) * u_stag
+    streams = [rng.RandomStream(c.seed) for c in cfgs]
+    lanes = len(cfgs)
 
-    for k in range(kmax):
-        if cfg.stop_below_f is not None and fs[k] <= cfg.stop_below_f:
-            break
-        state, rec = gd_step(state, cfg, stream, k)
-        g_exact[k] = rec["g_exact"]
-        g_tilde[k] = rec["g_tilde"]
-        sigma1[k] = rec["sigma1"]
-        sigma2[k] = rec["sigma2"]
-        d[k] = rec["d"]
-        case[k] = rec["case"]
-        c2_mask[k] = rec["c2"]
-        nonopp[k] = rec["nonopp"]
-        if fixed:
-            g_tilde_m[k] = rec["g_tilde_m"]
-            d_m[k] = rec["d_m"]
-            x_m[k + 1] = state.m
-        xs[k + 1] = _state_floats(state, cfg.number_system)
-        fs[k + 1] = obj.f(xs[k + 1])
-        steps = k + 1
+    state = cfg.initial_state()
+    xs0 = _state_floats(state, cfg.number_system)
+    f0 = obj.f(xs0)
+    # per live lane, in lane order: lane index, stream, iterate, f, zero-step streak
+    live = np.arange(lanes)
+    lane_streams = list(streams)
+    x = FixedVec(np.tile(state.m, (lanes, 1)), state.fmt) if fixed else state
+    f = np.full(lanes, f0, dtype=np.float64)
+    streak = np.zeros(lanes, dtype=np.int64)
+    stagnation_iter = np.full(lanes, -1, dtype=np.int64)  # by lane index
+    errors: Dict[int, Exception] = {}
+    log = []  # (live lanes, step dict) per iteration
 
-        if (rec["d"] == 0).all():
-            zero_streak += 1
-            if (
-                zero_streak >= cfg.stagnation_window
-                and not stagnated
-                and np.linalg.norm(rec["g_exact"]) > 10.0 * np.sqrt(n) * u_stag
-            ):
-                stagnated = True
-                stagnation_iter = k - cfg.stagnation_window + 1
-                if cfg.stop_on_stagnation:
-                    break
-        else:
-            zero_streak = 0
+    def select(rows):
+        return (
+            live[rows],
+            [lane_streams[j] for j in rows],
+            FixedVec(x.m[rows], x.fmt),
+            f[rows],
+            streak[rows],
+        )
 
-    sl = steps
-    return RunResult(
-        config=cfg,
-        fs=fs[: sl + 1],
-        xs=xs[: sl + 1],
-        g_exact=g_exact[:sl],
-        g_tilde=g_tilde[:sl],
-        sigma1=sigma1[:sl],
-        sigma2=sigma2[:sl],
-        d=d[:sl],
-        case=case[:sl],
-        c2_mask=c2_mask[:sl],
-        nonopp_violations=nonopp[:sl],
-        x_m=x_m[: sl + 1] if fixed else None,
-        g_tilde_m=g_tilde_m[:sl] if fixed else None,
-        d_m=d_m[:sl] if fixed else None,
-        final_state=state,
-        stagnated=stagnated,
-        stagnation_iter=stagnation_iter,
-        steps=sl,
-    )
+    for k in range(cfg.iterations):
+        if cfg.stop_below_f is not None:
+            keep = ~(f <= cfg.stop_below_f)
+            if not keep.any():
+                break
+            if not keep.all():
+                live, lane_streams, x, f, streak = select(np.flatnonzero(keep))
+        try:
+            new_x, rec = _advance(x, cfg, lane_streams, k)
+        except Exception as exc:
+            if live.size == 1:
+                errors[live[0]] = exc
+                break
+            done = []
+            for j, i in enumerate(live):
+                try:
+                    one = FixedVec(x.m[j : j + 1], x.fmt)
+                    done.append((j, _advance(one, cfg, [streams[i]], k)[1]))
+                except Exception as lane_exc:
+                    errors[i] = lane_exc
+            # runs after the first failing seed are never returned
+            done = [(j, r) for j, r in done if live[j] < min(errors, default=lanes)]
+            if not done:
+                break
+            live, lane_streams, x, f, streak = select([j for j, _ in done])
+            rec = {key: np.concatenate([r[key] for _, r in done]) for key in done[0][1]}
+            new_x = FixedVec(rec["x_m"], x.fmt)
+        log.append((live, rec))
+        x, f = new_x, rec["fs"]
+
+        streak = np.where(rec["d"].any(axis=1), 0, streak + 1)
+        if streak.max() >= window:
+            stop = np.zeros(live.size, dtype=bool)
+            for j in np.flatnonzero(streak >= window):
+                if stagnation_iter[live[j]] < 0 and np.linalg.norm(rec["g_exact"][j]) > stag_norm:
+                    stagnation_iter[live[j]] = k - window + 1
+                    stop[j] = cfg.stop_on_stagnation
+            if stop.all():
+                break
+            if stop.any():
+                live, lane_streams, x, f, streak = select(np.flatnonzero(~stop))
+
+    if errors:
+        raise errors[min(errors)]
+    return _lane_results(cfgs, xs0, f0, log, stagnation_iter, None if fixed else x)
 
 
-def run_ensemble(cfg: GDConfig, seeds: Sequence[int]) -> List[RunResult]:
-    """Independent runs of the same config over the given seeds."""
-    return [run(replace(cfg, seed=int(s))) for s in seeds]
+def _lane_results(cfgs, xs0, f0, log, stagnation_iter, final_state) -> List[RunResult]:
+    """Each lane's RunResult from the per-iteration batches of `_run_lanes`:
+    its rows in iteration order, sized by the steps it took.  Fixed-point
+    lanes rebuild their final state from their last mantissas; other runs
+    (one lane) are handed theirs."""
+    cfg = cfgs[0]
+    fixed = cfg.number_system == "fixed"
+    n = cfg.objective.n
+    ids = np.concatenate([lane for lane, _ in log] or [np.zeros(0, np.int64)])
+    order = np.argsort(ids, kind="stable")
+    steps = np.bincount(ids, minlength=len(cfgs))
+    start = np.concatenate(([0], np.cumsum(steps)))
+    if fixed:
+        x_m0 = cfg.initial_state().m
+
+    def gather(key, dtype, shape=(n,)):
+        if not log:
+            return np.zeros((0,) + shape, dtype=dtype)
+        return np.concatenate([rec[key] for _, rec in log]).astype(dtype, copy=False)[order]
+
+    fields = [
+        ("fs", np.float64, ()), ("xs", np.float64), ("g_exact", np.float64),
+        ("g_tilde", np.float64), ("sigma1", np.float64), ("sigma2", np.float64),
+        ("d", np.float64), ("case", np.uint8, ()), ("c2", bool), ("nonopp", np.int64, ()),
+    ]
+    if fixed:
+        fields += [("x_m", np.int64), ("g_tilde_m", np.int64), ("d_m", np.int64)]
+    rows = {key: gather(key, dtype, *shape) for key, dtype, *shape in fields}
+
+    results = []
+    for r, c in enumerate(cfgs):
+        lane = {key: v[start[r] : start[r + 1]] for key, v in rows.items()}
+        x_m = np.concatenate((x_m0[None, :], lane["x_m"])) if fixed else None
+        results.append(
+            RunResult(
+                config=c,
+                fs=np.concatenate(([f0], lane["fs"])),
+                xs=np.concatenate((xs0[None, :], lane["xs"])),
+                g_exact=lane["g_exact"],
+                g_tilde=lane["g_tilde"],
+                sigma1=lane["sigma1"],
+                sigma2=lane["sigma2"],
+                d=lane["d"],
+                case=lane["case"],
+                c2_mask=lane["c2"],
+                nonopp_violations=lane["nonopp"],
+                x_m=x_m,
+                g_tilde_m=lane.get("g_tilde_m"),
+                d_m=lane.get("d_m"),
+                final_state=FixedVec(x_m[-1], cfg.working_fmt) if fixed else final_state,
+                stagnated=bool(stagnation_iter[r] >= 0),
+                stagnation_iter=int(stagnation_iter[r]),
+                steps=int(steps[r]),
+            )
+        )
+    return results

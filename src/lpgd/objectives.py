@@ -21,6 +21,7 @@ address depends only on the recipe structure, never on the data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -31,9 +32,17 @@ from scipy.special import expit
 from . import lpfloat, rng, rounding
 from .qnum import FixedVec, QFormat, from_exact, to_fraction
 
+_INT64_LIMIT = 1 << 63
+
 # ---------------------------------------------------------------------------
 # ops backends
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1024)
+def _grid_mantissa(c, fmt: QFormat) -> int:
+    # recipes ask for the same few constants at every iteration
+    return from_exact(c, fmt).m
 
 
 class FixedBackend:
@@ -42,66 +51,94 @@ class FixedBackend:
     add/sub and integer coefficients are exact (hard OverflowError past the
     format range); products and fractional coefficients round once with the
     given scheme.
+
+    A value is an int mantissa, or an (R,) int64 array of one mantissa per
+    lane when R lanes run together; `stream` is then a list of the lanes'
+    RandomStreams, and each rounding op draws lane r's words from stream r at
+    the op's (k, tag) address, exactly as a one-lane backend on that stream
+    would.
     """
 
     def __init__(
         self,
         fmt: QFormat,
         scheme: rounding.RoundScheme,
-        stream: Optional[rng.RandomStream] = None,
+        stream=None,
         k: int = 0,
         tag_base: int = 0,
     ):
         self.fmt = fmt
         self.scheme = scheme
-        self.stream = stream
+        self.streams = stream if stream is None or isinstance(stream, list) else [stream]
         self.k = k
         self.tag = tag_base
+        # every backend value is a checked mantissa, so |value| <= peak
+        self._peak = -fmt.min_mantissa
 
-    def _next_gen(self):
+    def _next_gens(self):
         tag = self.tag
         self.tag += 1
         if self.scheme.is_random:
-            if self.stream is None:
+            if self.streams is None:
                 raise ValueError("stochastic scheme needs a RandomStream")
-            return self.stream.generator(self.k, tag)
+            return [s.generator(self.k, tag) for s in self.streams]
         return None
 
-    def _round_ratio(self, num: int, den: int) -> int:
-        gen = self._next_gen()
-        arr = (
-            np.array([num], dtype=np.int64)
-            if abs(num) < (1 << 62) // self.fmt.scale and den < (1 << 62)
-            else np.array([num], dtype=object)
-        )
-        return int(rounding.round_ratio_vec(arr, den, self.fmt, self.scheme, gen)[0])
+    def _times(self, c, a, c_peak: int):
+        """c * a exactly for |c| <= c_peak: in int64 when no product can leave
+        it, else in Python ints."""
+        if not isinstance(a, np.ndarray) or c_peak * self._peak < _INT64_LIMIT:
+            return a * c
+        return a.astype(object) * c
+
+    def _check(self, m):
+        """m unchanged (int64 for arrays), or OverflowError for its first
+        out-of-range entry."""
+        if not isinstance(m, np.ndarray):
+            return self.fmt.check_mantissa(m)
+        bad = (m < self.fmt.min_mantissa) | (m > self.fmt.max_mantissa)
+        if bad.any():
+            self.fmt.check_mantissa(int(m.flat[np.argmax(bad)]))
+        return m.astype(np.int64, copy=False)
+
+    def _round_ratio(self, num, den: int):
+        gens = self._next_gens()
+        if isinstance(num, np.ndarray):
+            # one element per lane: each lane's rounding is its own row
+            return rounding.round_ratio_vec(
+                num.reshape(-1, 1), den, self.fmt, self.scheme, gens
+            ).reshape(num.shape)
+        arr = np.array([[num]], dtype=np.int64 if abs(num) < _INT64_LIMIT else object)
+        return int(rounding.round_ratio_vec(arr, den, self.fmt, self.scheme, gens)[0, 0])
 
     def const(self, c) -> int:
         """A stored constant; must sit on the grid exactly."""
-        return from_exact(c, self.fmt).m
+        return _grid_mantissa(c, self.fmt)
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         self.tag += 1
-        return self.fmt.check_mantissa(a + b)
+        return self._check(a + b)
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         self.tag += 1
-        return self.fmt.check_mantissa(a - b)
+        return self._check(a - b)
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         # (a/S)(b/S) exactly at S^2 scale, then one rounding back to the S grid
-        return self._round_ratio(a * b, self.fmt.scale * self.fmt.scale)
+        num = self._times(b, a, self._peak)
+        return self._round_ratio(num, self.fmt.scale * self.fmt.scale)
 
-    def coef(self, c, a: int) -> int:
+    def coef(self, c, a):
         """c * a for an exact rational coefficient c; rounds once if off-grid."""
         cf = to_fraction(c)
         if cf.denominator == 1:
             self.tag += 1
-            return self.fmt.check_mantissa(int(cf) * a)
-        return self._round_ratio(cf.numerator * a, cf.denominator * self.fmt.scale)
+            return self._check(self._times(int(cf), a, abs(int(cf))))
+        num = self._times(cf.numerator, a, abs(cf.numerator))
+        return self._round_ratio(num, cf.denominator * self.fmt.scale)
 
     def to_value(self, a: int) -> Fraction:
-        return Fraction(a, self.fmt.scale)
+        return Fraction(int(a), self.fmt.scale)
 
 
 class FloatBackend:
@@ -324,18 +361,39 @@ class Objective:
         self,
         x: FixedVec,
         scheme: rounding.RoundScheme,
-        stream: Optional[rng.RandomStream],
+        stream,
         k: int,
         tag_base: int = 0,
     ) -> FixedVec:
-        """Gradient recipe on the fixed-point grid of x."""
+        """Gradient recipe on the fixed-point grid of x.
+
+        x holds one iterate (n,) with `stream` its RandomStream, or R lanes
+        (R, n) with `stream` a list of R per-lane streams; either may be None
+        under rn.  Each lane rounds and draws exactly as a one-lane call on
+        its own stream would; the recipe runs once over all lanes.
+        """
+        lanes = x.m.ndim == 2
+        rows = x.m if lanes else x.m[None, :]
+        streams = stream if lanes or stream is None else [stream]
         if self.vector_fixed_grad is not None:
-            return self.vector_fixed_grad(x, scheme, stream, k, tag_base)
+            if not lanes:
+                return self.vector_fixed_grad(x, scheme, stream, k, tag_base)
+            return FixedVec(
+                np.stack([
+                    self.vector_fixed_grad(FixedVec(row, x.fmt), scheme, s, k, tag_base).m
+                    for row, s in zip(rows, streams or [None] * len(rows))
+                ]),
+                x.fmt,
+            )
         if self.recipe is None:
             raise NotImplementedError(f"{self.name} has no low-precision recipe")
-        be = FixedBackend(x.fmt, scheme, stream, k, tag_base)
-        out = self.recipe(be, [int(m) for m in x.m])
-        return FixedVec(np.array(out, dtype=np.int64), x.fmt)
+        be = FixedBackend(x.fmt, scheme, streams, k, tag_base)
+        # a single lane runs on Python ints, cheaper than 1-element arrays
+        cols = [int(v) for v in rows[0]] if len(rows) == 1 else list(rows.T)
+        g = np.empty(rows.shape, dtype=np.int64)
+        for j, v in enumerate(self.recipe(be, cols)):
+            g[:, j] = v
+        return FixedVec(g if lanes else g[0], x.fmt)
 
     def grad_rounded_float(
         self,
@@ -354,8 +412,11 @@ class Objective:
 
 
 def eval_grad_reference(obj: Objective, x) -> np.ndarray:
-    """Exact-arithmetic (binary64) gradient at x."""
-    return np.asarray(obj.grad(np.asarray(x, dtype=np.float64)), dtype=np.float64)
+    """Exact-arithmetic (binary64) gradient at x, or at each row of a 2-D x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        return np.array([obj.grad(row) for row in x], dtype=np.float64).reshape(x.shape)
+    return np.asarray(obj.grad(x), dtype=np.float64)
 
 
 # -- quadratic --------------------------------------------------------------

@@ -187,17 +187,6 @@ def mul_exact(a: FixedVal, b: FixedVal) -> Fraction:
     return Fraction(a.m * b.m, a.fmt.scale * b.fmt.scale)
 
 
-def mul_round(a, b, out_fmt, scheme, stream=None, k=0, tag=0, v_sign=0):
-    """Exact product of a and b, then a single rounding into out_fmt.
-
-    a and b are FixedVal; the product is formed at qf_a + qf_b fractional
-    bits before the one rounding (no intermediate truncation).
-    """
-    from . import rounding  # deferred; rounding depends on this module's types
-
-    return rounding.round(mul_exact(a, b), out_fmt, scheme, stream, k, tag, v_sign)
-
-
 # ---------------------------------------------------------------------------
 # vectors of fixed-point values (the engine's iterate representation)
 # ---------------------------------------------------------------------------
@@ -205,21 +194,26 @@ def mul_round(a, b, out_fmt, scheme, stream=None, k=0, tag=0, v_sign=0):
 
 @dataclass
 class FixedVec:
-    """A vector of same-format fixed-point values, mantissas as int64."""
+    """A vector of same-format fixed-point values, mantissas as int64.
+
+    A 2-D m holds one vector per row (the engine's lanes).  Mantissas given
+    as Python integers are range-checked before they are narrowed to int64.
+    """
 
     m: np.ndarray
     fmt: QFormat
 
     def __post_init__(self) -> None:
-        self.m = np.asarray(self.m, dtype=np.int64)
+        m = np.asarray(self.m)
         lo, hi = self.fmt.min_mantissa, self.fmt.max_mantissa
-        if self.m.size and (self.m.min() < lo or self.m.max() > hi):
-            bad = self.m[(self.m < lo) | (self.m > hi)][0]
+        if m.size and (m.min() < lo or m.max() > hi):
+            bad = m[(m < lo) | (m > hi)][0]
             raise OverflowError(f"mantissa {int(bad)} outside {self.fmt}")
+        self.m = m.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
-        return int(self.m.size)
+        return int(self.m.shape[-1])
 
     def to_floats(self) -> np.ndarray:
         return self.m / self.fmt.scale

@@ -11,9 +11,17 @@ Bernoulli draws take their probability as an exact integer ratio num/den and
 are exact: a uniform r on [0, den) is compared against num.  Power-of-two
 denominators mask the low bits of a 64-bit word; anything else goes through
 rejection sampling.
+
+Every draw function takes one generator or, for R lanes advanced together,
+a list of R per-lane generators: lane r then supplies its share of the
+elements from its own generator, in index order, exactly as a call with that
+generator alone would, so batching lanes never moves a draw.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import List
 
 import numpy as np
 
@@ -29,7 +37,10 @@ class RandomStream:
     """Philox-backed uniform source addressed by (iteration, op tag)."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        seed = operator.index(seed)
+        if not 0 <= seed < _FULL:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = seed
         # an explicit uint64 key: every one of the 2**64 seeds is its own stream
         self._key = np.array([self.seed, _KEY_SALT], dtype=np.uint64)
 
@@ -46,42 +57,71 @@ class RandomStream:
         return self.generator(k, tag).integers(0, _FULL, size=n, dtype=np.uint64)
 
 
-def uniform_below(gen: np.random.Generator, den: int, n: int) -> np.ndarray:
-    """n exact uniforms on [0, den) as uint64 (object array when den > 2**64)."""
+def _lanes(gen, n: int) -> List[np.random.Generator]:
+    """The per-lane generators of a draw call; n must split evenly over them."""
+    if not isinstance(gen, (list, tuple)):
+        return [gen]
+    gens = list(gen)
+    if not gens or n % len(gens):
+        raise ValueError(f"{n} draws do not split evenly over {len(gens)} lanes")
+    return gens
+
+
+def uniform_below(gen, den: int, n: int) -> np.ndarray:
+    """n exact uniforms on [0, den) as uint64 (object array when den > 2**64).
+
+    With a list of R lane generators, lane r supplies elements
+    [r*n/R, (r+1)*n/R) and its own rejection redraws.
+    """
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
+    gens = _lanes(gen, n)
+    per = n // len(gens)
     if den > _FULL:
-        # chain two words per draw; dens this large never occur on hot paths
-        words = gen.integers(0, _FULL, size=2 * n, dtype=np.uint64)
-        big = [
-            (int(words[2 * i]) << 64) | int(words[2 * i + 1]) for i in range(n)
-        ]
-        lim = ((1 << 128) // den) * den
-        out = []
-        for v in big:
-            while v >= lim:
-                w = gen.integers(0, _FULL, size=2, dtype=np.uint64)
-                v = (int(w[0]) << 64) | int(w[1])
-            out.append(v % den)
-        return np.array(out, dtype=object)
-    u = gen.integers(0, _FULL, size=n, dtype=np.uint64)
+        return np.concatenate([_wide_below(g, den, per) for g in gens])
+    if per == 1:
+        # numpy's scalar path draws the same word at half the cost of size=1
+        u = np.array([g.integers(0, _FULL, dtype=np.uint64) for g in gens], dtype=np.uint64)
+    elif len(gens) == 1:
+        u = gens[0].integers(0, _FULL, size=per, dtype=np.uint64)
+    else:
+        u = np.concatenate([g.integers(0, _FULL, size=per, dtype=np.uint64) for g in gens])
     if den & (den - 1) == 0:
         # power of two: low bits are already uniform on [0, den)
         return u & np.uint64(den - 1)
     # only powers of two divide 2**64, so lim < 2**64 here
-    lim = (_FULL // den) * den  # rejection keeps the draw exactly uniform
-    bad = u >= np.uint64(lim)
+    lim = np.uint64((_FULL // den) * den)  # rejection keeps the draw exactly uniform
+    bad = u >= lim
     while bad.any():
-        u[bad] = gen.integers(0, _FULL, size=int(bad.sum()), dtype=np.uint64)
-        bad = u >= np.uint64(lim)
+        lane_u, lane_bad = u.reshape(len(gens), per), bad.reshape(len(gens), per)
+        for r in np.flatnonzero(lane_bad.any(axis=1)):
+            lane_u[r, lane_bad[r]] = gens[r].integers(
+                0, _FULL, size=int(lane_bad[r].sum()), dtype=np.uint64
+            )
+        bad = u >= lim
     return u % np.uint64(den)
 
 
-def bernoulli_lt(gen: np.random.Generator, nums, den: int, n: int) -> np.ndarray:
+def _wide_below(gen: np.random.Generator, den: int, n: int) -> np.ndarray:
+    # chain two words per draw; dens this large never occur on hot paths
+    words = gen.integers(0, _FULL, size=2 * n, dtype=np.uint64)
+    big = [(int(words[2 * i]) << 64) | int(words[2 * i + 1]) for i in range(n)]
+    lim = ((1 << 128) // den) * den
+    out = []
+    for v in big:
+        while v >= lim:
+            w = gen.integers(0, _FULL, size=2, dtype=np.uint64)
+            v = (int(w[0]) << 64) | int(w[1])
+        out.append(v % den)
+    return np.array(out, dtype=object)
+
+
+def bernoulli_lt(gen, nums, den: int, n: int) -> np.ndarray:
     """Boolean vector, element i True with probability nums[i]/den, exactly.
 
     nums may be a scalar or an array of integers in [0, den]; probabilities
-    0 and 1 come out deterministic.
+    0 and 1 come out deterministic.  gen is one generator or a list of lane
+    generators, as in `uniform_below`.
     """
     r = uniform_below(gen, den, n)
     if r.dtype == object:

@@ -176,24 +176,12 @@ def round(
 # ---------------------------------------------------------------------------
 
 
-def _to_int_array(values, force_object: bool) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.dtype != object and not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError(f"ratio numerators must be integers, got dtype {arr.dtype}")
-    if force_object:
-        return np.array([int(v) for v in np.atleast_1d(arr)], dtype=object)
-    if arr.dtype == object:
-        # caller already established the values fit
-        return np.array([int(v) for v in np.atleast_1d(arr)], dtype=np.int64)
-    return np.atleast_1d(arr).astype(np.int64)
-
-
 def round_ratio_vec(
     num,
     den: int,
     out_fmt: QFormat,
     scheme: RoundScheme,
-    gen: Optional[np.random.Generator] = None,
+    gen=None,
     v_sign=0,
 ) -> np.ndarray:
     """Round the values num[i]/den onto out_fmt's grid; return int64 mantissas.
@@ -203,72 +191,108 @@ def round_ratio_vec(
     num * 2**qf / den.  One Bernoulli word per element for the stochastic
     schemes; every element consumes its draw even when exact, which keeps the
     draw layout independent of the data.
+
+    Lanes: a 2-D num holds R independent rows, gen is then a list of R
+    generators (None under rn) and v_sign broadcasts against num.  Row r
+    rounds exactly as the 1-D call on num[r] with gen[r] would, draws and
+    path included, and the call raises if any row's call would.
     """
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
+    den = int(den)
+    arr = np.asarray(num)
+    if arr.dtype.kind not in "iuO":
+        raise TypeError(f"ratio numerators must be integers, got dtype {arr.dtype}")
+    lanes = arr.ndim == 2
+    rows = arr if lanes else arr.reshape(1, -1)
+    gens = None if gen is None else list(gen) if lanes else [gen]
+    signs = (
+        np.broadcast_to(np.asarray(v_sign), arr.shape).reshape(rows.shape)
+        if scheme.uses_given_sign
+        else None
+    )
+    # a row whose scaled numerators might not fit comfortably in int64 takes
+    # the exact object path; the choice depends only on that row's values,
+    # never on the dtype or on other rows, so a value rounds through the same
+    # path however it was packaged
     scale = out_fmt.scale
-    # decide whether the scaled numerators still fit comfortably in int64;
-    # the choice depends only on the values, never on the array dtype, so a
-    # value rounds through the same path however it was packaged
-    probe = np.atleast_1d(np.asarray(num))
-    big = False
-    if probe.size:
-        if probe.dtype == object:
-            peak = max(abs(int(v)) for v in probe.flat)
-        else:
-            peak = max(abs(int(probe.max())), abs(int(probe.min())))
-        big = peak * scale >= _INT64_SAFE or den >= _INT64_SAFE
-    pos = _to_int_array(num, big) * (scale if not big else int(scale))
-    n = pos.size
-    den_ = int(den)
+    lim = -(-_INT64_SAFE // scale)  # least |num| with |num| * scale >= 2**62
+    if den >= _INT64_SAFE:
+        big = np.ones(len(rows), dtype=bool)
+    elif rows.dtype == object:
+        big = np.array([max(map(abs, row), default=0) >= lim for row in rows], dtype=bool)
+    elif not rows.size or (rows.max() < lim and rows.min() > -lim):
+        pos = rows.astype(np.int64, copy=False) * scale
+        out = _round_rows(pos, den, out_fmt, scheme, gens, signs)
+        return out if lanes else out[0]
+    else:
+        big = (rows.max(axis=1) >= lim) | (rows.min(axis=1) <= -lim)
 
-    q = pos // den_
-    r = pos - q * den_  # in [0, den)
-    exact = r == 0
+    out = np.empty(rows.shape, dtype=np.int64)
+    for idx, dtype in ((np.flatnonzero(~big), np.int64), (np.flatnonzero(big), object)):
+        if idx.size:
+            out[idx] = _round_rows(
+                rows[idx].astype(dtype) * scale,
+                den,
+                out_fmt,
+                scheme,
+                None if gens is None else [gens[r] for r in idx],
+                None if signs is None else signs[idx],
+            )
+    return out if lanes else out[0]
+
+
+def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
+    """Round the grid positions pos/den, one row per lane, onto out_fmt.
+
+    int64 rows draw through one `bernoulli_lt` call over all lanes; object
+    rows (beyond int64) and eps ratios too wide for int64 draw through
+    `bernoulli_ratio` lane by lane, as a one-row call would.
+    """
+    small = pos.dtype != object
+    q, r = np.divmod(pos, den) if small else (pos // den, pos % den)  # r in [0, den)
 
     if scheme.kind == "rn":
-        up = (2 * r > den_) | ((2 * r == den_) & ((q & 1) == 1))
+        up = (2 * r > den) | ((2 * r == den) & ((q & 1) == 1))
     else:
-        if gen is None:
+        if gens is None:
             raise ValueError(f"{scheme} needs a Generator")
         if scheme.kind == "sr":
-            # P(up) = r/den
-            up = rng.bernoulli_lt(gen, r, den_, n) if not big else rng.bernoulli_ratio(gen, r, den_, n)
+            nums, cap = r, den  # P(up) = r/den
         else:
-            if scheme.uses_value_sign:
-                s = np.array([int(v > 0) - int(v < 0) for v in pos], dtype=np.int64)
+            if not scheme.uses_value_sign:
+                s = np.sign(signs).astype(np.int64)
+            elif small:
+                s = np.sign(pos)
             else:
-                s = np.sign(np.broadcast_to(np.asarray(v_sign), (n,))).astype(np.int64)
+                s = np.array([[_sign(v) for v in row] for row in pos], dtype=np.int64)
             a, b = scheme.eps.numerator, scheme.eps.denominator
-            cap = den_ * b
-            wide = big or 2 * cap >= _INT64_SAFE
-            if wide:
-                r_w = np.array([int(v) for v in r], dtype=object)
-                s_w = np.array([int(v) for v in s], dtype=object)
-            else:
-                r_w, s_w = r, s
+            cap = den * b
+            if small and 2 * cap >= _INT64_SAFE:
+                small = False
+            if not small:
+                r, s = r.astype(object), s.astype(object)
             # P(up) = clamp(r/den + s*eps, 0, 1) = T / (den*b)
-            t_num = r_w * b + s_w * (a * den_)
-            t_num = np.where(t_num < 0, 0, t_num)
-            t_num = np.where(t_num > cap, cap, t_num)
-            if wide:
-                up = rng.bernoulli_ratio(gen, t_num, cap, n)
-            else:
-                up = rng.bernoulli_lt(gen, t_num.astype(np.int64), cap, n)
-        up = np.asarray(up, dtype=bool)
-        up[exact] = False  # representable values round to themselves
+            nums = r * b + s * (a * den)
+            nums = np.where(nums < 0, 0, nums)
+            nums = np.where(nums > cap, cap, nums)
+        if small:
+            up = rng.bernoulli_lt(gens, nums.reshape(-1), cap, nums.size).reshape(nums.shape)
+        else:
+            up = np.array(
+                [rng.bernoulli_ratio(g, row, cap, row.size) for g, row in zip(gens, nums)],
+                dtype=bool,
+            ).reshape(nums.shape)
+        up &= r != 0  # representable values round to themselves
 
-    m = q + up.astype(q.dtype if not big else object)
+    m = q + up if q.dtype != object else q + up.astype(object)
     lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
-    bad = (m < lo) | (m > hi)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if m.size and (m.min() < lo or m.max() > hi):
+        i = int(np.argmax((m < lo) | (m > hi)))
         raise OverflowError(
-            f"rounding {int(pos[i])}/{den_} * 2^-{out_fmt.qf} overflows {out_fmt}"
+            f"rounding {int(pos.flat[i])}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}"
         )
-    if big:
-        return np.array([int(v) for v in m], dtype=np.int64)
-    return m.astype(np.int64)
+    return m.astype(np.int64, copy=False)
 
 
 def round_doubles_vec(

@@ -1,11 +1,14 @@
 """Tests for the instrumented low-precision gradient descent engine."""
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpgd.gdengine import GDConfig, classify_case, run, run_ensemble
 from lpgd.harness import load_config, run_experiment
@@ -398,3 +401,180 @@ class TestGoldenDigests:
             sigma2_scheme=sigma2,
         )
         assert digest_runs(run_ensemble(cfg, seeds=range(100))) == want
+
+
+# ---------------------------------------------------------------------------
+# lockstep ensembles against one-seed runs
+# ---------------------------------------------------------------------------
+
+_RESULT_ARRAYS = (
+    "fs", "xs", "g_exact", "g_tilde", "sigma1", "sigma2", "d", "case", "c2_mask",
+    "nonopp_violations", "x_m", "g_tilde_m", "d_m",
+)
+
+
+def outcome_of_sequential(cfg, seeds):
+    """What running the seeds one after another gives: the results, or the
+    (type, message) of the first seed whose run raises."""
+    out = []
+    for s in seeds:
+        try:
+            out.append(run(replace(cfg, seed=s)))
+        except Exception as exc:
+            return type(exc), str(exc)
+    return out
+
+
+def outcome_of_ensemble(cfg, seeds):
+    try:
+        return run_ensemble(cfg, seeds)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(cfg, seeds):
+    want = outcome_of_sequential(cfg, seeds)
+    got = outcome_of_ensemble(cfg, seeds)
+    if isinstance(want, tuple):
+        assert want[0] in (OverflowError, ValueError), want  # the engine's hard errors
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert len(got) == len(want)
+    for s, a, b in zip(seeds, got, want):
+        assert a.config.seed == b.config.seed == s
+        for name in _RESULT_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, (s, name)
+            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (s, name)
+        assert (a.steps, a.stagnated, a.stagnation_iter) == (b.steps, b.stagnated, b.stagnation_iter)
+        assert np.array_equal(a.final_state.m, b.final_state.m)
+
+
+_PROBLEMS = {
+    "quadratic": (
+        lambda: make_objective("quadratic", a_diag=[1, "1/3"], x_star=["1/2", "-1/4"]),
+        ["1", "-1/2"],
+        ["1/4", "1/2"],
+    ),
+    "rosenbrock": (lambda: make_objective("rosenbrock"), ["1/2", "1/4"], ["2^-8", "2^-6"]),
+    "himmelblau": (lambda: make_objective("himmelblau"), ["5/2", "3/2"], ["3/250", "1/64"]),
+}
+_FORMATS = [
+    ("Q8.8", None), ("Q6.10", "Q10.6"), ("Q4.12", None), ("Q8.24", "Q12.20"),
+    ("Q8.40", None), ("Q2.60", None), ("Q3.4", None),
+]
+_SCHEMES = ["rn", "sr", "sr_eps:0.4", "signed_sr_eps:1/3"]
+
+
+@st.composite
+def lockstep_cases(draw):
+    make, x0, steps = _PROBLEMS[draw(st.sampled_from(sorted(_PROBLEMS)))]
+    working, mul = draw(st.sampled_from(_FORMATS))
+    cfg = GDConfig(
+        objective=make(),
+        t=draw(st.sampled_from(steps)),
+        x0=x0,
+        iterations=draw(st.integers(0, 25)),
+        working_fmt=working,
+        mul_fmt=mul,
+        sigma1_scheme=draw(st.sampled_from(_SCHEMES)),
+        sigma2_scheme=draw(st.sampled_from(_SCHEMES)),
+        stop_below_f=draw(st.sampled_from([None, 1e-3, 1e-6])),
+        stop_on_stagnation=draw(st.booleans()),
+        stagnation_window=draw(st.sampled_from([2, 3, 50])),
+    )
+    seeds = draw(st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    return cfg, seeds
+
+
+class TestLockstepEnsembles:
+    @settings(max_examples=100, deadline=None)
+    @given(lockstep_cases())
+    def test_ensemble_equals_one_seed_runs(self, case):
+        cfg, seeds = case
+        assert_same_outcome(cfg, seeds)
+
+    def test_duplicate_seeds_replay_the_same_run(self):
+        cfg = quad_config(iterations=20, sigma1_scheme="sr", sigma2_scheme="sr")
+        a, b, c = run_ensemble(cfg, [5, 6, 5])
+        assert np.array_equal(a.x_m, c.x_m) and not np.array_equal(a.x_m, b.x_m)
+
+    def test_lanes_stop_below_f_at_different_steps(self):
+        cfg = GDConfig(
+            objective=make_objective("himmelblau"),
+            t="0.012",
+            x0=["2.5", "1.5"],
+            iterations=1500,
+            working_fmt="Q8.8",
+            sigma1_scheme="sr",
+            sigma2_scheme="sr",
+            stop_below_f=1e-28,
+        )
+        seeds = list(range(8))
+        runs = run_ensemble(cfg, seeds)
+        assert len({r.steps for r in runs}) > 1
+        assert all(r.final_f == 0.0 for r in runs)
+        assert_same_outcome(cfg, seeds)
+
+    def test_lanes_stagnate_independently(self):
+        # t g = (13/32) u at the start, so each step is zero with chance
+        # 19/32: some lanes see a 4-step zero streak while the gradient is
+        # still above 10 u and stop there, at different steps, and others
+        # reach 10 u first and never stagnate
+        cfg = quad_config(
+            x0=["13/256"],
+            t="1/32",
+            iterations=60,
+            sigma1_scheme="rn",
+            sigma2_scheme="sr",
+            stagnation_window=4,
+            stop_on_stagnation=True,
+        )
+        seeds = list(range(10))
+        runs = run_ensemble(cfg, seeds)
+        assert {r.stagnated for r in runs} == {True, False}
+        assert len({r.steps for r in runs if r.stagnated}) > 1
+        assert_same_outcome(cfg, seeds)
+
+    def test_object_path_on_some_lanes_only(self):
+        # Q2.60: the update product g_m * 2^60 reaches 2^62 once |g_m| >= 4,
+        # so near the minimum some lanes round through the object path and
+        # others through int64 at the same iteration
+        cfg = quad_config(
+            x0=["2^-56"],
+            t="1/4",
+            iterations=12,
+            working_fmt="Q2.60",
+            sigma1_scheme="sr",
+            sigma2_scheme="sr",
+        )
+        seeds = list(range(12))
+        runs = run_ensemble(cfg, seeds)
+        big = np.array([np.abs(r.g_tilde_m).max(axis=1) >= 4 for r in runs])
+        assert (big.any(axis=0) & ~big.all(axis=0)).any()
+        assert_same_outcome(cfg, seeds)
+
+    @pytest.mark.parametrize("seeds", [[0, 9, 1, 4, 8, 2], [0, 4, 1, 9], [8, 9]])
+    def test_failing_lane_raises_the_first_failing_seeds_error(self, seeds):
+        # x -> x - round(35/16 x) grows by ~1.19 per step; whether a lane
+        # leaves Q2.4 within 14 steps depends on its draws
+        cfg = quad_config(
+            x0=["1/16"], t="35/16", iterations=14, working_fmt="Q2.4",
+            sigma1_scheme="sr", sigma2_scheme="sr",
+        )
+        messages = {}
+        for s in seeds:
+            try:
+                run(replace(cfg, seed=s))
+            except OverflowError as exc:
+                messages[s] = str(exc)
+        assert 0 < len(messages) < len(seeds) or seeds == [8, 9]
+        first = next(s for s in seeds if s in messages)
+        with pytest.raises(OverflowError) as err:
+            run_ensemble(cfg, seeds)
+        assert str(err.value) == messages[first]
+        assert_same_outcome(cfg, seeds)
+
+    def test_empty_seed_list(self):
+        assert run_ensemble(quad_config(), []) == []

@@ -33,6 +33,38 @@ class TestRandomStream:
             0, 0, 2
         ).tolist()
 
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**64 + 5])
+    def test_seeds_outside_uint64_are_rejected(self, seed):
+        # masking to 64 bits used to replay -1 as 2**64 - 1 and 2**64 as 0
+        with pytest.raises(ValueError):
+            RandomStream(seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        assert RandomStream(0).seed == 0
+        assert RandomStream(np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(TypeError):
+            RandomStream(1.5)
+
+    def test_runs_reject_out_of_range_seeds(self):
+        from lpgd.gdengine import GDConfig, run, run_ensemble
+        from lpgd.objectives import make_objective
+
+        cfg = GDConfig(
+            objective=make_objective("quadratic", a_diag=[1]),
+            t="1/4",
+            x0=["1"],
+            iterations=3,
+            working_fmt="Q8.8",
+            sigma1_scheme="sr",
+            sigma2_scheme="sr",
+        )
+        with pytest.raises(ValueError, match="seed"):
+            run(GDConfig(**{**vars(cfg), "seed": -1}))
+        with pytest.raises(ValueError, match="seed"):
+            run_ensemble(cfg, [0, 2**64])
+
     def test_replay_is_exact(self):
         a = RandomStream(42).u64(3, 17, 8)
         b = RandomStream(42).u64(3, 17, 8)
@@ -90,6 +122,45 @@ class TestUniformBelow:
         g = RandomStream(seed).generator(0, 0)
         out = uniform_below(g, den, 32)
         assert int(out.max()) < den
+
+
+class TestLaneDraws:
+    """A list of lane generators draws what each generator would alone."""
+
+    @staticmethod
+    def lanes(seeds, k=4, tag=2):
+        return [RandomStream(s).generator(k, tag) for s in seeds]
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        per=st.integers(1, 5),
+        den=st.sampled_from([1, 16, 10, 3 << 62, (1 << 63) + 1, (1 << 70) + 3]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_below_matches_lane_by_lane(self, seeds, per, den):
+        # dens near 2**63 reject about half of all words, so redraws are
+        # taken from each lane's own generator in index order
+        batch_gens = self.lanes(seeds)
+        got = uniform_below(batch_gens, den, per * len(seeds))
+        one_gens = self.lanes(seeds)
+        want = np.concatenate([uniform_below(g, den, per) for g in one_gens])
+        assert got.tolist() == want.tolist()
+        # and every lane consumed the same words
+        nxt = [g.integers(0, 1 << 64, dtype=np.uint64) for g in batch_gens]
+        assert nxt == [g.integers(0, 1 << 64, dtype=np.uint64) for g in one_gens]
+
+    def test_bernoulli_lt_matches_lane_by_lane(self):
+        seeds = [3, 1, 3, 8]
+        nums = np.arange(12, dtype=np.uint64) % 7
+        got = bernoulli_lt(self.lanes(seeds), nums, 7, 12)
+        want = np.concatenate(
+            [bernoulli_lt(g, nums[3 * i : 3 * i + 3], 7, 3) for i, g in enumerate(self.lanes(seeds))]
+        )
+        assert got.tolist() == want.tolist()
+
+    def test_uneven_split_rejected(self):
+        with pytest.raises(ValueError):
+            uniform_below(self.lanes([1, 2]), 16, 3)
 
 
 class TestBernoulli:

@@ -216,6 +216,61 @@ def test_scalar_and_vector_draws_agree(num, den, spec, seed):
 
 
 # ---------------------------------------------------------------------------
+# lanes: one 2-D round_ratio_vec call against one 1-D call per row
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _lane_case(draw):
+    fmt = draw(st.sampled_from([QFormat(8, 8), QFormat(4, 30), QFormat(2, 60)]))
+    den = draw(st.sampled_from([3, 1000, (1 << 50) + 1, 1 << 62]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    # rows are small or past the int64 threshold independently, so one call
+    # mixes the int64 and the object path
+    lim = -(-(1 << 62) // fmt.scale)
+    num = [
+        [draw(st.integers(-mag, mag)) for _ in range(cols)]
+        for mag in (draw(st.sampled_from([1 << 10, 4 * lim])) for _ in range(rows))
+    ]
+    v_sign = [[draw(st.integers(-1, 1)) for _ in range(cols)] for _ in range(rows)]
+    seeds = draw(st.lists(st.integers(0, 5), min_size=rows, max_size=rows))
+    return fmt, den, num, v_sign, seeds
+
+
+@given(case=_lane_case(), spec=st.sampled_from(["rn", "sr", "sr_eps:0.3", "signed_sr_eps:1/3"]))
+@settings(max_examples=200, deadline=None)
+def test_lanes_round_like_their_rows(case, spec):
+    fmt, den, num, v_sign, seeds = case
+    scheme = parse_scheme(spec)
+
+    def gens():
+        return [RandomStream(s).generator(2, 7) for s in seeds] if scheme.is_random else None
+
+    fits = all(abs(v) < 1 << 62 for row in num for v in row)
+    arr = np.array(num, dtype=np.int64 if fits else object).reshape(len(num), -1)
+    signs = np.array(v_sign, dtype=np.int64).reshape(arr.shape)
+    batch_gens, row_gens = gens(), gens()
+    want = []
+    for r in range(len(arr)):
+        try:
+            g = row_gens[r] if row_gens else None
+            want.append(round_ratio_vec(arr[r], den, fmt, scheme, g, signs[r]))
+        except OverflowError:
+            want = OverflowError
+            break
+    if want is OverflowError:
+        with pytest.raises(OverflowError):
+            round_ratio_vec(arr, den, fmt, scheme, batch_gens, signs)
+        return
+    got = round_ratio_vec(arr, den, fmt, scheme, batch_gens, signs)
+    assert got.dtype == np.int64 and got.shape == arr.shape
+    assert got.tolist() == [w.tolist() for w in want]
+    if scheme.is_random:  # every lane consumed exactly its own row's words
+        nxt = [g.integers(0, 1 << 64, dtype=np.uint64) for g in batch_gens]
+        assert nxt == [g.integers(0, 1 << 64, dtype=np.uint64) for g in row_gens]
+
+
+# ---------------------------------------------------------------------------
 # round_doubles_vec against a per-element Fraction reference
 # ---------------------------------------------------------------------------
 
