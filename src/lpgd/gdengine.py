@@ -195,12 +195,12 @@ class RunResult:
 def classify_case(g_tilde, t: Fraction, u) -> tuple:
     """(case, c2_mask): coordinate i is C2 when |t * g_i| < u_i.
 
-    g_tilde: a FixedVec with a scalar spacing u, compared exactly on integers
-    as |g_m| * tn * u_den < td * u_num * scale; an (R, n) FixedVec of R
-    lanes gives an (R,) case array and an (R, n) mask.  Otherwise a sequence
-    of exact values, with u a scalar spacing or per-coordinate spacings.
+    g_tilde: a FixedVec or a sequence of exact values; u: a scalar grid
+    spacing or per-coordinate spacings.  A FixedVec with a scalar u compares
+    exactly on integers, |g_m| * tn * u_den < td * u_num * scale, and an
+    (R, n) FixedVec of R lanes gives an (R,) case array and an (R, n) mask.
     """
-    if isinstance(g_tilde, FixedVec):
+    if isinstance(g_tilde, FixedVec) and not np.ndim(u):
         uf = to_fraction(u)
         lhs = t.numerator * uf.denominator
         rhs = t.denominator * uf.numerator * g_tilde.fmt.scale
@@ -209,7 +209,8 @@ def classify_case(g_tilde, t: Fraction, u) -> tuple:
             m = m.astype(object)
         mask = m * lhs < rhs
     else:
-        gv = [to_fraction(v) for v in g_tilde]
+        gv = g_tilde.to_fractions() if isinstance(g_tilde, FixedVec) else g_tilde
+        gv = [to_fraction(v) for v in gv]
         us = list(u) if np.ndim(u) else [to_fraction(u)] * len(gv)
         mask = np.array(
             [abs(t * g) < to_fraction(ui) for g, ui in zip(gv, us)], dtype=bool
@@ -247,8 +248,9 @@ def gd_step(x_state, cfg: GDConfig, stream, k: int):
 
     Fixed mode steps R lanes at once: x_state is an (R, n) FixedVec, stream
     the list of the lanes' RandomStreams, and every array in the step dict
-    has a leading lane axis ("case" and "nonopp" are (R,)).  lowfloat and
-    reference step one run: x_state is its iterate, stream its RandomStream.
+    has a leading lane axis ("case" and "nonopp_violations" are (R,)).
+    lowfloat and reference step one run: x_state is its iterate, stream its
+    RandomStream.
     """
     obj = cfg.objective
     t = cfg.t
@@ -292,8 +294,8 @@ def gd_step(x_state, cfg: GDConfig, stream, k: int):
             "sigma1": g_t_f - g_ref,
             "sigma2": d_f - float(t) * g_t_f,
             "case": case,
-            "c2": c2,
-            "nonopp": check_nonopposite(g_t_f, g_ref),
+            "c2_mask": c2,
+            "nonopp_violations": check_nonopposite(g_t_f, g_ref),
         }
 
     if cfg.number_system == "lowfloat":
@@ -330,8 +332,8 @@ def gd_step(x_state, cfg: GDConfig, stream, k: int):
             "sigma1": g_t_f - g_ref,
             "sigma2": np.array([float(v) for v in s2_vals]),
             "case": case,
-            "c2": c2,
-            "nonopp": check_nonopposite(g_t_f, g_ref),
+            "c2_mask": c2,
+            "nonopp_violations": check_nonopposite(g_t_f, g_ref),
         }
 
     # reference mode: exact binary64 descent
@@ -349,8 +351,8 @@ def gd_step(x_state, cfg: GDConfig, stream, k: int):
         "sigma1": np.zeros(n),
         "sigma2": np.zeros(n),
         "case": 0,
-        "c2": np.zeros(n, dtype=bool),
-        "nonopp": 0,
+        "c2_mask": np.zeros(n, dtype=bool),
+        "nonopp_violations": 0,
     }
 
 
@@ -504,52 +506,44 @@ def _lane_results(cfgs, xs0, f0, log, stagnation_iter, final_state) -> List[RunR
     (one lane) are handed theirs."""
     cfg = cfgs[0]
     fixed = cfg.number_system == "fixed"
-    n = cfg.objective.n
     ids = np.concatenate([lane for lane, _ in log] or [np.zeros(0, np.int64)])
     order = np.argsort(ids, kind="stable")
     steps = np.bincount(ids, minlength=len(cfgs))
     start = np.concatenate(([0], np.cumsum(steps)))
-    if fixed:
-        x_m0 = cfg.initial_state().m
 
-    def gather(key, dtype, shape=(n,)):
-        if not log:
-            return np.zeros((0,) + shape, dtype=dtype)
-        return np.concatenate([rec[key] for _, rec in log]).astype(dtype, copy=False)[order]
-
-    fields = [
-        ("fs", np.float64, ()), ("xs", np.float64), ("g_exact", np.float64),
-        ("g_tilde", np.float64), ("sigma1", np.float64), ("sigma2", np.float64),
-        ("d", np.float64), ("case", np.uint8, ()), ("c2", bool), ("nonopp", np.int64, ()),
-    ]
+    # step-dict key -> dtype, and whether it holds one entry per coordinate
+    fields = {
+        "fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True),
+        "g_tilde": (np.float64, True), "sigma1": (np.float64, True),
+        "sigma2": (np.float64, True), "d": (np.float64, True), "case": (np.uint8, False),
+        "c2_mask": (bool, True), "nonopp_violations": (np.int64, False),
+    }
     if fixed:
-        fields += [("x_m", np.int64), ("g_tilde_m", np.int64), ("d_m", np.int64)]
-    rows = {key: gather(key, dtype, *shape) for key, dtype, *shape in fields}
+        fields.update(x_m=(np.int64, True), g_tilde_m=(np.int64, True), d_m=(np.int64, True))
+        x_m0 = cfg.initial_state().m[None, :]
+    rows = {}
+    for key, (dtype, per_coord) in fields.items():
+        if log:
+            rows[key] = np.concatenate([rec[key] for _, rec in log]).astype(dtype, copy=False)[order]
+        else:
+            rows[key] = np.zeros((0, cfg.objective.n) if per_coord else (0,), dtype=dtype)
 
     results = []
     for r, c in enumerate(cfgs):
         lane = {key: v[start[r] : start[r + 1]] for key, v in rows.items()}
-        x_m = np.concatenate((x_m0[None, :], lane["x_m"])) if fixed else None
+        lane["fs"] = np.concatenate(([f0], lane["fs"]))
+        lane["xs"] = np.concatenate((xs0[None, :], lane["xs"]))
+        if fixed:
+            lane["x_m"] = np.concatenate((x_m0, lane["x_m"]))
+            final_state = FixedVec(lane["x_m"][-1], cfg.working_fmt)
         results.append(
             RunResult(
                 config=c,
-                fs=np.concatenate(([f0], lane["fs"])),
-                xs=np.concatenate((xs0[None, :], lane["xs"])),
-                g_exact=lane["g_exact"],
-                g_tilde=lane["g_tilde"],
-                sigma1=lane["sigma1"],
-                sigma2=lane["sigma2"],
-                d=lane["d"],
-                case=lane["case"],
-                c2_mask=lane["c2"],
-                nonopp_violations=lane["nonopp"],
-                x_m=x_m,
-                g_tilde_m=lane.get("g_tilde_m"),
-                d_m=lane.get("d_m"),
-                final_state=FixedVec(x_m[-1], cfg.working_fmt) if fixed else final_state,
+                final_state=final_state,
                 stagnated=bool(stagnation_iter[r] >= 0),
                 stagnation_iter=int(stagnation_iter[r]),
                 steps=int(steps[r]),
+                **lane,
             )
         )
     return results

@@ -5,7 +5,8 @@ fixed sequence of elementary ops (add/sub/mul/constant-coefficient) that
 computes the gradient in emulated arithmetic.  Recipes are written once
 against a small ops backend and evaluated four ways:
 
-    FixedBackend    integer mantissas, products round once into the format
+    FixedBackend    integer mantissas, products round once into the format;
+                    one lane, or R lanes of (R,) arrays in a single pass
     FloatBackend    grid Fractions, every op result rounds (float semantics)
     DoubleBackend   plain binary64, nothing rounds (reference/testing)
     EnumBackend     exhaustive: every rounding branches, exact probabilities

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lpgd.gdengine import GDConfig, classify_case, run, run_ensemble
 from lpgd.harness import load_config, run_experiment
 from lpgd.objectives import make_objective
-from lpgd.qnum import QFormat
+from lpgd.qnum import FixedVec, QFormat
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -109,6 +109,27 @@ class TestClassify:
             [Fraction(1, 16), Fraction(1, 2)],
         )
         assert case == 3 and mask.tolist() == [False, True]
+
+
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(-(2**61), 2**61), min_size=3, max_size=3), min_size=1, max_size=4
+        ),
+        qf=st.sampled_from([0, 8, 30, 60]),
+        t=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+        u=st.fractions(min_value=Fraction(1, 2**70), max_value=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_compare_matches_fractions(self, rows, qf, t, u):
+        fmt = QFormat(63 - qf, qf)
+        m = np.array(rows, dtype=np.int64)
+        case, mask = classify_case(FixedVec(m, fmt), t, u)
+        for r, row in enumerate(m):
+            want_case, want_mask = classify_case([Fraction(int(v), fmt.scale) for v in row], t, u)
+            assert case[r] == want_case
+            assert mask[r].tolist() == want_mask.tolist()
+        one_case, one_mask = classify_case(FixedVec(m[0], fmt), t, u)
+        assert one_case == case[0] and one_mask.tolist() == mask[0].tolist()
 
 
 class TestFixedRun:
@@ -270,6 +291,15 @@ class TestFixedRun:
             iterations=3,
         )
         with pytest.raises(OverflowError):
+            run(cfg)
+
+    def test_update_step_beyond_int64_is_an_overflow(self):
+        # d = 2^22 * 100 in Q40.20 shifted onto the Q8.40 grid is 2^69-ish:
+        # int64 used to wrap it to 0 and leave x unchanged without a word
+        cfg = quad_config(
+            x0=["100"], t="2^22", iterations=1, working_fmt="Q8.40", mul_fmt="Q40.20"
+        )
+        with pytest.raises(OverflowError, match="outside Q8.40"):
             run(cfg)
 
     def test_nonopposite_counter(self):
