@@ -215,9 +215,9 @@ def classify_case(g_tilde, t: Fraction, u) -> tuple:
         mask = np.array(
             [abs(t * g) < to_fraction(ui) for g, ui in zip(gv, us)], dtype=bool
         )
-    none, every = ~mask.any(axis=-1), mask.all(axis=-1)
-    case = np.where(none, 1, np.where(every, 2, 3))
-    return (int(case) if case.ndim == 0 else case), mask
+    if mask.ndim == 1:
+        return (1 if not mask.any() else 2 if mask.all() else 3), mask
+    return np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3)), mask
 
 
 def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray):
@@ -392,16 +392,58 @@ def run_ensemble(cfg: GDConfig, seeds: Sequence[int]) -> List[RunResult]:
 
 def _advance(x, cfg: GDConfig, streams: list, k: int):
     """One iteration of the live lanes: the update, then f at every new
-    iterate.  Every array in the step dict gets a leading lane axis."""
-    if cfg.number_system == "fixed":
-        new_x, rec = gd_step(x, cfg, streams, k)
+    iterate ("xs" and "fs" get a leading lane axis in every mode)."""
+    fixed = cfg.number_system == "fixed"
+    new_x, rec = gd_step(x, cfg, streams if fixed else streams[0], k)
+    if fixed:
         rec["x_m"] = new_x.m
-    else:  # a single run
-        new_x, rec = gd_step(x, cfg, streams[0], k)
-        rec = {key: np.asarray(v)[None] for key, v in rec.items() if v is not None}
     rec["xs"] = np.reshape(_state_floats(new_x, cfg.number_system), (-1, cfg.objective.n))
     rec["fs"] = np.array([cfg.objective.f(row) for row in rec["xs"]], dtype=np.float64)
     return new_x, rec
+
+
+class _StepRows:
+    """The step records of all lanes, one row per lane and step, appended
+    batch by batch into column buffers that double when full, so memory
+    follows the steps taken rather than the iteration budget."""
+
+    def __init__(self, fixed: bool, n: int):
+        # step-dict key -> dtype, and whether it holds one entry per coordinate
+        fields = {
+            "fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True),
+            "g_tilde": (np.float64, True), "sigma1": (np.float64, True),
+            "sigma2": (np.float64, True), "d": (np.float64, True), "case": (np.uint8, False),
+            "c2_mask": (bool, True), "nonopp_violations": (np.int64, False),
+        }
+        if fixed:
+            fields.update(x_m=(np.int64, True), g_tilde_m=(np.int64, True), d_m=(np.int64, True))
+        self.cols = {
+            key: np.zeros((0, n) if per_coord else (0,), dtype=dtype)
+            for key, (dtype, per_coord) in fields.items()
+        }
+        self.lane = np.zeros(0, dtype=np.int64)
+        self.size = 0
+
+    def append(self, lanes: np.ndarray, rec: dict) -> None:
+        end = self.size + lanes.size
+        if end > self.lane.size:
+            cap = max(2 * self.lane.size, end, 64)
+            self.lane = _grown(self.lane, cap, self.size)
+            self.cols = {key: _grown(col, cap, self.size) for key, col in self.cols.items()}
+        self.lane[self.size : end] = lanes
+        for key, col in self.cols.items():
+            col[self.size : end] = rec[key]
+        self.size = end
+
+    def last(self, key: str, count: int) -> np.ndarray:
+        """The rows of the latest `count` appended."""
+        return self.cols[key][self.size - count : self.size]
+
+
+def _grown(col: np.ndarray, cap: int, size: int) -> np.ndarray:
+    out = np.empty((cap,) + col.shape[1:], dtype=col.dtype)
+    out[:size] = col[:size]
+    return out
 
 
 def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
@@ -441,15 +483,15 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     streak = np.zeros(lanes, dtype=np.int64)
     stagnation_iter = np.full(lanes, -1, dtype=np.int64)  # by lane index
     errors: Dict[int, Exception] = {}
-    log = []  # (live lanes, step dict) per iteration
+    rows = _StepRows(fixed, obj.n)
 
-    def select(rows):
+    def select(idx):
         return (
-            live[rows],
-            [lane_streams[j] for j in rows],
-            FixedVec(x.m[rows], x.fmt),
-            f[rows],
-            streak[rows],
+            live[idx],
+            [lane_streams[j] for j in idx],
+            FixedVec(x.m[idx], x.fmt),
+            f[idx],
+            streak[idx],
         )
 
     for k in range(cfg.iterations):
@@ -479,14 +521,15 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
             live, lane_streams, x, f, streak = select([j for j, _ in done])
             rec = {key: np.concatenate([r[key] for _, r in done]) for key in done[0][1]}
             new_x = FixedVec(rec["x_m"], x.fmt)
-        log.append((live, rec))
+        rows.append(live, rec)
         x, f = new_x, rec["fs"]
 
-        streak = np.where(rec["d"].any(axis=1), 0, streak + 1)
+        streak = np.where(rows.last("d", live.size).any(axis=1), 0, streak + 1)
         if streak.max() >= window:
+            g_exact = rows.last("g_exact", live.size)
             stop = np.zeros(live.size, dtype=bool)
             for j in np.flatnonzero(streak >= window):
-                if stagnation_iter[live[j]] < 0 and np.linalg.norm(rec["g_exact"][j]) > stag_norm:
+                if stagnation_iter[live[j]] < 0 and np.linalg.norm(g_exact[j]) > stag_norm:
                     stagnation_iter[live[j]] = k - window + 1
                     stop[j] = cfg.stop_on_stagnation
             if stop.all():
@@ -496,54 +539,31 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
 
     if errors:
         raise errors[min(errors)]
-    return _lane_results(cfgs, xs0, f0, log, stagnation_iter, None if fixed else x)
 
-
-def _lane_results(cfgs, xs0, f0, log, stagnation_iter, final_state) -> List[RunResult]:
-    """Each lane's RunResult from the per-iteration batches of `_run_lanes`:
-    its rows in iteration order, sized by the steps it took.  Fixed-point
-    lanes rebuild their final state from their last mantissas; other runs
-    (one lane) are handed theirs."""
-    cfg = cfgs[0]
-    fixed = cfg.number_system == "fixed"
-    ids = np.concatenate([lane for lane, _ in log] or [np.zeros(0, np.int64)])
-    order = np.argsort(ids, kind="stable")
-    steps = np.bincount(ids, minlength=len(cfgs))
+    # each lane's rows, in iteration order
+    lane_of_row = rows.lane[: rows.size]
+    order = np.argsort(lane_of_row, kind="stable")
+    steps = np.bincount(lane_of_row, minlength=lanes)
     start = np.concatenate(([0], np.cumsum(steps)))
-
-    # step-dict key -> dtype, and whether it holds one entry per coordinate
-    fields = {
-        "fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True),
-        "g_tilde": (np.float64, True), "sigma1": (np.float64, True),
-        "sigma2": (np.float64, True), "d": (np.float64, True), "case": (np.uint8, False),
-        "c2_mask": (bool, True), "nonopp_violations": (np.int64, False),
-    }
+    cols = {key: col[: rows.size][order] for key, col in rows.cols.items()}
     if fixed:
-        fields.update(x_m=(np.int64, True), g_tilde_m=(np.int64, True), d_m=(np.int64, True))
-        x_m0 = cfg.initial_state().m[None, :]
-    rows = {}
-    for key, (dtype, per_coord) in fields.items():
-        if log:
-            rows[key] = np.concatenate([rec[key] for _, rec in log]).astype(dtype, copy=False)[order]
-        else:
-            rows[key] = np.zeros((0, cfg.objective.n) if per_coord else (0,), dtype=dtype)
-
+        x_m0 = state.m[None, :]
     results = []
     for r, c in enumerate(cfgs):
-        lane = {key: v[start[r] : start[r + 1]] for key, v in rows.items()}
-        lane["fs"] = np.concatenate(([f0], lane["fs"]))
-        lane["xs"] = np.concatenate((xs0[None, :], lane["xs"]))
+        run_rows = {key: col[start[r] : start[r + 1]] for key, col in cols.items()}
+        run_rows["fs"] = np.concatenate(([f0], run_rows["fs"]))
+        run_rows["xs"] = np.concatenate((xs0[None, :], run_rows["xs"]))
         if fixed:
-            lane["x_m"] = np.concatenate((x_m0, lane["x_m"]))
-            final_state = FixedVec(lane["x_m"][-1], cfg.working_fmt)
+            run_rows["x_m"] = np.concatenate((x_m0, run_rows["x_m"]))
+            x = FixedVec(run_rows["x_m"][-1], state.fmt)
         results.append(
             RunResult(
                 config=c,
-                final_state=final_state,
+                final_state=x,
                 stagnated=bool(stagnation_iter[r] >= 0),
                 stagnation_iter=int(stagnation_iter[r]),
                 steps=int(steps[r]),
-                **lane,
+                **run_rows,
             )
         )
     return results
