@@ -386,10 +386,12 @@ class TestReferenceRun:
 
 def digest_runs(runs) -> str:
     """sha256 of the replayable record of an ensemble: every run's iterate,
-    step and rounded-gradient mantissas, with their dtypes and shapes."""
+    step and rounded-gradient mantissas (exact binary64 values on lowfloat
+    runs), with their dtypes and shapes."""
     h = hashlib.sha256()
     for r in runs:
-        for a in (r.x_m, r.d_m, r.g_tilde_m):
+        arrays = (r.x_m, r.d_m, r.g_tilde_m) if r.x_m is not None else (r.xs, r.d, r.g_tilde)
+        for a in arrays:
             a = np.ascontiguousarray(a)
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(a.tobytes())
@@ -431,6 +433,49 @@ class TestGoldenDigests:
             sigma2_scheme=sigma2,
         )
         assert digest_runs(run_ensemble(cfg, seeds=range(100))) == want
+
+    @pytest.mark.parametrize(
+        "sigma2, want",
+        [
+            ("sr", "b7036f08e03249c1647f0411113770efe64583d1de2eae6ae339d178dd1a3744"),
+            ("sr_eps:0.4", "24b55a963075314dbf7c27600399c5df79ca488c804e8562e3a54ea287e9931f"),
+            ("signed_sr_eps:0.1", "6bf6fa4ebd76defce8cce337e54bb4ca801831cda8a2f06d837c5f007168f87e"),
+        ],
+    )
+    def test_lowfloat_rosenbrock(self, sigma2, want):
+        cfg = GDConfig(
+            objective=make_objective("rosenbrock"),
+            t="2^-10",
+            x0=["0", "0"],
+            iterations=400,
+            number_system="lowfloat",
+            float_fmt="fp16e5",
+            sigma1_scheme="sr",
+            sigma2_scheme=sigma2,
+        )
+        assert digest_runs(run_ensemble(cfg, seeds=range(3))) == want
+
+    @pytest.mark.parametrize(
+        "working, mul, sigma1, seeds, iterations, want",
+        [
+            # int64 rows, update steered by sign(g~)
+            ("Q8.12", "Q8.6", "rn", 20, 500, "11f551cddcebacd5c1e1f00b9bbdca632ed90b0f5116d76bc981c8c9c3178e09"),
+            # object rows: every draw goes through bernoulli_ratio
+            ("Q8.40", "Q8.40", "sr", 5, 200, "28298e21a8b98ff382e2bbc751f1aeb12fc0ae790a77dee935f6b45b07b08e3d"),
+        ],
+    )
+    def test_quadratic_signed_eps(self, working, mul, sigma1, seeds, iterations, want):
+        cfg = GDConfig(
+            objective=make_objective("quadratic", a_diag=[4, 1, "1/16"], x_star=[0, 0, 0]),
+            t="1/32",
+            x0=["1", "1", "1"],
+            iterations=iterations,
+            working_fmt=working,
+            mul_fmt=mul,
+            sigma1_scheme=sigma1,
+            sigma2_scheme="signed_sr_eps:1/3",
+        )
+        assert digest_runs(run_ensemble(cfg, seeds=range(seeds))) == want
 
 
 # ---------------------------------------------------------------------------
