@@ -21,15 +21,13 @@ than being silently assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gdengine import RunResult
 from .objectives import Objective
-from .qnum import to_fraction
-from .rounding import RoundScheme, prob_round_down
+from .rounding import up_weight
 
 
 @dataclass
@@ -151,52 +149,30 @@ def beta_and_h_of(runs: Sequence[RunResult]) -> Tuple[np.ndarray, np.ndarray]:
     For each (iteration, coordinate), entries over the ensemble whose exact
     step |t g~_i| is below the update grid spacing contribute eps when the
     perturbed probability is interior, and omega = 1 - |t g~_i|/u when it
-    clamped; h is that average, beta_k = min_i h_k,i.  Exact-zero steps
-    contribute 0 (no randomness left).  Entries outside C2 are skipped; an
-    (iteration, coordinate) with no C2 data is nan.
+    clamped; h is that average, beta_k = min_i h_k,i.  The law is the
+    engine's: signed_sr_eps leans by sign(g~_i), as the update rounding does.
+    Exact-zero steps contribute 0 (no randomness left).  Entries outside C2
+    are skipped; an (iteration, coordinate) with no C2 data is nan.
     """
     cfg = runs[0].config
     if cfg.number_system != "fixed":
         raise ValueError("beta/h reconstruction needs fixed-point runs")
     scheme = cfg.sigma2_scheme
-    if not scheme.is_random or scheme.eps is None:
-        eps = Fraction(0)
-    else:
-        eps = scheme.eps
-    t = cfg.t
-    s_w = cfg.working_fmt.scale
-    s_m = cfg.mul_fmt.scale
-    k_min = min(r.steps for r in runs)
-    n = runs[0].g_exact.shape[1]
-
-    total = np.zeros((k_min, n))
-    count = np.zeros((k_min, n), dtype=np.int64)
-    den = t.denominator * s_w
-    for run_ in runs:
-        gm = run_.g_tilde_m
-        c2 = run_.c2_mask
-        for k in range(k_min):
-            for i in range(n):
-                if not c2[k, i]:
-                    continue
-                num = t.numerator * int(gm[k, i]) * s_m
-                q, r = divmod(num, den)
-                if r == 0:
-                    contrib = 0.0
-                else:
-                    p_down = prob_round_down(
-                        Fraction(num, den * s_m), cfg.mul_fmt, scheme
-                    )
-                    if 0 < p_down < 1:
-                        contrib = float(eps)
-                    else:
-                        m_over_u = abs(Fraction(num, den))  # |t g~| in u units
-                        contrib = float(1 - m_over_u)
-                total[k, i] += contrib
-                count[k, i] += 1
+    gm = _stack(runs, "g_tilde_m")
+    c2 = _stack(runs, "c2_mask")
+    # t g~ on the update grid sits at num/den, exactly (Python ints)
+    num = gm.astype(object) * (cfg.t.numerator * cfg.mul_fmt.scale)
+    den = cfg.t.denominator * cfg.working_fmt.scale
+    r = num % den
+    weight, cap = up_weight(num // den, r, den, scheme, np.sign(gm))
+    omega = ((den - abs(num)) / den).astype(np.float64)  # 1 - |t g~|/u, correctly rounded
+    eps = float(scheme.eps or 0)
+    contrib = np.where(r == 0, 0.0, np.where((weight > 0) & (weight < cap), eps, omega))
+    total = np.where(c2, contrib, 0.0).sum(axis=0)  # runs added in order
+    count = c2.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(count > 0, total / count, np.nan)
-    beta = np.full(k_min, np.nan)
+    beta = np.full(h.shape[0], np.nan)
     has_data = np.isfinite(h).any(axis=1)
     beta[has_data] = np.nanmin(h[has_data], axis=1)
     return beta, h

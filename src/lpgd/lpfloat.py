@@ -5,10 +5,11 @@ significand bit, gradual underflow) with one deliberate difference: no
 exponent codes are reserved for inf/nan, the top binade holds ordinary
 numbers, and anything past the largest finite value is a hard OverflowError.
 
-Values on the grid are handled as exact Fractions.  Rounding reuses the
-kernel family from `rounding` with the gap between the two enclosing grid
-points playing the role of u, so fl(x) under sr / sr_eps / signed_sr_eps has
-exactly the same two-point law as the fixed-point case, just on a
+Values on the grid are handled as exact Fractions.  Rounding uses the one
+two-point law of `rounding.up_weight` at the position x / gap, where gap is
+the distance between the two enclosing grid points: floor(x / gap) = lo / gap
+is an integer with the parity of lo's significand, so rn's ties-to-even and
+the sign that sr_eps reads come out as in the fixed-point case, just on a
 magnitude-dependent grid.
 """
 
@@ -21,7 +22,7 @@ from typing import Optional, Tuple, Union
 
 from . import rng
 from .qnum import ExactReal, to_fraction
-from .rounding import RoundScheme, _clamp01, _sign
+from .rounding import RoundScheme, up_weight
 
 _FP_PATTERN = re.compile(r"^fp(\d+)e(\d+)$")
 
@@ -152,16 +153,14 @@ def binade_gap(x: ExactReal, fmt: FloatFormat) -> Fraction:
     return _pow2(min(e, fmt.emax) - fmt.sig_bits + 1)
 
 
-def _mantissa_parity(v: Fraction, fmt: FloatFormat) -> int:
-    """Parity of the significand of a representable value, in its own binade."""
-    if v == 0:
-        return 0
-    a = abs(v)
-    e = max(_ilog2(a), fmt.emin)
-    gap = _pow2(e - fmt.sig_bits + 1)
-    m = a / gap
-    assert m.denominator == 1, f"{v} is not on the {fmt} grid"
-    return int(m) & 1
+def _up_weight_fl(v: Fraction, lo: Fraction, hi: Fraction, scheme: RoundScheme, v_sign):
+    """`up_weight` for v between the neighbours lo < hi, at position v / (hi - lo).
+
+    floor(v / (hi - lo)) = lo / (hi - lo) has the parity of lo's significand
+    (at a binade top both are even), so rn ties to the even significand.
+    """
+    pos = v / (hi - lo)
+    return up_weight(*divmod(pos.numerator, pos.denominator), pos.denominator, scheme, v_sign)
 
 
 def prob_round_down_fl(
@@ -172,17 +171,8 @@ def prob_round_down_fl(
     lo, hi = neighbors(v, fmt)
     if lo == hi:
         return Fraction(1)
-    frac = (v - lo) / (hi - lo)
-    if scheme.kind == "rn":
-        if 2 * frac < 1:
-            return Fraction(1)
-        if 2 * frac > 1:
-            return Fraction(0)
-        return Fraction(1) if _mantissa_parity(lo, fmt) == 0 else Fraction(0)
-    if scheme.kind == "sr":
-        return 1 - frac
-    s = _sign(v) if scheme.kind == "sr_eps" else int(v_sign)
-    return _clamp01(1 - frac - s * scheme.eps)
+    t, cap = _up_weight_fl(v, lo, hi, scheme, v_sign)
+    return 1 - Fraction(t, cap)
 
 
 def expected_round_fl(
@@ -193,8 +183,8 @@ def expected_round_fl(
     lo, hi = neighbors(v, fmt)
     if lo == hi:
         return lo
-    p = prob_round_down_fl(v, fmt, scheme, v_sign)
-    return lo * p + hi * (1 - p)
+    t, cap = _up_weight_fl(v, lo, hi, scheme, v_sign)
+    return lo + (hi - lo) * Fraction(t, cap)
 
 
 def fl_round(
@@ -211,15 +201,15 @@ def fl_round(
     lo, hi = neighbors(v, fmt)
     if lo == hi:
         return lo
-    p = prob_round_down_fl(v, fmt, scheme, v_sign)
-    if p == 1:
+    t, cap = _up_weight_fl(v, lo, hi, scheme, v_sign)
+    if t == 0:
         return lo
-    if p == 0:
+    if t == cap:
         return hi
     if stream is None:
         raise ValueError(f"{scheme} needs a RandomStream to round {float(v)}")
     gen = stream.generator(k, tag)
-    down = rng.bernoulli_ratio(gen, p.numerator, p.denominator, 1)[0]
+    down = rng.bernoulli_ratio(gen, cap - t, cap, 1)[0]
     return lo if down else hi
 
 

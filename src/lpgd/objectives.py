@@ -3,13 +3,14 @@
 Each objective provides the exact binary64 value/gradient plus a *recipe*: a
 fixed sequence of elementary ops (add/sub/mul/constant-coefficient) that
 computes the gradient in emulated arithmetic.  Recipes are written once
-against a small ops backend and evaluated four ways:
+against a small ops backend and evaluated three ways:
 
     FixedBackend    integer mantissas, products round once into the format;
                     one lane, or R lanes of (R,) arrays in a single pass
     FloatBackend    grid Fractions, every op result rounds (float semantics)
-    DoubleBackend   plain binary64, nothing rounds (reference/testing)
     EnumBackend     exhaustive: every rounding branches, exact probabilities
+
+plus FractionBackend, the exact reference where nothing rounds.
 
 Constant coefficients (2, 400, 1/16, 1e-3 = 1/1000, ...) are exact rationals
 applied as ratios; the product rounds once.  Integer coefficients in fixed
@@ -184,35 +185,6 @@ class FloatBackend:
         return a
 
 
-class DoubleBackend:
-    """Plain binary64 evaluation of a recipe (nothing rounds)."""
-
-    def __init__(self):
-        self.tag = 0
-
-    def const(self, c) -> float:
-        return float(c)
-
-    def add(self, a, b) -> float:
-        self.tag += 1
-        return a + b
-
-    def sub(self, a, b) -> float:
-        self.tag += 1
-        return a - b
-
-    def mul(self, a, b) -> float:
-        self.tag += 1
-        return a * b
-
-    def coef(self, c, a) -> float:
-        self.tag += 1
-        return float(c) * a
-
-    def to_value(self, a: float) -> float:
-        return a
-
-
 class FractionBackend:
     """Exact rational evaluation of a recipe (nothing rounds, nothing clips)."""
 
@@ -264,17 +236,15 @@ class EnumBackend:
 
     def _branch(self, value: Fraction) -> int:
         """Round `value`; consume one plan slot if it is off-grid."""
-        scale = self.fmt.scale
-        pos = value * scale
-        q = pos.numerator // pos.denominator
-        if pos == q:
-            self.tag += 1
+        pos = value * self.fmt.scale
+        q, r = divmod(pos.numerator, pos.denominator)
+        self.tag += 1
+        if r == 0:
             return self.fmt.check_mantissa(q)
-        p_down = rounding.prob_round_down(value, self.fmt, self.scheme)
+        t, cap = rounding.up_weight(q, r, pos.denominator, self.scheme)
         choice = self.plan[self.used] if self.used < len(self.plan) else 0
         self.used += 1
-        self.tag += 1
-        p = p_down if choice == 0 else 1 - p_down
+        p = Fraction(t if choice else cap - t, cap)
         if p == 0:
             raise _ImpossiblePath
         self.prob *= p

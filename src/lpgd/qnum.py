@@ -159,34 +159,6 @@ def from_exact(x: ExactReal, fmt: QFormat) -> FixedVal:
     return FixedVal(int(v), fmt)
 
 
-def floor_fx(x: ExactReal, fmt: QFormat) -> FixedVal:
-    """Largest grid point <= x.  Raises OverflowError when x is out of range."""
-    v = to_fraction(x)
-    if not fmt.min_value <= v <= fmt.max_value:
-        raise OverflowError(f"{float(v)} is outside the range of {fmt}")
-    num = v.numerator * fmt.scale
-    return FixedVal(num // v.denominator, fmt)
-
-
-def add_exact(a: FixedVal, b: FixedVal) -> FixedVal:
-    """Exact same-format addition; overflow is a hard error."""
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} + {b.fmt}")
-    return FixedVal(a.m + b.m, a.fmt)
-
-
-def sub_exact(a: FixedVal, b: FixedVal) -> FixedVal:
-    """Exact same-format subtraction; overflow is a hard error."""
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} - {b.fmt}")
-    return FixedVal(a.m - b.m, a.fmt)
-
-
-def mul_exact(a: FixedVal, b: FixedVal) -> Fraction:
-    """Exact product of two fixed-point values (qf_a + qf_b fractional bits)."""
-    return Fraction(a.m * b.m, a.fmt.scale * b.fmt.scale)
-
-
 # ---------------------------------------------------------------------------
 # vectors of fixed-point values (the engine's iterate representation)
 # ---------------------------------------------------------------------------

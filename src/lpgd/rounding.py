@@ -1,17 +1,22 @@
 """Rounding kernels: nearest-even and the stochastic family.
 
-Every kernel rounds an exact value x to one of its two enclosing grid points
-low = floor(x) and low + u.  Writing frac = x - low, the round-down
-probability is
+Every kernel rounds an exact value to one of its two enclosing grid points.
+In grid units the value sits at position q + r/den with q = floor and
+0 <= r < den, and the whole two-point law is one integer function,
+`up_weight`, giving P(round up) = T/cap:
 
-    rn             1 if frac < u/2, 0 if frac > u/2, ties to the even mantissa
-    sr             1 - frac/u
-    sr_eps         clamp(1 - frac/u - sign(x) * eps, 0, 1)
-    signed_sr_eps  clamp(1 - frac/u - sign(v) * eps, 0, 1)
+    rn             T = den if 2r > den, or 2r = den and q is odd; else 0
+    sr             T = r                                 (cap = den)
+    sr_eps         T = clamp(r*b + s*a*den, 0, cap)      (cap = den*b)
+    signed_sr_eps  the same with s = sign(v) from the caller
 
-with sign(v) supplied by the caller (the direction the perturbation should
-favor, e.g. the descent step).  A value already on the grid rounds to itself
-under every scheme, including the eps-perturbed ones.
+where eps = a/b, s = sign(x) for sr_eps, and sign(v) is the direction the
+perturbation should favor (e.g. the descent step).  Every exact law in the
+package -- the scalar probabilities, the vector kernels, the binary64
+fallback, the float grids of `lpfloat`, the exhaustive `EnumBackend` and the
+bound estimators -- calls it.  A value already on the grid (r = 0) rounds
+to itself under every scheme, including the eps-perturbed ones; callers mask
+those elements after drawing, so the draw layout never depends on the data.
 
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
@@ -22,8 +27,8 @@ is made exactly on whole arrays: the grid position and the residue's
 magnitude are exact in binary64 when the residue is taken from |pos|, while
 pos - floor(pos) itself rounds for pos in (-1/2, 0).  A uniform 64-bit word
 is compared against the 64-bit prefix of P(up); only a word that lands next
-to the prefix (chance about 2**-63 per element) falls back to Fractions and,
-if the probability has bits below 2**-64, to further words.
+to the prefix (chance about 2**-63 per element) falls back to `up_weight`
+and, if the probability has bits below 2**-64, to further words.
 """
 
 from __future__ import annotations
@@ -97,12 +102,29 @@ def parse_scheme(spec: Union[str, RoundScheme]) -> RoundScheme:
 # ---------------------------------------------------------------------------
 
 
-def _clamp01(p: Fraction) -> Fraction:
-    return Fraction(0) if p < 0 else Fraction(1) if p > 1 else p
+def up_weight(q, r, den: int, scheme: RoundScheme, v_sign=0):
+    """(T, cap) with P(round up) = T/cap for the grid position q + r/den.
 
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+    0 <= r < den.  Elementwise on Python ints and on int64 or object arrays
+    alike (v_sign broadcasts against them); the arithmetic stays in r's type,
+    so object rows stay exact.  cap is den, or den*eps.denominator for the
+    eps schemes, whatever the data.  T is not zeroed at r = 0: on-grid
+    elements draw like any other, and the caller masks them.
+    """
+    one = r * 0 + 1  # 1 in r's type
+    if scheme.kind == "rn":  # ties to the even q
+        return one * den * (2 * r + (q & 1) > den), den
+    if scheme.kind == "sr":
+        return r, den
+    a, b = scheme.eps.numerator, scheme.eps.denominator
+    if scheme.uses_value_sign:
+        s = one * (q > 0) + ((q == 0) & (r > 0)) - (q < 0)
+    else:
+        s = one * (v_sign > 0) - (v_sign < 0)
+    cap = den * b
+    t = r * b + s * (a * den)  # (r/den + s*eps) * cap, then clamped to [0, cap]
+    t = t * (t > 0)
+    return t + (cap - t) * (t > cap), cap
 
 
 def prob_round_down(
@@ -110,20 +132,11 @@ def prob_round_down(
 ) -> Fraction:
     """Exact probability that x rounds to floor(x) on fmt's grid."""
     pos = to_fraction(x) * fmt.scale
-    q = pos.numerator // pos.denominator
-    frac = pos - q  # frac/u as a fraction of the gap, in [0, 1)
-    if frac == 0:
+    q, r = divmod(pos.numerator, pos.denominator)
+    if r == 0:
         return Fraction(1)
-    if scheme.kind == "rn":
-        if 2 * frac < 1:
-            return Fraction(1)
-        if 2 * frac > 1:
-            return Fraction(0)
-        return Fraction(1) if q % 2 == 0 else Fraction(0)
-    if scheme.kind == "sr":
-        return 1 - frac
-    s = _sign(pos) if scheme.kind == "sr_eps" else int(v_sign)
-    return _clamp01(1 - frac - s * scheme.eps)
+    t, cap = up_weight(q, r, pos.denominator, scheme, v_sign)
+    return 1 - Fraction(t, cap)
 
 
 def expected_round(
@@ -249,41 +262,23 @@ def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
     rows (beyond int64) and eps ratios too wide for int64 draw through
     `bernoulli_ratio` lane by lane, as a one-row call would.
     """
+    if scheme.is_random and gens is None:
+        raise ValueError(f"{scheme} needs a Generator")
     small = pos.dtype != object
     q, r = np.divmod(pos, den) if small else (pos // den, pos % den)  # r in [0, den)
-
-    if scheme.kind == "rn":
-        up = (2 * r > den) | ((2 * r == den) & ((q & 1) == 1))
+    if small and scheme.eps is not None and 2 * den * scheme.eps.denominator >= _INT64_SAFE:
+        q, r, small = q.astype(object), r.astype(object), False  # eps ratios too wide
+    nums, cap = up_weight(q, r, den, scheme, signs)
+    if not scheme.is_random:
+        up = nums > 0
+    elif small:
+        up = rng.bernoulli_lt(gens, nums.reshape(-1), cap, nums.size).reshape(nums.shape)
     else:
-        if gens is None:
-            raise ValueError(f"{scheme} needs a Generator")
-        if scheme.kind == "sr":
-            nums, cap = r, den  # P(up) = r/den
-        else:
-            if not scheme.uses_value_sign:
-                s = np.sign(signs).astype(np.int64)
-            elif small:
-                s = np.sign(pos)
-            else:
-                s = np.array([[_sign(v) for v in row] for row in pos], dtype=np.int64)
-            a, b = scheme.eps.numerator, scheme.eps.denominator
-            cap = den * b
-            if small and 2 * cap >= _INT64_SAFE:
-                small = False
-            if not small:
-                r, s = r.astype(object), s.astype(object)
-            # P(up) = clamp(r/den + s*eps, 0, 1) = T / (den*b)
-            nums = r * b + s * (a * den)
-            nums = np.where(nums < 0, 0, nums)
-            nums = np.where(nums > cap, cap, nums)
-        if small:
-            up = rng.bernoulli_lt(gens, nums.reshape(-1), cap, nums.size).reshape(nums.shape)
-        else:
-            up = np.array(
-                [rng.bernoulli_ratio(g, row, cap, row.size) for g, row in zip(gens, nums)],
-                dtype=bool,
-            ).reshape(nums.shape)
-        up &= r != 0  # representable values round to themselves
+        up = np.array(
+            [rng.bernoulli_ratio(g, row, cap, row.size) for g, row in zip(gens, nums)],
+            dtype=bool,
+        ).reshape(nums.shape)
+    up &= r != 0  # representable values round to themselves
 
     m = q + up if q.dtype != object else q + up.astype(object)
     lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
@@ -366,15 +361,17 @@ def round_doubles_vec(
         up = full | (u < lo)
         pending, nums, dens = [], [], []
         for i in np.flatnonzero(~full & (u - lo <= np.uint64(1))):
-            p = Fraction(float(vals[i])) * out_fmt.scale - int(q[i])
-            if scheme.eps is not None:
-                p = _clamp01(p + int(s[i]) * scheme.eps)
-            hi, rem = divmod(p.numerator << 64, p.denominator)
+            p = Fraction(float(vals[i])) * out_fmt.scale
+            t, cap = up_weight(
+                *divmod(p.numerator, p.denominator), p.denominator, scheme,
+                int(s[i]) if scheme.uses_given_sign else 0,
+            )
+            hi, rem = divmod(t << 64, cap)
             up[i] = int(u[i]) < hi
             if int(u[i]) == hi and rem:
                 pending.append(i)
                 nums.append(rem)
-                dens.append(p.denominator)
+                dens.append(cap)
         if pending:
             up[pending] = rng.bernoulli_ratio(gen, nums, dens, len(pending))
         up[f64 == 0] = False  # representable values round to themselves

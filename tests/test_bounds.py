@@ -1,5 +1,8 @@
 """Tests for the rate-factor estimators, envelopes, and PL-constant fitting."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from lpgd.bounds import (
     tau2_of,
     theta_of,
 )
-from lpgd.gdengine import GDConfig, RunResult
+from lpgd.gdengine import GDConfig, RunResult, run_ensemble
 from lpgd.objectives import make_objective
 
 
@@ -158,6 +161,42 @@ class TestFactorEstimators:
         assert tau1_of(np.array([0.5, np.nan, -0.25, 1.0])) == -0.25
 
 
+def reference_h(runs):
+    """h entry by entry, with the update-rounding law written out on Fractions
+    and the engine's signs: sr_eps leans by sign(t g~), signed_sr_eps by
+    sign(g~)."""
+    cfg = runs[0].config
+    scheme = cfg.sigma2_scheme
+    eps = scheme.eps or Fraction(0)
+    k_min = min(r.steps for r in runs)
+    n = runs[0].g_exact.shape[1]
+    total = np.zeros((k_min, n))
+    count = np.zeros((k_min, n), dtype=np.int64)
+    for run_ in runs:
+        for k in range(k_min):
+            for i in range(n):
+                if not run_.c2_mask[k, i]:
+                    continue
+                g = int(run_.g_tilde_m[k, i])
+                pos = cfg.t * g * cfg.mul_fmt.scale / cfg.working_fmt.scale  # in u_mul
+                frac = pos - math.floor(pos)
+                if frac == 0:
+                    contrib = 0.0
+                else:
+                    if scheme.kind == "rn":
+                        interior = False
+                    elif scheme.kind == "sr":
+                        interior = True
+                    else:
+                        s = pos if scheme.kind == "sr_eps" else g
+                        interior = 0 < frac + ((s > 0) - (s < 0)) * eps < 1
+                    contrib = float(eps) if interior else float(1 - abs(pos))
+                total[k, i] += contrib
+                count[k, i] += 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(count > 0, total / count, np.nan)
+
+
 class TestBetaAndH:
     def test_interior_entries_contribute_eps(self):
         # t g~ = u/8 with eps 0.25: perturbed probability stays interior
@@ -176,22 +215,45 @@ class TestBetaAndH:
         assert beta[0] == pytest.approx(0.25)
 
     def test_clamped_and_zero_entries(self):
-        # coord 0: t g~ = 0.9 u clamps the probability, contributes 1 - 0.9
+        # coord 0: t g~ = +-0.9 u clamps the probability, contributes 1 - 0.9;
+        # both eps schemes lean with the sign of t g~ here (signed_sr_eps takes
+        # sign(g~) from the engine), so the lean always pushes past the clamp
         # coord 1: exact zero step contributes 0
-        run_ = fabricated_run(
-            t="9/10",
-            g_exact=[[1 / 256.0, 0.0]],
-            sigma1=[[0.0, 0.0]],
-            sigma2=[[0.0, 0.0]],
-            case=[2],
-            c2_mask=[[True, True]],
-            g_tilde_m=[[1, 0]],
-            sigma2_scheme="sr_eps:0.25",
+        for scheme in ("sr_eps:0.25", "signed_sr_eps:0.25"):
+            for g in (1, -1):
+                run_ = fabricated_run(
+                    t="9/10",
+                    g_exact=[[g / 256.0, 0.0]],
+                    sigma1=[[0.0, 0.0]],
+                    sigma2=[[0.0, 0.0]],
+                    case=[2],
+                    c2_mask=[[True, True]],
+                    g_tilde_m=[[g, 0]],
+                    sigma2_scheme=scheme,
+                )
+                beta, h = beta_and_h_of([run_])
+                assert h[0, 0] == pytest.approx(0.1), (scheme, g)
+                assert h[0, 1] == 0.0
+                assert beta[0] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("sigma2", ["rn", "sr", "sr_eps:0.4", "signed_sr_eps:1/3"])
+    def test_matches_per_entry_reference(self, sigma2):
+        cfg = GDConfig(
+            objective=make_objective("quadratic", a_diag=[4, 1, "1/16"], x_star=[0, 0, 0]),
+            t="1/32",
+            x0=["1", "1", "1"],
+            iterations=300,
+            working_fmt="Q8.12",
+            mul_fmt="Q8.6",
+            sigma1_scheme="sr",
+            sigma2_scheme=sigma2,
         )
-        beta, h = beta_and_h_of([run_])
-        assert h[0, 0] == pytest.approx(0.1)
-        assert h[0, 1] == 0.0
-        assert beta[0] == pytest.approx(0.0)
+        runs = run_ensemble(cfg, seeds=range(12))
+        beta, h = beta_and_h_of(runs)
+        want = reference_h(runs)
+        assert np.isfinite(want).sum() > 100  # the ensemble reaches C2
+        assert np.array_equal(h, want, equal_nan=True)
+        assert beta.shape == (h.shape[0],)
 
     def test_no_c2_data_gives_nan(self):
         run_ = fabricated_run(

@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpgd.lpfloat import (
     FloatFormat,
+    _ilog2,
+    _pow2,
     binade_gap,
     expected_round_fl,
     fl_round,
@@ -207,3 +209,74 @@ def test_neighbors_enclose_and_touch_grid(num, den):
 def test_sr_unbiased_everywhere(num, den):
     x = Fraction(num, den)
     assert expected_round_fl(x, FP8, SR) == x
+
+
+# ---------------------------------------------------------------------------
+# prob_round_down_fl against its former per-format implementation
+# ---------------------------------------------------------------------------
+
+
+def _reference_mantissa_parity(v, fmt):
+    """Parity of the significand of a representable value, in its own binade."""
+    if v == 0:
+        return 0
+    a = abs(v)
+    e = max(_ilog2(a), fmt.emin)
+    gap = _pow2(e - fmt.sig_bits + 1)
+    m = a / gap
+    assert m.denominator == 1, f"{v} is not on the {fmt} grid"
+    return int(m) & 1
+
+
+def _reference_prob_round_down_fl(x, fmt, scheme, v_sign=0):
+    """The law as lpfloat wrote it out before it shared rounding.up_weight."""
+    v = Fraction(x)
+    lo, hi = neighbors(v, fmt)
+    if lo == hi:
+        return Fraction(1)
+    frac = (v - lo) / (hi - lo)
+    if scheme.kind == "rn":
+        if 2 * frac < 1:
+            return Fraction(1)
+        if 2 * frac > 1:
+            return Fraction(0)
+        return Fraction(1) if _reference_mantissa_parity(lo, fmt) == 0 else Fraction(0)
+    if scheme.kind == "sr":
+        return 1 - frac
+    s = ((v > 0) - (v < 0)) if scheme.kind == "sr_eps" else int(v_sign)
+    p = 1 - frac - s * scheme.eps
+    return Fraction(0) if p < 0 else Fraction(1) if p > 1 else p
+
+
+@st.composite
+def _float_grid_value(draw):
+    """A value between two neighbours of fp8e5, fp16e5 or (2, 2): on the grid,
+    at ties and third-points, in subnormals and at binade tops, either sign."""
+    fmt = draw(st.sampled_from([FP8, parse_float_format("fp16e5"), FloatFormat(2, 2)]))
+    e = draw(st.integers(min_value=fmt.emin, max_value=fmt.emax))
+    top = (1 << fmt.sig_bits) - 1
+    low = 0 if e == fmt.emin else 1 << (fmt.sig_bits - 1)  # subnormals share emin
+    m = draw(st.sampled_from([low, low + 1, top - 1, top]) | st.integers(low, top))
+    gap = _pow2(e - fmt.sig_bits + 1)
+    frac = draw(
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+        | st.fractions(min_value=0, max_value=1, max_denominator=1 << 12)
+    )
+    v = (m + frac) * gap
+    assume(v <= fmt.max_finite)
+    return fmt, draw(st.sampled_from([1, -1])) * v
+
+
+@given(
+    case=_float_grid_value(),
+    spec=st.sampled_from(["rn", "sr", "sr_eps:0.1", "sr_eps:1/3", "signed_sr_eps:0.1",
+                          "signed_sr_eps:0.9"]),
+    v_sign=st.sampled_from([-1, 0, 1]),
+)
+@settings(max_examples=400, deadline=None)
+def test_prob_round_down_fl_matches_reference(case, spec, v_sign):
+    fmt, v = case
+    scheme = parse_scheme(spec)
+    assert prob_round_down_fl(v, fmt, scheme, v_sign) == _reference_prob_round_down_fl(
+        v, fmt, scheme, v_sign
+    )

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpgd.objectives import (
-    DoubleBackend,
     FixedBackend,
     FractionBackend,
     enumerate_recipe,
@@ -84,8 +83,9 @@ class TestRecipeBackends:
         kwargs = {"a_diag": [2.0, 0.5]} if name == "quadratic" else {}
         obj = make_objective(name, **kwargs)
         for x in FD_POINTS[name]:
-            out = obj.recipe(DoubleBackend(), list(map(float, x)))
-            assert np.allclose(out, eval_grad_reference(obj, x), rtol=1e-12), (name, x)
+            out = obj.recipe(FractionBackend(), [Fraction(v) for v in x])
+            got = [float(v) for v in out]
+            assert np.allclose(got, eval_grad_reference(obj, x), rtol=1e-12), (name, x)
 
     def test_fraction_backend_is_exact(self):
         obj = make_objective("himmelblau")

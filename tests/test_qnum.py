@@ -10,13 +10,9 @@ from lpgd.qnum import (
     FixedVal,
     FixedVec,
     QFormat,
-    add_exact,
-    floor_fx,
     from_exact,
     make_format,
-    mul_exact,
     parse_rational,
-    sub_exact,
     to_fraction,
     vec_from_exact,
 )
@@ -96,30 +92,6 @@ class TestFixedVal:
             from_exact(8, QFormat(4, 4))
         assert from_exact(-8, QFormat(4, 4)).m == -128
 
-    def test_floor(self):
-        fmt = QFormat(4, 4)
-        assert floor_fx(Fraction(33, 64), fmt).m == 8  # 0.515625 -> 0.5
-        assert floor_fx(Fraction(-33, 64), fmt).m == -9
-
-    def test_add_sub_exact(self):
-        fmt = QFormat(4, 4)
-        a = from_exact(Fraction(5, 16), fmt)
-        b = from_exact(Fraction(3, 16), fmt)
-        assert add_exact(a, b).value == Fraction(1, 2)
-        assert sub_exact(a, b).value == Fraction(1, 8)
-
-    def test_add_overflow_is_hard(self):
-        fmt = QFormat(2, 2)
-        a = from_exact(Fraction(7, 4), fmt)
-        with pytest.raises(OverflowError):
-            add_exact(a, a)
-
-    def test_mul_exact_is_a_fraction(self):
-        fmt = QFormat(4, 4)
-        a = from_exact(Fraction(5, 16), fmt)
-        b = from_exact(Fraction(3, 16), fmt)
-        assert mul_exact(a, b) == Fraction(15, 256)
-
 
 class TestFixedVec:
     def test_roundtrip(self):
@@ -156,17 +128,3 @@ def test_mantissa_range_check_matches_bounds(qi, qf, m):
     else:
         with pytest.raises(OverflowError):
             fmt.check_mantissa(m)
-
-
-@given(
-    qf=st.integers(min_value=0, max_value=12),
-    num=st.integers(min_value=-(2**20), max_value=2**20),
-    den=st.integers(min_value=1, max_value=2**12),
-)
-def test_floor_never_exceeds_value(qf, num, den):
-    fmt = QFormat(12, qf)
-    x = Fraction(num, den)
-    if not fmt.min_value <= x <= fmt.max_value:
-        return
-    fx = floor_fx(x, fmt)
-    assert fx.value <= x < fx.value + fmt.u

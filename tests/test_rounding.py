@@ -17,6 +17,7 @@ from lpgd.rounding import (
     round as round_one,
     round_doubles_vec,
     round_ratio_vec,
+    up_weight,
 )
 
 Q11 = QFormat(1, 1)
@@ -77,6 +78,62 @@ class TestProbRoundDown:
         x = Fraction(1, 5) * Q88.u
         assert prob_round_down(x, Q88, ss, v_sign=1) == Fraction(3, 5)
         assert prob_round_down(x, Q88, ss, v_sign=-1) == Fraction(1)
+
+
+_KERNEL_SCHEMES = ["rn", "sr", "sr_eps:0.3", "sr_eps:1/3", "signed_sr_eps:1/3", "signed_sr_eps:0.9"]
+
+
+def _reference_p_up(q, r, den, scheme, v_sign):
+    """The two-point law written out on Fractions, as each caller used to."""
+    frac = Fraction(r, den)
+    if scheme.kind == "rn":
+        return Fraction(2 * frac > 1 or (2 * frac == 1 and q % 2 == 1))
+    if scheme.kind == "sr":
+        return frac
+    pos = q + frac
+    s = (pos > 0) - (pos < 0) if scheme.kind == "sr_eps" else (v_sign > 0) - (v_sign < 0)
+    return min(max(frac + s * scheme.eps, Fraction(0)), Fraction(1))
+
+
+class TestUpWeight:
+    def test_cap_is_never_reduced(self):
+        assert up_weight(0, 2, 4, parse_scheme("sr")) == (2, 4)
+        assert up_weight(3, 2, 4, parse_scheme("rn")) == (4, 4)  # tie, odd q
+        assert up_weight(0, 2, 4, parse_scheme("sr_eps:1/2")) == (8, 8)
+        assert up_weight(0, 2, 4, parse_scheme("signed_sr_eps:1/2"), v_sign=-1) == (0, 8)
+
+    def test_on_grid_weight_is_not_zeroed(self):
+        # the caller masks r == 0 after drawing; the binary64 fallback needs
+        # the unmasked law to draw the same extension words
+        assert up_weight(1, 0, 1, parse_scheme("sr_eps:1/3")) == (1, 3)
+        assert up_weight(0, 0, 1, parse_scheme("sr_eps:1/3")) == (0, 3)  # sign(0) = 0
+        assert up_weight(-1, 0, 1, parse_scheme("sr_eps:1/3")) == (0, 3)
+
+    @given(
+        data=st.data(),
+        den=st.integers(min_value=1, max_value=2**40),
+        spec=st.sampled_from(_KERNEL_SCHEMES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ints_int64_and_object_arrays_agree(self, data, den, spec):
+        scheme = parse_scheme(spec)
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        q = data.draw(st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n))
+        r = data.draw(
+            st.lists(st.sampled_from([0, den // 2, den - 1]) | st.integers(0, den - 1),
+                     min_size=n, max_size=n)
+        )
+        sign = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+        scalar = [up_weight(a, b, den, scheme, c) for a, b, c in zip(q, r, sign)]
+        for a, b, c, (t, cap) in zip(q, r, sign, scalar):
+            assert Fraction(t, cap) == _reference_p_up(a, b, den, scheme, c)
+        for dtype in (np.int64, object):
+            t, cap = up_weight(
+                np.array(q, dtype=dtype), np.array(r, dtype=dtype), den, scheme,
+                np.array(sign, dtype=np.int64),
+            )
+            assert t.dtype == dtype and t.shape == (n,)
+            assert [(int(v), cap) for v in t] == scalar
 
 
 class TestExpectedRound:
