@@ -1,21 +1,28 @@
 """Counter-based randomness with exact-rational Bernoulli draws.
 
-Every rounding op in a run is addressed by (seed, iteration, op tag).  Each
-address gets its own Philox generator whose 256-bit counter starts at
-(0, 0, iteration, tag), so distinct addresses are 2**128 draws apart and can
-never collide however many uniforms one op consumes.  Replaying a run with
-the same seed reproduces every draw; runs with different seeds are
-independent streams.
+Every rounding op in a run is addressed by (seed, iteration, op tag).  The
+words of an address are those of a Philox4x64-10 stream keyed by
+(seed, salt) whose 256-bit counter starts at (0, 0, iteration, tag), so
+distinct addresses are 2**128 draws apart and can never collide however many
+uniforms one op consumes.  Replaying a run with the same seed reproduces
+every draw; runs with different seeds are independent streams.
+
+`RandomStream.generator(k, tag)` returns an `OpWords`: the word source of
+one address.  All word sources share one module-level Philox, which an op
+re-addresses (key, counter, words already used) before it draws whenever
+another op drew last, so no bit generator is built per op.  The words are
+exactly those a fresh `Generator(Philox(key, counter))` gives for
+`integers(0, 2**64, size, dtype=uint64)`.
 
 Bernoulli draws take their probability as an exact integer ratio num/den and
 are exact: a uniform r on [0, den) is compared against num.  Power-of-two
 denominators mask the low bits of a 64-bit word; anything else goes through
 rejection sampling.
 
-Every draw function takes one generator or, for R lanes advanced together,
-a list of R per-lane generators: lane r then supplies its share of the
-elements from its own generator, in index order, exactly as a call with that
-generator alone would, so batching lanes never moves a draw.
+Every draw function takes one word source or, for R lanes advanced
+together, a list of R per-lane word sources: lane r then supplies its share
+of the elements from its own source, in index order, exactly as a call with
+that source alone would, so batching lanes never moves a draw.
 """
 
 from __future__ import annotations
@@ -29,8 +36,56 @@ import numpy as np
 # 0x9E3779B97F4A7C15 through a float64 key list, which rounded it to this
 # value; keeping the rounded word keeps every recorded trajectory replaying.
 _KEY_SALT = 0x9E3779B97F4A8000
-_MASK64 = (1 << 64) - 1
 _FULL = 1 << 64
+_U64 = np.dtype(np.uint64)
+
+
+# The one bit generator behind every OpWords; `_at` is the OpWords whose
+# next word it holds.  Its key is set on every re-address, so the initial
+# one never reaches a draw.
+_BG = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+_at = None
+_EMPTY_BUFFER = (0, 0, 0, 0)
+
+
+class OpWords:
+    """The uniform 64-bit words of one op address, drawn in order.
+
+    `integers(0, 2**64, size, dtype=np.uint64)` is the only form accepted:
+    size=None gives one np.uint64, an integer size a uint64 array.
+    """
+
+    __slots__ = ("_key", "_k", "_tag", "_used")
+
+    def __init__(self, key, k: int, tag: int):
+        self._key = key
+        self._k = k
+        self._tag = tag
+        self._used = 0
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        if low != 0 or high != _FULL or (dtype is not np.uint64 and np.dtype(dtype) != _U64):
+            raise ValueError("OpWords draws only integers(0, 2**64, size, dtype=np.uint64)")
+        n = 1 if size is None else operator.index(size)
+        global _at
+        with _BG.lock:  # an RLock: random_raw takes it again
+            if _at is not self:
+                used = self._used
+                # the counter steps once per 4-word block, before the block
+                _BG.state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": (used >> 2, 0, self._k, self._tag), "key": self._key},
+                    "buffer": _EMPTY_BUFFER,
+                    "buffer_pos": 4,
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                if used & 3:
+                    _BG.random_raw(used & 3)
+                _at = self
+            out = _BG.random_raw(n)
+            self._used += n
+        return out if size is not None else out[0]
 
 
 class RandomStream:
@@ -42,23 +97,22 @@ class RandomStream:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = seed
         # an explicit uint64 key: every one of the 2**64 seeds is its own stream
-        self._key = np.array([self.seed, _KEY_SALT], dtype=np.uint64)
+        self._key = (seed, _KEY_SALT)
 
-    def generator(self, k: int, tag: int) -> np.random.Generator:
-        """Fresh generator for op `tag` of iteration `k`."""
-        bg = np.random.Philox(
-            key=self._key,
-            counter=[0, 0, int(k) & _MASK64, int(tag) & _MASK64],
-        )
-        return np.random.Generator(bg)
+    def generator(self, k: int, tag: int) -> OpWords:
+        """The word source of op `tag` of iteration `k`, at its first word."""
+        k, tag = operator.index(k), operator.index(tag)
+        if not (0 <= k < _FULL and 0 <= tag < _FULL):
+            raise ValueError(f"op address must be in [0, 2**64), got k={k}, tag={tag}")
+        return OpWords(self._key, k, tag)
 
     def u64(self, k: int, tag: int, n: int) -> np.ndarray:
         """n uniform 64-bit words for op (k, tag)."""
         return self.generator(k, tag).integers(0, _FULL, size=n, dtype=np.uint64)
 
 
-def _lanes(gen, n: int) -> List[np.random.Generator]:
-    """The per-lane generators of a draw call; n must split evenly over them."""
+def _lanes(gen, n: int) -> List[OpWords]:
+    """The per-lane word sources of a draw call; n must split evenly over them."""
     if not isinstance(gen, (list, tuple)):
         return [gen]
     gens = list(gen)
@@ -70,7 +124,7 @@ def _lanes(gen, n: int) -> List[np.random.Generator]:
 def uniform_below(gen, den: int, n: int) -> np.ndarray:
     """n exact uniforms on [0, den) as uint64 (object array when den > 2**64).
 
-    With a list of R lane generators, lane r supplies elements
+    With a list of R lane word sources, lane r supplies elements
     [r*n/R, (r+1)*n/R) and its own rejection redraws.
     """
     if den <= 0:
@@ -80,7 +134,7 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
     if den > _FULL:
         return np.concatenate([_wide_below(g, den, per) for g in gens])
     if per == 1:
-        # numpy's scalar path draws the same word at half the cost of size=1
+        # scalars draw the same word as size=1 and stack faster than concatenate
         u = np.array([g.integers(0, _FULL, dtype=np.uint64) for g in gens], dtype=np.uint64)
     elif len(gens) == 1:
         u = gens[0].integers(0, _FULL, size=per, dtype=np.uint64)
@@ -102,7 +156,7 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
     return u % np.uint64(den)
 
 
-def _wide_below(gen: np.random.Generator, den: int, n: int) -> np.ndarray:
+def _wide_below(gen: OpWords, den: int, n: int) -> np.ndarray:
     # chain two words per draw; dens this large never occur on hot paths
     words = gen.integers(0, _FULL, size=2 * n, dtype=np.uint64)
     big = [(int(words[2 * i]) << 64) | int(words[2 * i + 1]) for i in range(n)]
@@ -120,8 +174,8 @@ def bernoulli_lt(gen, nums, den: int, n: int) -> np.ndarray:
     """Boolean vector, element i True with probability nums[i]/den, exactly.
 
     nums may be a scalar or an array of integers in [0, den]; probabilities
-    0 and 1 come out deterministic.  gen is one generator or a list of lane
-    generators, as in `uniform_below`.
+    0 and 1 come out deterministic.  gen is one word source or a list of
+    lane word sources, as in `uniform_below`.
     """
     r = uniform_below(gen, den, n)
     if r.dtype == object:
@@ -131,7 +185,7 @@ def bernoulli_lt(gen, nums, den: int, n: int) -> np.ndarray:
     return r < nums
 
 
-def bernoulli_ratio(gen: np.random.Generator, nums, dens, n: int) -> np.ndarray:
+def bernoulli_ratio(gen: OpWords, nums, dens, n: int) -> np.ndarray:
     """Exact Bernoulli(nums[i]/dens[i]) vector for per-element denominators.
 
     Compares a uniform bitstream against the target probability 64 bits at a

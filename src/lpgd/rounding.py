@@ -206,7 +206,7 @@ def round_ratio_vec(
     draw layout independent of the data.
 
     Lanes: a 2-D num holds R independent rows, gen is then a list of R
-    generators (None under rn) and v_sign broadcasts against num.  Row r
+    word sources (None under rn) and v_sign broadcasts against num.  Row r
     rounds exactly as the 1-D call on num[r] with gen[r] would, draws and
     path included, and the call raises if any row's call would.
     """
@@ -263,7 +263,7 @@ def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
     `bernoulli_ratio` lane by lane, as a one-row call would.
     """
     if scheme.is_random and gens is None:
-        raise ValueError(f"{scheme} needs a Generator")
+        raise ValueError(f"{scheme} needs a word source")
     small = pos.dtype != object
     q, r = np.divmod(pos, den) if small else (pos // den, pos % den)  # r in [0, den)
     if small and scheme.eps is not None and 2 * den * scheme.eps.denominator >= _INT64_SAFE:
@@ -294,7 +294,7 @@ def round_doubles_vec(
     values: np.ndarray,
     out_fmt: QFormat,
     scheme: RoundScheme,
-    gen: Optional[np.random.Generator] = None,
+    gen: Optional[rng.OpWords] = None,
     v_sign=0,
 ) -> np.ndarray:
     """Round binary64 values (taken as exact dyadics) into out_fmt.
@@ -339,7 +339,7 @@ def round_doubles_vec(
         m = np.rint(pos).astype(np.int64)
     else:
         if gen is None:
-            raise ValueError(f"{scheme} needs a Generator")
+            raise ValueError(f"{scheme} needs a word source")
         q = np.floor(pos)
         mag = np.abs(pos)
         f64 = np.ldexp(mag - np.floor(mag), 64)

@@ -1,11 +1,30 @@
 """Tests for the counter-based random stream and exact Bernoulli draws."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpgd.rng import RandomStream, bernoulli_lt, bernoulli_ratio, uniform_below
+from lpgd.rng import _KEY_SALT, RandomStream, bernoulli_lt, bernoulli_ratio, uniform_below
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+def fresh(seed, k, tag):
+    """A Generator built for one address alone, with explicit uint64 words."""
+    return np.random.Generator(
+        np.random.Philox(
+            key=np.array([seed, _KEY_SALT], dtype=np.uint64),
+            counter=np.array([0, 0, k, tag], dtype=np.uint64),
+        )
+    )
+
+
+def draw(gen, size):
+    return gen.integers(0, 2**64, size=size, dtype=np.uint64)
 
 
 class TestRandomStream:
@@ -84,6 +103,105 @@ class TestRandomStream:
         a = g2.integers(0, 1 << 64, size=4, dtype=np.uint64)
         b = RandomStream(9).generator(5, 2).integers(0, 1 << 64, size=4, dtype=np.uint64)
         assert a.tolist() == b.tolist()
+
+
+    def test_top_iteration_is_not_iteration_zero(self):
+        # a float64 counter list turned k = 2**64 - 1 into 0
+        s = RandomStream(0)
+        assert s.u64(2**64 - 1, 5, 2).tolist() != s.u64(0, 5, 2).tolist()
+
+    @pytest.mark.parametrize("k, tag", [(2**63 + 1, 4), (3, 2**63 + 1), (2**64 - 1, 2**64 - 1)])
+    def test_addresses_above_int64_are_exact(self, k, tag):
+        # 2**63 + 1 used to round onto 2**63 on its way through float64
+        want = draw(fresh(11, k, tag), 6)
+        assert RandomStream(11).u64(k, tag, 6).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("k, tag", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_addresses_outside_uint64_are_rejected(self, k, tag):
+        # masking to 64 bits used to replay k = -1 as k = 2**64 - 1
+        with pytest.raises(ValueError, match="op address"):
+            RandomStream(0).generator(k, tag)
+
+
+class TestOpWords:
+    """Word sources share one bit generator and still draw each address alone."""
+
+    @given(
+        addrs=st.lists(st.tuples(U64, U64, U64), min_size=2, max_size=3),
+        same_seed=st.booleans(),
+        script=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from([None, 0, 1, 3, 4, 5, 9])),
+            max_size=24,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_ops_draw_their_own_words(self, addrs, same_seed, script):
+        if same_seed:  # ops of one stream, else of different streams
+            addrs = [(addrs[0][0], k, tag) for _, k, tag in addrs]
+        streams = {seed: RandomStream(seed) for seed, _, _ in addrs}
+        ops = [streams[seed].generator(k, tag) for seed, k, tag in addrs]
+        refs = [fresh(*a) for a in addrs]
+        for i, size in script:
+            i %= len(ops)
+            got, want = draw(ops[i], size), draw(refs[i], size)
+            if size is None:
+                assert isinstance(got, np.uint64) and got == want
+            else:
+                assert got.dtype == np.uint64 and got.tolist() == want.tolist()
+        # and each op carries on from where its reference is
+        for op, ref in zip(ops, refs):
+            assert draw(op, 5).tolist() == draw(ref, 5).tolist()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 2**64, 3, np.uint64),
+            (0, 2**63, 3, np.uint64),
+            (0, 2**64, 3, np.int64),
+            (0, 2**64, 3, np.uint32),
+        ],
+    )
+    def test_other_forms_are_rejected(self, args):
+        low, high, size, dtype = args
+        with pytest.raises(ValueError, match="only"):
+            RandomStream(0).generator(0, 0).integers(low, high, size=size, dtype=dtype)
+
+    def test_dtype_may_be_given_by_name(self):
+        got = RandomStream(2).generator(1, 1).integers(0, 2**64, size=3, dtype="uint64")
+        assert got.tolist() == draw(fresh(2, 1, 1), 3).tolist()
+
+    def test_threads_keep_their_own_words(self):
+        # the shared bit generator is re-addressed and drawn under its lock;
+        # more threads than cores and a short switch interval make them
+        # interleave inside draws
+        seeds = (5, 6, 7, 8)
+        errors = []
+        start = threading.Barrier(len(seeds))
+
+        def worker(seed):
+            start.wait()
+            s = RandomStream(seed)
+            for k in range(300):
+                ops = [s.generator(k, tag) for tag in range(2)]
+                got = [[], []]
+                for size in (3, 1, 5):
+                    for tag, op in enumerate(ops):
+                        got[tag] += draw(op, size).tolist()
+                if got != [draw(fresh(seed, k, tag), 9).tolist() for tag in range(2)]:
+                    errors.append((seed, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestUniformBelow:

@@ -362,7 +362,7 @@ def _reference_round_doubles(values, out_fmt, scheme, gen=None, v_sign=0):
         )
     else:
         if gen is None:
-            raise ValueError(f"{scheme} needs a Generator")
+            raise ValueError(f"{scheme} needs a word source")
         if scheme.kind == "sr":
             up = rng.bernoulli_ratio(gen, r_num, r_den, n)
         else:
@@ -410,7 +410,7 @@ def _outcome(kernel, *args):
 
 
 class _CountingGen:
-    """Generator stand-in: optional scripted first words, then a real stream.
+    """Word-source stand-in: optional scripted first words, then a real stream.
 
     The first `integers` call returns `first` when given; every word drawn
     is counted so two kernels can be held to the same draw layout.
