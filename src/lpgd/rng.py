@@ -9,9 +9,9 @@ every draw; runs with different seeds are independent streams.
 
 `RandomStream.generator(k, tag)` returns an `OpWords`: the word source of
 one address.  All word sources share one module-level Philox, which an op
-re-addresses (key, counter, words already used) before it draws whenever
-another op drew last, so no bit generator is built per op.  The words are
-exactly those a fresh `Generator(Philox(key, counter))` gives for
+re-addresses (key, counter, words already used) before every draw, so no
+bit generator is built per op.  The words are exactly those a fresh
+`Generator(Philox(key, counter))` gives for
 `integers(0, 2**64, size, dtype=uint64)`.
 
 Bernoulli draws take their probability as an exact integer ratio num/den and
@@ -28,6 +28,7 @@ that source alone would, so batching lanes never moves a draw.
 from __future__ import annotations
 
 import operator
+import threading
 from typing import List
 
 import numpy as np
@@ -40,19 +41,19 @@ _FULL = 1 << 64
 _U64 = np.dtype(np.uint64)
 
 
-# The one bit generator behind every OpWords; `_at` is the OpWords whose
-# next word it holds.  Its key is set on every re-address, so the initial
-# one never reaches a draw.
+# The one bit generator behind every OpWords.  Every draw re-addresses it
+# first, so its initial key never reaches a draw; `_LOCK` keeps a
+# re-address and its draw together when threads share the module.
 _BG = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-_at = None
+_LOCK = threading.Lock()
 _EMPTY_BUFFER = (0, 0, 0, 0)
 
 
 class OpWords:
     """The uniform 64-bit words of one op address, drawn in order.
 
-    `integers(0, 2**64, size, dtype=np.uint64)` is the only form accepted:
-    size=None gives one np.uint64, an integer size a uint64 array.
+    `integers(0, 2**64, size, dtype=np.uint64)`, with an integer size, is
+    the only form accepted; it returns a uint64 array.
     """
 
     __slots__ = ("_key", "_k", "_tag", "_used")
@@ -63,29 +64,26 @@ class OpWords:
         self._tag = tag
         self._used = 0
 
-    def integers(self, low, high, size=None, dtype=np.int64):
+    def integers(self, low, high, size, dtype):
         if low != 0 or high != _FULL or (dtype is not np.uint64 and np.dtype(dtype) != _U64):
             raise ValueError("OpWords draws only integers(0, 2**64, size, dtype=np.uint64)")
-        n = 1 if size is None else operator.index(size)
-        global _at
-        with _BG.lock:  # an RLock: random_raw takes it again
-            if _at is not self:
-                used = self._used
-                # the counter steps once per 4-word block, before the block
-                _BG.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": (used >> 2, 0, self._k, self._tag), "key": self._key},
-                    "buffer": _EMPTY_BUFFER,
-                    "buffer_pos": 4,
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                if used & 3:
-                    _BG.random_raw(used & 3)
-                _at = self
+        n = operator.index(size)
+        used = self._used
+        with _LOCK:
+            # the counter steps once per 4-word block, before the block
+            _BG.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": (used >> 2, 0, self._k, self._tag), "key": self._key},
+                "buffer": _EMPTY_BUFFER,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            if used & 3:
+                _BG.random_raw(used & 3)
             out = _BG.random_raw(n)
             self._used += n
-        return out if size is not None else out[0]
+        return out
 
 
 class RandomStream:
@@ -133,10 +131,7 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
     per = n // len(gens)
     if den > _FULL:
         return np.concatenate([_wide_below(g, den, per) for g in gens])
-    if per == 1:
-        # scalars draw the same word as size=1 and stack faster than concatenate
-        u = np.array([g.integers(0, _FULL, dtype=np.uint64) for g in gens], dtype=np.uint64)
-    elif len(gens) == 1:
+    if len(gens) == 1:
         u = gens[0].integers(0, _FULL, size=per, dtype=np.uint64)
     else:
         u = np.concatenate([g.integers(0, _FULL, size=per, dtype=np.uint64) for g in gens])

@@ -323,8 +323,8 @@ def test_lanes_round_like_their_rows(case, spec):
     assert got.dtype == np.int64 and got.shape == arr.shape
     assert got.tolist() == [w.tolist() for w in want]
     if scheme.is_random:  # every lane consumed exactly its own row's words
-        nxt = [g.integers(0, 1 << 64, dtype=np.uint64) for g in batch_gens]
-        assert nxt == [g.integers(0, 1 << 64, dtype=np.uint64) for g in row_gens]
+        nxt = [g.integers(0, 1 << 64, size=1, dtype=np.uint64).tolist() for g in batch_gens]
+        assert nxt == [g.integers(0, 1 << 64, size=1, dtype=np.uint64).tolist() for g in row_gens]
 
 
 # ---------------------------------------------------------------------------
