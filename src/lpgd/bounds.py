@@ -47,19 +47,6 @@ class BoundParams:
             raise ValueError("step size must be positive")
 
 
-@dataclass
-class BoundSeries:
-    """Per-iteration factor estimates for one ensemble."""
-
-    gamma: Optional[np.ndarray] = None        # (R, K), nan where invalid
-    theta: Optional[np.ndarray] = None        # (R, K)
-    rho: Optional[np.ndarray] = None          # (K,)
-    alpha: Optional[np.ndarray] = None        # (K,)
-    beta: Optional[np.ndarray] = None         # (K,)
-    h: Optional[np.ndarray] = None            # (K, n)
-    case: Optional[np.ndarray] = None         # (R, K)
-
-
 def _stack(runs: Sequence[RunResult], attr: str) -> np.ndarray:
     k = min(r.steps for r in runs)
     return np.stack([getattr(r, attr)[:k] for r in runs])

@@ -208,16 +208,18 @@ def classify_case(g_tilde, t: Fraction, u) -> tuple:
         if -g_tilde.fmt.min_mantissa * lhs >= _INT64_LIMIT or rhs >= _INT64_LIMIT:
             m = m.astype(object)
         mask = m * lhs < rhs
-    else:
-        gv = g_tilde.to_fractions() if isinstance(g_tilde, FixedVec) else g_tilde
-        gv = [to_fraction(v) for v in gv]
-        us = list(u) if np.ndim(u) else [to_fraction(u)] * len(gv)
-        mask = np.array(
-            [abs(t * g) < to_fraction(ui) for g, ui in zip(gv, us)], dtype=bool
-        )
-    if mask.ndim == 1:
-        return (1 if not mask.any() else 2 if mask.all() else 3), mask
-    return np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3)), mask
+        if mask.ndim == 1:
+            return (1 if not mask.any() else 2 if mask.all() else 3), mask
+        return np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3)), mask
+    gv = g_tilde.to_fractions() if isinstance(g_tilde, FixedVec) else g_tilde
+    us = u if isinstance(u, (list, tuple, np.ndarray)) else [u] * len(gv)
+    c2 = []
+    for g, ui in zip(gv, us):
+        g, ui = to_fraction(g), to_fraction(ui)
+        # |t g| < u on integers: t and every denominator are positive
+        c2.append(abs(g.numerator) * t.numerator * ui.denominator
+                  < t.denominator * g.denominator * ui.numerator)
+    return (1 if not any(c2) else 2 if all(c2) else 3), np.array(c2, dtype=bool)
 
 
 def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray):
@@ -309,19 +311,14 @@ def gd_step(x_state, cfg: GDConfig, stream, k: int):
         new_x, d_vals, s2_vals = [], [], []
         for i, (xi, gi) in enumerate(zip(x, g_t)):
             v_sign = -_fraction_sign(gi) if cfg.sigma2_scheme.uses_given_sign else 0
+            tg = t * gi
             nxt = lpfloat.fl_sub_round(
-                xi,
-                t * gi,
-                cfg.float_fmt,
-                cfg.sigma2_scheme,
-                stream,
-                k,
-                SIGMA2_TAG + i,
-                v_sign,
+                xi, tg, cfg.float_fmt, cfg.sigma2_scheme, stream, k, SIGMA2_TAG + i, v_sign
             )
+            d = xi - nxt
             new_x.append(nxt)
-            d_vals.append(xi - nxt)
-            s2_vals.append((xi - nxt) - t * gi)
+            d_vals.append(d)
+            s2_vals.append(d - tg)
         g_t_f = np.array([float(v) for v in g_t])
         return new_x, {
             "g_tilde": g_t_f,

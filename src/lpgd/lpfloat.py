@@ -5,12 +5,17 @@ significand bit, gradual underflow) with one deliberate difference: no
 exponent codes are reserved for inf/nan, the top binade holds ordinary
 numbers, and anything past the largest finite value is a hard OverflowError.
 
-Values on the grid are handled as exact Fractions.  Rounding uses the one
-two-point law of `rounding.up_weight` at the position x / gap, where gap is
-the distance between the two enclosing grid points: floor(x / gap) = lo / gap
-is an integer with the parity of lo's significand, so rn's ties-to-even and
-the sign that sr_eps reads come out as in the fixed-point case, just on a
-magnitude-dependent grid.
+Every query rests on one integer split, `_split`: v = (q + r/den) * 2**g
+with 0 <= r < den, where 2**g is the grid spacing of |v|'s binade (the
+subnormal spacing below emin).  The binade comes from the bit lengths of
+v's numerator and denominator, and the floor acts on the signed numerator,
+so the neighbours are q * 2**g and (q + 1) * 2**g for either sign, and
+r = 0 means v is on the grid.  Rounding is the one two-point law of
+`rounding.up_weight` at the position q + r/den.  q and q + 1 are the
+neighbours' significands (at a binade top q + 1 = 2**sig_bits, even like
+the upper neighbour's own), so rn's ties-to-even and the sign that sr_eps
+reads come out as in the fixed-point case, just on a magnitude-dependent
+grid.  Values and results stay exact Fractions.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from . import rng
@@ -50,12 +56,12 @@ class FloatFormat:
     def bias(self) -> int:
         return (1 << (self.exp_bits - 1)) - 1
 
-    @property
+    @cached_property
     def emin(self) -> int:
         """Exponent of the smallest normal binade."""
         return 1 - self.bias
 
-    @property
+    @cached_property
     def emax(self) -> int:
         """Exponent of the largest binade (no codes lost to inf/nan)."""
         return ((1 << self.exp_bits) - 1) - self.bias
@@ -67,12 +73,12 @@ class FloatFormat:
 
     @property
     def min_subnormal(self) -> Fraction:
-        return _pow2(self.emin - self.sig_bits + 1)
+        return _scaled(1, self.emin - self.sig_bits + 1)
 
     @property
     def max_finite(self) -> Fraction:
         full = (1 << self.sig_bits) - 1  # 2 - 2^(1-sig), scaled
-        return full * _pow2(self.emax - self.sig_bits + 1)
+        return _scaled(full, self.emax - self.sig_bits + 1)
 
     def __str__(self) -> str:
         return f"fp{self.total_bits}e{self.exp_bits}"
@@ -95,21 +101,39 @@ def parse_float_format(spec: Union[str, FloatFormat]) -> FloatFormat:
     return FloatFormat(sig_bits, exp_bits)
 
 
-def _pow2(e: int) -> Fraction:
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+def _scaled(m: int, g: int) -> Fraction:
+    """m * 2**g, exactly."""
+    return Fraction(m << g) if g >= 0 else Fraction(m, 1 << -g)
 
 
-def _ilog2(x: Fraction) -> int:
-    """Largest e with 2**e <= x, for x > 0, exactly."""
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()
-    # correct the estimate: compare n / d against 2**e without rounding
-    if e >= 0:
-        if n < (d << e):
-            e -= 1
-    elif (n << -e) < d:
+def _split(v: Fraction, fmt: FloatFormat) -> Tuple[int, int, int, int]:
+    """(q, r, den, g) with v = (q + r/den) * 2**g and 0 <= r < den.
+
+    2**g is the grid spacing of the binade of |v| (the subnormal spacing
+    below emin), so q * 2**g and (q + 1) * 2**g are v's neighbours and r = 0
+    means v is on the grid.  den is not reduced.  The floor acts on the
+    signed numerator, so q < 0 for v < 0.  |v| beyond the largest finite
+    value raises OverflowError.
+    """
+    n, d = v.numerator, v.denominator
+    if not n:
+        return 0, 0, 1, fmt.emin - fmt.sig_bits + 1
+    a = abs(n)
+    e = a.bit_length() - d.bit_length()  # floor(log2 |v|) is e or e - 1
+    if (a < d << e) if e >= 0 else (a << -e < d):
         e -= 1
-    return e
+    g = min(max(e, fmt.emin), fmt.emax) - fmt.sig_bits + 1
+    if g < 0:
+        den = d
+        q, r = divmod(n << -g, d)
+    else:
+        den = d << g
+        q, r = divmod(n, den)
+    if e >= fmt.emax:  # g is clamped to the top binade's, where max_finite is top * 2**g
+        top = (1 << fmt.sig_bits) - 1
+        if q < -top or q + (r > 0) > top:
+            raise OverflowError(f"{float(v)} is beyond the largest finite {fmt} value")
+    return q, r, den, g
 
 
 def neighbors(x: ExactReal, fmt: FloatFormat) -> Tuple[Fraction, Fraction]:
@@ -118,60 +142,44 @@ def neighbors(x: ExactReal, fmt: FloatFormat) -> Tuple[Fraction, Fraction]:
     Representable x gives lo == hi == x.  |x| beyond the largest finite
     value raises OverflowError.
     """
-    v = to_fraction(x)
-    if v < 0:
-        lo, hi = neighbors(-v, fmt)
-        return -hi, -lo
-    if v > fmt.max_finite:
-        raise OverflowError(f"{float(v)} is beyond the largest finite {fmt} value")
-    if v == 0:
-        return Fraction(0), Fraction(0)
-    e = _ilog2(v)
-    e = max(e, fmt.emin)  # below emin the subnormal grid is uniform
-    gap = _pow2(e - fmt.sig_bits + 1)
-    m = (v.numerator * gap.denominator) // (v.denominator * gap.numerator)
-    lo = m * gap
-    if lo == v:
-        return lo, lo
-    return lo, lo + gap  # at a binade top this lands exactly on 2**(e+1)
+    q, r, _, g = _split(to_fraction(x), fmt)
+    lo = _scaled(q, g)
+    return (lo, lo) if r == 0 else (lo, _scaled(q + 1, g))
 
 
 def is_representable(x: ExactReal, fmt: FloatFormat) -> bool:
     try:
-        lo, hi = neighbors(x, fmt)
+        return _split(to_fraction(x), fmt)[1] == 0
     except OverflowError:
         return False
-    return lo == hi
 
 
 def binade_gap(x: ExactReal, fmt: FloatFormat) -> Fraction:
-    """Grid spacing in the binade of |x| (the subnormal spacing near zero)."""
-    v = abs(to_fraction(x))
-    if v == 0:
-        return fmt.min_subnormal
-    e = max(_ilog2(v), fmt.emin)
-    return _pow2(min(e, fmt.emax) - fmt.sig_bits + 1)
+    """Grid spacing in the binade of |x| (the subnormal spacing near zero).
 
-
-def _up_weight_fl(v: Fraction, lo: Fraction, hi: Fraction, scheme: RoundScheme, v_sign):
-    """`up_weight` for v between the neighbours lo < hi, at position v / (hi - lo).
-
-    floor(v / (hi - lo)) = lo / (hi - lo) has the parity of lo's significand
-    (at a binade top both are even), so rn ties to the even significand.
+    |x| beyond the largest finite value raises OverflowError.
     """
-    pos = v / (hi - lo)
-    return up_weight(*divmod(pos.numerator, pos.denominator), pos.denominator, scheme, v_sign)
+    return _scaled(1, _split(to_fraction(x), fmt)[3])
+
+
+def _law(x: ExactReal, fmt: FloatFormat, scheme: RoundScheme, v_sign):
+    """(q, g, T, cap): x lies in [q, q + 1] * 2**g and rounds up to
+    (q + 1) * 2**g with probability T/cap (T = 0 on the grid).
+
+    The position x / 2**g = q + r/den feeds `up_weight` directly.
+    """
+    q, r, den, g = _split(to_fraction(x), fmt)
+    if r == 0:
+        return q, g, 0, 1
+    t, cap = up_weight(q, r, den, scheme, v_sign)
+    return q, g, t, cap
 
 
 def prob_round_down_fl(
     x: ExactReal, fmt: FloatFormat, scheme: RoundScheme, v_sign: int = 0
 ) -> Fraction:
     """Exact probability that x rounds to its lower neighbor in fmt."""
-    v = to_fraction(x)
-    lo, hi = neighbors(v, fmt)
-    if lo == hi:
-        return Fraction(1)
-    t, cap = _up_weight_fl(v, lo, hi, scheme, v_sign)
+    _, _, t, cap = _law(x, fmt, scheme, v_sign)
     return 1 - Fraction(t, cap)
 
 
@@ -179,12 +187,8 @@ def expected_round_fl(
     x: ExactReal, fmt: FloatFormat, scheme: RoundScheme, v_sign: int = 0
 ) -> Fraction:
     """Exact E[fl(x)] over the two enclosing grid points."""
-    v = to_fraction(x)
-    lo, hi = neighbors(v, fmt)
-    if lo == hi:
-        return lo
-    t, cap = _up_weight_fl(v, lo, hi, scheme, v_sign)
-    return lo + (hi - lo) * Fraction(t, cap)
+    q, g, t, cap = _law(x, fmt, scheme, v_sign)
+    return (q + Fraction(t, cap)) * _scaled(1, g)
 
 
 def fl_round(
@@ -197,20 +201,15 @@ def fl_round(
     v_sign: int = 0,
 ) -> Fraction:
     """One rounding of the exact value x onto fmt's grid."""
-    v = to_fraction(x)
-    lo, hi = neighbors(v, fmt)
-    if lo == hi:
-        return lo
-    t, cap = _up_weight_fl(v, lo, hi, scheme, v_sign)
-    if t == 0:
-        return lo
-    if t == cap:
-        return hi
-    if stream is None:
-        raise ValueError(f"{scheme} needs a RandomStream to round {float(v)}")
-    gen = stream.generator(k, tag)
-    down = rng.bernoulli_ratio(gen, cap - t, cap, 1)[0]
-    return lo if down else hi
+    q, g, t, cap = _law(x, fmt, scheme, v_sign)
+    if 0 < t < cap:
+        if stream is None:
+            raise ValueError(f"{scheme} needs a RandomStream to round {float(to_fraction(x))}")
+        down = rng.bernoulli_ratio(stream.generator(k, tag), cap - t, cap, 1)[0]
+        q += not down
+    elif t:
+        q += 1
+    return _scaled(q, g)
 
 
 def fl_sub_round(

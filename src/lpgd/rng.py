@@ -187,27 +187,29 @@ def bernoulli_ratio(gen: OpWords, nums, dens, n: int) -> np.ndarray:
     time: the first word decides unless it lands exactly on the probability's
     64-bit prefix (chance 2**-64 per element), in which case more words
     resolve the remainder.  One word per element in practice, any rational
-    probability, no rejection loop.
+    probability, no rejection loop.  nums and dens are Python ints or
+    arrays (any integer dtype, object for wide values) of 1 or n elements.
     """
-    nums = np.asarray(nums, dtype=object).reshape(-1)
-    dens = np.asarray(dens, dtype=object).reshape(-1)
-    if nums.size == 1:
-        nums = np.repeat(nums, n)
-    if dens.size == 1:
-        dens = np.repeat(dens, n)
+    nums, dens = _int_list(nums, n), _int_list(dens, n)
     out = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    while idx.size:
-        u = gen.integers(0, _FULL, size=idx.size, dtype=np.uint64)
+    idx = range(n)
+    while idx:
+        u = gen.integers(0, _FULL, size=len(idx), dtype=np.uint64).tolist()
         next_idx = []
-        for j, i in enumerate(idx):
-            num, den = nums[i], dens[i]
-            hi, rem = divmod(num << 64, den)
-            w = int(u[j])
+        for i, w in zip(idx, u):
+            hi, rem = divmod(nums[i] << 64, dens[i])
             if w < hi:
                 out[i] = True
             elif w == hi and rem:
                 nums[i] = rem  # undecided: recurse on the remainder bits
                 next_idx.append(i)
-        idx = np.array(next_idx, dtype=np.int64)
+        idx = next_idx
     return out
+
+
+def _int_list(v, n: int) -> list:
+    """v as a fresh list of n Python ints (a single value repeats)."""
+    if isinstance(v, int):
+        return [v] * n
+    v = (v if isinstance(v, np.ndarray) else np.asarray(v, dtype=object)).reshape(-1).tolist()
+    return v * n if len(v) == 1 else v

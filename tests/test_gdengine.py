@@ -456,6 +456,30 @@ class TestGoldenDigests:
         assert digest_runs(run_ensemble(cfg, seeds=range(3))) == want
 
     @pytest.mark.parametrize(
+        "sigma1, sigma2, want",
+        [
+            ("rn", "sr", "595b53a0f09f06516b53673be3fa2e1388b07f1cac987f09c5e2be7a4210f221"),
+            ("sr_eps:0.4", "sr", "13b020d206ad33a6c4995bd26e5a8e77c0839c0b5c489bbcc1c0c791d0b40dde"),
+            ("sr", "signed_sr_eps:0.1", "dbe6ecccc54919ac40a83b1d825f3e10888f6601bfa0e9f173573fc2a5d66ab2"),
+        ],
+    )
+    def test_lowfloat_quadratic_fp8(self, sigma1, sigma2, want):
+        # fp8e5 with a non-dyadic step and coefficient (so non-dyadic draw
+        # denominators), a negative coordinate that decays through the
+        # subnormals to zero, and steps that round up onto binade tops
+        cfg = GDConfig(
+            objective=make_objective("quadratic", a_diag=["1/10", 1, 3], x_star=[0, 0, 0]),
+            t="0.1",
+            x0=["7", "-2^-11", "0.75"],
+            iterations=150,
+            number_system="lowfloat",
+            float_fmt="fp8e5",
+            sigma1_scheme=sigma1,
+            sigma2_scheme=sigma2,
+        )
+        assert digest_runs(run_ensemble(cfg, seeds=range(4))) == want
+
+    @pytest.mark.parametrize(
         "working, mul, sigma1, seeds, iterations, want",
         [
             # int64 rows, update steered by sign(g~)

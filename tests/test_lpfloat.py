@@ -2,14 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpgd.lpfloat import (
     FloatFormat,
-    _ilog2,
-    _pow2,
     binade_gap,
     expected_round_fl,
     fl_round,
@@ -20,7 +19,7 @@ from lpgd.lpfloat import (
     prob_round_down_fl,
 )
 from lpgd.rng import RandomStream
-from lpgd.rounding import parse_scheme
+from lpgd.rounding import parse_scheme, up_weight
 
 FP8 = FloatFormat(3, 5)  # 1 sign + 5 exp + 2 stored significand bits
 SR = parse_scheme("sr")
@@ -120,6 +119,14 @@ class TestBinadeGap:
     def test_gap_ignores_sign(self):
         assert binade_gap(Fraction(-3, 2), FP8) == Fraction(1, 4)
 
+    def test_beyond_range_raises_like_neighbors(self):
+        # past max_finite there is no binade to report: raise, as neighbors does
+        top_gap = FP8.max_finite / 7
+        for x in (4 * FP8.max_finite, FP8.max_finite + top_gap / 2, -FP8.max_finite - top_gap):
+            with pytest.raises(OverflowError):
+                binade_gap(x, FP8)
+        assert binade_gap(-FP8.max_finite, FP8) == top_gap
+
 
 class TestRoundingLaws:
     def test_rn_ties_to_even_significand(self):
@@ -212,8 +219,115 @@ def test_sr_unbiased_everywhere(num, den):
 
 
 # ---------------------------------------------------------------------------
-# prob_round_down_fl against its former per-format implementation
+# the Fraction neighbour search lpfloat ran before its integer split
 # ---------------------------------------------------------------------------
+
+
+def _ref_pow2(e):
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+
+
+def _ref_ilog2(x):
+    """Largest e with 2**e <= x, for x > 0, exactly."""
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    if e >= 0:
+        if n < (d << e):
+            e -= 1
+    elif (n << -e) < d:
+        e -= 1
+    return e
+
+
+def _ref_neighbors(x, fmt):
+    v = Fraction(x)
+    if v < 0:
+        lo, hi = _ref_neighbors(-v, fmt)
+        return -hi, -lo
+    if v > fmt.max_finite:
+        raise OverflowError(f"{float(v)} is beyond the largest finite {fmt} value")
+    if v == 0:
+        return Fraction(0), Fraction(0)
+    e = max(_ref_ilog2(v), fmt.emin)
+    gap = _ref_pow2(e - fmt.sig_bits + 1)
+    m = (v.numerator * gap.denominator) // (v.denominator * gap.numerator)
+    lo = m * gap
+    if lo == v:
+        return lo, lo
+    return lo, lo + gap
+
+
+def _ref_binade_gap(x, fmt):
+    """The former binade_gap, which answered even beyond the largest finite value."""
+    v = abs(Fraction(x))
+    if v == 0:
+        return fmt.min_subnormal
+    e = max(_ref_ilog2(v), fmt.emin)
+    return _ref_pow2(min(e, fmt.emax) - fmt.sig_bits + 1)
+
+
+def _ref_up_weight_fl(v, lo, hi, scheme, v_sign):
+    pos = v / (hi - lo)
+    return up_weight(*divmod(pos.numerator, pos.denominator), pos.denominator, scheme, v_sign)
+
+
+def _ref_prob_round_down_fl(x, fmt, scheme, v_sign=0):
+    v = Fraction(x)
+    lo, hi = _ref_neighbors(v, fmt)
+    if lo == hi:
+        return Fraction(1)
+    t, cap = _ref_up_weight_fl(v, lo, hi, scheme, v_sign)
+    return 1 - Fraction(t, cap)
+
+
+def _ref_expected_round_fl(x, fmt, scheme, v_sign=0):
+    v = Fraction(x)
+    lo, hi = _ref_neighbors(v, fmt)
+    if lo == hi:
+        return lo
+    t, cap = _ref_up_weight_fl(v, lo, hi, scheme, v_sign)
+    return lo + (hi - lo) * Fraction(t, cap)
+
+
+def _ref_bernoulli_ratio(gen, nums, dens, n):
+    """rng.bernoulli_ratio as it was, on object arrays."""
+    nums = np.asarray(nums, dtype=object).reshape(-1)
+    dens = np.asarray(dens, dtype=object).reshape(-1)
+    if nums.size == 1:
+        nums = np.repeat(nums, n)
+    if dens.size == 1:
+        dens = np.repeat(dens, n)
+    out = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
+    while idx.size:
+        u = gen.integers(0, 2**64, size=idx.size, dtype=np.uint64)
+        next_idx = []
+        for j, i in enumerate(idx):
+            hi, rem = divmod(nums[i] << 64, dens[i])
+            w = int(u[j])
+            if w < hi:
+                out[i] = True
+            elif w == hi and rem:
+                nums[i] = rem
+                next_idx.append(i)
+        idx = np.array(next_idx, dtype=np.int64)
+    return out
+
+
+def _ref_fl_round(x, fmt, scheme, stream=None, k=0, tag=0, v_sign=0):
+    v = Fraction(x)
+    lo, hi = _ref_neighbors(v, fmt)
+    if lo == hi:
+        return lo
+    t, cap = _ref_up_weight_fl(v, lo, hi, scheme, v_sign)
+    if t == 0:
+        return lo
+    if t == cap:
+        return hi
+    if stream is None:
+        raise ValueError(f"{scheme} needs a RandomStream to round {float(v)}")
+    down = _ref_bernoulli_ratio(stream.generator(k, tag), cap - t, cap, 1)[0]
+    return lo if down else hi
 
 
 def _reference_mantissa_parity(v, fmt):
@@ -221,8 +335,8 @@ def _reference_mantissa_parity(v, fmt):
     if v == 0:
         return 0
     a = abs(v)
-    e = max(_ilog2(a), fmt.emin)
-    gap = _pow2(e - fmt.sig_bits + 1)
+    e = max(_ref_ilog2(a), fmt.emin)
+    gap = _ref_pow2(e - fmt.sig_bits + 1)
     m = a / gap
     assert m.denominator == 1, f"{v} is not on the {fmt} grid"
     return int(m) & 1
@@ -231,7 +345,7 @@ def _reference_mantissa_parity(v, fmt):
 def _reference_prob_round_down_fl(x, fmt, scheme, v_sign=0):
     """The law as lpfloat wrote it out before it shared rounding.up_weight."""
     v = Fraction(x)
-    lo, hi = neighbors(v, fmt)
+    lo, hi = _ref_neighbors(v, fmt)
     if lo == hi:
         return Fraction(1)
     frac = (v - lo) / (hi - lo)
@@ -257,7 +371,7 @@ def _float_grid_value(draw):
     top = (1 << fmt.sig_bits) - 1
     low = 0 if e == fmt.emin else 1 << (fmt.sig_bits - 1)  # subnormals share emin
     m = draw(st.sampled_from([low, low + 1, top - 1, top]) | st.integers(low, top))
-    gap = _pow2(e - fmt.sig_bits + 1)
+    gap = _ref_pow2(e - fmt.sig_bits + 1)
     frac = draw(
         st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
         | st.fractions(min_value=0, max_value=1, max_denominator=1 << 12)
@@ -280,3 +394,128 @@ def test_prob_round_down_fl_matches_reference(case, spec, v_sign):
     assert prob_round_down_fl(v, fmt, scheme, v_sign) == _reference_prob_round_down_fl(
         v, fmt, scheme, v_sign
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer split against the Fraction reference, words included
+# ---------------------------------------------------------------------------
+
+FORMATS = [FP8, parse_float_format("fp16e5"), FloatFormat(2, 2), parse_float_format("binary32")]
+
+
+class _Words:
+    """A scripted word source: hands out `words` in order and counts them."""
+
+    def __init__(self, words):
+        self.words, self.used = words, 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**64, np.uint64)
+        out = self.words[self.used:self.used + size]
+        assert len(out) == size, "script exhausted"
+        self.used += size
+        return np.array(out, dtype=np.uint64)
+
+
+class _ScriptedStream:
+    """A RandomStream stand-in whose every op address plays the same script."""
+
+    def __init__(self, words):
+        self.words, self.ops = words, []
+
+    def generator(self, k, tag):
+        self.ops.append((k, tag, _Words(self.words)))
+        return self.ops[-1][2]
+
+    def log(self):
+        return [(k, tag, gen.used) for k, tag, gen in self.ops]
+
+
+def _prefix_script(p, deltas):
+    """Words next to the successive 64-bit digits of p in (0, 1), offset by
+    deltas, then one word off the next digit, so a Bernoulli(p) draw that
+    keeps landing on the prefix still decides inside the script."""
+    words = []
+    for delta in deltas + [None]:
+        p *= 2**64
+        digit = int(p)
+        p -= digit
+        words.append(digit ^ 1 if delta is None else min(max(digit + delta, 0), 2**64 - 1))
+    return words
+
+
+@st.composite
+def _edge_value(draw):
+    """A format and a value: zero, grid points, ties and third-points,
+    subnormals, binade tops, +-max_finite +- one top gap, and non-dyadic
+    values from below the subnormals to past the top, either sign."""
+    fmt = draw(st.sampled_from(FORMATS))
+    p = fmt.sig_bits
+    top_gap = _ref_pow2(fmt.emax - p + 1)
+    e = draw(st.integers(fmt.emin - p - 1, fmt.emax + 2))
+    v = draw(
+        st.sampled_from(
+            [Fraction(0), fmt.min_subnormal, _ref_pow2(e), fmt.max_finite - top_gap,
+             fmt.max_finite, fmt.max_finite + top_gap / 3, fmt.max_finite + top_gap]
+        )
+        | st.builds(
+            lambda m, f: (m + f) * _ref_pow2(max(e, fmt.emin) - p + 1),
+            st.sampled_from([0, 1, (1 << p) - 1, 1 << p]) | st.integers(0, 1 << p),
+            st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]),
+        )
+        | st.builds(
+            lambda a, b: Fraction(a, b) * _ref_pow2(e),
+            st.integers(1, 10**6),
+            st.integers(1, 10**6),
+        )
+    )
+    return fmt, draw(st.sampled_from([1, -1])) * v
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _all_outcomes(api, v, fmt, scheme, v_sign, stream):
+    neighbors_, prob_, expected_, round_ = api
+    return (
+        _outcome(neighbors_, v, fmt),
+        _outcome(prob_, v, fmt, scheme, v_sign),
+        _outcome(expected_, v, fmt, scheme, v_sign),
+        _outcome(round_, v, fmt, scheme, stream, 3, 7, v_sign),
+        stream.log() if stream else None,
+    )
+
+
+@given(
+    case=_edge_value(),
+    spec=st.sampled_from(["rn", "sr", "sr_eps:0.4", "sr_eps:1/3", "signed_sr_eps:0.1"]),
+    v_sign=st.sampled_from([-1, 0, 1]),
+    deltas=st.lists(st.sampled_from([-1, 0, 1]) | st.integers(-(2**64), 2**64), max_size=3),
+    with_stream=st.booleans(),
+)
+@settings(max_examples=600, deadline=None)
+def test_integer_split_matches_fraction_reference(case, spec, v_sign, deltas, with_stream):
+    fmt, v = case
+    scheme = parse_scheme(spec)
+    p = _outcome(_ref_prob_round_down_fl, v, fmt, scheme, v_sign)
+    words = _prefix_script(p if isinstance(p, Fraction) and 0 < p < 1 else Fraction(1, 2), deltas)
+    streams = [_ScriptedStream(words) if with_stream else None for _ in range(2)]
+    got = _all_outcomes(
+        (neighbors, prob_round_down_fl, expected_round_fl, fl_round), v, fmt, scheme, v_sign,
+        streams[0],
+    )
+    want = _all_outcomes(
+        (_ref_neighbors, _ref_prob_round_down_fl, _ref_expected_round_fl, _ref_fl_round),
+        v, fmt, scheme, v_sign, streams[1],
+    )
+    assert got == want
+    values = (got[0] if isinstance(got[0], tuple) else ()) + got[1:4]
+    assert all(type(x) is Fraction for x in values if not isinstance(x, type))
+    # the reference's binade_gap answers past max_finite; binade_gap raises there
+    gap_want = OverflowError if want[0] is OverflowError else _ref_binade_gap(v, fmt)
+    assert _outcome(binade_gap, v, fmt) == gap_want
+    assert is_representable(v, fmt) == (want[0] is not OverflowError and want[0][0] == want[0][1])

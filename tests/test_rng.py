@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ def fresh(seed, k, tag):
 
 def draw(gen, size):
     return gen.integers(0, 2**64, size=size, dtype=np.uint64)
+
+
+class _Words:
+    """A scripted word source: hands out `words` in order and counts them."""
+
+    def __init__(self, words):
+        self.words, self.used = words, 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**64, np.uint64)
+        out = self.words[self.used:self.used + size]
+        assert len(out) == size, "script exhausted"
+        self.used += size
+        return np.array(out, dtype=np.uint64)
 
 
 class TestRandomStream:
@@ -348,3 +363,40 @@ class TestBernoulli:
             bernoulli_ratio(g3, num, 64, 16).tolist()
             == bernoulli_ratio(g4, num, 64, 16).tolist()
         )
+
+    @given(
+        num=st.integers(min_value=1),
+        extra=st.integers(min_value=1),
+        scale=st.integers(min_value=1, max_value=2**70),
+        n=st.integers(min_value=1, max_value=4),
+        deltas=st.lists(st.sampled_from([-1, 0, 1]) | U64, max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_forms_and_scales_agree(self, num, extra, scale, n, deltas):
+        # Python ints, 1-element, n-element, int64 and object arrays, and an
+        # unreduced ratio draw the same bits from the same words; the words sit
+        # on and next to the probability's 64-bit digits, so the extension
+        # words are compared too
+        den = num + extra
+        words = []
+        p = Fraction(num, den)
+        for delta in deltas + [None]:
+            p *= 2**64
+            digit = int(p)
+            p -= digit
+            word = digit ^ 1 if delta is None else min(max(digit + delta, 0), 2**64 - 1)
+            words += [word] * n  # every element sees the same word, so all stay in step
+        forms = [
+            (num, den),
+            ([num], [den]),
+            ([num] * n, den),
+            (np.array([num], dtype=object), np.array([den] * n, dtype=object)),
+            (num * scale, den * scale),
+        ]
+        if den < 2**63:
+            forms.append((np.array([num] * n, dtype=np.int64), np.array([den], dtype=np.int64)))
+        results = []
+        for nums, dens in forms:
+            src = _Words(words)
+            results.append((bernoulli_ratio(src, nums, dens, n).tolist(), src.used))
+        assert all(r == results[0] for r in results)
