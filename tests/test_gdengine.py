@@ -502,6 +502,97 @@ class TestGoldenDigests:
         assert digest_runs(run_ensemble(cfg, seeds=range(seeds))) == want
 
 
+_RECORD_ARRAYS = (
+    "fs", "xs", "g_exact", "g_tilde", "sigma1", "sigma2", "d", "case", "c2_mask",
+    "nonopp_violations", "x_m", "g_tilde_m", "d_m",
+)
+
+
+def digest_records(runs) -> str:
+    """sha256 of everything a run records: every RunResult array (float
+    columns included) with its dtype and shape, plus the step count and the
+    stagnation outcome."""
+    h = hashlib.sha256()
+    for r in runs:
+        for name in _RECORD_ARRAYS:
+            a = np.ascontiguousarray(getattr(r, name))
+            h.update(f"{name}{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        h.update(f"{r.steps}/{r.stagnated}/{r.stagnation_iter}".encode())
+    return h.hexdigest()
+
+
+def _quad3(**over):
+    base = dict(
+        objective=make_objective("quadratic", a_diag=[4, 1, "1/16"], x_star=[0, 0, 0]),
+        t="1/32",
+        x0=["1", "1", "1"],
+        iterations=500,
+        working_fmt="Q8.12",
+        sigma1_scheme="sr",
+        sigma2_scheme="sr",
+    )
+    base.update(over)
+    return GDConfig(**base)
+
+
+class TestFullRecordDigests:
+    """Every recorded column of fixed-point runs, frozen before the float
+    columns were derived once per run instead of once per iteration: the
+    mantissa goldens above would not see a changed float column."""
+
+    @pytest.mark.parametrize(
+        "sigma2, want",
+        [
+            ("sr", "8949aacb7f9b4f2243b88f88326b03c41b65bd065b7b2f8ddb1046d0be53ebb1"),
+            ("sr_eps:0.4", "5fd56c4a534805763b542aac1904d9428a1dc9af723cc2e1b9532aac9c4c55f1"),
+        ],
+    )
+    def test_quadratic_100_seed_ensemble(self, sigma2, want):
+        cfg = _quad3(sigma2_scheme=sigma2)
+        assert digest_records(run_ensemble(cfg, seeds=range(100))) == want
+
+    @pytest.mark.parametrize(
+        "over, want",
+        [
+            (dict(seed=7), "2a87ddb387b6c265ce4dce949ef10105c4550773b1edd34ee18bc16333498ace"),
+            # update steered by sign(g~) onto a coarser grid
+            (dict(seed=3, mul_fmt="Q8.6", sigma2_scheme="signed_sr_eps:1/3"), "5ca7f48b1ad75869acaee4bfe008f0a07b363a58462ec4a6fbccda3fad5227de"),
+            # object rows: every draw goes through bernoulli_ratio
+            (dict(seed=5, working_fmt="Q8.40", iterations=200), "1925cb190bc16d41e85fd425a26f10df5330253ba0cb903f0df3a52715fbd497"),
+        ],
+    )
+    def test_one_seed_quadratic(self, over, want):
+        assert digest_records([run(_quad3(**over))]) == want
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("blr_stepsize.yaml", "f961af8767ee97011ee4480215bade7f1c4cfc28079a92fdc5a57a4c759eb78a"),
+            ("himmelblau_exact.yaml", "29ed780875cb3cc7be2a2c67afe92687e3dafc0baed025f0084e64a39114625c"),
+        ],
+    )
+    def test_bundled_config(self, name, want):
+        result = run_experiment(load_config(CONFIGS / name))
+        assert digest_records(result.runs) == want
+
+    def test_stagnating_lanes(self):
+        # sr updates of mean 4|g_i| grid points onto Q8.8 with t = 1/64: a
+        # 4-step zero streak comes while |g| is still above 10 sqrt(n) u, at
+        # a step set by each lane's draws
+        cfg = _quad3(
+            t="1/64",
+            x0=["1/32", "1/8", "2"],
+            iterations=300,
+            mul_fmt="Q8.8",
+            stagnation_window=4,
+            stop_on_stagnation=True,
+        )
+        runs = run_ensemble(cfg, seeds=range(8))
+        assert all(r.stagnated for r in runs) and len({r.steps for r in runs}) > 1
+        assert digest_records(runs) == "c1bd47e71cf06dc786ce69c97d3d2b00e7a80de3bf960f6395e624d569260905"
+
+
 # ---------------------------------------------------------------------------
 # lockstep ensembles against one-seed runs
 # ---------------------------------------------------------------------------
