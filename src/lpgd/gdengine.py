@@ -39,7 +39,10 @@ trajectory is bit for bit the run of its seed alone, and `run(cfg)` is the
 one-lane case of the same engine.  Lanes leave the batch one by one when they
 stop (stop_below_f, stop_on_stagnation) or raise; a run's record is kept as
 the rows of its realized steps, so memory grows with the steps taken, never
-with the iteration budget.  lowfloat and reference runs go one seed at a time.
+with the iteration budget.  Fixed-point steps record x_m, g_tilde_m, d_m,
+g_exact, xs, fs, case and c2_mask; g_tilde, d, sigma1, sigma2 and
+nonopp_violations follow once per run, with the binary64 expressions of one
+step.  lowfloat and reference runs go one seed at a time.
 """
 
 from __future__ import annotations
@@ -148,7 +151,9 @@ class GDConfig:
 
 @dataclass
 class RunResult:
-    """Full record of one run: trajectory, per-step errors, case labels."""
+    """Full record of one run: trajectory, per-step errors, case labels.  A
+    fixed-point run derives its float columns but g_exact, xs and fs at the
+    end, from its mantissas (see the module docstring)."""
 
     config: GDConfig
     fs: np.ndarray
@@ -192,22 +197,19 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def classify_case(g_tilde, t: Fraction, u) -> tuple:
+def classify_case(g_tilde, t: Fraction, u, bounds=None) -> tuple:
     """(case, c2_mask): coordinate i is C2 when |t * g_i| < u_i.
 
     g_tilde: a FixedVec or a sequence of exact values; u: a scalar grid
     spacing or per-coordinate spacings.  A FixedVec with a scalar u compares
     exactly on integers, |g_m| * tn * u_den < td * u_num * scale, and an
     (R, n) FixedVec of R lanes gives an (R,) case array and an (R, n) mask.
+    `bounds` is `_c2_bounds(t, u, g_tilde.fmt)` when the caller has it.
     """
-    if isinstance(g_tilde, FixedVec) and not np.ndim(u):
-        uf = to_fraction(u)
-        lhs = t.numerator * uf.denominator
-        rhs = t.denominator * uf.numerator * g_tilde.fmt.scale
+    if isinstance(g_tilde, FixedVec) and not isinstance(u, (list, tuple, np.ndarray)):
+        lhs, rhs, wide = bounds or _c2_bounds(t, u, g_tilde.fmt)
         m = np.abs(g_tilde.m)
-        if -g_tilde.fmt.min_mantissa * lhs >= _INT64_LIMIT or rhs >= _INT64_LIMIT:
-            m = m.astype(object)
-        mask = m * lhs < rhs
+        mask = (m.astype(object) if wide else m) * lhs < rhs
         if mask.ndim == 1:
             return (1 if not mask.any() else 2 if mask.all() else 3), mask
         return np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3)), mask
@@ -220,6 +222,14 @@ def classify_case(g_tilde, t: Fraction, u) -> tuple:
         c2.append(abs(g.numerator) * t.numerator * ui.denominator
                   < t.denominator * g.denominator * ui.numerator)
     return (1 if not any(c2) else 2 if all(c2) else 3), np.array(c2, dtype=bool)
+
+
+def _c2_bounds(t: Fraction, u, fmt: QFormat) -> tuple:
+    """classify_case's integer sides tn * u_den and td * u_num * scale, and
+    whether |g_m| times the first may leave int64."""
+    uf = to_fraction(u)
+    lhs, rhs = t.numerator * uf.denominator, t.denominator * uf.numerator * fmt.scale
+    return lhs, rhs, -fmt.min_mantissa * lhs >= _INT64_LIMIT or rhs >= _INT64_LIMIT
 
 
 def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray):
@@ -245,27 +255,37 @@ def _float_gaps(x_state, fmt: lpfloat.FloatFormat) -> List[Fraction]:
     return [lpfloat.binade_gap(v, fmt) for v in x_state]
 
 
-def gd_step(x_state, cfg: GDConfig, stream, k: int):
+def _fixed_consts(cfg: GDConfig) -> tuple:
+    """The config-only constants of a fixed-point update, once per run: tn,
+    the sigma2 denominator td * s_w, the mul-to-working shift, whether g_m * tn
+    or d_m << shift may leave int64 (the latter once the mul format's integer
+    bits plus the working fraction bits exceed 62), and the C2 bounds."""
+    w, m, t = cfg.working_fmt, cfg.mul_fmt, cfg.t
+    return (t.numerator, t.denominator * w.scale, w.qf - m.qf,
+            -w.min_mantissa * t.numerator >= _INT64_LIMIT, m.qi + w.qf > 62,
+            _c2_bounds(t, cfg.u_mul, w))
+
+
+def gd_step(x_state, cfg: GDConfig, stream, k: int, consts: Optional[tuple]):
     """One update.  Returns (new_state, step dict).
 
     Fixed mode steps R lanes at once: x_state is an (R, n) FixedVec, stream
     the list of the lanes' RandomStreams, and every array in the step dict
-    has a leading lane axis ("case" and "nonopp_violations" are (R,)).
+    has a leading lane axis: g_tilde_m, d_m, g_exact, case and c2_mask.
+    `consts` is `_fixed_consts(cfg)` (None in the other modes).
     lowfloat and reference step one run: x_state is its iterate, stream its
-    RandomStream.
+    RandomStream, and the step dict holds every recorded column.
     """
     obj = cfg.objective
     t = cfg.t
-    tn, td = t.numerator, t.denominator
 
     if cfg.number_system == "fixed":
+        tn, den, shift, wide_num, wide_step, bounds = consts
         x: FixedVec = x_state
         g_t = eval_grad_rounded(obj, x, cfg, stream, k)
         g_ref = eval_grad_reference(obj, x.to_floats())
-        case, c2 = classify_case(g_t, t, cfg.u_mul)
+        case, c2 = classify_case(g_t, t, cfg.u_mul, bounds)
 
-        s_w = x.fmt.scale
-        s_m = cfg.mul_fmt.scale
         gens = (
             [s.generator(k, SIGMA2_TAG) for s in stream]
             if cfg.sigma2_scheme.is_random
@@ -274,30 +294,12 @@ def gd_step(x_state, cfg: GDConfig, stream, k: int):
         v_sign = np.sign(g_t.m) if cfg.sigma2_scheme.uses_given_sign else 0
         # t * g at the working scale, exact; each lane's rounding path is
         # chosen from its own values inside round_ratio_vec
-        fits = -x.fmt.min_mantissa * tn < _INT64_LIMIT
-        num = (g_t.m if fits else g_t.m.astype(object)) * tn
-        d_m = rounding.round_ratio_vec(
-            num, td * s_w, cfg.mul_fmt, cfg.sigma2_scheme, gens, v_sign
-        )
-        shift = x.fmt.qf - cfg.mul_fmt.qf
-        # d << shift stays inside int64 unless the mul format's integer bits
-        # plus the working fraction bits exceed 62; then it is exact in Python ints
-        step = d_m if cfg.mul_fmt.qi + x.fmt.qf <= 62 else d_m.astype(object)
+        num = (g_t.m.astype(object) if wide_num else g_t.m) * tn
+        d_m = rounding.round_ratio_vec(num, den, cfg.mul_fmt, cfg.sigma2_scheme, gens, v_sign)
+        step = d_m.astype(object) if wide_step else d_m
         new_x = FixedVec(x.m - (step << shift), x.fmt)
-
-        g_t_f = g_t.to_floats()
-        d_f = d_m / s_m
         return new_x, {
-            "g_tilde": g_t_f,
-            "g_tilde_m": g_t.m,
-            "g_exact": g_ref,
-            "d": d_f,
-            "d_m": d_m,
-            "sigma1": g_t_f - g_ref,
-            "sigma2": d_f - float(t) * g_t_f,
-            "case": case,
-            "c2_mask": c2,
-            "nonopp_violations": check_nonopposite(g_t_f, g_ref),
+            "g_tilde_m": g_t.m, "g_exact": g_ref, "d_m": d_m, "case": case, "c2_mask": c2,
         }
 
     if cfg.number_system == "lowfloat":
@@ -387,11 +389,11 @@ def run_ensemble(cfg: GDConfig, seeds: Sequence[int]) -> List[RunResult]:
     return run(cfg, seeds)
 
 
-def _advance(x, cfg: GDConfig, streams: list, k: int):
+def _advance(x, cfg: GDConfig, streams: list, k: int, consts):
     """One iteration of the live lanes: the update, then f at every new
     iterate ("xs" and "fs" get a leading lane axis in every mode)."""
     fixed = cfg.number_system == "fixed"
-    new_x, rec = gd_step(x, cfg, streams if fixed else streams[0], k)
+    new_x, rec = gd_step(x, cfg, streams if fixed else streams[0], k, consts)
     if fixed:
         rec["x_m"] = new_x.m
     rec["xs"] = np.reshape(_state_floats(new_x, cfg.number_system), (-1, cfg.objective.n))
@@ -408,12 +410,13 @@ class _StepRows:
         # step-dict key -> dtype, and whether it holds one entry per coordinate
         fields = {
             "fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True),
-            "g_tilde": (np.float64, True), "sigma1": (np.float64, True),
-            "sigma2": (np.float64, True), "d": (np.float64, True), "case": (np.uint8, False),
-            "c2_mask": (bool, True), "nonopp_violations": (np.int64, False),
+            "case": (np.uint8, False), "c2_mask": (bool, True),
         }
-        if fixed:
+        if fixed:  # the other float columns are derived at the end
             fields.update(x_m=(np.int64, True), g_tilde_m=(np.int64, True), d_m=(np.int64, True))
+        else:
+            fields.update(dict.fromkeys(("g_tilde", "sigma1", "sigma2", "d"), (np.float64, True)))
+            fields.update(nonopp_violations=(np.int64, False))
         self.cols = {
             key: np.zeros((0, n) if per_coord else (0,), dtype=dtype)
             for key, (dtype, per_coord) in fields.items()
@@ -466,6 +469,7 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     else:
         u_stag = 0.0
     stag_norm = 10.0 * np.sqrt(obj.n) * u_stag
+    consts = _fixed_consts(cfg) if fixed else None
     streams = [rng.RandomStream(c.seed) for c in cfgs]
     lanes = len(cfgs)
 
@@ -499,7 +503,7 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
             if not keep.all():
                 live, lane_streams, x, f, streak = select(np.flatnonzero(keep))
         try:
-            new_x, rec = _advance(x, cfg, lane_streams, k)
+            new_x, rec = _advance(x, cfg, lane_streams, k, consts)
         except Exception as exc:
             if live.size == 1:
                 errors[live[0]] = exc
@@ -508,7 +512,7 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
             for j, i in enumerate(live):
                 try:
                     one = FixedVec(x.m[j : j + 1], x.fmt)
-                    done.append((j, _advance(one, cfg, [streams[i]], k)[1]))
+                    done.append((j, _advance(one, cfg, [streams[i]], k, consts)[1]))
                 except Exception as lane_exc:
                     errors[i] = lane_exc
             # runs after the first failing seed are never returned
@@ -521,7 +525,8 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
         rows.append(live, rec)
         x, f = new_x, rec["fs"]
 
-        streak = np.where(rows.last("d", live.size).any(axis=1), 0, streak + 1)
+        moved = rows.last("d_m" if fixed else "d", live.size).any(axis=1)
+        streak = np.where(moved, 0, streak + 1)
         if streak.max() >= window:
             g_exact = rows.last("g_exact", live.size)
             stop = np.zeros(live.size, dtype=bool)
@@ -543,7 +548,10 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     steps = np.bincount(lane_of_row, minlength=lanes)
     start = np.concatenate(([0], np.cumsum(steps)))
     cols = {key: col[: rows.size][order] for key, col in rows.cols.items()}
-    if fixed:
+    if fixed:  # the other float columns, from the mantissas, elementwise as in one step
+        g, d = cols["g_tilde_m"] / state.fmt.scale, cols["d_m"] / cfg.mul_fmt.scale
+        cols.update(g_tilde=g, d=d, sigma1=g - cols["g_exact"], sigma2=d - float(cfg.t) * g,
+                    nonopp_violations=check_nonopposite(g, cols["g_exact"]))
         x_m0 = state.m[None, :]
     results = []
     for r, c in enumerate(cfgs):

@@ -110,8 +110,9 @@ class FixedBackend:
             return rounding.round_ratio_vec(
                 num.reshape(-1, 1), den, self.fmt, self.scheme, gens
             ).reshape(num.shape)
-        arr = np.array([[num]], dtype=np.int64 if abs(num) < _INT64_LIMIT else object)
-        return int(rounding.round_ratio_vec(arr, den, self.fmt, self.scheme, gens)[0, 0])
+        return rounding.round_ratio_vec(
+            num, den, self.fmt, self.scheme, None if gens is None else gens[0]
+        )
 
     def const(self, c) -> int:
         """A stored constant; must sit on the grid exactly."""

@@ -162,26 +162,20 @@ def round(
 
     Random schemes need a RandomStream plus the (iteration, op tag) address;
     rn and already-representable values draw nothing.  Delegates to the
-    vector kernel so a value rounds identically whether it arrives alone or
-    inside an array.
+    ratio kernel's Python-int path, so a value rounds identically whether it
+    arrives alone or inside an array.
     """
     v = to_fraction(x)
     if not fmt.min_value <= v <= fmt.max_value:
         raise OverflowError(f"{float(v)} is outside the range of {fmt}")
     p_down = prob_round_down(v, fmt, scheme, v_sign)
-    pos = v * fmt.scale
-    q = pos.numerator // pos.denominator
-    if p_down == 1:
-        return FixedVal(q, fmt)
-    if p_down == 0:
-        return FixedVal(fmt.check_mantissa(q + 1), fmt)
+    if p_down in (0, 1):
+        pos = v * fmt.scale
+        return FixedVal(fmt.check_mantissa(pos.numerator // pos.denominator + (p_down == 0)), fmt)
     if stream is None:
         raise ValueError(f"{scheme} needs a RandomStream to round {float(v)}")
     gen = stream.generator(k, tag)
-    m = round_ratio_vec(
-        np.array([v.numerator], dtype=object), v.denominator, fmt, scheme, gen, v_sign
-    )
-    return FixedVal(int(m[0]), fmt)
+    return FixedVal(round_ratio_vec(v.numerator, v.denominator, fmt, scheme, gen, v_sign), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +193,12 @@ def round_ratio_vec(
 ) -> np.ndarray:
     """Round the values num[i]/den onto out_fmt's grid; return int64 mantissas.
 
-    num is an integer array (or scalar), den a positive integer; num/den is
-    the exact value in ordinary units, so the grid positions are
-    num * 2**qf / den.  One Bernoulli word per element for the stochastic
-    schemes; every element consumes its draw even when exact, which keeps the
-    draw layout independent of the data.
+    num is an integer array, or a Python int (one element, rounded on Python
+    ints into an int); den is a positive integer and num/den the exact value
+    in ordinary units, so the grid positions are num * 2**qf / den.  One
+    Bernoulli word per element for the stochastic schemes; every element
+    consumes its draw even when exact, which keeps the draw layout
+    independent of the data.
 
     Lanes: a 2-D num holds R independent rows, gen is then a list of R
     word sources (None under rn) and v_sign broadcasts against num.  Row r
@@ -213,6 +208,9 @@ def round_ratio_vec(
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     den = int(den)
+    lim = _object_lim(den, out_fmt, scheme)
+    if isinstance(num, int):
+        return _round_int(num, den, out_fmt, scheme, gen, v_sign, abs(num) >= lim)
     arr = np.asarray(num)
     if arr.dtype.kind not in "iuO":
         raise TypeError(f"ratio numerators must be integers, got dtype {arr.dtype}")
@@ -224,15 +222,10 @@ def round_ratio_vec(
         if scheme.uses_given_sign
         else None
     )
-    # a row whose scaled numerators might not fit comfortably in int64 takes
-    # the exact object path; the choice depends only on that row's values,
-    # never on the dtype or on other rows, so a value rounds through the same
-    # path however it was packaged
+    # a row's path (`_object_lim`) depends only on its own values, never on the
+    # dtype or on other rows, so a value rounds the same however it is packaged
     scale = out_fmt.scale
-    lim = -(-_INT64_SAFE // scale)  # least |num| with |num| * scale >= 2**62
-    if den >= _INT64_SAFE:
-        big = np.ones(len(rows), dtype=bool)
-    elif rows.dtype == object:
+    if rows.dtype == object:
         big = np.array([max(map(abs, row), default=0) >= lim for row in rows], dtype=bool)
     elif not rows.size or (rows.max() < lim and rows.min() > -lim):
         pos = rows.astype(np.int64, copy=False) * scale
@@ -255,19 +248,45 @@ def round_ratio_vec(
     return out if lanes else out[0]
 
 
+def _object_lim(den: int, out_fmt: QFormat, scheme: RoundScheme) -> int:
+    """Least |num| whose num/den rounds on Python ints through `bernoulli_ratio`
+    (below it: int64 and `uniform_below`): |num| * scale >= 2**62, or any num
+    once den or the eps draw cap 2 * den * eps.denominator reaches 2**62."""
+    wide_eps = scheme.eps is not None and 2 * den * scheme.eps.denominator >= _INT64_SAFE
+    return 0 if den >= _INT64_SAFE or wide_eps else -(-_INT64_SAFE // out_fmt.scale)
+
+
+def _round_int(num: int, den: int, out_fmt, scheme, gen, v_sign, wide: bool) -> int:
+    """The one-element row num/den of `_round_rows`, on Python ints: the
+    same law, words and errors, with no array built."""
+    if scheme.is_random and gen is None:
+        raise ValueError(f"{scheme} needs a word source")
+    pos = num * out_fmt.scale
+    q, r = divmod(pos, den)
+    t, cap = up_weight(q, r, den, scheme, int(v_sign) if scheme.uses_given_sign else 0)
+    if not scheme.is_random:
+        up = t > 0
+    elif wide:
+        up = bool(rng.bernoulli_ratio(gen, t, cap, 1)[0])
+    else:
+        up = int(rng.uniform_below(gen, cap, 1)[0]) < t
+    m = q + (up and r != 0)  # representable values round to themselves
+    if not out_fmt.min_mantissa <= m <= out_fmt.max_mantissa:
+        raise OverflowError(f"rounding {pos}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}")
+    return m
+
+
 def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
     """Round the grid positions pos/den, one row per lane, onto out_fmt.
 
     int64 rows draw through one `bernoulli_lt` call over all lanes; object
-    rows (beyond int64) and eps ratios too wide for int64 draw through
-    `bernoulli_ratio` lane by lane, as a one-row call would.
+    rows (see `_object_lim`) draw through `bernoulli_ratio` lane by lane, as
+    a one-row call would.
     """
     if scheme.is_random and gens is None:
         raise ValueError(f"{scheme} needs a word source")
     small = pos.dtype != object
     q, r = np.divmod(pos, den) if small else (pos // den, pos % den)  # r in [0, den)
-    if small and scheme.eps is not None and 2 * den * scheme.eps.denominator >= _INT64_SAFE:
-        q, r, small = q.astype(object), r.astype(object), False  # eps ratios too wide
     nums, cap = up_weight(q, r, den, scheme, signs)
     if not scheme.is_random:
         up = nums > 0

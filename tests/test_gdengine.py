@@ -557,9 +557,15 @@ class TestFullRecordDigests:
         [
             (dict(seed=7), "2a87ddb387b6c265ce4dce949ef10105c4550773b1edd34ee18bc16333498ace"),
             # update steered by sign(g~) onto a coarser grid
-            (dict(seed=3, mul_fmt="Q8.6", sigma2_scheme="signed_sr_eps:1/3"), "5ca7f48b1ad75869acaee4bfe008f0a07b363a58462ec4a6fbccda3fad5227de"),
+            (
+                dict(seed=3, mul_fmt="Q8.6", sigma2_scheme="signed_sr_eps:1/3"),
+                "5ca7f48b1ad75869acaee4bfe008f0a07b363a58462ec4a6fbccda3fad5227de",
+            ),
             # object rows: every draw goes through bernoulli_ratio
-            (dict(seed=5, working_fmt="Q8.40", iterations=200), "1925cb190bc16d41e85fd425a26f10df5330253ba0cb903f0df3a52715fbd497"),
+            (
+                dict(seed=5, working_fmt="Q8.40", iterations=200),
+                "1925cb190bc16d41e85fd425a26f10df5330253ba0cb903f0df3a52715fbd497",
+            ),
         ],
     )
     def test_one_seed_quadratic(self, over, want):

@@ -328,6 +328,122 @@ def test_lanes_round_like_their_rows(case, spec):
 
 
 # ---------------------------------------------------------------------------
+# a Python-int numerator against the same value as a 1x1 row
+# ---------------------------------------------------------------------------
+
+_SAFE = 1 << 62
+
+
+class _ScriptedWords:
+    """The given words first, then those of a real op address."""
+
+    def __init__(self, words, seed):
+        self._script = list(words)
+        self._rest = RandomStream(seed).generator(3, 5)
+        self._used = 0
+
+    def integers(self, low, high, size, dtype):
+        out = []
+        for _ in range(size):
+            if self._script:
+                out.append(self._script.pop(0))
+            else:
+                out.extend(self._rest.integers(low, high, size=1, dtype=dtype).tolist())
+        self._used += size
+        return np.array(out, dtype=np.uint64)
+
+
+@st.composite
+def _int_case(draw):
+    fmt = draw(st.sampled_from([QFormat(2, 4), QFormat(8, 8), QFormat(4, 30), QFormat(2, 60)]))
+    scheme = parse_scheme(draw(st.sampled_from(["rn", "sr", "sr_eps:0.3", "signed_sr_eps:1/3"])))
+    # both sides of every path threshold: |num| * scale, den and the eps cap 2 * den * b
+    dens = [1, 3, 1000, 1 << 40, _SAFE - 1, _SAFE, _SAFE + 7]
+    if scheme.eps is not None:
+        e_lim = -(-_SAFE // (2 * scheme.eps.denominator))
+        dens += [e_lim - 1, e_lim]
+    den = draw(st.sampled_from(dens))
+    lim = -(-_SAFE // fmt.scale)
+    g = np.gcd(den, fmt.scale)
+    edge_hi = (fmt.max_mantissa + 1) * den // fmt.scale  # rounds up past the top, or onto it
+    edge_lo = (fmt.min_mantissa - 1) * den // fmt.scale
+    num = draw(st.one_of(
+        st.integers(-5000, 5000),
+        st.sampled_from([lim - 1, lim, -lim, 1 - lim]),
+        st.integers(-40, 40).map(lambda j: j * (den // int(g))),  # on the grid
+        st.integers(-3, 3).map(lambda j: edge_hi + j),
+        st.integers(-3, 3).map(lambda j: edge_lo + j),
+    ))
+    v_sign = draw(st.integers(-1, 1)) if scheme.uses_given_sign else 0
+    words = draw(st.lists(st.sampled_from(["max", "zero", "prefix", "any"]), max_size=3))
+    return fmt, scheme, num, den, v_sign, words, draw(st.integers(0, 9)), draw(st.booleans())
+
+
+def _call_outcome(call, gen):
+    try:
+        m = call()
+    except (OverflowError, ValueError) as exc:
+        m = (type(exc), str(exc))
+    return m, None if gen is None else gen._used
+
+
+@given(case=_int_case())
+@settings(max_examples=400, deadline=None)
+def test_int_numerator_rounds_like_a_one_element_row(case):
+    fmt, scheme, num, den, v_sign, words, seed, with_gen = case
+    q, r = divmod(num * fmt.scale, den)
+    t, cap = up_weight(q, r, den, scheme, v_sign)
+    script = [
+        {"max": (1 << 64) - 1, "zero": 0, "prefix": (t << 64) // cap, "any": 1 << 63}[w]
+        for w in words
+    ]
+
+    def gen():
+        return _ScriptedWords(script, seed) if with_gen else None
+
+    g = gen()
+    want = _call_outcome(lambda: round_ratio_vec(num, den, fmt, scheme, g, v_sign), g)
+    assert isinstance(want[0], tuple) or type(want[0]) is int  # no numpy scalar
+    dtypes = [object] + ([np.int64] if abs(num) < 1 << 63 else [])
+    for dtype in dtypes:
+        g = gen()
+        row, row_gens = np.array([[num]], dtype=dtype), None if g is None else [g]
+        got = _call_outcome(
+            lambda: round_ratio_vec(row, den, fmt, scheme, row_gens, v_sign)[0, 0], g
+        )
+        assert (got[0] if isinstance(got[0], tuple) else int(got[0]), got[1]) == want, dtype
+
+
+@pytest.mark.parametrize(
+    "fmt, num, den, spec, wide",
+    [
+        (QFormat(2, 60), 3, 3, "sr", False),  # |num| * 2**60 against 2**62
+        (QFormat(2, 60), 4, 3, "sr", True),
+        (QFormat(2, 60), -4, 3, "sr", True),
+        (Q88, 5, _SAFE - 1, "sr", False),  # den against 2**62
+        (Q88, 5, _SAFE, "sr", True),
+        (Q88, 5, (1 << 59) - 1, "sr_eps:1/4", False),  # 2 * den * 4 against 2**62
+        (Q88, 5, 1 << 59, "sr_eps:1/4", True),
+    ],
+)
+def test_draw_path_switches_at_2_62(monkeypatch, fmt, num, den, spec, wide):
+    calls = []
+    for name in ("uniform_below", "bernoulli_ratio"):
+        def spy(*args, _name=name, _orig=getattr(rng, name)):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(rng, name, spy)
+    want = ["bernoulli_ratio" if wide else "uniform_below"]
+    scheme = parse_scheme(spec)
+    round_ratio_vec(num, den, fmt, scheme, RandomStream(1).generator(0, 0))
+    assert calls == want
+    calls.clear()
+    row = np.array([[num]], dtype=object)
+    round_ratio_vec(row, den, fmt, scheme, [RandomStream(1).generator(0, 0)])
+    assert calls == want
+
+
+# ---------------------------------------------------------------------------
 # round_doubles_vec against a per-element Fraction reference
 # ---------------------------------------------------------------------------
 
