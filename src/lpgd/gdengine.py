@@ -259,11 +259,11 @@ def _fixed_consts(cfg: GDConfig) -> tuple:
     """The config-only constants of a fixed-point update, once per run: tn,
     the sigma2 denominator td * s_w, the mul-to-working shift, whether g_m * tn
     or d_m << shift may leave int64 (the latter once the mul format's integer
-    bits plus the working fraction bits exceed 62), and the C2 bounds."""
-    w, m, t = cfg.working_fmt, cfg.mul_fmt, cfg.t
+    bits plus the working fraction bits exceed 62), u_mul and the C2 bounds."""
+    w, m, t, u = cfg.working_fmt, cfg.mul_fmt, cfg.t, cfg.u_mul
     return (t.numerator, t.denominator * w.scale, w.qf - m.qf,
             -w.min_mantissa * t.numerator >= _INT64_LIMIT, m.qi + w.qf > 62,
-            _c2_bounds(t, cfg.u_mul, w))
+            u, _c2_bounds(t, u, w))
 
 
 def gd_step(x_state, cfg: GDConfig, stream, k: int, consts: Optional[tuple]):
@@ -280,11 +280,11 @@ def gd_step(x_state, cfg: GDConfig, stream, k: int, consts: Optional[tuple]):
     t = cfg.t
 
     if cfg.number_system == "fixed":
-        tn, den, shift, wide_num, wide_step, bounds = consts
+        tn, den, shift, wide_num, wide_step, u, bounds = consts
         x: FixedVec = x_state
         g_t = eval_grad_rounded(obj, x, cfg, stream, k)
         g_ref = eval_grad_reference(obj, x.to_floats())
-        case, c2 = classify_case(g_t, t, cfg.u_mul, bounds)
+        case, c2 = classify_case(g_t, t, u, bounds)
 
         gens = (
             [s.generator(k, SIGMA2_TAG) for s in stream]
