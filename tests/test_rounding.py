@@ -1,5 +1,6 @@
 """Rounding kernels: frozen probabilities, expectations, and vector paths."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -364,13 +365,13 @@ def _int_case(draw):
         dens += [e_lim - 1, e_lim]
     den = draw(st.sampled_from(dens))
     lim = -(-_SAFE // fmt.scale)
-    g = np.gcd(den, fmt.scale)
+    g = math.gcd(den, fmt.scale)
     edge_hi = (fmt.max_mantissa + 1) * den // fmt.scale  # rounds up past the top, or onto it
     edge_lo = (fmt.min_mantissa - 1) * den // fmt.scale
     num = draw(st.one_of(
         st.integers(-5000, 5000),
         st.sampled_from([lim - 1, lim, -lim, 1 - lim]),
-        st.integers(-40, 40).map(lambda j: j * (den // int(g))),  # on the grid
+        st.integers(-40, 40).map(lambda j: j * (den // g)),  # on the grid
         st.integers(-3, 3).map(lambda j: edge_hi + j),
         st.integers(-3, 3).map(lambda j: edge_lo + j),
     ))
