@@ -398,6 +398,37 @@ def digest_runs(runs) -> str:
     return h.hexdigest()
 
 
+def _rosen_fp16(**over):
+    base = dict(
+        objective=make_objective("rosenbrock"),
+        t="2^-10",
+        x0=["0", "0"],
+        iterations=400,
+        number_system="lowfloat",
+        float_fmt="fp16e5",
+        sigma1_scheme="sr",
+        sigma2_scheme="sr",
+    )
+    base.update(over)
+    return GDConfig(**base)
+
+
+def _fp8_quadratic(**over):
+    # fp8e5 with a non-dyadic step and coefficient (so non-dyadic draw
+    # denominators), a negative coordinate that decays through the
+    # subnormals to zero, and steps that round up onto binade tops
+    base = dict(
+        objective=make_objective("quadratic", a_diag=["1/10", 1, 3], x_star=[0, 0, 0]),
+        t="0.1",
+        x0=["7", "-2^-11", "0.75"],
+        iterations=150,
+        number_system="lowfloat",
+        float_fmt="fp8e5",
+    )
+    base.update(over)
+    return GDConfig(**base)
+
+
 class TestGoldenDigests:
     """Trajectories frozen from the per-seed engine, before ensembles ran in
     lockstep; any change to a draw, a rounding or a stopping rule moves them."""
@@ -443,16 +474,7 @@ class TestGoldenDigests:
         ],
     )
     def test_lowfloat_rosenbrock(self, sigma2, want):
-        cfg = GDConfig(
-            objective=make_objective("rosenbrock"),
-            t="2^-10",
-            x0=["0", "0"],
-            iterations=400,
-            number_system="lowfloat",
-            float_fmt="fp16e5",
-            sigma1_scheme="sr",
-            sigma2_scheme=sigma2,
-        )
+        cfg = _rosen_fp16(sigma2_scheme=sigma2)
         assert digest_runs(run_ensemble(cfg, seeds=range(3))) == want
 
     @pytest.mark.parametrize(
@@ -464,19 +486,7 @@ class TestGoldenDigests:
         ],
     )
     def test_lowfloat_quadratic_fp8(self, sigma1, sigma2, want):
-        # fp8e5 with a non-dyadic step and coefficient (so non-dyadic draw
-        # denominators), a negative coordinate that decays through the
-        # subnormals to zero, and steps that round up onto binade tops
-        cfg = GDConfig(
-            objective=make_objective("quadratic", a_diag=["1/10", 1, 3], x_star=[0, 0, 0]),
-            t="0.1",
-            x0=["7", "-2^-11", "0.75"],
-            iterations=150,
-            number_system="lowfloat",
-            float_fmt="fp8e5",
-            sigma1_scheme=sigma1,
-            sigma2_scheme=sigma2,
-        )
+        cfg = _fp8_quadratic(sigma1_scheme=sigma1, sigma2_scheme=sigma2)
         assert digest_runs(run_ensemble(cfg, seeds=range(4))) == want
 
     @pytest.mark.parametrize(
@@ -510,15 +520,29 @@ _RECORD_ARRAYS = (
 
 def digest_records(runs) -> str:
     """sha256 of everything a run records: every RunResult array (float
-    columns included) with its dtype and shape, plus the step count and the
-    stagnation outcome."""
+    columns included) with its dtype and shape, a `name:None` marker for a
+    column the number system does not record, the step count, the stagnation
+    outcome and the final state.  A fixed-point run's final state is its last
+    x_m row, so it is checked against that row instead of hashed."""
     h = hashlib.sha256()
     for r in runs:
         for name in _RECORD_ARRAYS:
-            a = np.ascontiguousarray(getattr(r, name))
+            a = getattr(r, name)
+            if a is None:
+                h.update(f"{name}:None".encode())
+                continue
+            a = np.ascontiguousarray(a)
             h.update(f"{name}{a.dtype.str}{a.shape}".encode())
             h.update(a.tobytes())
         h.update(f"{r.steps}/{r.stagnated}/{r.stagnation_iter}".encode())
+        state = r.final_state
+        if r.x_m is not None:
+            assert isinstance(state, FixedVec) and np.array_equal(state.m, r.x_m[-1])
+        elif isinstance(state, np.ndarray):  # reference: a float row
+            h.update(f"final_state{state.dtype.str}{state.shape}".encode() + state.tobytes())
+        else:  # lowfloat: grid values
+            assert isinstance(state, list) and all(isinstance(v, Fraction) for v in state)
+            h.update(f"final_state:{[(v.numerator, v.denominator) for v in state]}".encode())
     return h.hexdigest()
 
 
@@ -537,9 +561,10 @@ def _quad3(**over):
 
 
 class TestFullRecordDigests:
-    """Every recorded column of fixed-point runs, frozen before the float
-    columns were derived once per run instead of once per iteration: the
-    mantissa goldens above would not see a changed float column."""
+    """Every recorded column and the final state: fixed-point runs frozen
+    before the float columns were derived once per run instead of once per
+    iteration, lowfloat and reference runs before they joined the lockstep
+    loop.  The mantissa goldens above would not see a changed float column."""
 
     @pytest.mark.parametrize(
         "sigma2, want",
@@ -576,11 +601,51 @@ class TestFullRecordDigests:
         [
             ("blr_stepsize.yaml", "f961af8767ee97011ee4480215bade7f1c4cfc28079a92fdc5a57a4c759eb78a"),
             ("himmelblau_exact.yaml", "29ed780875cb3cc7be2a2c67afe92687e3dafc0baed025f0084e64a39114625c"),
+            ("rosenbrock_fp16.yaml", "4a35a75df83adb514c23c69776033d52a728c4777f5e94886814ab499835035d"),
         ],
     )
     def test_bundled_config(self, name, want):
         result = run_experiment(load_config(CONFIGS / name))
         assert digest_records(result.runs) == want
+
+    @pytest.mark.parametrize(
+        "sigma1, sigma2, want",
+        [
+            ("rn", "sr", "869a9a47d73e00328448671f5f613594a729662ea696ca55a3287faaeb956348"),
+            ("sr_eps:0.4", "sr", "b0d643d5f89bb5e96025f82252816a3ea2c23a0b152437944f1d0f8695203e57"),
+            ("sr", "signed_sr_eps:0.1", "ed98a296cb483e202dafa3472580e95d39fd831589fb218f4ddc92883fe7d205"),
+        ],
+    )
+    def test_lowfloat_quadratic_fp8(self, sigma1, sigma2, want):
+        cfg = _fp8_quadratic(sigma1_scheme=sigma1, sigma2_scheme=sigma2)
+        assert digest_records(run_ensemble(cfg, seeds=range(4))) == want
+
+    @pytest.mark.parametrize(
+        "over, seeds, steps, want",
+        [
+            (dict(stop_below_f=0.5), 3, [200, 199, 199], "44c75d3067e42f9b3cf56daa6b0e6576ae70e10853e4a6ab06968580916d48a1"),
+            # zero updates from tiny steps at (1/2, 1/2), while |grad f| is large
+            (
+                dict(t="2^-20", x0=["1/2", "1/2"], sigma1_scheme="rn", sigma2_scheme="sr_eps:0.1",
+                     stagnation_window=5, stop_on_stagnation=True),
+                4, [7, 16, 22, 5], "eb358af22d72be3097ce2c3157d5712b7e637b9189090df3af9876e6677df5c1",
+            ),
+        ],
+    )
+    def test_lowfloat_rosenbrock_stops(self, over, seeds, steps, want):
+        runs = run_ensemble(_rosen_fp16(**over), seeds=range(seeds))
+        assert [r.steps for r in runs] == steps
+        assert digest_records(runs) == want
+
+    def test_reference_quadratic(self):
+        runs = run_ensemble(_quad3(number_system="reference", working_fmt=None), seeds=range(3))
+        assert digest_records(runs) == "408800378ee8380d287132e84fac385fca35942d75397c0ec45efa6580569e46"
+
+    def test_reference_rosenbrock_stops_below_f(self):
+        cfg = _rosen_fp16(number_system="reference", float_fmt=None, iterations=1000, stop_below_f=0.3)
+        [res] = run_ensemble(cfg, seeds=[0])
+        assert res.steps == 406
+        assert digest_records([res]) == "ec71c61ea3df9b35d6818523a365cff3f73467ade96f0720e281f1d0e579df26"
 
     def test_stagnating_lanes(self):
         # sr updates of mean 4|g_i| grid points onto Q8.8 with t = 1/64: a
