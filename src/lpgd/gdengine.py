@@ -16,10 +16,12 @@ are classed by whether the exact update step clears the update grid:
 mixed case 3.  In fixed mode u is the mul format's spacing; in float mode it
 is the gap of the iterate's binade, coordinate by coordinate.
 
-Number systems: "fixed" (two's-complement grids, working format for the
-gradient recipe, mul format for the update product), "lowfloat" (a small
-binary float grid for everything, every op rounds, the update subtraction
-rounds once), and "reference" (plain binary64, no rounding, for baselines).
+Number systems, one private class each (`_Fixed`, `_LowFloat`, `_Reference`;
+see `_System`), built once per run from the config: "fixed" (two's-complement
+grids, working format for the gradient recipe, mul format for the update
+product), "lowfloat" (a small binary float grid for everything, every op
+rounds, the update subtraction rounds once), and "reference" (plain binary64,
+no rounding, for baselines).
 
 Draw addressing: gradient-recipe ops use tags 0.. in callsite order; the
 update product uses tag SIGMA2_TAG (1 << 20, far above any recipe).  Two
@@ -30,19 +32,18 @@ For signed_sr_eps the update rounding is steered toward descent: in fixed
 mode that is the sign of t*g (same as sr_eps there); in float mode the
 rounded value is x - t*g, so the favored direction is -sign(g).
 
-Fixed-point ensembles run in lockstep: the R seeds are R lanes of (R, n)
-int64 mantissa arrays, and each iteration runs the gradient recipe, the
-case classification and the update rounding once over every live lane.
-Draw addressing is unchanged -- lane r's words for op (k, tag) come from
+Ensembles run in lockstep in every number system: the R seeds are R lanes
+of one state, and each iteration steps every live lane once.  Draws do not
+depend on the batch -- lane r's words for op (k, tag) come from
 RandomStream(seed_r).generator(k, tag), in index order -- so a lane's
 trajectory is bit for bit the run of its seed alone, and `run(cfg)` is the
 one-lane case of the same engine.  Lanes leave the batch one by one when they
 stop (stop_below_f, stop_on_stagnation) or raise; a run's record is kept as
 the rows of its realized steps, so memory grows with the steps taken, never
-with the iteration budget.  Fixed-point steps record x_m, g_tilde_m, d_m,
-g_exact, xs, fs, case and c2_mask; g_tilde, d, sigma1, sigma2 and
-nonopp_violations follow once per run, with the binary64 expressions of one
-step.  lowfloat and reference runs go one seed at a time.
+with the iteration budget.  A step records only what the other columns
+cannot give (fixed point: the mantissas; lowfloat: the floats of exact
+values); the remaining float columns follow once per run, with the binary64
+expressions of one step.
 """
 
 from __future__ import annotations
@@ -56,14 +57,11 @@ import numpy as np
 
 from . import lpfloat, rng, rounding
 from .objectives import Objective, eval_grad_reference
-from .qnum import FixedVec, QFormat, from_exact, make_format, parse_rational, to_fraction
+from .qnum import FixedVec, QFormat, make_format, parse_rational, to_fraction, vec_from_exact
 
 SIGMA2_TAG = 1 << 20
 
 _INT64_LIMIT = 1 << 63
-
-NUMBER_SYSTEMS = ("fixed", "lowfloat", "reference")
-
 
 @dataclass
 class GDConfig:
@@ -94,7 +92,9 @@ class GDConfig:
             raise ValueError(f"step size must be positive, got {self.t}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.number_system not in NUMBER_SYSTEMS:
+        if self.stagnation_window < 1:
+            raise ValueError("stagnation_window must be >= 1")
+        if self.number_system not in _SYSTEMS:
             raise ValueError(f"unknown number system {self.number_system!r}")
         self.sigma1_scheme = rounding.parse_scheme(self.sigma1_scheme)
         self.sigma2_scheme = rounding.parse_scheme(self.sigma2_scheme)
@@ -132,28 +132,16 @@ class GDConfig:
         return self.mul_fmt.u
 
     def initial_state(self):
-        exact = [parse_rational(v) for v in self.x0]
-        if self.number_system == "fixed":
-            return FixedVec(
-                np.array(
-                    [from_exact(v, self.working_fmt).m for v in exact],
-                    dtype=np.int64,
-                ),
-                self.working_fmt,
-            )
-        if self.number_system == "lowfloat":
-            for v in exact:
-                if not lpfloat.is_representable(v, self.float_fmt):
-                    raise ValueError(f"x0 entry {v} is not on the {self.float_fmt} grid")
-            return exact
-        return np.asarray([float(v) for v in exact], dtype=np.float64)
+        system = _SYSTEMS[self.number_system](self)
+        return system.lane(system.lanes(1), 0)
 
 
 @dataclass
 class RunResult:
-    """Full record of one run: trajectory, per-step errors, case labels.  A
-    fixed-point run derives its float columns but g_exact, xs and fs at the
-    end, from its mantissas (see the module docstring)."""
+    """Full record of one run: trajectory, per-step errors, case labels.  The
+    float columns a step does not record are derived once, at the end of the
+    run (see the module docstring); x_m, g_tilde_m and d_m are fixed-point
+    only.  final_state is a FixedVec, a list of grid Fractions or a float row."""
 
     config: GDConfig
     fs: np.ndarray
@@ -238,133 +226,184 @@ def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray):
     return (np.sign(g_tilde) * np.sign(g_exact) < 0).sum(axis=-1)
 
 
-def eval_grad_rounded(
-    obj: Objective, x_state, cfg: GDConfig, stream, k: int
-):
-    """The rounded gradient at the iterate, per the configured number system."""
-    if cfg.number_system == "fixed":
-        return obj.grad_rounded_fixed(x_state, cfg.sigma1_scheme, stream, k)
-    if cfg.number_system == "lowfloat":
-        return obj.grad_rounded_float(
-            x_state, cfg.float_fmt, cfg.sigma1_scheme, stream, k
-        )
-    return eval_grad_reference(obj, x_state)
+# ---------------------------------------------------------------------------
+# number systems
+# ---------------------------------------------------------------------------
 
 
-def _float_gaps(x_state, fmt: lpfloat.FloatFormat) -> List[Fraction]:
-    return [lpfloat.binade_gap(v, fmt) for v in x_state]
+class _System:
+    """What one number system does differently, built once per run.
 
-
-def _fixed_consts(cfg: GDConfig) -> tuple:
-    """The config-only constants of a fixed-point update, once per run: tn,
-    the sigma2 denominator td * s_w, the mul-to-working shift, whether g_m * tn
-    or d_m << shift may leave int64 (the latter once the mul format's integer
-    bits plus the working fraction bits exceed 62), u_mul and the C2 bounds."""
-    w, m, t, u = cfg.working_fmt, cfg.mul_fmt, cfg.t, cfg.u_mul
-    return (t.numerator, t.denominator * w.scale, w.qf - m.qf,
-            -w.min_mantissa * t.numerator >= _INT64_LIMIT, m.qi + w.qf > 62,
-            u, _c2_bounds(t, u, w))
-
-
-def gd_step(x_state, cfg: GDConfig, stream, k: int, consts: Optional[tuple]):
-    """One update.  Returns (new_state, step dict).
-
-    Fixed mode steps R lanes at once: x_state is an (R, n) FixedVec, stream
-    the list of the lanes' RandomStreams, and every array in the step dict
-    has a leading lane axis: g_tilde_m, d_m, g_exact, case and c2_mask.
-    `consts` is `_fixed_consts(cfg)` (None in the other modes).
-    lowfloat and reference step one run: x_state is its iterate, stream its
-    RandomStream, and the step dict holds every recorded column.
+    `lanes(R)` is the state of R lanes at x0, `select` keeps some lanes and
+    `lane(x, j)` is lane j's iterate as a one-seed run returns it.
+    `iterates(x)` are the columns that record the lanes' iterates: their
+    binary64 rows "xs", and the mantissas "x_m" of fixed-point lanes.
+    `step` is one update of every lane; `columns` maps what a step records
+    to (dtype, one entry per coordinate?), and `finish` derives the other
+    float columns but the sign flips once per run.  Zero rows of the
+    `streak_key` column make the stagnation streak, and `u_stag` is the grid
+    spacing of the stagnation test.
     """
-    obj = cfg.objective
-    t = cfg.t
 
-    if cfg.number_system == "fixed":
-        tn, den, shift, wide_num, wide_step, u, bounds = consts
-        x: FixedVec = x_state
-        g_t = eval_grad_rounded(obj, x, cfg, stream, k)
-        g_ref = eval_grad_reference(obj, x.to_floats())
-        case, c2 = classify_case(g_t, t, u, bounds)
+    columns = {
+        "fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True),
+        "case": (np.uint8, False), "c2_mask": (bool, True),
+    }
+    streak_key = "d"
+    u_stag = 0.0
+
+    def __init__(self, cfg: GDConfig):
+        self.cfg = cfg
+
+    def select(self, x: np.ndarray, idx) -> np.ndarray:
+        return x[idx]
+
+    def lane(self, x, j: int):
+        return self.select(x, j)
+
+    def iterates(self, x: np.ndarray) -> dict:
+        return {"xs": x}
+
+
+class _Fixed(_System):
+    """Two's-complement grids: an (R, n) FixedVec of mantissas, the recipe on
+    the working format, the update product rounded onto the mul format."""
+
+    columns = {**_System.columns, **dict.fromkeys(("x_m", "g_tilde_m", "d_m"), (np.int64, True))}
+    streak_key = "d_m"
+
+    def __init__(self, cfg: GDConfig):
+        # the config-only constants of the update: tn, the sigma2 denominator
+        # td * s_w, the mul-to-working shift, whether g_m * tn or d_m << shift
+        # may leave int64 (the latter once the mul format's integer bits plus
+        # the working fraction bits exceed 62), u_mul and the C2 bounds
+        w, m, t = cfg.working_fmt, cfg.mul_fmt, cfg.t
+        self.cfg, self.u = cfg, cfg.u_mul
+        self.tn, self.den, self.shift = t.numerator, t.denominator * w.scale, w.qf - m.qf
+        self.wide_num = -w.min_mantissa * t.numerator >= _INT64_LIMIT
+        self.wide_step = m.qi + w.qf > 62
+        self.bounds = _c2_bounds(t, self.u, w)
+        self.u_stag = float(self.u)
+
+    def lanes(self, count: int) -> FixedVec:
+        x0 = vec_from_exact([parse_rational(v) for v in self.cfg.x0], self.cfg.working_fmt)
+        return FixedVec(np.tile(x0.m, (count, 1)), x0.fmt)
+
+    def select(self, x: FixedVec, idx) -> FixedVec:
+        return FixedVec(x.m[idx], x.fmt)
+
+    def iterates(self, x: FixedVec) -> dict:
+        return {"xs": x.to_floats(), "x_m": x.m}
+
+    def step(self, x: FixedVec, xf: np.ndarray, streams: list, k: int):
+        cfg = self.cfg
+        g_t = cfg.objective.grad_rounded_fixed(x, cfg.sigma1_scheme, streams, k)
+        g_ref = eval_grad_reference(cfg.objective, xf)
+        case, c2 = classify_case(g_t, cfg.t, self.u, self.bounds)
 
         gens = (
-            [s.generator(k, SIGMA2_TAG) for s in stream]
+            [s.generator(k, SIGMA2_TAG) for s in streams]
             if cfg.sigma2_scheme.is_random
             else None
         )
         v_sign = np.sign(g_t.m) if cfg.sigma2_scheme.uses_given_sign else 0
         # t * g at the working scale, exact; each lane's rounding path is
         # chosen from its own values inside round_ratio_vec
-        num = (g_t.m.astype(object) if wide_num else g_t.m) * tn
-        d_m = rounding.round_ratio_vec(num, den, cfg.mul_fmt, cfg.sigma2_scheme, gens, v_sign)
-        step = d_m.astype(object) if wide_step else d_m
-        new_x = FixedVec(x.m - (step << shift), x.fmt)
+        num = (g_t.m.astype(object) if self.wide_num else g_t.m) * self.tn
+        d_m = rounding.round_ratio_vec(num, self.den, cfg.mul_fmt, cfg.sigma2_scheme, gens, v_sign)
+        step = d_m.astype(object) if self.wide_step else d_m
+        new_x = FixedVec(x.m - (step << self.shift), x.fmt)
         return new_x, {
             "g_tilde_m": g_t.m, "g_exact": g_ref, "d_m": d_m, "case": case, "c2_mask": c2,
         }
 
-    if cfg.number_system == "lowfloat":
-        x = list(x_state)
-        g_t = eval_grad_rounded(obj, x, cfg, stream, k)
-        x_f = np.array([float(v) for v in x])
-        g_ref = eval_grad_reference(obj, x_f)
-        gaps = _float_gaps(x, cfg.float_fmt)
-        case, c2 = classify_case(g_t, t, gaps)
+    def finish(self, cols: dict) -> None:
+        """The float columns, from the mantissas, elementwise as in one step."""
+        g = cols["g_tilde_m"] / self.cfg.working_fmt.scale
+        d = cols["d_m"] / self.cfg.mul_fmt.scale
+        cols.update(g_tilde=g, d=d, sigma1=g - cols["g_exact"], sigma2=d - float(self.cfg.t) * g)
 
-        new_x, d_vals, s2_vals = [], [], []
-        for i, (xi, gi) in enumerate(zip(x, g_t)):
-            v_sign = -_fraction_sign(gi) if cfg.sigma2_scheme.uses_given_sign else 0
-            tg = t * gi
-            nxt = lpfloat.fl_sub_round(
-                xi, tg, cfg.float_fmt, cfg.sigma2_scheme, stream, k, SIGMA2_TAG + i, v_sign
-            )
-            d = xi - nxt
-            new_x.append(nxt)
-            d_vals.append(d)
-            s2_vals.append(d - tg)
-        g_t_f = np.array([float(v) for v in g_t])
+
+class _LowFloat(_System):
+    """A small binary float grid: an (R, n) object array of grid Fractions,
+    every recipe op rounded, the update subtraction rounded once."""
+
+    columns = {**_System.columns, **dict.fromkeys(("g_tilde", "d", "sigma2"), (np.float64, True))}
+
+    @property
+    def u_stag(self) -> float:
+        return float(self.cfg.float_fmt.unit_roundoff)
+
+    def lanes(self, count: int) -> np.ndarray:
+        exact = [parse_rational(v) for v in self.cfg.x0]
+        for v in exact:
+            if not lpfloat.is_representable(v, self.cfg.float_fmt):
+                raise ValueError(f"x0 entry {v} is not on the {self.cfg.float_fmt} grid")
+        return np.array([exact] * count, dtype=object)
+
+    def lane(self, x: np.ndarray, j: int) -> List[Fraction]:
+        return list(x[j])
+
+    def iterates(self, x: np.ndarray) -> dict:
+        return {"xs": x.astype(np.float64)}
+
+    def step(self, x: np.ndarray, xf: np.ndarray, streams: list, k: int):
+        cfg = self.cfg
+        fmt, t, scheme = cfg.float_fmt, cfg.t, cfg.sigma2_scheme
+        rows = x.tolist()
+        g_t = [
+            cfg.objective.grad_rounded_float(row, fmt, cfg.sigma1_scheme, stream, k)
+            for row, stream in zip(rows, streams)
+        ]
+        g_ref = eval_grad_reference(cfg.objective, xf)
+        case, c2 = zip(*(
+            classify_case(g_r, t, [lpfloat.binade_gap(v, fmt) for v in row])
+            for row, g_r in zip(rows, g_t)
+        ))
+        new_x, out = np.empty_like(x), np.empty((3,) + x.shape)  # out: g_tilde, d, sigma2
+        for r, (row, g_r, stream) in enumerate(zip(rows, g_t, streams)):
+            for i, (xi, gi) in enumerate(zip(row, g_r)):
+                v_sign = (gi < 0) - (gi > 0) if scheme.uses_given_sign else 0  # -sign(g): descent
+                tg = t * gi
+                nxt = lpfloat.fl_sub_round(xi, tg, fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
+                new_x[r, i] = nxt
+                out[:, r, i] = gi, xi - nxt, xi - nxt - tg
         return new_x, {
-            "g_tilde": g_t_f,
-            "g_tilde_m": None,
-            "g_exact": g_ref,
-            "d": np.array([float(v) for v in d_vals]),
-            "d_m": None,
-            "sigma1": g_t_f - g_ref,
-            "sigma2": np.array([float(v) for v in s2_vals]),
-            "case": case,
-            "c2_mask": c2,
-            "nonopp_violations": check_nonopposite(g_t_f, g_ref),
+            "g_tilde": out[0], "g_exact": g_ref, "d": out[1], "sigma2": out[2],
+            "case": case, "c2_mask": c2,
         }
 
-    # reference mode: exact binary64 descent
-    x = np.asarray(x_state, dtype=np.float64)
-    g_ref = eval_grad_reference(obj, x)
-    d = float(t) * g_ref
-    new_x = x - d
-    n = x.size
-    return new_x, {
-        "g_tilde": g_ref.copy(),
-        "g_tilde_m": None,
-        "g_exact": g_ref,
-        "d": d,
-        "d_m": None,
-        "sigma1": np.zeros(n),
-        "sigma2": np.zeros(n),
-        "case": 0,
-        "c2_mask": np.zeros(n, dtype=bool),
-        "nonopp_violations": 0,
-    }
+    def finish(self, cols: dict) -> None:
+        cols["sigma1"] = cols["g_tilde"] - cols["g_exact"]
 
 
-def _fraction_sign(v) -> int:
-    return (v > 0) - (v < 0)
+class _Reference(_System):
+    """Plain binary64 descent, no rounding: (R, n) float64 rows."""
+
+    columns = {**_System.columns, "d": (np.float64, True)}
+
+    def lanes(self, count: int) -> np.ndarray:
+        return np.tile([float(parse_rational(v)) for v in self.cfg.x0], (count, 1))
+
+    def step(self, x: np.ndarray, xf: np.ndarray, streams: list, k: int):
+        g_ref = eval_grad_reference(self.cfg.objective, xf)
+        d = float(self.cfg.t) * g_ref
+        return x - d, {"g_exact": g_ref, "d": d, "case": 0, "c2_mask": False}
+
+    def finish(self, cols: dict) -> None:
+        """The rounded gradient is the exact one, with no error."""
+        g = cols["g_exact"]
+        cols.update(g_tilde=g.copy(), sigma1=np.zeros_like(g), sigma2=np.zeros_like(g))
 
 
-def _state_floats(state, number_system: str) -> np.ndarray:
-    if number_system == "fixed":
-        return state.to_floats()
-    if number_system == "lowfloat":
-        return np.array([float(v) for v in state])
-    return np.asarray(state, dtype=np.float64)
+_SYSTEMS = {"fixed": _Fixed, "lowfloat": _LowFloat, "reference": _Reference}
+
+
+def gd_step(x_state, x_floats: np.ndarray, system: _System, streams: list, k: int):
+    """One update of R lanes in `system`'s number system: x_state is their
+    state, x_floats its binary64 rows, streams their RandomStreams.  Returns
+    (new_state, step dict); every array in the dict has a leading lane axis."""
+    return system.step(x_state, x_floats, streams, k)
 
 
 def run(cfg: GDConfig, seeds: Optional[Sequence[int]] = None):
@@ -372,15 +411,12 @@ def run(cfg: GDConfig, seeds: Optional[Sequence[int]] = None):
 
     `run(cfg)` is one run at cfg.seed.  `run(cfg, seeds)` is one run per
     seed (each with config `replace(cfg, seed=s)`), returned in seed order;
-    fixed-point runs advance together in lockstep, lowfloat and reference
-    runs one after another.  A failing run raises, as running the seeds one
-    after another would: the exception of the first failing seed.
+    the runs advance together in lockstep, whatever the number system.  A
+    failing run raises, as running the seeds one after another would: the
+    exception of the first failing seed.
     """
     cfgs = [cfg] if seeds is None else [replace(cfg, seed=operator.index(s)) for s in seeds]
-    if cfg.number_system == "fixed":
-        results = _run_lanes(cfgs)
-    else:
-        results = [r for c in cfgs for r in _run_lanes([c])]
+    results = _run_lanes(cfgs)
     return results[0] if seeds is None else results
 
 
@@ -389,15 +425,12 @@ def run_ensemble(cfg: GDConfig, seeds: Sequence[int]) -> List[RunResult]:
     return run(cfg, seeds)
 
 
-def _advance(x, cfg: GDConfig, streams: list, k: int, consts):
-    """One iteration of the live lanes: the update, then f at every new
-    iterate ("xs" and "fs" get a leading lane axis in every mode)."""
-    fixed = cfg.number_system == "fixed"
-    new_x, rec = gd_step(x, cfg, streams if fixed else streams[0], k, consts)
-    if fixed:
-        rec["x_m"] = new_x.m
-    rec["xs"] = np.reshape(_state_floats(new_x, cfg.number_system), (-1, cfg.objective.n))
-    rec["fs"] = np.array([cfg.objective.f(row) for row in rec["xs"]], dtype=np.float64)
+def _advance(x, xf: np.ndarray, system, streams: list, k: int):
+    """One iteration of the live lanes: the update, then the new iterates'
+    binary64 rows ("xs") and f at each ("fs")."""
+    new_x, rec = gd_step(x, xf, system, streams, k)
+    rec.update(system.iterates(new_x))
+    rec["fs"] = np.array([system.cfg.objective.f(row) for row in rec["xs"]], dtype=np.float64)
     return new_x, rec
 
 
@@ -406,17 +439,8 @@ class _StepRows:
     batch by batch into column buffers that double when full, so memory
     follows the steps taken rather than the iteration budget."""
 
-    def __init__(self, fixed: bool, n: int):
-        # step-dict key -> dtype, and whether it holds one entry per coordinate
-        fields = {
-            "fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True),
-            "case": (np.uint8, False), "c2_mask": (bool, True),
-        }
-        if fixed:  # the other float columns are derived at the end
-            fields.update(x_m=(np.int64, True), g_tilde_m=(np.int64, True), d_m=(np.int64, True))
-        else:
-            fields.update(dict.fromkeys(("g_tilde", "sigma1", "sigma2", "d"), (np.float64, True)))
-            fields.update(nonopp_violations=(np.int64, False))
+    def __init__(self, fields: dict, n: int):
+        # fields: step-dict key -> (dtype, whether it holds one entry per coordinate)
         self.cols = {
             key: np.zeros((0, n) if per_coord else (0,), dtype=dtype)
             for key, (dtype, per_coord) in fields.items()
@@ -435,10 +459,6 @@ class _StepRows:
             col[self.size : end] = rec[key]
         self.size = end
 
-    def last(self, key: str, count: int) -> np.ndarray:
-        """The rows of the latest `count` appended."""
-        return self.cols[key][self.size - count : self.size]
-
 
 def _grown(col: np.ndarray, cap: int, size: int) -> np.ndarray:
     out = np.empty((cap,) + col.shape[1:], dtype=col.dtype)
@@ -449,98 +469,81 @@ def _grown(col: np.ndarray, cap: int, size: int) -> np.ndarray:
 def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     """Runs of configs that differ only in seed, one lane each, in lockstep.
 
-    Fixed-point lanes share one (R, n) state; lowfloat and reference runs
-    come one at a time.  The live lanes share one `_advance` per iteration.
-    If it raises, the iteration is replayed lane by lane (the draws are
-    addressed by seed, k and tag, so a replay draws exactly the same words);
-    the lanes that raise again are dropped, and the first one's exception is
-    raised at the end.
+    The live lanes share one state and one `_advance` per iteration.  If it
+    raises, each lane replays the iteration alone (its draws are addressed by
+    seed, k and tag, so a replay draws the same words); the lanes from the
+    first that raises on are dropped, the rest step again together, and the
+    first one's exception is raised at the end.
     """
     if not cfgs:
         return []
     cfg = cfgs[0]
     obj = cfg.objective
-    fixed = cfg.number_system == "fixed"
+    system = _SYSTEMS[cfg.number_system](cfg)
     window = cfg.stagnation_window
-    if fixed:
-        u_stag = float(cfg.u_mul)
-    elif cfg.number_system == "lowfloat":
-        u_stag = float(cfg.float_fmt.unit_roundoff)
-    else:
-        u_stag = 0.0
-    stag_norm = 10.0 * np.sqrt(obj.n) * u_stag
-    consts = _fixed_consts(cfg) if fixed else None
-    streams = [rng.RandomStream(c.seed) for c in cfgs]
+    below = np.nan if cfg.stop_below_f is None else cfg.stop_below_f
+    stag_norm = 10.0 * np.sqrt(obj.n) * system.u_stag
     lanes = len(cfgs)
 
-    state = cfg.initial_state()
-    xs0 = _state_floats(state, cfg.number_system)
-    f0 = obj.f(xs0)
-    # per live lane, in lane order: lane index, stream, iterate, f, zero-step streak
+    # per live lane, in lane order: lane index, stream, iterate and its
+    # binary64 row, f, zero-step streak
     live = np.arange(lanes)
-    lane_streams = list(streams)
-    x = FixedVec(np.tile(state.m, (lanes, 1)), state.fmt) if fixed else state
+    lane_streams = [rng.RandomStream(c.seed) for c in cfgs]
+    x = system.lanes(lanes)
+    x0_rows = system.iterates(x)
+    xf = x0_rows["xs"]
+    f0 = obj.f(xf[0])
     f = np.full(lanes, f0, dtype=np.float64)
     streak = np.zeros(lanes, dtype=np.int64)
     stagnation_iter = np.full(lanes, -1, dtype=np.int64)  # by lane index
+    final: list = [None] * lanes  # by lane index, kept when a lane leaves the batch
     errors: Dict[int, Exception] = {}
-    rows = _StepRows(fixed, obj.n)
+    rows = _StepRows(system.columns, obj.n)
 
-    def select(idx):
+    def select(keep):
+        for j in np.flatnonzero(~keep):
+            final[live[j]] = system.lane(x, j)
+        idx = np.flatnonzero(keep)
         return (
-            live[idx],
-            [lane_streams[j] for j in idx],
-            FixedVec(x.m[idx], x.fmt),
-            f[idx],
-            streak[idx],
+            live[idx], [lane_streams[j] for j in idx], system.select(x, idx), xf[idx],
+            f[idx], streak[idx],
         )
 
-    for k in range(cfg.iterations):
-        if cfg.stop_below_f is not None:
-            keep = ~(f <= cfg.stop_below_f)
-            if not keep.any():
-                break
-            if not keep.all():
-                live, lane_streams, x, f, streak = select(np.flatnonzero(keep))
+    for k in range(0 if f0 <= below else cfg.iterations):
         try:
-            new_x, rec = _advance(x, cfg, lane_streams, k, consts)
-        except Exception as exc:
-            if live.size == 1:
-                errors[live[0]] = exc
-                break
-            done = []
+            new_x, rec = _advance(x, xf, system, lane_streams, k)
+        except Exception:
             for j, i in enumerate(live):
                 try:
-                    one = FixedVec(x.m[j : j + 1], x.fmt)
-                    done.append((j, _advance(one, cfg, [streams[i]], k, consts)[1]))
+                    _advance(system.select(x, [j]), xf[[j]], system, [lane_streams[j]], k)
                 except Exception as lane_exc:
                     errors[i] = lane_exc
             # runs after the first failing seed are never returned
-            done = [(j, r) for j, r in done if live[j] < min(errors, default=lanes)]
-            if not done:
+            keep = live < min(errors, default=lanes)
+            if not keep.any():
                 break
-            live, lane_streams, x, f, streak = select([j for j, _ in done])
-            rec = {key: np.concatenate([r[key] for _, r in done]) for key in done[0][1]}
-            new_x = FixedVec(rec["x_m"], x.fmt)
+            live, lane_streams, x, xf, f, streak = select(keep)
+            new_x, rec = _advance(x, xf, system, lane_streams, k)
         rows.append(live, rec)
-        x, f = new_x, rec["fs"]
+        x, xf, f = new_x, rec["xs"], rec["fs"]
 
-        moved = rows.last("d_m" if fixed else "d", live.size).any(axis=1)
+        moved = rec[system.streak_key].any(axis=1)
         streak = np.where(moved, 0, streak + 1)
+        stop = f <= below
         if streak.max() >= window:
-            g_exact = rows.last("g_exact", live.size)
-            stop = np.zeros(live.size, dtype=bool)
             for j in np.flatnonzero(streak >= window):
-                if stagnation_iter[live[j]] < 0 and np.linalg.norm(g_exact[j]) > stag_norm:
+                if stagnation_iter[live[j]] < 0 and np.linalg.norm(rec["g_exact"][j]) > stag_norm:
                     stagnation_iter[live[j]] = k - window + 1
-                    stop[j] = cfg.stop_on_stagnation
+                    stop[j] |= cfg.stop_on_stagnation
+        if stop.any():
             if stop.all():
                 break
-            if stop.any():
-                live, lane_streams, x, f, streak = select(np.flatnonzero(~stop))
+            live, lane_streams, x, xf, f, streak = select(~stop)
 
     if errors:
         raise errors[min(errors)]
+    for j, i in enumerate(live):
+        final[i] = system.lane(x, j)
 
     # each lane's rows, in iteration order
     lane_of_row = rows.lane[: rows.size]
@@ -548,23 +551,18 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     steps = np.bincount(lane_of_row, minlength=lanes)
     start = np.concatenate(([0], np.cumsum(steps)))
     cols = {key: col[: rows.size][order] for key, col in rows.cols.items()}
-    if fixed:  # the other float columns, from the mantissas, elementwise as in one step
-        g, d = cols["g_tilde_m"] / state.fmt.scale, cols["d_m"] / cfg.mul_fmt.scale
-        cols.update(g_tilde=g, d=d, sigma1=g - cols["g_exact"], sigma2=d - float(cfg.t) * g,
-                    nonopp_violations=check_nonopposite(g, cols["g_exact"]))
-        x_m0 = state.m[None, :]
+    system.finish(cols)
+    cols["nonopp_violations"] = check_nonopposite(cols["g_tilde"], cols["g_exact"])
+    first = {"fs": np.array([f0]), **{key: col[:1] for key, col in x0_rows.items()}}
     results = []
     for r, c in enumerate(cfgs):
         run_rows = {key: col[start[r] : start[r + 1]] for key, col in cols.items()}
-        run_rows["fs"] = np.concatenate(([f0], run_rows["fs"]))
-        run_rows["xs"] = np.concatenate((xs0[None, :], run_rows["xs"]))
-        if fixed:
-            run_rows["x_m"] = np.concatenate((x_m0, run_rows["x_m"]))
-            x = FixedVec(run_rows["x_m"][-1], state.fmt)
+        for key, row in first.items():
+            run_rows[key] = np.concatenate((row, run_rows[key]))
         results.append(
             RunResult(
                 config=c,
-                final_state=x,
+                final_state=final[r],
                 stagnated=bool(stagnation_iter[r] >= 0),
                 stagnation_iter=int(stagnation_iter[r]),
                 steps=int(steps[r]),

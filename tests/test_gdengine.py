@@ -85,6 +85,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             quad_config(number_system="posit")
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_stagnation_window_below_one_rejected(self, window):
+        # window 0 would flag stagnation after any step, -3 before the run starts
+        with pytest.raises(ValueError, match="stagnation_window"):
+            quad_config(stagnation_window=window)
+
 
 class TestClassify:
     def test_all_three_cases(self):
@@ -668,12 +674,6 @@ class TestFullRecordDigests:
 # lockstep ensembles against one-seed runs
 # ---------------------------------------------------------------------------
 
-_RESULT_ARRAYS = (
-    "fs", "xs", "g_exact", "g_tilde", "sigma1", "sigma2", "d", "case", "c2_mask",
-    "nonopp_violations", "x_m", "g_tilde_m", "d_m",
-)
-
-
 def outcome_of_sequential(cfg, seeds):
     """What running the seeds one after another gives: the results, or the
     (type, message) of the first seed whose run raises."""
@@ -704,12 +704,34 @@ def assert_same_outcome(cfg, seeds):
     assert len(got) == len(want)
     for s, a, b in zip(seeds, got, want):
         assert a.config.seed == b.config.seed == s
-        for name in _RESULT_ARRAYS:
+        for name in _RECORD_ARRAYS:
             x, y = getattr(a, name), getattr(b, name)
+            if x is None or y is None:  # mantissa columns of lowfloat and reference runs
+                assert x is y is None and cfg.number_system != "fixed", (s, name)
+                continue
             assert x.dtype == y.dtype and x.shape == y.shape, (s, name)
             assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (s, name)
         assert (a.steps, a.stagnated, a.stagnation_iter) == (b.steps, b.stagnated, b.stagnation_iter)
-        assert np.array_equal(a.final_state.m, b.final_state.m)
+        assert_same_final_state(cfg, a, b)
+
+
+def assert_same_final_state(cfg, a, b):
+    """Both runs end at the same iterate, of the type the number system
+    returns, and it is the iterate of the last recorded row."""
+    sa, sb = a.final_state, b.final_state
+    if cfg.number_system == "fixed":
+        assert isinstance(sa, FixedVec) and isinstance(sb, FixedVec) and sa.fmt == sb.fmt
+        sa, sb = sa.m, sb.m
+        assert np.array_equal(sa, a.x_m[-1])
+    elif cfg.number_system == "lowfloat":
+        assert type(sa) is type(sb) is list
+        assert all(type(v) is Fraction for v in sa + sb) and sa == sb
+        assert np.array_equal([float(v) for v in sa], a.xs[-1])
+        return
+    assert sa.shape == sb.shape == (cfg.objective.n,) and sa.dtype == sb.dtype
+    assert np.array_equal(sa, sb, equal_nan=True)
+    if cfg.number_system == "reference":
+        assert sa.dtype == np.float64 and np.array_equal(sa, a.xs[-1], equal_nan=True)
 
 
 _PROBLEMS = {
@@ -731,14 +753,20 @@ _SCHEMES = ["rn", "sr", "sr_eps:0.4", "signed_sr_eps:1/3"]
 @st.composite
 def lockstep_cases(draw):
     make, x0, steps = _PROBLEMS[draw(st.sampled_from(sorted(_PROBLEMS)))]
-    working, mul = draw(st.sampled_from(_FORMATS))
+    system = draw(st.sampled_from(["fixed", "lowfloat", "reference"]))
+    formats = {}
+    if system == "fixed":
+        working, mul = draw(st.sampled_from(_FORMATS))
+        formats = dict(working_fmt=working, mul_fmt=mul)
+    elif system == "lowfloat":  # every x0 above is on both grids
+        formats = dict(float_fmt=draw(st.sampled_from(["fp8e5", "fp16e5"])))
     cfg = GDConfig(
         objective=make(),
         t=draw(st.sampled_from(steps)),
         x0=x0,
         iterations=draw(st.integers(0, 25)),
-        working_fmt=working,
-        mul_fmt=mul,
+        number_system=system,
+        **formats,
         sigma1_scheme=draw(st.sampled_from(_SCHEMES)),
         sigma2_scheme=draw(st.sampled_from(_SCHEMES)),
         stop_below_f=draw(st.sampled_from([None, 1e-3, 1e-6])),
@@ -750,7 +778,8 @@ def lockstep_cases(draw):
 
 
 class TestLockstepEnsembles:
-    @settings(max_examples=100, deadline=None)
+    # about 100 examples per number system
+    @settings(max_examples=300, deadline=None)
     @given(lockstep_cases())
     def test_ensemble_equals_one_seed_runs(self, case):
         cfg, seeds = case

@@ -124,6 +124,11 @@ class TestSpec:
         assert tiny_spec(seeds=3).seeds == [0, 1, 2]
         assert tiny_spec(seeds=[5, 9]).seeds == [5, 9]
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_stagnation_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match="stagnation_window"):
+            run_experiment(tiny_spec(stagnation_window=window))
+
     def test_numbers_kept_as_strings(self):
         spec = tiny_spec(t=0.25, x0=[1, 1])
         assert spec.t == "0.25"
