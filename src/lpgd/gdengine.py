@@ -63,6 +63,7 @@ SIGMA2_TAG = 1 << 20
 
 _INT64_LIMIT = 1 << 63
 
+
 @dataclass
 class GDConfig:
     """Everything one emulated descent run needs."""
@@ -138,10 +139,9 @@ class GDConfig:
 
 @dataclass
 class RunResult:
-    """Full record of one run: trajectory, per-step errors, case labels.  The
-    float columns a step does not record are derived once, at the end of the
-    run (see the module docstring); x_m, g_tilde_m and d_m are fixed-point
-    only.  final_state is a FixedVec, a list of grid Fractions or a float row."""
+    """Full record of one run: trajectory, per-step errors, case labels.  x_m,
+    g_tilde_m and d_m are fixed-point only; final_state is a FixedVec, a list
+    of grid Fractions or a float row, by number system."""
 
     config: GDConfig
     fs: np.ndarray
@@ -240,7 +240,7 @@ class _System:
     binary64 rows "xs", and the mantissas "x_m" of fixed-point lanes.
     `step` is one update of every lane; `columns` maps what a step records
     to (dtype, one entry per coordinate?), and `finish` derives the other
-    float columns but the sign flips once per run.  Zero rows of the
+    float columns, the sign flips aside, once per run.  Zero rows of the
     `streak_key` column make the stagnation streak, and `u_stag` is the grid
     spacing of the stagnation test.
     """
@@ -366,8 +366,8 @@ class _LowFloat(_System):
                 v_sign = (gi < 0) - (gi > 0) if scheme.uses_given_sign else 0  # -sign(g): descent
                 tg = t * gi
                 nxt = lpfloat.fl_sub_round(xi, tg, fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
-                new_x[r, i] = nxt
-                out[:, r, i] = gi, xi - nxt, xi - nxt - tg
+                new_x[r, i], d = nxt, xi - nxt
+                out[:, r, i] = gi, d, d - tg
         return new_x, {
             "g_tilde": out[0], "g_exact": g_ref, "d": out[1], "sigma2": out[2],
             "case": case, "c2_mask": c2,
