@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,11 +69,11 @@ def _cmd_sweep(args) -> int:
         raise SystemExit("--set wants FIELD=v1,v2,...")
     if field not in ExperimentSpec.__dataclass_fields__:
         raise SystemExit(f"unknown spec field {field!r}")
-    current = getattr(base, field)
     rows = []
     for value in values.split(","):
-        typed = int(value) if isinstance(current, int) else value
-        spec = replace(base, name=f"{base.name}[{field}={value}]", **{field: typed})
+        raw = dict(asdict(base), name=f"{base.name}[{field}={value}]")
+        raw[field] = yaml.safe_load(value)  # typed as the same text in a config file
+        spec = ExperimentSpec.from_dict(raw)
         result = run_experiment(spec)
         s = summarize(result)
         below = None
@@ -128,8 +128,8 @@ def _cmd_verify(args) -> int:
 
     q11 = make_format("Q1.1")
     sr = parse_scheme("sr")
-    da = oracle.fixed_round_distribution(Fraction(24, 100), q11, sr)
-    db = oracle.fixed_round_distribution(Fraction(26, 100), q11, sr)
+    da = oracle.round_distribution(Fraction(24, 100), q11, sr)
+    db = oracle.round_distribution(Fraction(26, 100), q11, sr)
     diff = oracle.difference_distribution(da, db)
     want = {
         Fraction(1, 2): Fraction(144, 625),

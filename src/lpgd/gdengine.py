@@ -99,6 +99,8 @@ class GDConfig:
             raise ValueError(f"unknown number system {self.number_system!r}")
         self.sigma1_scheme = rounding.parse_scheme(self.sigma1_scheme)
         self.sigma2_scheme = rounding.parse_scheme(self.sigma2_scheme)
+        if self.stop_below_f is not None:
+            self.stop_below_f = float(self.stop_below_f)
         if self.working_fmt is not None and not isinstance(self.working_fmt, QFormat):
             self.working_fmt = make_format(self.working_fmt)
         if self.mul_fmt is not None and not isinstance(self.mul_fmt, QFormat):
@@ -169,10 +171,6 @@ class RunResult:
     @property
     def final_x(self) -> np.ndarray:
         return self.xs[self.steps]
-
-    @property
-    def c2_count(self) -> np.ndarray:
-        return self.c2_mask.sum(axis=1)
 
     def iterations_below(self, threshold: float) -> Optional[int]:
         """First k with f(x_k) <= threshold, or None."""
@@ -365,7 +363,7 @@ class _LowFloat(_System):
             for i, (xi, gi) in enumerate(zip(row, g_r)):
                 v_sign = (gi < 0) - (gi > 0) if scheme.uses_given_sign else 0  # -sign(g): descent
                 tg = t * gi
-                nxt = lpfloat.fl_sub_round(xi, tg, fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
+                nxt = lpfloat.fl_round(xi - tg, fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
                 new_x[r, i], d = nxt, xi - nxt
                 out[:, r, i] = gi, d, d - tg
         return new_x, {

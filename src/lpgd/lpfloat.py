@@ -5,17 +5,19 @@ significand bit, gradual underflow) with one deliberate difference: no
 exponent codes are reserved for inf/nan, the top binade holds ordinary
 numbers, and anything past the largest finite value is a hard OverflowError.
 
-Every query rests on one integer split, `_split`: v = (q + r/den) * 2**g
-with 0 <= r < den, where 2**g is the grid spacing of |v|'s binade (the
-subnormal spacing below emin).  The binade comes from the bit lengths of
-v's numerator and denominator, and the floor acts on the signed numerator,
-so the neighbours are q * 2**g and (q + 1) * 2**g for either sign, and
-r = 0 means v is on the grid.  Rounding is the one two-point law of
-`rounding.up_weight` at the position q + r/den.  q and q + 1 are the
-neighbours' significands (at a binade top q + 1 = 2**sig_bits, even like
-the upper neighbour's own), so rn's ties-to-even and the sign that sr_eps
-reads come out as in the fixed-point case, just on a magnitude-dependent
-grid.  Values and results stay exact Fractions.
+Every query rests on one integer split, `FloatFormat.split`: v = (q + r/den)
+* 2**g with 0 <= r < den, where 2**g is the grid spacing of |v|'s binade
+(the subnormal spacing below emin).  The binade comes from the bit lengths
+of v's numerator and denominator, and the floor acts on the signed
+numerator, so the neighbours are q * 2**g and (q + 1) * 2**g for either
+sign, and r = 0 means v is on the grid.  `QFormat.split` makes the same
+split on a fixed-point grid, so the exact laws live in `rounding` (`law`,
+`prob_round_down`, `expected_round`) and serve both formats; `fl_round`
+draws from `rounding.law`.  q and q + 1 are the neighbours' significands
+(at a binade top q + 1 = 2**sig_bits, even like the upper neighbour's own),
+so rn's ties-to-even and the sign that sr_eps reads come out as in the
+fixed-point case, just on a magnitude-dependent grid.  Values and results
+stay exact Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, Tuple, Union
 
 from . import rng
 from .qnum import ExactReal, to_fraction
-from .rounding import RoundScheme, up_weight
+from .rounding import RoundScheme, law
 
 _FP_PATTERN = re.compile(r"^fp(\d+)e(\d+)$")
 
@@ -80,6 +82,35 @@ class FloatFormat:
         full = (1 << self.sig_bits) - 1  # 2 - 2^(1-sig), scaled
         return _scaled(full, self.emax - self.sig_bits + 1)
 
+    def split(self, v: Fraction) -> Tuple[int, int, int, int]:
+        """(q, r, den, g) with v = (q + r/den) * 2**g and 0 <= r < den.
+
+        2**g is the grid spacing of the binade of |v| (the subnormal spacing
+        below emin), so q * 2**g and (q + 1) * 2**g are v's neighbours and
+        r = 0 means v is on the grid.  den is not reduced.  The floor acts on
+        the signed numerator, so q < 0 for v < 0.  |v| beyond the largest
+        finite value raises OverflowError.
+        """
+        n, d = v.numerator, v.denominator
+        if not n:
+            return 0, 0, 1, self.emin - self.sig_bits + 1
+        a = abs(n)
+        e = a.bit_length() - d.bit_length()  # floor(log2 |v|) is e or e - 1
+        if (a < d << e) if e >= 0 else (a << -e < d):
+            e -= 1
+        g = min(max(e, self.emin), self.emax) - self.sig_bits + 1
+        if g < 0:
+            den = d
+            q, r = divmod(n << -g, d)
+        else:
+            den = d << g
+            q, r = divmod(n, den)
+        if e >= self.emax:  # g is clamped to the top binade's, where max_finite is top * 2**g
+            top = (1 << self.sig_bits) - 1
+            if q < -top or q + (r > 0) > top:
+                raise OverflowError(f"{float(v)} is beyond the largest finite {self} value")
+        return q, r, den, g
+
     def __str__(self) -> str:
         return f"fp{self.total_bits}e{self.exp_bits}"
 
@@ -106,50 +137,20 @@ def _scaled(m: int, g: int) -> Fraction:
     return Fraction(m << g) if g >= 0 else Fraction(m, 1 << -g)
 
 
-def _split(v: Fraction, fmt: FloatFormat) -> Tuple[int, int, int, int]:
-    """(q, r, den, g) with v = (q + r/den) * 2**g and 0 <= r < den.
-
-    2**g is the grid spacing of the binade of |v| (the subnormal spacing
-    below emin), so q * 2**g and (q + 1) * 2**g are v's neighbours and r = 0
-    means v is on the grid.  den is not reduced.  The floor acts on the
-    signed numerator, so q < 0 for v < 0.  |v| beyond the largest finite
-    value raises OverflowError.
-    """
-    n, d = v.numerator, v.denominator
-    if not n:
-        return 0, 0, 1, fmt.emin - fmt.sig_bits + 1
-    a = abs(n)
-    e = a.bit_length() - d.bit_length()  # floor(log2 |v|) is e or e - 1
-    if (a < d << e) if e >= 0 else (a << -e < d):
-        e -= 1
-    g = min(max(e, fmt.emin), fmt.emax) - fmt.sig_bits + 1
-    if g < 0:
-        den = d
-        q, r = divmod(n << -g, d)
-    else:
-        den = d << g
-        q, r = divmod(n, den)
-    if e >= fmt.emax:  # g is clamped to the top binade's, where max_finite is top * 2**g
-        top = (1 << fmt.sig_bits) - 1
-        if q < -top or q + (r > 0) > top:
-            raise OverflowError(f"{float(v)} is beyond the largest finite {fmt} value")
-    return q, r, den, g
-
-
 def neighbors(x: ExactReal, fmt: FloatFormat) -> Tuple[Fraction, Fraction]:
     """The enclosing grid points (lo, hi) with lo <= x <= hi, exactly.
 
     Representable x gives lo == hi == x.  |x| beyond the largest finite
     value raises OverflowError.
     """
-    q, r, _, g = _split(to_fraction(x), fmt)
+    q, r, _, g = fmt.split(to_fraction(x))
     lo = _scaled(q, g)
     return (lo, lo) if r == 0 else (lo, _scaled(q + 1, g))
 
 
 def is_representable(x: ExactReal, fmt: FloatFormat) -> bool:
     try:
-        return _split(to_fraction(x), fmt)[1] == 0
+        return fmt.split(to_fraction(x))[1] == 0
     except OverflowError:
         return False
 
@@ -159,36 +160,7 @@ def binade_gap(x: ExactReal, fmt: FloatFormat) -> Fraction:
 
     |x| beyond the largest finite value raises OverflowError.
     """
-    return _scaled(1, _split(to_fraction(x), fmt)[3])
-
-
-def _law(x: ExactReal, fmt: FloatFormat, scheme: RoundScheme, v_sign):
-    """(q, g, T, cap): x lies in [q, q + 1] * 2**g and rounds up to
-    (q + 1) * 2**g with probability T/cap (T = 0 on the grid).
-
-    The position x / 2**g = q + r/den feeds `up_weight` directly.
-    """
-    q, r, den, g = _split(to_fraction(x), fmt)
-    if r == 0:
-        return q, g, 0, 1
-    t, cap = up_weight(q, r, den, scheme, v_sign)
-    return q, g, t, cap
-
-
-def prob_round_down_fl(
-    x: ExactReal, fmt: FloatFormat, scheme: RoundScheme, v_sign: int = 0
-) -> Fraction:
-    """Exact probability that x rounds to its lower neighbor in fmt."""
-    _, _, t, cap = _law(x, fmt, scheme, v_sign)
-    return 1 - Fraction(t, cap)
-
-
-def expected_round_fl(
-    x: ExactReal, fmt: FloatFormat, scheme: RoundScheme, v_sign: int = 0
-) -> Fraction:
-    """Exact E[fl(x)] over the two enclosing grid points."""
-    q, g, t, cap = _law(x, fmt, scheme, v_sign)
-    return (q + Fraction(t, cap)) * _scaled(1, g)
+    return _scaled(1, fmt.split(to_fraction(x))[3])
 
 
 def fl_round(
@@ -201,7 +173,7 @@ def fl_round(
     v_sign: int = 0,
 ) -> Fraction:
     """One rounding of the exact value x onto fmt's grid."""
-    q, g, t, cap = _law(x, fmt, scheme, v_sign)
+    q, g, t, cap = law(x, fmt, scheme, v_sign)
     if 0 < t < cap:
         if stream is None:
             raise ValueError(f"{scheme} needs a RandomStream to round {float(to_fraction(x))}")
@@ -210,17 +182,3 @@ def fl_round(
     elif t:
         q += 1
     return _scaled(q, g)
-
-
-def fl_sub_round(
-    a: ExactReal,
-    b: ExactReal,
-    fmt: FloatFormat,
-    scheme: RoundScheme,
-    stream: Optional[rng.RandomStream] = None,
-    k: int = 0,
-    tag: int = 0,
-    v_sign: int = 0,
-) -> Fraction:
-    """fl(a - b): the exact difference, then a single rounding."""
-    return fl_round(to_fraction(a) - to_fraction(b), fmt, scheme, stream, k, tag, v_sign)

@@ -3,14 +3,18 @@
 Each objective provides the exact binary64 value/gradient plus a *recipe*: a
 fixed sequence of elementary ops (add/sub/mul/constant-coefficient) that
 computes the gradient in emulated arithmetic.  Recipes are written once
-against a small ops backend and evaluated three ways:
+against a small ops backend and evaluated four ways:
 
-    FixedBackend    integer mantissas, products round once into the format;
-                    one lane, or R lanes of (R,) arrays in a single pass
-    FloatBackend    grid Fractions, every op result rounds (float semantics)
-    EnumBackend     exhaustive: every rounding branches, exact probabilities
+    FixedBackend     integer mantissas, products round once into the format;
+                     one lane, or R lanes of (R,) arrays in a single pass
+    FloatBackend     grid Fractions, every op result rounds (float semantics)
+    EnumBackend      a FixedBackend whose rounding step branches instead of
+                     drawing: exhaustive, with exact probabilities
+    FractionBackend  a FloatBackend whose rounding step keeps the exact value:
+                     the reference where nothing rounds
 
-plus FractionBackend, the exact reference where nothing rounds.
+Each exact backend overrides only its sampled parent's rounding step (and
+FractionBackend its constants), so it evaluates the same ops the engine does.
 
 Constant coefficients (2, 400, 1/16, 1e-3 = 1/1000, ...) are exact rationals
 applied as ratios; the product rounds once.  Integer coefficients in fixed
@@ -140,9 +144,6 @@ class FixedBackend:
         num = self._times(cf.numerator, a, abs(cf.numerator))
         return self._round_ratio(num, cf.denominator * self.fmt.scale)
 
-    def to_value(self, a: int) -> Fraction:
-        return Fraction(int(a), self.fmt.scale)
-
 
 class FloatBackend:
     """Recipe ops on a low-precision float grid; every result rounds."""
@@ -182,98 +183,47 @@ class FloatBackend:
     def coef(self, c, a) -> Fraction:
         return self._round(to_fraction(c) * a)
 
-    def to_value(self, a: Fraction) -> Fraction:
-        return a
 
-
-class FractionBackend:
+class FractionBackend(FloatBackend):
     """Exact rational evaluation of a recipe (nothing rounds, nothing clips)."""
 
     def __init__(self):
-        self.tag = 0
+        super().__init__(None, None)
+
+    def _round(self, x: Fraction) -> Fraction:
+        self.tag += 1
+        return x
 
     def const(self, c) -> Fraction:
         return to_fraction(c)
 
-    def add(self, a, b) -> Fraction:
-        self.tag += 1
-        return a + b
 
-    def sub(self, a, b) -> Fraction:
-        self.tag += 1
-        return a - b
+class EnumBackend(FixedBackend):
+    """Exhaustive fixed-point evaluation: each random rounding is a binary branch.
 
-    def mul(self, a, b) -> Fraction:
-        self.tag += 1
-        return a * b
-
-    def coef(self, c, a) -> Fraction:
-        self.tag += 1
-        return to_fraction(c) * a
-
-    def to_value(self, a: Fraction) -> Fraction:
-        return a
-
-
-class _ImpossiblePath(Exception):
-    """Raised when an enumeration plan forces a probability-zero branch."""
-
-
-class EnumBackend:
-    """Exhaustive fixed-point evaluation: each rounding is a binary branch.
-
-    Driven by `enumerate_recipe`: a plan is a list of up/down choices for the
-    rounding ops in callsite order; the backend multiplies up the exact
-    probability of the chosen branches.
+    Driven by `enumerate_recipe`: a plan is a list of down/up choices for the
+    random roundings in callsite order; the backend multiplies up the exact
+    probability of the chosen branches.  A rounding that the law decides (on
+    the grid, rn, a clamped eps) takes no plan slot.  Every other op is
+    FixedBackend's own, overflow rule included.
     """
 
     def __init__(self, fmt: QFormat, scheme: rounding.RoundScheme, plan: Sequence[int]):
-        self.fmt = fmt
-        self.scheme = scheme
+        super().__init__(fmt, scheme)
         self.plan = list(plan)
         self.used = 0
         self.prob = Fraction(1)
-        self.tag = 0
 
-    def _branch(self, value: Fraction) -> int:
-        """Round `value`; consume one plan slot if it is off-grid."""
-        pos = value * self.fmt.scale
-        q, r = divmod(pos.numerator, pos.denominator)
+    def _round_ratio(self, num: int, den: int) -> int:
         self.tag += 1
-        if r == 0:
-            return self.fmt.check_mantissa(q)
-        t, cap = rounding.up_weight(q, r, pos.denominator, self.scheme)
-        choice = self.plan[self.used] if self.used < len(self.plan) else 0
+        q, r = divmod(num * self.fmt.scale, den)
+        t, cap = rounding.up_weight(q, r, den, self.scheme)
+        if not r or t in (0, cap):  # decided by the law: no branch
+            return self.fmt.check_mantissa(q + bool(r and t))
+        up = self.plan[self.used] if self.used < len(self.plan) else 0
         self.used += 1
-        p = Fraction(t if choice else cap - t, cap)
-        if p == 0:
-            raise _ImpossiblePath
-        self.prob *= p
-        return self.fmt.check_mantissa(q + choice)
-
-    def const(self, c) -> int:
-        return from_exact(c, self.fmt).m
-
-    def add(self, a, b) -> int:
-        self.tag += 1
-        return self.fmt.check_mantissa(a + b)
-
-    def sub(self, a, b) -> int:
-        self.tag += 1
-        return self.fmt.check_mantissa(a - b)
-
-    def mul(self, a, b) -> int:
-        return self._branch(Fraction(a * b, self.fmt.scale * self.fmt.scale))
-
-    def coef(self, c, a) -> int:
-        cf = to_fraction(c)
-        if cf.denominator == 1:
-            self.tag += 1
-            return self.fmt.check_mantissa(int(cf) * a)
-        return self._branch(Fraction(cf.numerator * a, cf.denominator * self.fmt.scale))
-
-    def to_value(self, a: int) -> Fraction:
-        return Fraction(a, self.fmt.scale)
+        self.prob *= Fraction(t if up else cap - t, cap)
+        return self.fmt.check_mantissa(q + up)
 
 
 def enumerate_recipe(
@@ -290,10 +240,7 @@ def enumerate_recipe(
 
     def walk(plan: List[int]) -> None:
         be = EnumBackend(fmt, scheme, plan)
-        try:
-            out = recipe(be)
-        except _ImpossiblePath:
-            return
+        out = recipe(be)
         if be.used == len(plan):
             values = tuple(Fraction(int(m), fmt.scale) for m in out)
             leaves.append((values, be.prob))

@@ -4,8 +4,9 @@ The rounding kernels are simple enough that small configurations can be
 solved in closed form with Fractions: full output distributions of one or
 two roundings, conditional second moments of the update, the quantization
 bias of a gradient recipe, and the mean drift of a float update in the
-near-stagnation regime.  Each exact result here comes with an MC
-counterpart so a disagreement points at whichever side broke.
+near-stagnation regime.  One `round_distribution` serves fixed-point and
+float grids alike, read off `rounding.law`.  Each exact result here comes
+with an MC counterpart so a disagreement points at whichever side broke.
 
 Convention for agreement checks: a sample mean is consistent when it sits
 within `se_mult` standard errors (default 4) of the exact value, with the
@@ -63,39 +64,17 @@ class McEstimate:
 # ---------------------------------------------------------------------------
 
 
-def fixed_round_distribution(
-    x: ExactReal, fmt: QFormat, scheme: rounding.RoundScheme, v_sign: int = 0
+def round_distribution(
+    x: ExactReal, fmt, scheme: rounding.RoundScheme, v_sign: int = 0
 ) -> Dist:
-    """Exact two-point distribution of round(x) on fmt's grid."""
-    v = to_fraction(x)
-    pos = v * fmt.scale
-    q = pos.numerator // pos.denominator
-    p_down = rounding.prob_round_down(v, fmt, scheme, v_sign)
-    lo = Fraction(q, fmt.scale)
-    hi = Fraction(q + 1, fmt.scale)
-    for val in (lo,) if p_down == 1 else (lo, hi):
-        fmt.check_mantissa(int(val * fmt.scale))
-    if p_down == 1:
-        return {lo: Fraction(1)}
-    if p_down == 0:
-        return {hi: Fraction(1)}
-    return {lo: p_down, hi: 1 - p_down}
-
-
-def float_round_distribution(
-    x: ExactReal, fmt: lpfloat.FloatFormat, scheme: rounding.RoundScheme, v_sign: int = 0
-) -> Dist:
-    """Exact two-point distribution of fl(x) on a float grid."""
-    v = to_fraction(x)
-    lo, hi = lpfloat.neighbors(v, fmt)
-    if lo == hi:
-        return {lo: Fraction(1)}
-    p_down = lpfloat.prob_round_down_fl(v, fmt, scheme, v_sign)
-    if p_down == 1:
-        return {lo: Fraction(1)}
-    if p_down == 0:
-        return {hi: Fraction(1)}
-    return {lo: p_down, hi: 1 - p_down}
+    """Exact two-point distribution of one rounding of x onto fmt's grid, a
+    QFormat or an `lpfloat.FloatFormat` (`rounding.law`)."""
+    q, g, t, cap = rounding.law(x, fmt, scheme, v_sign)
+    unit = Fraction(2) ** g
+    if t in (0, cap):
+        return {(q + (t > 0)) * unit: Fraction(1)}
+    p_up = Fraction(t, cap)
+    return {q * unit: 1 - p_up, (q + 1) * unit: p_up}
 
 
 def difference_distribution(da: Dist, db: Dist) -> Dist:
@@ -152,7 +131,7 @@ def check_expectation(
     se_mult: float = 4.0,
 ) -> McEstimate:
     """Sample mean of round(x) against the exact expectation."""
-    dist = fixed_round_distribution(x, fmt, scheme, v_sign)
+    dist = round_distribution(x, fmt, scheme, v_sign)
     expected = dist_mean(dist)
     var = dist_variance(dist)
     mean = mc_round_mean(x, fmt, scheme, n, seed, v_sign)
@@ -183,7 +162,7 @@ def second_moment_small_step(
     u = fmt.u
     if abs(val) >= u:
         raise ValueError(f"|v| = {val} is not below the grid spacing {u}")
-    dist = fixed_round_distribution(val, fmt, scheme, v_sign)
+    dist = round_distribution(val, fmt, scheme, v_sign)
     exact = dist_moment(dist, 2)
     if val == 0:
         return exact, Fraction(0)
@@ -217,7 +196,7 @@ def check_small_step_second_moment(
     nums = np.array([val.numerator] * n, dtype=object)
     m = rounding.round_ratio_vec(nums, val.denominator, fmt, scheme, gen, v_sign)
     d2 = (m.astype(np.float64) / fmt.scale) ** 2
-    dist = fixed_round_distribution(val, fmt, scheme, v_sign)
+    dist = round_distribution(val, fmt, scheme, v_sign)
     sq = {v_ * v_: Fraction(0) for v_ in dist}
     for v_, p in dist.items():
         sq[v_ * v_] += p
@@ -252,7 +231,7 @@ def input_corner_distribution(
     """Joint distribution of independently rounding each coordinate onto fmt."""
     per_coord = []
     for xi in x:
-        d = fixed_round_distribution(xi, fmt, scheme)
+        d = round_distribution(xi, fmt, scheme)
         per_coord.append([(int(v * fmt.scale), p) for v, p in d.items()])
     corners = []
     for combo in itertools.product(*per_coord):
@@ -362,7 +341,7 @@ def float_update_mean(
 ) -> Fraction:
     """Exact E[x - fl(x - step)]: the mean realized step of one float update."""
     xv = to_fraction(x)
-    dist = float_round_distribution(xv - to_fraction(step), fmt, scheme, v_sign)
+    dist = round_distribution(xv - to_fraction(step), fmt, scheme, v_sign)
     return xv - dist_mean(dist)
 
 
@@ -413,7 +392,7 @@ def check_float_drift(
     elif scheme.kind == "signed_sr_eps":
         sgn = (gv > 0) - (gv < 0)
         formula = step + sgn * scheme.eps * gap
-        p = lpfloat.prob_round_down_fl(xv - step, fmt, scheme, v_sign)
+        p = rounding.prob_round_down(xv - step, fmt, scheme, v_sign)
         if not 0 < p < 1:
             raise ValueError(
                 "perturbed probability clamped; the interior drift formula "
@@ -422,12 +401,12 @@ def check_float_drift(
     else:
         raise ValueError(f"no drift formula for scheme {scheme}")
 
-    dist = float_round_distribution(xv - step, fmt, scheme, v_sign)
+    dist = round_distribution(xv - step, fmt, scheme, v_sign)
     var = dist_variance(dist)
     stream = RandomStream(seed)
     total = 0.0
     for rep in range(n):
-        r = lpfloat.fl_sub_round(xv, step, fmt, scheme, stream, rep, 0, v_sign)
+        r = lpfloat.fl_round(xv - step, fmt, scheme, stream, rep, 0, v_sign)
         total += float(xv - r)
     mc = McEstimate(
         mean=total / n,

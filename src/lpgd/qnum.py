@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -92,6 +92,17 @@ class QFormat:
                 f"[{float(self.min_value)}, {float(self.max_value)}]"
             )
         return m
+
+    def split(self, x: Fraction) -> Tuple[int, int, int, int]:
+        """(q, r, den, g) with x = (q + r/den) * 2**g, 0 <= r < den and g = -qf,
+        the grid split `lpfloat.FloatFormat.split` makes on a float grid.
+
+        x outside [min_value, max_value] raises OverflowError.
+        """
+        q, r = divmod(x.numerator << self.qf, x.denominator)
+        if q < self.min_mantissa or q + (r > 0) > self.max_mantissa:
+            raise OverflowError(f"{float(x)} is outside the range of {self}")
+        return q, r, x.denominator, -self.qf
 
     def __str__(self) -> str:
         return f"Q{self.qi}.{self.qf}"

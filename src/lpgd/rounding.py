@@ -12,11 +12,16 @@ In grid units the value sits at position q + r/den with q = floor and
 
 where eps = a/b, s = sign(x) for sr_eps, and sign(v) is the direction the
 perturbation should favor (e.g. the descent step).  Every exact law in the
-package -- the scalar probabilities, the vector kernels, the binary64
-fallback, the float grids of `lpfloat`, the exhaustive `EnumBackend` and the
-bound estimators -- calls it.  A value already on the grid (r = 0) rounds
-to itself under every scheme, including the eps-perturbed ones; callers mask
-those elements after drawing, so the draw layout never depends on the data.
+package -- the vector kernels, the binary64 fallback, the exhaustive
+`EnumBackend` (a FixedBackend whose rounding step branches on the same
+weight) and the bound estimators -- calls it.  The scalar laws go through
+one function, `law`, which serves both number formats: a QFormat and an
+`lpfloat.FloatFormat` each `split` a value into (q, r, den, g) with
+x = (q + r/den) * 2**g, and `prob_round_down`, `expected_round`, `round`,
+`lpfloat.fl_round` and `oracle.round_distribution` all read it.  A value
+already on the grid (r = 0) rounds to itself under every scheme, including
+the eps-perturbed ones; the vector kernels mask those elements after
+drawing, so the draw layout never depends on the data.
 
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
@@ -127,26 +132,31 @@ def up_weight(q, r, den: int, scheme: RoundScheme, v_sign=0):
     return t + (cap - t) * (t > cap), cap
 
 
-def prob_round_down(
-    x: ExactReal, fmt: QFormat, scheme: RoundScheme, v_sign: int = 0
-) -> Fraction:
-    """Exact probability that x rounds to floor(x) on fmt's grid."""
-    pos = to_fraction(x) * fmt.scale
-    q, r = divmod(pos.numerator, pos.denominator)
+def law(x: ExactReal, fmt, scheme: RoundScheme, v_sign=0):
+    """(q, g, T, cap): x lies in [q, q + 1] * 2**g on fmt's grid and rounds
+    up to (q + 1) * 2**g with probability T/cap (T = 0 on the grid).
+
+    fmt is a QFormat or an `lpfloat.FloatFormat`; its `split` gives the
+    position x / 2**g = q + r/den, which feeds `up_weight` directly.  x
+    outside fmt's range raises OverflowError.
+    """
+    q, r, den, g = fmt.split(to_fraction(x))
     if r == 0:
-        return Fraction(1)
-    t, cap = up_weight(q, r, pos.denominator, scheme, v_sign)
+        return q, g, 0, 1
+    t, cap = up_weight(q, r, den, scheme, v_sign)
+    return q, g, t, cap
+
+
+def prob_round_down(x: ExactReal, fmt, scheme: RoundScheme, v_sign: int = 0) -> Fraction:
+    """Exact probability that x rounds to its lower neighbour on fmt's grid."""
+    _, _, t, cap = law(x, fmt, scheme, v_sign)
     return 1 - Fraction(t, cap)
 
 
-def expected_round(
-    x: ExactReal, fmt: QFormat, scheme: RoundScheme, v_sign: int = 0
-) -> Fraction:
-    """Exact E[round(x)] = floor(x) + u * P(round up)."""
-    pos = to_fraction(x) * fmt.scale
-    q = pos.numerator // pos.denominator
-    p_down = prob_round_down(x, fmt, scheme, v_sign)
-    return Fraction(q + 1 - p_down, fmt.scale)
+def expected_round(x: ExactReal, fmt, scheme: RoundScheme, v_sign: int = 0) -> Fraction:
+    """Exact E[round(x)] = (q + P(round up)) * 2**g over the two neighbours."""
+    q, g, t, cap = law(x, fmt, scheme, v_sign)
+    return (q + Fraction(t, cap)) * Fraction(2) ** g
 
 
 def round(
@@ -161,17 +171,14 @@ def round(
     """Round one exact value into fmt under scheme.
 
     Random schemes need a RandomStream plus the (iteration, op tag) address;
-    rn and already-representable values draw nothing.  Delegates to the
-    ratio kernel's Python-int path, so a value rounds identically whether it
-    arrives alone or inside an array.
+    rn, clamped eps schemes and already-representable values draw nothing.
+    A random rounding delegates to the ratio kernel's Python-int path, so a
+    value rounds identically whether it arrives alone or inside an array.
     """
     v = to_fraction(x)
-    if not fmt.min_value <= v <= fmt.max_value:
-        raise OverflowError(f"{float(v)} is outside the range of {fmt}")
-    p_down = prob_round_down(v, fmt, scheme, v_sign)
-    if p_down in (0, 1):
-        pos = v * fmt.scale
-        return FixedVal(fmt.check_mantissa(pos.numerator // pos.denominator + (p_down == 0)), fmt)
+    q, _, t, cap = law(v, fmt, scheme, v_sign)
+    if not 0 < t < cap:
+        return FixedVal(q + (t > 0), fmt)
     if stream is None:
         raise ValueError(f"{scheme} needs a RandomStream to round {float(v)}")
     gen = stream.generator(k, tag)

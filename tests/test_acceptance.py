@@ -35,8 +35,8 @@ from lpgd.oracle import (
     dist_mean,
     exact_rounded_grad_mean,
     fit_log_slope,
-    fixed_round_distribution,
     mc_rounded_grad_mean,
+    round_distribution,
     second_moment_small_step,
 )
 from lpgd.qnum import make_format
@@ -51,8 +51,8 @@ def test_01_two_rounding_difference_distribution_exact():
     t0 = time.perf_counter()
     q11 = make_format("Q1.1")
     sr = parse_scheme("sr")
-    da = fixed_round_distribution(Fraction(24, 100), q11, sr)
-    db = fixed_round_distribution(Fraction(26, 100), q11, sr)
+    da = round_distribution(Fraction(24, 100), q11, sr)
+    db = round_distribution(Fraction(26, 100), q11, sr)
     diff = difference_distribution(da, db)
     want = {
         Fraction(1, 2): Fraction(2304, 10000),
@@ -87,9 +87,9 @@ def test_02_sr_unbiased_and_sr_eps_bias_on_grid():
         assert len(points) == 50
         for x in points:
             sgn = 1 if x > 0 else -1
-            assert dist_mean(fixed_round_distribution(x, fmt, sr)) == x
+            assert dist_mean(round_distribution(x, fmt, sr)) == x
             for sch in eps_schemes:
-                mean = dist_mean(fixed_round_distribution(x, fmt, sch))
+                mean = dist_mean(round_distribution(x, fmt, sch))
                 assert mean == x + sch.eps * u * sgn, (fmt_name, float(x), sch)
             seed += 1
             est = check_expectation(x, fmt, sr, n=100_000, seed=seed)

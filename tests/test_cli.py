@@ -2,6 +2,7 @@
 
 import pytest
 
+from lpgd import cli
 from lpgd.cli import main
 
 CONFIG = """\
@@ -40,6 +41,19 @@ class TestRun:
         assert (out_dir / "curves.svg").exists()
         assert "wrote" in capsys.readouterr().out
 
+    def test_stop_below_f_in_e_notation(self, tmp_path, capsys):
+        # YAML reads 1e-3 (no dot) as text; the config still takes it as a number
+        p = tmp_path / "e.yaml"
+        p.write_text(CONFIG.replace("iterations: 5", "iterations: 40") + "stop_below_f: 1e-3\n")
+        assert main(["run", str(p)]) == 0
+        assert "steps_max: 40" not in capsys.readouterr().out  # stopped early
+
+    def test_stop_below_f_must_be_a_number(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_text(CONFIG + "stop_below_f: low\n")
+        with pytest.raises(ValueError):
+            main(["run", str(p)])
+
 
 class TestSweep:
     def test_table_over_seeds(self, config_path, capsys):
@@ -55,6 +69,32 @@ class TestSweep:
         assert code == 0
         out = capsys.readouterr().out
         assert "iters_to_thr" in out
+
+    @pytest.mark.parametrize(
+        "setting, typed",
+        [
+            ("stop_below_f=1e-3,1e-28", [1e-3, 1e-28]),
+            ("stop_on_stagnation=true,false", [True, False]),
+            ("seeds=3,4", [[0, 1, 2], [0, 1, 2, 3]]),
+        ],
+        ids=["stop_below_f", "stop_on_stagnation", "seeds"],
+    )
+    def test_values_typed_as_in_a_config_file(self, config_path, monkeypatch, setting, typed):
+        field = setting.partition("=")[0]
+        real_run, results = cli.run_experiment, []
+
+        def recording_run(spec):
+            results.append(real_run(spec))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_experiment", recording_run)
+        assert main(["sweep", str(config_path), "--set", setting, "--threshold", "1e-3"]) == 0
+        got = [
+            r.spec.seeds if field == "seeds" else getattr(r.runs[0].config, field)
+            for r in results
+        ]
+        assert got == typed
+        assert all(type(v) is type(w) for v, w in zip(got, typed))
 
     def test_unknown_field_rejected(self, config_path):
         with pytest.raises(SystemExit):

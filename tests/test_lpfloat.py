@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 from lpgd.lpfloat import (
     FloatFormat,
     binade_gap,
-    expected_round_fl,
     fl_round,
-    fl_sub_round,
     is_representable,
     neighbors,
     parse_float_format,
-    prob_round_down_fl,
 )
 from lpgd.rng import RandomStream
-from lpgd.rounding import parse_scheme, up_weight
+from lpgd.rounding import expected_round, parse_scheme, prob_round_down, up_weight
 
 FP8 = FloatFormat(3, 5)  # 1 sign + 5 exp + 2 stored significand bits
 SR = parse_scheme("sr")
@@ -134,7 +131,7 @@ class TestRoundingLaws:
         # even/odd is judged on the significand integer within the binade
         lo, hi = neighbors(Fraction(9, 8), FP8)
         mid = (lo + hi) / 2
-        p = prob_round_down_fl(mid, FP8, RN)
+        p = prob_round_down(mid, FP8, RN)
         down = fl_round(mid, FP8, RN)
         assert p in (Fraction(0), Fraction(1))
         assert down in (lo, hi)
@@ -144,17 +141,17 @@ class TestRoundingLaws:
 
     def test_sr_probability_is_distance_fraction(self):
         x = Fraction(11, 10)
-        p = prob_round_down_fl(x, FP8, SR)
+        p = prob_round_down(x, FP8, SR)
         assert p == 1 - (x - 1) / Fraction(1, 4)
 
     def test_sr_is_exactly_unbiased(self):
         for x in (Fraction(11, 10), Fraction(19, 10), Fraction(-3, 7)):
-            assert expected_round_fl(x, FP8, SR) == x
+            assert expected_round(x, FP8, SR) == x
 
     def test_sr_eps_bias_is_eps_times_gap(self):
         scheme = parse_scheme("sr_eps:0.1")
         x = Fraction(11, 10)  # interior, away from the clamp
-        got = expected_round_fl(x, FP8, scheme)
+        got = expected_round(x, FP8, scheme)
         assert got == x + scheme.eps * Fraction(1, 4)
 
     def test_signed_scheme_uses_caller_sign(self):
@@ -162,8 +159,8 @@ class TestRoundingLaws:
         # matching what sr_eps does on positive values
         scheme = parse_scheme("signed_sr_eps:0.1")
         x = Fraction(11, 10)
-        up_biased = expected_round_fl(x, FP8, scheme, v_sign=1)
-        down_biased = expected_round_fl(x, FP8, scheme, v_sign=-1)
+        up_biased = expected_round(x, FP8, scheme, v_sign=1)
+        down_biased = expected_round(x, FP8, scheme, v_sign=-1)
         assert up_biased == x + scheme.eps * Fraction(1, 4)
         assert down_biased == x - scheme.eps * Fraction(1, 4)
 
@@ -182,12 +179,6 @@ class TestRoundingLaws:
         assert a == b
         draws = {fl_round(x, FP8, SR, RandomStream(s), 0, 0) for s in range(20)}
         assert draws == {Fraction(1), Fraction(5, 4)}
-
-    def test_sub_round_is_single_rounding_of_exact_difference(self):
-        a, b = Fraction(3, 2), Fraction(2, 5)
-        direct = fl_round(a - b, FP8, SR, RandomStream(8), 0, 0)
-        fused = fl_sub_round(a, b, FP8, SR, RandomStream(8), 0, 0)
-        assert direct == fused
 
 
 @given(
@@ -215,7 +206,7 @@ def test_neighbors_enclose_and_touch_grid(num, den):
 @settings(max_examples=200, deadline=None)
 def test_sr_unbiased_everywhere(num, den):
     x = Fraction(num, den)
-    assert expected_round_fl(x, FP8, SR) == x
+    assert expected_round(x, FP8, SR) == x
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +382,7 @@ def _float_grid_value(draw):
 def test_prob_round_down_fl_matches_reference(case, spec, v_sign):
     fmt, v = case
     scheme = parse_scheme(spec)
-    assert prob_round_down_fl(v, fmt, scheme, v_sign) == _reference_prob_round_down_fl(
+    assert prob_round_down(v, fmt, scheme, v_sign) == _reference_prob_round_down_fl(
         v, fmt, scheme, v_sign
     )
 
@@ -505,7 +496,7 @@ def test_integer_split_matches_fraction_reference(case, spec, v_sign, deltas, wi
     words = _prefix_script(p if isinstance(p, Fraction) and 0 < p < 1 else Fraction(1, 2), deltas)
     streams = [_ScriptedStream(words) if with_stream else None for _ in range(2)]
     got = _all_outcomes(
-        (neighbors, prob_round_down_fl, expected_round_fl, fl_round), v, fmt, scheme, v_sign,
+        (neighbors, prob_round_down, expected_round, fl_round), v, fmt, scheme, v_sign,
         streams[0],
     )
     want = _all_outcomes(

@@ -154,23 +154,38 @@ class TestEnumeration:
         mean = sum(v[0] * p for v, p in leaves)
         assert mean == Fraction(3, 256)
 
-    def test_enumeration_agrees_with_sampled_backend(self):
+    @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
+    def test_enumeration_agrees_with_sampled_backend(self, spec):
         # dual route: exact branch tree vs the live rounding kernel
+        scheme = parse_scheme(spec)
         obj = make_objective("himmelblau")
         fmt = QFormat(8, 2)
         x = vec_from_exact([Fraction(9, 4), Fraction(7, 4)], fmt)
         x_m = [int(m) for m in x.m]
-        leaves = enumerate_recipe(lambda be: obj.recipe(be, x_m), fmt, SR)
+        leaves = enumerate_recipe(lambda be: obj.recipe(be, x_m), fmt, scheme)
         assert sum(p for _, p in leaves) == 1
-        mean0 = sum(v[0] * p for v, p in leaves)
-        var0 = sum((v[0] - mean0) ** 2 * p for v, p in leaves)
         n = 4000
         stream = RandomStream(17)
-        samples = np.array(
-            [float(obj.grad_rounded_fixed(x, SR, stream, k)[0].value) for k in range(n)]
-        )
+        samples = [obj.grad_rounded_fixed(x, scheme, stream, k) for k in range(n)]
+        if not scheme.is_random:
+            # one leaf, and every sample is it
+            assert len(leaves) == 1
+            assert all(g.to_fractions() == list(leaves[0][0]) for g in samples)
+            return
+        mean0 = sum(v[0] * p for v, p in leaves)
+        var0 = sum((v[0] - mean0) ** 2 * p for v, p in leaves)
         se = float(var0 / n) ** 0.5
-        assert abs(samples.mean() - float(mean0)) <= 4 * se
+        mean = np.mean([float(g[0].value) for g in samples])
+        assert abs(mean - float(mean0)) <= 4 * se
+
+    @pytest.mark.parametrize("spec", ["rn", "sr_eps:0.4"])
+    def test_forced_up_rounding_is_one_leaf(self, spec):
+        # (3/4)(1/4) sits 3/4 of the way up its Q4.2 cell: rn and the clamped
+        # sr_eps both round it up for certain, so nothing branches
+        leaves = enumerate_recipe(
+            lambda be: [be.coef(Fraction(3, 4), 1)], QFormat(4, 2), parse_scheme(spec)
+        )
+        assert leaves == [((Fraction(1, 4),), Fraction(1))]
 
 
 class TestBlr:

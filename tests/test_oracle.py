@@ -21,12 +21,11 @@ from lpgd.oracle import (
     exact_grad,
     exact_rounded_grad_mean,
     fit_log_slope,
-    fixed_round_distribution,
-    float_round_distribution,
     float_update_mean,
     input_corner_distribution,
     mc_round_mean,
     mc_rounded_grad_mean,
+    round_distribution,
     second_moment_small_step,
 )
 from lpgd.qnum import QFormat
@@ -60,25 +59,25 @@ class TestMcEstimate:
 class TestFixedDistributions:
     def test_sr_two_point_law(self):
         # 0.3 on Q8.8 sits 0.8 u above 76/256
-        d = fixed_round_distribution(Fraction(3, 10), Q88, SR)
+        d = round_distribution(Fraction(3, 10), Q88, SR)
         assert d == {Fraction(76, 256): Fraction(1, 5), Fraction(77, 256): Fraction(4, 5)}
         assert dist_mean(d) == Fraction(3, 10)
 
     def test_rn_tie_goes_even(self):
-        d = fixed_round_distribution(Fraction(153, 512), Q88, RN)  # 76.5 / 256
+        d = round_distribution(Fraction(153, 512), Q88, RN)  # 76.5 / 256
         assert d == {Fraction(76, 256): Fraction(1)}
 
     def test_clamped_eps_is_deterministic(self):
-        d = fixed_round_distribution(Fraction(3, 10), Q88, parse_scheme("sr_eps:0.25"))
+        d = round_distribution(Fraction(3, 10), Q88, parse_scheme("sr_eps:0.25"))
         assert d == {Fraction(77, 256): Fraction(1)}
 
     def test_on_grid_is_identity(self):
-        d = fixed_round_distribution(Fraction(19, 64), Q88, SR)
+        d = round_distribution(Fraction(19, 64), Q88, SR)
         assert d == {Fraction(19, 64): Fraction(1)}
 
     def test_upper_neighbor_out_of_range_raises(self):
         with pytest.raises(OverflowError):
-            fixed_round_distribution(Q88.max_value + Fraction(1, 1000), Q88, SR)
+            round_distribution(Q88.max_value + Fraction(1, 1000), Q88, SR)
 
     def test_moments(self):
         d = {Fraction(0): Fraction(1, 2), Fraction(1): Fraction(1, 2)}
@@ -99,11 +98,11 @@ class TestFixedDistributions:
 
 class TestFloatDistributions:
     def test_two_point_law_on_binade(self):
-        d = float_round_distribution(Fraction(11, 10), FP8, SR)
+        d = round_distribution(Fraction(11, 10), FP8, SR)
         assert d == {Fraction(1): Fraction(3, 5), Fraction(5, 4): Fraction(2, 5)}
 
     def test_representable_is_point_mass(self):
-        d = float_round_distribution(Fraction(5, 4), FP8, SR)
+        d = round_distribution(Fraction(5, 4), FP8, SR)
         assert d == {Fraction(5, 4): Fraction(1)}
 
 
@@ -194,13 +193,17 @@ class TestPipelineBias:
         assert 1.6 <= slope <= 2.4
 
     def test_mc_pipeline_agrees_with_enumeration(self):
-        obj = make_objective("himmelblau")
         x = [Fraction(3, 10), Fraction(7, 10)]
-        fmt = QFormat(7, 3)
-        expected = exact_rounded_grad_mean(obj, x, fmt, SR)
-        mean, se = mc_rounded_grad_mean(obj, x, fmt, SR, n=3_000, seed=2)
-        z = (mean - np.array([float(v) for v in expected])) / se
-        assert (np.abs(z) <= 4).all()
+        # the biased case has forced up-roundings inside the recipe
+        for name, fmt, scheme in [
+            ("himmelblau", QFormat(7, 3), SR),
+            ("rosenbrock", QFormat(8, 6), parse_scheme("sr_eps:0.4")),
+        ]:
+            obj = make_objective(name)
+            expected = exact_rounded_grad_mean(obj, x, fmt, scheme)
+            mean, se = mc_rounded_grad_mean(obj, x, fmt, scheme, n=3_000, seed=2)
+            z = (mean - np.array([float(v) for v in expected])) / se
+            assert (np.abs(z) <= 4).all(), (name, z)
 
 
 class TestFloatDrift:

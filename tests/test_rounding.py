@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpgd import rng
+from lpgd.lpfloat import FloatFormat, fl_round
+from lpgd.oracle import round_distribution
 from lpgd.qnum import QFormat, make_format
 from lpgd.rng import RandomStream
 from lpgd.rounding import (
     RoundScheme,
     expected_round,
+    law,
     parse_scheme,
     prob_round_down,
     round as round_one,
@@ -56,8 +59,11 @@ class TestProbRoundDown:
         rn = parse_scheme("rn")
         # 0.25 sits exactly between mantissas 0 and 1; floor mantissa 0 is even
         assert prob_round_down(Fraction(1, 4), Q11, rn) == 1
-        # 0.75 sits between mantissas 1 and 2; chooses 2 (even)
-        assert prob_round_down(Fraction(3, 4), Q11, rn) == 0
+        # 0.75 sits between mantissas 1 and 2; chooses 2 (even) on Q2.1
+        assert prob_round_down(Fraction(3, 4), QFormat(2, 1), rn) == 0
+        # Q1.1 ends at mantissa 1, so 0.75 is outside it
+        with pytest.raises(OverflowError):
+            prob_round_down(Fraction(3, 4), Q11, rn)
 
     def test_on_grid_is_identity_for_all_schemes(self):
         for spec in ("rn", "sr", "sr_eps:0.4", "signed_sr_eps:0.4"):
@@ -147,6 +153,42 @@ class TestExpectedRound:
         x = Fraction(1, 5) * Q88.u + Q88.u  # interior for eps=0.4
         assert expected_round(x, Q88, se) == x + Fraction(2, 5) * Q88.u
         assert expected_round(-x, Q88, se) == -x - Fraction(2, 5) * Q88.u
+
+
+FP8 = FloatFormat(3, 5)
+_TOP_GAP = FP8.max_finite / 7  # fp8e5's top binade steps by max_finite / 7
+
+
+class TestOutOfRange:
+    """Every exact law and both one-value roundings raise just past either
+    end of a format's range, whatever the scheme."""
+
+    @pytest.mark.parametrize(
+        "fmt, x",
+        [
+            (Q88, Q88.max_value + Q88.u / 3),
+            (Q88, Q88.min_value - Q88.u / 3),
+            (FP8, FP8.max_finite + _TOP_GAP / 3),
+            (FP8, -FP8.max_finite - _TOP_GAP / 3),
+        ],
+        ids=["q-above", "q-below", "fp-above", "fp-below"],
+    )
+    @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
+    def test_raises(self, fmt, x, spec):
+        scheme = parse_scheme(spec)
+        one_round = round_one if isinstance(fmt, QFormat) else fl_round
+        for fn in (law, prob_round_down, expected_round, round_distribution):
+            with pytest.raises(OverflowError):
+                fn(x, fmt, scheme, 0)
+        with pytest.raises(OverflowError):
+            one_round(x, fmt, scheme, RandomStream(0), 0, 0)
+
+    @pytest.mark.parametrize("fmt", [Q88, FP8], ids=["q", "fp"])
+    def test_range_ends_are_inside(self, fmt):
+        top = Q88.max_value if fmt is Q88 else FP8.max_finite
+        bottom = Q88.min_value if fmt is Q88 else -FP8.max_finite
+        for x in (top, bottom):
+            assert round_distribution(x, fmt, parse_scheme("sr")) == {x: 1}
 
 
 class TestScalarRound:
