@@ -615,6 +615,24 @@ class TestFullRecordDigests:
         assert digest_records(result.runs) == want
 
     @pytest.mark.parametrize(
+        "over, want",
+        [
+            # one seed: the gradient recipe runs on Python-int iterates
+            (dict(seeds=[4]), "4486a2078547fdc28f231440fb3b4fb80a449e0011047f50a3dcf0a1b2e7d4d3"),
+            (
+                dict(sigma1="sr_eps:0.4", seeds=[0, 1, 2]),
+                "08fbcc0ec4d49addd255691230aec691a47ba3bc4efded9f008d1558b8a9e981",
+            ),
+            (dict(sigma1="rn", seeds=[0, 1]), "bd2285d3cc96304544a09558e06c8e974fb61a3527cf67a9add1aed0a8cd6276"),
+        ],
+    )
+    def test_blr(self, over, want):
+        spec = replace(
+            load_config(CONFIGS / "blr_stepsize.yaml"), iterations=100, stop_below_f=None, **over
+        )
+        assert digest_records(run_experiment(spec).runs) == want
+
+    @pytest.mark.parametrize(
         "sigma1, sigma2, want",
         [
             ("rn", "sr", "869a9a47d73e00328448671f5f613594a729662ea696ca55a3287faaeb956348"),
