@@ -20,7 +20,6 @@ from . import oracle
 from .bounds import estimate_pl_constants
 from .harness import (
     ExperimentSpec,
-    build_objective,
     load_config,
     run_experiment,
     summarize,
@@ -29,7 +28,7 @@ from .harness import (
 )
 from .lpfloat import parse_float_format
 from .objectives import make_objective
-from .qnum import make_format, parse_rational
+from .qnum import make_format
 from .rounding import parse_scheme
 
 
@@ -82,10 +81,11 @@ def _cmd_sweep(args) -> int:
             hit = [c for c in counts if c is not None]
             below = float(np.mean(hit)) if len(hit) == len(counts) else None
         rows.append((value, s["final_f_mean"], s["stagnated_runs"], below))
-    print(f"{field:>12}  {'final_f_mean':>14}  {'stagnated':>9}  {'iters_to_thr':>12}")
+    width = max(len(field), *(len(value) for value, *_ in rows))
+    print(f"{field:>{width}}  {'final_f_mean':>14}  {'stagnated':>9}  {'iters_to_thr':>12}")
     for value, fmean, stag, below in rows:
         thr = f"{below:.1f}" if below is not None else "-"
-        print(f"{value:>12}  {fmean:>14.6g}  {stag:>9d}  {thr:>12}")
+        print(f"{value:>{width}}  {fmean:>14.6g}  {stag:>9d}  {thr:>12}")
     return 0
 
 

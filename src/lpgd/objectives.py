@@ -6,7 +6,7 @@ computes the gradient in emulated arithmetic.  Recipes are written once
 against a small ops backend and evaluated four ways:
 
     FixedBackend     integer mantissas, products round once into the format;
-                     one lane, or R lanes of (R,) arrays in a single pass
+                     one lane, or R lanes along a leading axis in one pass
     FloatBackend     grid Fractions, every op result rounds (float semantics)
     EnumBackend      a FixedBackend whose rounding step branches instead of
                      drawing: exhaustive, with exact probabilities
@@ -22,7 +22,11 @@ point land back on the grid and never round.
 
 Op tag discipline: every op callsite advances the backend's tag counter in
 every backend, whether or not that op rounds, so a draw's (iteration, tag)
-address depends only on the recipe structure, never on the data.
+address depends only on the recipe structure, never on the data.  Two steps
+of the blr recipe, which runs on FixedBackend only, take no tag: the exact
+row sum z = sum_j x_ij w_j (`FixedBackend.sum`) and the label subtraction
+s - y.  Its roundings therefore sit at tags 0-4: products 0, logistic
+values 1, residual products 2, mean 3, regularizer 4.
 """
 
 from __future__ import annotations
@@ -58,26 +62,20 @@ class FixedBackend:
     format range); products and fractional coefficients round once with the
     given scheme.
 
-    A value is an int mantissa, or an (R,) int64 array of one mantissa per
-    lane when R lanes run together; `stream` is then a list of the lanes'
-    RandomStreams, and each rounding op draws lane r's words from stream r at
-    the op's (k, tag) address, exactly as a one-lane backend on that stream
-    would.
+    A value is an int mantissa or an int64 array of mantissas.  When R lanes
+    run together, `stream` is a list of the lanes' RandomStreams and every
+    array a rounding op takes holds the lanes along its first axis: lane r's
+    elements, in index order, form row r.  Each rounding op draws lane r's
+    words from stream r at the op's (k, tag) address, exactly as a one-lane
+    backend on that stream would.
     """
 
-    def __init__(
-        self,
-        fmt: QFormat,
-        scheme: rounding.RoundScheme,
-        stream=None,
-        k: int = 0,
-        tag_base: int = 0,
-    ):
+    def __init__(self, fmt: QFormat, scheme: rounding.RoundScheme, stream=None, k: int = 0):
         self.fmt = fmt
         self.scheme = scheme
         self.streams = stream if stream is None or isinstance(stream, list) else [stream]
         self.k = k
-        self.tag = tag_base
+        self.tag = 0
         # every backend value is a checked mantissa, so |value| <= peak
         self._peak = -fmt.min_mantissa
 
@@ -107,15 +105,33 @@ class FixedBackend:
             self.fmt.check_mantissa(int(m.flat[np.argmax(bad)]))
         return m.astype(np.int64, copy=False)
 
+    def _total(self, a, axis: int):
+        """Exact sum of checked mantissas along axis: int64 while no sum can
+        leave it, else Python ints."""
+        if a.shape[axis] * self._peak >= _INT64_LIMIT:
+            a = a.astype(object)
+        return a.sum(axis=axis)
+
+    def _by_lane(self, v, gens, kernel):
+        """kernel(row, gen) on each lane's row of v, reshaped back to v's
+        shape.  rn draws nothing, so its lanes need not be told apart."""
+        rows = np.reshape(v, (len(gens) if gens else 1, -1))
+        return np.reshape([kernel(row, g) for row, g in zip(rows, gens or [None])], np.shape(v))
+
     def _round_ratio(self, num, den: int):
         gens = self._next_gens()
-        if isinstance(num, np.ndarray):
-            # one element per lane: each lane's rounding is its own row
+        if not isinstance(num, np.ndarray):
+            return rounding.round_ratio_vec(
+                num, den, self.fmt, self.scheme, None if gens is None else gens[0]
+            )
+        if gens and num.size == len(gens):
+            # one element per lane: every lane in one call
             return rounding.round_ratio_vec(
                 num.reshape(-1, 1), den, self.fmt, self.scheme, gens
             ).reshape(num.shape)
-        return rounding.round_ratio_vec(
-            num, den, self.fmt, self.scheme, None if gens is None else gens[0]
+        # wide rows: one call per lane is cheaper than one call over all lanes
+        return self._by_lane(
+            num, gens, lambda row, g: rounding.round_ratio_vec(row, den, self.fmt, self.scheme, g)
         )
 
     def const(self, c) -> int:
@@ -144,6 +160,21 @@ class FixedBackend:
         num = self._times(cf.numerator, a, abs(cf.numerator))
         return self._round_ratio(num, cf.denominator * self.fmt.scale)
 
+    def sum(self, a, axis: int):
+        """The exact sum of a along axis, range-checked; takes no tag."""
+        return self._check(self._total(a, axis))
+
+    def mean(self, a, axis: int):
+        """The mean of a along axis: its exact sum, rounded once."""
+        return self._round_ratio(self._total(a, axis), a.shape[axis] * self.fmt.scale)
+
+    def doubles(self, v):
+        """Binary64 values, taken exactly, each rounded once into the format."""
+        gens = self._next_gens()
+        return self._by_lane(
+            v, gens, lambda row, g: rounding.round_doubles_vec(row, self.fmt, self.scheme, g)
+        )
+
 
 class FloatBackend:
     """Recipe ops on a low-precision float grid; every result rounds."""
@@ -154,13 +185,12 @@ class FloatBackend:
         scheme: rounding.RoundScheme,
         stream: Optional[rng.RandomStream] = None,
         k: int = 0,
-        tag_base: int = 0,
     ):
         self.fmt = fmt
         self.scheme = scheme
         self.stream = stream
         self.k = k
-        self.tag = tag_base
+        self.tag = 0
 
     def _round(self, x: Fraction) -> Fraction:
         tag = self.tag
@@ -273,16 +303,10 @@ class Objective:
     pl_mu: Optional[float] = None
     recipe: Optional[Callable] = None  # recipe(backend, xs) -> output values
     minima: Optional[List[np.ndarray]] = None
-    vector_fixed_grad: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
     def grad_rounded_fixed(
-        self,
-        x: FixedVec,
-        scheme: rounding.RoundScheme,
-        stream,
-        k: int,
-        tag_base: int = 0,
+        self, x: FixedVec, scheme: rounding.RoundScheme, stream, k: int
     ) -> FixedVec:
         """Gradient recipe on the fixed-point grid of x.
 
@@ -291,22 +315,11 @@ class Objective:
         under rn.  Each lane rounds and draws exactly as a one-lane call on
         its own stream would; the recipe runs once over all lanes.
         """
-        lanes = x.m.ndim == 2
-        rows = x.m if lanes else x.m[None, :]
-        streams = stream if lanes or stream is None else [stream]
-        if self.vector_fixed_grad is not None:
-            if not lanes:
-                return self.vector_fixed_grad(x, scheme, stream, k, tag_base)
-            return FixedVec(
-                np.stack([
-                    self.vector_fixed_grad(FixedVec(row, x.fmt), scheme, s, k, tag_base).m
-                    for row, s in zip(rows, streams or [None] * len(rows))
-                ]),
-                x.fmt,
-            )
         if self.recipe is None:
             raise NotImplementedError(f"{self.name} has no low-precision recipe")
-        be = FixedBackend(x.fmt, scheme, streams, k, tag_base)
+        lanes = x.m.ndim == 2
+        rows = x.m if lanes else x.m[None, :]
+        be = FixedBackend(x.fmt, scheme, stream, k)
         # a single lane runs on Python ints, cheaper than 1-element arrays
         cols = [int(v) for v in rows[0]] if len(rows) == 1 else list(rows.T)
         g = np.empty(rows.shape, dtype=np.int64)
@@ -321,12 +334,11 @@ class Objective:
         scheme: rounding.RoundScheme,
         stream: Optional[rng.RandomStream],
         k: int,
-        tag_base: int = 0,
     ) -> List[Fraction]:
         """Gradient recipe on a low-precision float grid."""
         if self.recipe is None:
             raise NotImplementedError(f"{self.name} has no scalar recipe")
-        be = FloatBackend(fmt, scheme, stream, k, tag_base)
+        be = FloatBackend(fmt, scheme, stream, k)
         return list(self.recipe(be, list(x)))
 
 
@@ -486,8 +498,8 @@ def blr(
     When data_fmt is given the features are quantized onto that grid once
     (nearest-even) and BOTH the recipe and the reference gradient see the
     quantized data, so the gradient error measures recipe rounding only.
-    The low-precision path is vectorized over samples and requires the
-    iterate to live in data_fmt.
+    The recipe runs on FixedBackend only, vectorized over samples, and
+    requires the iterate to live in data_fmt.
     """
     x_raw = np.asarray(x_data, dtype=np.float64)
     y = np.asarray(y)
@@ -501,11 +513,13 @@ def blr(
             x_raw.reshape(-1), data_fmt, rounding.RoundScheme("rn")
         ).reshape(n_samples, n_features)
         x_q = xm / data_fmt.scale
+        y_m = y.astype(np.int64) * data_fmt.scale
         # |r_i| <= 1, so the residual products r_i * x_ij and their rescaling
-        # inside round_ratio_vec stay below scale^2 * max|xm| in int64
+        # inside round_ratio_vec stay below scale^2 * max|xm|; the recipe
+        # refuses formats where that bound leaves int64
         resid_peak = data_fmt.scale**2 * int(np.abs(xm).max(initial=0))
     else:
-        xm = None
+        xm = y_m = None
         x_q = x_raw
         resid_peak = 0
 
@@ -524,50 +538,29 @@ def blr(
         r = expit(z) - yv
         return x_q.T @ r / n_samples + lam * w
 
-    def vector_fixed_grad(x: FixedVec, scheme, stream, k, tag_base=0):
-        fmt = x.fmt
+    lam_fr = to_fraction(lam)
+
+    def recipe(be, xv):
+        if type(be) is not FixedBackend:
+            raise NotImplementedError("blr's recipe runs on FixedBackend only")
+        fmt = be.fmt
         if data_fmt is None or fmt != data_fmt:
             raise ValueError("blr fixed path needs the iterate in the data format")
-        scale = fmt.scale
-
-        def gen(t):
-            return stream.generator(k, tag_base + t) if scheme.is_random else None
-
         if resid_peak >= 1 << 62:
             raise OverflowError(
                 f"blr residual products in {fmt} reach {resid_peak}, beyond int64"
             )
-        peak = int(np.abs(xm).max(initial=0)) * int(np.abs(x.m).max(initial=0))
-        if peak * scale >= 1 << 62:
-            raise OverflowError("blr mantissa products exceed the int64 fast path")
-
+        w = np.stack(xv, axis=-1)  # (n,), or (R, n) for R lanes
         # products x_ij * w_j, each rounded once, then exact row sums
-        prods = rounding.round_ratio_vec(
-            (xm * x.m[None, :]).reshape(-1), scale * scale, fmt, scheme, gen(0)
-        ).reshape(n_samples, n_features)
-        zm = FixedVec(prods.sum(axis=1, dtype=np.int64), fmt).m
-
+        z = be.sum(be.mul(xm, w[..., None, :]), axis=-1)
         # logistic values in binary64, then one rounding each
-        sm = rounding.round_doubles_vec(expit(zm / scale), fmt, scheme, gen(1))
-
-        rm = sm - (y * scale).astype(np.int64)  # exact: y is on every grid
-
-        # products r_i * x_ij, rounded once
-        qm = rounding.round_ratio_vec(
-            (rm[:, None] * xm).reshape(-1), scale * scale, fmt, scheme, gen(2)
-        ).reshape(n_samples, n_features)
-
-        # mean over samples: exact column sums, one rounding of /N
-        col = qm.sum(axis=0, dtype=np.int64)
-        gm = rounding.round_ratio_vec(col, n_samples * scale, fmt, scheme, gen(3))
-
+        s = be.doubles(expit(z / fmt.scale))
+        r = s - y_m  # exact: y is on every grid
+        # products r_i * x_ij, each rounded once; the mean over samples rounds once
+        g = be.mean(be.mul(r[..., None], xm), axis=-2)
         if lam:
-            lam_fr = to_fraction(lam)
-            reg_m = rounding.round_ratio_vec(
-                x.m * lam_fr.numerator, lam_fr.denominator, fmt, scheme, gen(4)
-            )
-            gm = gm + reg_m
-        return FixedVec(gm, fmt)
+            g = be.add(g, be.coef(lam_fr, w))
+        return list(g.T)
 
     hess_bound = float(np.linalg.eigvalsh(x_q.T @ x_q).max() / (4.0 * n_samples) + lam)
 
@@ -577,7 +570,7 @@ def blr(
         f=f,
         grad=grad,
         lip_grad=hess_bound,
-        vector_fixed_grad=vector_fixed_grad,
+        recipe=recipe,
         params={"n_samples": n_samples, "n_features": n_features, "reg": lam},
     )
 

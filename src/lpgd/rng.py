@@ -120,17 +120,15 @@ def _lanes(gen, n: int) -> List[OpWords]:
 
 
 def uniform_below(gen, den: int, n: int) -> np.ndarray:
-    """n exact uniforms on [0, den) as uint64 (object array when den > 2**64).
+    """n exact uniforms on [0, den) as uint64, for 0 < den <= 2**64.
 
     With a list of R lane word sources, lane r supplies elements
     [r*n/R, (r+1)*n/R) and its own rejection redraws.
     """
-    if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
+    if not 0 < den <= _FULL:
+        raise ValueError(f"denominator must be in (0, 2**64], got {den}")
     gens = _lanes(gen, n)
     per = n // len(gens)
-    if den > _FULL:
-        return np.concatenate([_wide_below(g, den, per) for g in gens])
     if len(gens) == 1:
         u = gens[0].integers(0, _FULL, size=per, dtype=np.uint64)
     else:
@@ -151,20 +149,6 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
     return u % np.uint64(den)
 
 
-def _wide_below(gen: OpWords, den: int, n: int) -> np.ndarray:
-    # chain two words per draw; dens this large never occur on hot paths
-    words = gen.integers(0, _FULL, size=2 * n, dtype=np.uint64)
-    big = [(int(words[2 * i]) << 64) | int(words[2 * i + 1]) for i in range(n)]
-    lim = ((1 << 128) // den) * den
-    out = []
-    for v in big:
-        while v >= lim:
-            w = gen.integers(0, _FULL, size=2, dtype=np.uint64)
-            v = (int(w[0]) << 64) | int(w[1])
-        out.append(v % den)
-    return np.array(out, dtype=object)
-
-
 def bernoulli_lt(gen, nums, den: int, n: int) -> np.ndarray:
     """Boolean vector, element i True with probability nums[i]/den, exactly.
 
@@ -172,12 +156,7 @@ def bernoulli_lt(gen, nums, den: int, n: int) -> np.ndarray:
     0 and 1 come out deterministic.  gen is one word source or a list of
     lane word sources, as in `uniform_below`.
     """
-    r = uniform_below(gen, den, n)
-    if r.dtype == object:
-        nums = np.asarray(nums, dtype=object)
-    else:
-        nums = np.asarray(nums, dtype=np.uint64)
-    return r < nums
+    return uniform_below(gen, den, n) < np.asarray(nums, dtype=np.uint64)
 
 
 def bernoulli_ratio(gen: OpWords, nums, dens, n: int) -> np.ndarray:

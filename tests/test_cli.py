@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import re
+
 import pytest
 
 from lpgd import cli
@@ -95,6 +97,18 @@ class TestSweep:
         ]
         assert got == typed
         assert all(type(v) is type(w) for v, w in zip(got, typed))
+
+    @pytest.mark.parametrize(
+        "setting", ["stop_on_stagnation=true,false", "t=1/4,0.000244140625"], ids=["field", "value"]
+    )
+    def test_columns_line_up(self, config_path, capsys, setting):
+        # a field name or a value wider than the old 12-character column
+        assert main(["sweep", str(config_path), "--set", setting]) == 0
+        table = capsys.readouterr().out.splitlines()[-3:]
+        assert table[0].split()[0] == setting.partition("=")[0]
+        # right-aligned columns: every cell of a column ends where its header does
+        ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in table]
+        assert ends[0] == ends[1] == ends[2]
 
     def test_unknown_field_rejected(self, config_path):
         with pytest.raises(SystemExit):

@@ -121,6 +121,16 @@ class TestRecipeBackends:
         with pytest.raises(OverflowError):
             be.add(120, 120)
 
+    def test_fixed_backend_sums_past_int64_exactly(self):
+        # four top mantissas of Q32.31 add up to 2**64 - 4, which int64 would
+        # wrap to -4, inside the format
+        be = FixedBackend(QFormat(32, 31), RN)
+        top = np.full((2, 4), be.fmt.max_mantissa)
+        with pytest.raises(OverflowError):
+            be.sum(top, axis=-1)
+        assert be.mean(top, axis=-1).tolist() == [be.fmt.max_mantissa] * 2
+        assert be.tag == 1  # the sum takes no tag, the mean's rounding one
+
     def test_float_recipe_on_binary64_matches_analytic(self):
         obj = make_objective("quadratic", a_diag=["2", "1/2"], x_star=["1", "0"])
         from lpgd.lpfloat import parse_float_format
@@ -260,6 +270,28 @@ class TestBlr:
         # the rounded gradient stays within one grid step of the reference
         ref = eval_grad_reference(obj, w.to_floats())
         assert np.all(np.abs(a.to_floats() - ref) < 16 * float(fmt.u))
+
+    @pytest.mark.parametrize("reg", [0.25, 0.01])
+    @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
+    def test_rounded_regularizer_tracks_binary64(self, reg, spec):
+        # reg * w_j rounds once onto the grid; 0.01 has a 53-bit binary64
+        # numerator, so at |w| >= 8 its product with a Q15.8 mantissa leaves
+        # int64.  One lane or two, the rounded gradient stays within a few
+        # grid steps of the binary64 one.
+        fmt = QFormat(15, 8)
+        x_data = np.random.default_rng(3).uniform(-1, 1, size=(16, 4))
+        obj = make_objective("blr", x_data=x_data, y=np.arange(16) % 2, data_fmt=fmt, reg=reg)
+        scheme = parse_scheme(spec)
+        ws = [[8, -8, 100, 0], [-12, 9, 8, -30]]
+        lanes = obj.grad_rounded_fixed(
+            FixedVec(np.array(ws) * fmt.scale, fmt), scheme, [RandomStream(s) for s in (0, 1)], 5
+        )
+        for r, w in enumerate(ws):
+            x = vec_from_exact(w, fmt)
+            ref = eval_grad_reference(obj, x.to_floats())
+            one = obj.grad_rounded_fixed(x, scheme, RandomStream(r), 5)
+            assert one.m.tolist() == lanes.m[r].tolist()
+            assert np.abs(one.to_floats() - ref).max() <= 4 * float(fmt.u)
 
     def test_regularizer_enters_gradient(self):
         x_data, y = self._tiny()
