@@ -8,14 +8,19 @@ split, `prob_round_down_fl`, `expected_round_fl` and
 each format's range the current functions must agree with them exactly
 (values, types and the order of distribution entries), and the enumerator
 must give the same leaves in the same order wherever the old one returned.
+
+The int64 row kernel `rounding._round_rows` is checked the same way against
+a copy of its `np.divmod` form: the same mantissas, the same words drawn per
+lane and the same OverflowError, for power-of-two and other denominators.
 """
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lpgd import rounding
+from lpgd import rng, rounding
 from lpgd.lpfloat import FloatFormat, parse_float_format
 from lpgd.objectives import enumerate_recipe, make_objective
 from lpgd.oracle import round_distribution
@@ -233,6 +238,50 @@ def _old_enumerate_recipe(recipe, fmt, scheme):
 
 
 # ---------------------------------------------------------------------------
+# frozen copy: the int64 row kernel
+# ---------------------------------------------------------------------------
+
+
+def _old_up_weight(q, r, den, scheme, v_sign=0):
+    one = r * 0 + 1  # 1 in r's type
+    if scheme.kind == "rn":  # ties to the even q
+        return one * den * (2 * r + (q & 1) > den), den
+    if scheme.kind == "sr":
+        return r, den
+    a, b = scheme.eps.numerator, scheme.eps.denominator
+    if scheme.uses_value_sign:
+        s = one * (q > 0) + ((q == 0) & (r > 0)) - (q < 0)
+    else:
+        s = one * (v_sign > 0) - (v_sign < 0)
+    cap = den * b
+    t = r * b + s * (a * den)
+    t = t * (t > 0)
+    return t + (cap - t) * (t > cap), cap
+
+
+def _old_round_rows(pos, den, out_fmt, scheme, gens, signs):
+    """`rounding._round_rows` on int64 rows, splitting with `np.divmod`."""
+    if scheme.is_random and gens is None:
+        raise ValueError(f"{scheme} needs a word source")
+    q, r = np.divmod(pos, den)
+    nums, cap = _old_up_weight(q, r, den, scheme, signs)
+    if not scheme.is_random:
+        up = nums > 0
+    else:
+        u = rng.uniform_below(gens, cap, nums.size)
+        up = (u < np.asarray(nums.reshape(-1), dtype=np.uint64)).reshape(nums.shape)
+    up &= r != 0
+    m = q + up
+    lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
+    if m.size and (m.min() < lo or m.max() > hi):
+        i = int(np.argmax((m < lo) | (m > hi)))
+        raise OverflowError(
+            f"rounding {int(pos.flat[i])}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}"
+        )
+    return m.astype(np.int64, copy=False)
+
+
+# ---------------------------------------------------------------------------
 # the laws
 # ---------------------------------------------------------------------------
 
@@ -303,6 +352,80 @@ def test_fixed_round_matches_the_original(case, spec, v_sign, seed):
     got = _outcome(rounding.round, v, fmt, scheme, streams[0], 3, 5, v_sign)
     want = _outcome(_old_round, v, fmt, scheme, streams[1], 3, 5, v_sign)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the int64 row kernel
+# ---------------------------------------------------------------------------
+
+ROW_SCHEMES = ["rn", "sr", "sr_eps:0.4", "signed_sr_eps:0.25"]
+
+
+@st.composite
+def _row_case(draw, on_grid=False):
+    """A Q format, a scheme, a denominator whose rows round on int64 (2**s
+    up to the int64-safe limit, or not a power of two) and 1 or 3 lanes of
+    positions pos = m * den + r: either sign, on the grid, next to it, and
+    at and beyond both ends of the range."""
+    fmt = QFormat(draw(st.integers(1, 8)), draw(st.integers(0, 10)))
+    scheme = parse_scheme(draw(st.sampled_from(ROW_SCHEMES)))
+    if draw(st.booleans()):
+        den = 1 << draw(st.sampled_from([0, 1, 2, 16, 40, 58, 59, 60, 61]) | st.integers(0, 61))
+    else:
+        den = draw(st.sampled_from([3, 5, 12, 500 * 256, 3 << 59]) | st.integers(3, (1 << 62) - 1))
+        assume(den & (den - 1))
+    assume(rounding._object_lim(den, fmt, scheme) > 0)  # int64 rows
+    # keep m * den + r inside int64
+    lo = max(fmt.min_mantissa - 1, -((1 << 63) // den))
+    hi = min(fmt.max_mantissa + 1, (1 << 63) // den - 1)
+    ends = [fmt.min_mantissa - 1, fmt.min_mantissa, -1, 0, 1, fmt.max_mantissa,
+            fmt.max_mantissa + 1]
+    mant = st.sampled_from([m for m in ends if lo <= m <= hi]) | st.integers(lo, hi)
+    resid = st.sampled_from([0, 1, den // 2, den - 1]) | st.integers(0, den - 1)
+    if on_grid:
+        resid = st.just(0)
+    lanes, n = draw(st.sampled_from([1, 3])), draw(st.integers(1, 6))
+    pos = np.array(
+        [[draw(mant) * den + draw(resid) for _ in range(n)] for _ in range(lanes)], dtype=np.int64
+    )
+    signs = None
+    if scheme.uses_given_sign:
+        signs = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=lanes * n,
+                                       max_size=lanes * n))).reshape(pos.shape)
+    return fmt, scheme, den, pos, signs
+
+
+def _rows_outcome(kernel, case, seed):
+    """(mantissas or the error, words each lane drew) of one kernel call."""
+    fmt, scheme, den, pos, signs = case
+    gens = None
+    if scheme.is_random:
+        gens = [RandomStream(seed + r).generator(7, 2) for r in range(len(pos))]
+    try:
+        out = kernel(pos.copy(), den, fmt, scheme, gens, signs).tolist()
+    except OverflowError as exc:
+        out = (OverflowError, str(exc))
+    return out, [g._used for g in gens or []]
+
+
+@given(case=_row_case(), seed=st.integers(0, 2**40))
+@settings(max_examples=500, deadline=None)
+def test_round_rows_matches_the_divmod_original(case, seed):
+    got = _rows_outcome(rounding._round_rows, case, seed)
+    assert got == _rows_outcome(_old_round_rows, case, seed)
+
+
+@given(case=_row_case(on_grid=True), seed=st.integers(0, 2**40))
+@settings(max_examples=100, deadline=None)
+def test_on_grid_rows_draw_and_round_to_themselves(case, seed):
+    fmt, _, den, pos, _ = case
+    assume(fmt.min_mantissa * den <= pos.min() and pos.max() <= fmt.max_mantissa * den)
+    out, used = _rows_outcome(rounding._round_rows, (fmt, parse_scheme("sr"), den, pos, None), seed)
+    assert out == (pos // den).tolist()
+    if den & (den - 1) == 0:
+        assert used == [pos.shape[1]] * len(pos)  # one word per element
+    else:
+        assert min(used) >= pos.shape[1]  # and any rejection redraws
 
 
 # ---------------------------------------------------------------------------
