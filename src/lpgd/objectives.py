@@ -113,10 +113,13 @@ class FixedBackend:
         return a.sum(axis=axis)
 
     def _by_lane(self, v, gens, kernel):
-        """kernel(row, gen) on each lane's row of v, reshaped back to v's
-        shape.  rn draws nothing, so its lanes need not be told apart."""
+        """kernel(row, gen) on each lane's row of v, as int64 in v's shape.
+        rn draws nothing, so its lanes need not be told apart."""
         rows = np.reshape(v, (len(gens) if gens else 1, -1))
-        return np.reshape([kernel(row, g) for row, g in zip(rows, gens or [None])], np.shape(v))
+        out = np.empty(rows.shape, dtype=np.int64)
+        for i, g in enumerate(gens or [None]):
+            out[i] = kernel(rows[i], g)
+        return out.reshape(np.shape(v))
 
     def _round_ratio(self, num, den: int):
         gens = self._next_gens()
@@ -320,11 +323,13 @@ class Objective:
         lanes = x.m.ndim == 2
         rows = x.m if lanes else x.m[None, :]
         be = FixedBackend(x.fmt, scheme, stream, k)
-        # a single lane runs on Python ints, cheaper than 1-element arrays
-        cols = [int(v) for v in rows[0]] if len(rows) == 1 else list(rows.T)
-        g = np.empty(rows.shape, dtype=np.int64)
-        for j, v in enumerate(self.recipe(be, cols)):
-            g[:, j] = v
+        if len(rows) == 1:
+            # a single lane runs on Python ints, cheaper than 1-element arrays
+            g = np.array([self.recipe(be, [int(v) for v in rows[0]])], dtype=np.int64)
+        else:
+            # the recipe reads the (n, R) view: xv[i] is coordinate i of every lane
+            g = np.empty(rows.shape, dtype=np.int64)
+            g.T[...] = self.recipe(be, rows.T)
         return FixedVec(g if lanes else g[0], x.fmt)
 
     def grad_rounded_float(
@@ -514,14 +519,9 @@ def blr(
         ).reshape(n_samples, n_features)
         x_q = xm / data_fmt.scale
         y_m = y.astype(np.int64) * data_fmt.scale
-        # |r_i| <= 1, so the residual products r_i * x_ij and their rescaling
-        # inside round_ratio_vec stay below scale^2 * max|xm|; the recipe
-        # refuses formats where that bound leaves int64
-        resid_peak = data_fmt.scale**2 * int(np.abs(xm).max(initial=0))
     else:
         xm = y_m = None
         x_q = x_raw
-        resid_peak = 0
 
     yv = y.astype(np.float64)
     lam = float(reg)
@@ -546,11 +546,7 @@ def blr(
         fmt = be.fmt
         if data_fmt is None or fmt != data_fmt:
             raise ValueError("blr fixed path needs the iterate in the data format")
-        if resid_peak >= 1 << 62:
-            raise OverflowError(
-                f"blr residual products in {fmt} reach {resid_peak}, beyond int64"
-            )
-        w = np.stack(xv, axis=-1)  # (n,), or (R, n) for R lanes
+        w = np.asarray(xv).T  # (n,), or (R, n) for R lanes from the (n, R) view
         # products x_ij * w_j, each rounded once, then exact row sums
         z = be.sum(be.mul(xm, w[..., None, :]), axis=-1)
         # logistic values in binary64, then one rounding each
@@ -560,7 +556,7 @@ def blr(
         g = be.mean(be.mul(r[..., None], xm), axis=-2)
         if lam:
             g = be.add(g, be.coef(lam_fr, w))
-        return list(g.T)
+        return g.T
 
     hess_bound = float(np.linalg.eigvalsh(x_q.T @ x_q).max() / (4.0 * n_samples) + lam)
 

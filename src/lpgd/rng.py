@@ -153,9 +153,13 @@ def bernoulli_lt(gen, nums, den: int, n: int) -> np.ndarray:
     """Boolean vector, element i True with probability nums[i]/den, exactly.
 
     nums may be a scalar or an array of integers in [0, den]; probabilities
-    0 and 1 come out deterministic.  gen is one word source or a list of
-    lane word sources, as in `uniform_below`.
+    0 and 1 come out deterministic.  An int64 array is compared through a
+    uint64 view, with no copy, which that precondition makes exact: no
+    element is negative.  gen is one word source or a list of lane word
+    sources, as in `uniform_below`.
     """
+    if isinstance(nums, np.ndarray) and nums.dtype == np.int64:
+        nums = nums.view(_U64)
     return uniform_below(gen, den, n) < np.asarray(nums, dtype=np.uint64)
 
 

@@ -25,7 +25,12 @@ drawing, so the draw layout never depends on the data.
 
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
-binary64 rounding anywhere in the emulation itself.
+binary64 rounding anywhere in the emulation itself.  The int64 row kernel
+splits a position into q and r with a shift and a mask when den = 2**s
+(every fixed-point product, at den = scale**2): q = pos >> s and
+r = pos & (den - 1) are the floor and the residue, negative positions
+included, since `>>` on int64 is arithmetic and `&` takes the two's
+complement.  Other denominators go through `np.divmod`.
 
 Binary64 inputs (`round_doubles_vec`) are dyadic, so their rounding decision
 is made exactly on whole arrays: the grid position and the residue's
@@ -116,11 +121,11 @@ def up_weight(q, r, den: int, scheme: RoundScheme, v_sign=0):
     eps schemes, whatever the data.  T is not zeroed at r = 0: on-grid
     elements draw like any other, and the caller masks them.
     """
+    if scheme.kind == "sr":
+        return r, den
     one = r * 0 + 1  # 1 in r's type
     if scheme.kind == "rn":  # ties to the even q
         return one * den * (2 * r + (q & 1) > den), den
-    if scheme.kind == "sr":
-        return r, den
     a, b = scheme.eps.numerator, scheme.eps.denominator
     if scheme.uses_value_sign:
         s = one * (q > 0) + ((q == 0) & (r > 0)) - (q < 0)
@@ -293,7 +298,12 @@ def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
     if scheme.is_random and gens is None:
         raise ValueError(f"{scheme} needs a word source")
     small = pos.dtype != object
-    q, r = np.divmod(pos, den) if small else (pos // den, pos % den)  # r in [0, den)
+    if not small:
+        q, r = pos // den, pos % den  # r in [0, den)
+    elif den & (den - 1) == 0:  # den = 2**s: the dyadic split
+        q, r = pos >> (den.bit_length() - 1), pos & (den - 1)
+    else:
+        q, r = np.divmod(pos, den)
     nums, cap = up_weight(q, r, den, scheme, signs)
     if not scheme.is_random:
         up = nums > 0
@@ -304,7 +314,8 @@ def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
             [rng.bernoulli_ratio(g, row, cap, row.size) for g, row in zip(gens, nums)],
             dtype=bool,
         ).reshape(nums.shape)
-    up &= r != 0  # representable values round to themselves
+    if scheme.kind != "sr":  # under sr, T = r = 0 already rounds them down
+        up &= r != 0  # representable values round to themselves
 
     m = q + up if q.dtype != object else q + up.astype(object)
     lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa

@@ -235,15 +235,30 @@ class TestBlr:
                 vec_from_exact([0, 0, 0], QFormat(15, 8)), RN, None, 0
             )
 
-    def test_wide_format_refuses_int64_wraparound(self):
-        # Q8.40: r_i * x_ij * 2^40 needs ~2^120, far past int64; the products
-        # used to wrap and give a wrong gradient (0 for -1/4) at w = 0
+    @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
+    def test_wide_format_gradient_is_exact(self, spec):
+        # Q8.40: x_ij * w_j and r_i * x_ij * 2^40 need ~2^96 and ~2^120, far
+        # past int64, so the products and their roundings run on Python ints;
+        # the products used to wrap and give 0 for -1/4 at w = 0
         x_data, y = self._tiny()
         fmt = QFormat(8, 40)
+        scheme = parse_scheme(spec)
         obj = make_objective("blr", x_data=x_data, y=y, data_fmt=fmt)
-        with pytest.raises(OverflowError, match="Q8.40"):
-            obj.grad_rounded_fixed(vec_from_exact([0, 0, 0], fmt), RN, None, 0)
+        # at w = 0 every rounding is on the grid: binary64's gradient exactly
+        g = obj.grad_rounded_fixed(vec_from_exact([0, 0, 0], fmt), scheme, RandomStream(3), 0)
+        assert g.to_fractions() == [Fraction(-1, 4), 0, Fraction(1, 8)]
         assert eval_grad_reference(obj, [0.0, 0.0, 0.0]).tolist() == [-0.25, 0.0, 0.125]
+        # elsewhere the logistic values round once onto 2^-40, and the rest is
+        # exact up to the mean's one rounding: within one grid step of binary64
+        w = vec_from_exact([Fraction(1, 2), Fraction(-1, 4), Fraction(1)], fmt)
+        ref = eval_grad_reference(obj, [0.5, -0.25, 1.0])
+        one = obj.grad_rounded_fixed(w, scheme, RandomStream(3), 0)
+        for v, r in zip(one.to_fractions(), ref.tolist()):
+            assert abs(v - Fraction(r)) < fmt.u
+        # two lanes: lane 0 on the same stream rounds as the one-lane call
+        lanes = FixedVec(np.array([w.m, -w.m]), fmt)
+        both = obj.grad_rounded_fixed(lanes, scheme, [RandomStream(3), RandomStream(4)], 0)
+        assert both.m[0].tolist() == one.m.tolist()
 
     def test_no_scalar_recipe(self):
         x_data, y = self._tiny()
