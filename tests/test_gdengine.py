@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lpgd.gdengine import GDConfig, classify_case, run, run_ensemble
 from lpgd.harness import load_config, run_experiment
+from lpgd.lpfloat import FloatFormat
 from lpgd.objectives import make_objective
 from lpgd.qnum import FixedVec, QFormat
 
@@ -643,6 +644,19 @@ class TestFullRecordDigests:
     def test_lowfloat_quadratic_fp8(self, sigma1, sigma2, want):
         cfg = _fp8_quadratic(sigma1_scheme=sigma1, sigma2_scheme=sigma2)
         assert digest_records(run_ensemble(cfg, seeds=range(4))) == want
+
+    def test_lowfloat_quadratic_60_bit_significands(self):
+        # grid values reach 60-bit significands, which binary64 cannot hold:
+        # the float columns must come from one correct rounding of each
+        # exact value, where fp8e5 and fp16e5 values are all exact in binary64
+        cfg = _fp8_quadratic(
+            float_fmt=FloatFormat(60, 4), x0=["7", "-2^-5", "0.75"], iterations=60,
+            sigma2_scheme="sr_eps:0.4",
+        )
+        runs = run_ensemble(cfg, seeds=[0, 1])
+        assert max(v.numerator.bit_length() for r in runs for v in r.final_state) == 60
+        want = "1473bbe295f87d6091696b5ad7988526e03fa1a4c659022206c169b9c3ccd67e"
+        assert digest_records(runs) == want
 
     @pytest.mark.parametrize(
         "over, seeds, steps, want",
