@@ -57,7 +57,9 @@ import numpy as np
 
 from . import lpfloat, rng, rounding
 from .objectives import Objective, eval_grad_reference
-from .qnum import FixedVec, QFormat, make_format, parse_rational, to_fraction, vec_from_exact
+from .qnum import (
+    FixedVec, QFormat, make_format, parse_rational, to_fraction, to_ratio, vec_from_exact,
+)
 
 SIGMA2_TAG = 1 << 20
 
@@ -186,11 +188,13 @@ class RunResult:
 def classify_case(g_tilde, t: Fraction, u, bounds=None) -> tuple:
     """(case, c2_mask): coordinate i is C2 when |t * g_i| < u_i.
 
-    g_tilde: a FixedVec or a sequence of exact values; u: a scalar grid
-    spacing or per-coordinate spacings.  A FixedVec with a scalar u compares
-    exactly on integers, |g_m| * tn * u_den < td * u_num * scale, and an
-    (R, n) FixedVec of R lanes gives an (R,) case array and an (R, n) mask.
-    `bounds` is `_c2_bounds(t, u, g_tilde.fmt)` when the caller has it.
+    g_tilde: a FixedVec, or a sequence of exact values or integer ratios
+    (n, d); u: a scalar grid spacing or per-coordinate spacings, exact values
+    or ratios.  A FixedVec with a scalar u compares exactly on
+    integers, |g_m| * tn * u_den < td * u_num * scale, and an (R, n) FixedVec
+    of R lanes gives an (R,) case array and an (R, n) mask.  `bounds` is
+    `_c2_bounds(t, u, g_tilde.fmt)` when the caller has it.  A sequence
+    compares each coordinate on integers too, both sides as integer ratios.
     """
     if isinstance(g_tilde, FixedVec) and not isinstance(u, (list, tuple, np.ndarray)):
         lhs, rhs, wide = bounds or _c2_bounds(t, u, g_tilde.fmt)
@@ -201,12 +205,12 @@ def classify_case(g_tilde, t: Fraction, u, bounds=None) -> tuple:
         return np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3)), mask
     gv = g_tilde.to_fractions() if isinstance(g_tilde, FixedVec) else g_tilde
     us = u if isinstance(u, (list, tuple, np.ndarray)) else [u] * len(gv)
+    tn, td = t.numerator, t.denominator
     c2 = []
     for g, ui in zip(gv, us):
-        g, ui = to_fraction(g), to_fraction(ui)
+        (gn, gd), (un, ud) = to_ratio(g), to_ratio(ui)
         # |t g| < u on integers: t and every denominator are positive
-        c2.append(abs(g.numerator) * t.numerator * ui.denominator
-                  < t.denominator * g.denominator * ui.numerator)
+        c2.append(abs(gn) * tn * ud < td * gd * un)
     return (1 if not any(c2) else 2 if all(c2) else 3), np.array(c2, dtype=bool)
 
 
@@ -323,8 +327,11 @@ class _Fixed(_System):
 
 
 class _LowFloat(_System):
-    """A small binary float grid: an (R, n) object array of grid Fractions,
-    every recipe op rounded, the update subtraction rounded once."""
+    """A small binary float grid, every recipe op rounded and the update
+    x - t*g rounded once.  The state of R lanes is a list of R rows of grid
+    pairs (M, E) of Python ints, each the value M * 2**E; `lane` gives one
+    lane's iterate as Fractions.  The binary64 columns come from the ints by
+    one correct rounding each, as float(Fraction) rounds."""
 
     columns = {**_System.columns, **dict.fromkeys(("g_tilde", "d", "sigma2"), (np.float64, True))}
 
@@ -332,40 +339,61 @@ class _LowFloat(_System):
     def u_stag(self) -> float:
         return float(self.cfg.float_fmt.unit_roundoff)
 
-    def lanes(self, count: int) -> np.ndarray:
-        exact = [parse_rational(v) for v in self.cfg.x0]
-        for v in exact:
+    def lanes(self, count: int) -> list:
+        row = []
+        for v in map(parse_rational, self.cfg.x0):
             if not lpfloat.is_representable(v, self.cfg.float_fmt):
                 raise ValueError(f"x0 entry {v} is not on the {self.cfg.float_fmt} grid")
-        return np.array([exact] * count, dtype=object)
+            row.append(lpfloat.to_pair(v))
+        return [row] * count
 
-    def lane(self, x: np.ndarray, j: int) -> List[Fraction]:
-        return list(x[j])
+    def select(self, x: list, idx) -> list:
+        return [x[j] for j in idx]
 
-    def iterates(self, x: np.ndarray) -> dict:
-        return {"xs": x.astype(np.float64)}
+    def lane(self, x: list, j: int) -> List[Fraction]:
+        return [lpfloat.pair_fraction(m, e) for m, e in x[j]]
 
-    def step(self, x: np.ndarray, xf: np.ndarray, streams: list, k: int):
+    def iterates(self, x: list) -> dict:
+        return {"xs": np.array([[lpfloat.pair_float(m, e) for m, e in row] for row in x])}
+
+    def step(self, x: list, xf: np.ndarray, streams: list, k: int):
         cfg = self.cfg
         fmt, t, scheme = cfg.float_fmt, cfg.t, cfg.sigma2_scheme
-        rows = x.tolist()
+        tn, td = t.numerator, t.denominator
         g_t = [
             cfg.objective.grad_rounded_float(row, fmt, cfg.sigma1_scheme, stream, k)
-            for row, stream in zip(rows, streams)
+            for row, stream in zip(x, streams)
         ]
         g_ref = eval_grad_reference(cfg.objective, xf)
+        # C2 when |t*g_i| < 2**G_i, the grid spacing at x_i, on integer ratios
         case, c2 = zip(*(
-            classify_case(g_r, t, [lpfloat.binade_gap(v, fmt) for v in row])
-            for row, g_r in zip(rows, g_t)
+            classify_case(
+                [lpfloat.pair_ratio(m, e) for m, e in g_r],
+                t,
+                [lpfloat.pair_ratio(1, fmt.gap_exponent(m, e)) for m, e in row],
+            )
+            for row, g_r in zip(x, g_t)
         ))
-        new_x, out = np.empty_like(x), np.empty((3,) + x.shape)  # out: g_tilde, d, sigma2
-        for r, (row, g_r, stream) in enumerate(zip(rows, g_t, streams)):
-            for i, (xi, gi) in enumerate(zip(row, g_r)):
-                v_sign = (gi < 0) - (gi > 0) if scheme.uses_given_sign else 0  # -sign(g): descent
-                tg = t * gi
-                nxt = lpfloat.fl_round(xi - tg, fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
-                new_x[r, i], d = nxt, xi - nxt
-                out[:, r, i] = gi, d, d - tg
+        new_x, out = [], np.empty((3, len(x), len(x[0])))  # out: g_tilde, d, sigma2
+        for r, (row, g_r, stream) in enumerate(zip(x, g_t, streams)):
+            new_row = []
+            for i, ((xm, xe), (gm, ge)) in enumerate(zip(row, g_r)):
+                v_sign = (gm < 0) - (gm > 0) if scheme.uses_given_sign else 0  # -sign(g): descent
+                # x - t*g = (td*xm*2**xe - tn*gm*2**ge) / td as one ratio n/d
+                e = min(xe, ge)
+                n, d = lpfloat.pair_ratio((td * xm << (xe - e)) - (tn * gm << (ge - e)), e)
+                d *= td
+                ym, ye = lpfloat.fl_round((n, d), fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
+                new_row.append((ym, ye))
+                # d = x - y, and sigma2 = d - t*g = n/d - y
+                e = min(xe, ye)
+                yn, yd = lpfloat.pair_ratio(ym, ye)
+                out[:, r, i] = (
+                    lpfloat.pair_float(gm, ge),
+                    lpfloat.pair_float((xm << (xe - e)) - (ym << (ye - e)), e),
+                    (n * yd - yn * d) / (d * yd),
+                )
+            new_x.append(new_row)
         return new_x, {
             "g_tilde": out[0], "g_exact": g_ref, "d": out[1], "sigma2": out[2],
             "case": case, "c2_mask": c2,

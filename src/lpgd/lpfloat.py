@@ -16,8 +16,15 @@ split on a fixed-point grid, so the exact laws live in `rounding` (`law`,
 draws from `rounding.law`.  q and q + 1 are the neighbours' significands
 (at a binade top q + 1 = 2**sig_bits, even like the upper neighbour's own),
 so rn's ties-to-even and the sign that sr_eps reads come out as in the
-fixed-point case, just on a magnitude-dependent grid.  Values and results
-stay exact Fractions.
+fixed-point case, just on a magnitude-dependent grid.
+
+Values are exact and never pass through binary64.  The public queries
+(`neighbors`, `binade_gap`, `fl_round` on an exact value) take and return
+Fractions.  The engine's hot path carries Python ints instead: a grid value
+is a pair (M, E) meaning M * 2**E, an exact op result is an integer ratio
+(n, d) with d > 0, never reduced, and `fl_round` on a ratio returns a pair.
+`split` depends only on the rational n/d, so an unreduced ratio rounds and
+draws exactly as its lowest terms do.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from . import rng
-from .qnum import ExactReal, to_fraction
+from .qnum import ExactReal, to_fraction, to_ratio
 from .rounding import RoundScheme, law
 
 _FP_PATTERN = re.compile(r"^fp(\d+)e(\d+)$")
@@ -75,23 +82,23 @@ class FloatFormat:
 
     @property
     def min_subnormal(self) -> Fraction:
-        return _scaled(1, self.emin - self.sig_bits + 1)
+        return pair_fraction(1, self.emin - self.sig_bits + 1)
 
     @property
     def max_finite(self) -> Fraction:
         full = (1 << self.sig_bits) - 1  # 2 - 2^(1-sig), scaled
-        return _scaled(full, self.emax - self.sig_bits + 1)
+        return pair_fraction(full, self.emax - self.sig_bits + 1)
 
-    def split(self, v: Fraction) -> Tuple[int, int, int, int]:
-        """(q, r, den, g) with v = (q + r/den) * 2**g and 0 <= r < den.
+    def split(self, n: int, d: int) -> Tuple[int, int, int, int]:
+        """(q, r, den, g) with v = n/d = (q + r/den) * 2**g and 0 <= r < den.
 
-        2**g is the grid spacing of the binade of |v| (the subnormal spacing
-        below emin), so q * 2**g and (q + 1) * 2**g are v's neighbours and
-        r = 0 means v is on the grid.  den is not reduced.  The floor acts on
-        the signed numerator, so q < 0 for v < 0.  |v| beyond the largest
-        finite value raises OverflowError.
+        d > 0, and n/d need not be in lowest terms: q and g, and the ratio
+        r/den, depend only on the value v.  2**g is the grid spacing of the
+        binade of |v| (the subnormal spacing below emin), so q * 2**g and
+        (q + 1) * 2**g are v's neighbours and r = 0 means v is on the grid.
+        den is not reduced.  The floor acts on the signed numerator, so q < 0
+        for v < 0.  |v| beyond the largest finite value raises OverflowError.
         """
-        n, d = v.numerator, v.denominator
         if not n:
             return 0, 0, 1, self.emin - self.sig_bits + 1
         a = abs(n)
@@ -108,8 +115,13 @@ class FloatFormat:
         if e >= self.emax:  # g is clamped to the top binade's, where max_finite is top * 2**g
             top = (1 << self.sig_bits) - 1
             if q < -top or q + (r > 0) > top:
-                raise OverflowError(f"{float(v)} is beyond the largest finite {self} value")
+                raise OverflowError(f"{n / d} is beyond the largest finite {self} value")
         return q, r, den, g
+
+    def gap_exponent(self, m: int, e: int) -> int:
+        """`split`'s g at the grid value m * 2**e: 2**g is its grid spacing."""
+        b = m.bit_length() - 1 + e if m else self.emin  # the binade of |m| * 2**e
+        return min(max(b, self.emin), self.emax) - self.sig_bits + 1
 
     def __str__(self) -> str:
         return f"fp{self.total_bits}e{self.exp_bits}"
@@ -132,9 +144,31 @@ def parse_float_format(spec: Union[str, FloatFormat]) -> FloatFormat:
     return FloatFormat(sig_bits, exp_bits)
 
 
-def _scaled(m: int, g: int) -> Fraction:
-    """m * 2**g, exactly."""
-    return Fraction(m << g) if g >= 0 else Fraction(m, 1 << -g)
+def pair_ratio(m: int, e: int) -> Tuple[int, int]:
+    """The grid pair (m, e) as an integer ratio (n, d): m * 2**e = n/d."""
+    return (m << e, 1) if e >= 0 else (m, 1 << -e)
+
+
+def pair_fraction(m: int, e: int) -> Fraction:
+    """m * 2**e, exactly."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def pair_float(m: int, e: int) -> float:
+    """m * 2**e rounded once to binary64, as float(Fraction) rounds it: int
+    to float and int true division are correctly rounded, subnormals
+    included.  (float(m) * 2.0**e rounds twice where the result is
+    subnormal, and fails where 2.0**e leaves binary64's range.)"""
+    return float(m << e) if e >= 0 else m / (1 << -e)
+
+
+def to_pair(x: ExactReal) -> Tuple[int, int]:
+    """The dyadic exact value x as a grid pair (M, E) with x = M * 2**E."""
+    v = to_fraction(x)
+    d = v.denominator
+    if d & (d - 1):
+        raise ValueError(f"{v} is not dyadic, so no pair (M, E) holds it")
+    return v.numerator, 1 - d.bit_length()
 
 
 def neighbors(x: ExactReal, fmt: FloatFormat) -> Tuple[Fraction, Fraction]:
@@ -143,14 +177,14 @@ def neighbors(x: ExactReal, fmt: FloatFormat) -> Tuple[Fraction, Fraction]:
     Representable x gives lo == hi == x.  |x| beyond the largest finite
     value raises OverflowError.
     """
-    q, r, _, g = fmt.split(to_fraction(x))
-    lo = _scaled(q, g)
-    return (lo, lo) if r == 0 else (lo, _scaled(q + 1, g))
+    q, r, _, g = fmt.split(*to_ratio(x))
+    lo = pair_fraction(q, g)
+    return (lo, lo) if r == 0 else (lo, pair_fraction(q + 1, g))
 
 
 def is_representable(x: ExactReal, fmt: FloatFormat) -> bool:
     try:
-        return fmt.split(to_fraction(x))[1] == 0
+        return fmt.split(*to_ratio(x))[1] == 0
     except OverflowError:
         return False
 
@@ -160,7 +194,7 @@ def binade_gap(x: ExactReal, fmt: FloatFormat) -> Fraction:
 
     |x| beyond the largest finite value raises OverflowError.
     """
-    return _scaled(1, fmt.split(to_fraction(x))[3])
+    return pair_fraction(1, fmt.split(*to_ratio(x))[3])
 
 
 def fl_round(
@@ -171,14 +205,18 @@ def fl_round(
     k: int = 0,
     tag: int = 0,
     v_sign: int = 0,
-) -> Fraction:
-    """One rounding of the exact value x onto fmt's grid."""
+) -> Union[Fraction, Tuple[int, int]]:
+    """One rounding of x onto fmt's grid.
+
+    x is an exact value, which rounds to a Fraction, or an integer ratio
+    (n, d) with d > 0 in any terms, which rounds to the grid pair (M, E).
+    """
     q, g, t, cap = law(x, fmt, scheme, v_sign)
     if 0 < t < cap:
         if stream is None:
-            raise ValueError(f"{scheme} needs a RandomStream to round {float(to_fraction(x))}")
-        down = rng.bernoulli_ratio(stream.generator(k, tag), cap - t, cap, 1)[0]
-        q += not down
+            n, d = to_ratio(x)
+            raise ValueError(f"{scheme} needs a RandomStream to round {n / d}")
+        q += not rng.bernoulli_ratio(stream.generator(k, tag), cap - t, cap, 1)[0]
     elif t:
         q += 1
-    return _scaled(q, g)
+    return (q, g) if type(x) is tuple else pair_fraction(q, g)

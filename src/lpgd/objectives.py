@@ -7,14 +7,16 @@ against a small ops backend and evaluated four ways:
 
     FixedBackend     integer mantissas, products round once into the format;
                      one lane, or R lanes along a leading axis in one pass
-    FloatBackend     grid Fractions, every op result rounds (float semantics)
+    FloatBackend     grid pairs (M, E) = M * 2**E of Python ints; every op
+                     result is one exact integer ratio, rounded once (float
+                     semantics)
     EnumBackend      a FixedBackend whose rounding step branches instead of
                      drawing: exhaustive, with exact probabilities
-    FractionBackend  a FloatBackend whose rounding step keeps the exact value:
-                     the reference where nothing rounds
+    FractionBackend  exact Fractions where nothing rounds: the reference
 
-Each exact backend overrides only its sampled parent's rounding step (and
-FractionBackend its constants), so it evaluates the same ops the engine does.
+EnumBackend overrides only its sampled parent's rounding step, so it
+evaluates the same ops the engine does; FractionBackend evaluates the same
+recipe on exact values.
 
 Constant coefficients (2, 400, 1/16, 1e-3 = 1/1000, ...) are exact rationals
 applied as ratios; the product rounds once.  Integer coefficients in fixed
@@ -40,9 +42,10 @@ import numpy as np
 from scipy.special import expit
 
 from . import lpfloat, rng, rounding
-from .qnum import FixedVec, QFormat, from_exact, to_fraction
+from .qnum import FixedVec, QFormat, from_exact, to_fraction, to_ratio
 
 _INT64_LIMIT = 1 << 63
+_RN = rounding.RoundScheme("rn")
 
 # ---------------------------------------------------------------------------
 # ops backends
@@ -180,7 +183,12 @@ class FixedBackend:
 
 
 class FloatBackend:
-    """Recipe ops on a low-precision float grid; every result rounds."""
+    """Recipe ops on a low-precision float grid; every result rounds.
+
+    A value is a grid pair (M, E), the value M * 2**E, of Python ints.  Each
+    op forms its exact result as one integer ratio (n, d), never reduced,
+    and rounds it once through `lpfloat.fl_round`.
+    """
 
     def __init__(
         self,
@@ -195,40 +203,59 @@ class FloatBackend:
         self.k = k
         self.tag = 0
 
-    def _round(self, x: Fraction) -> Fraction:
+    def _round(self, m: int, e: int, d: int = 1) -> tuple:
+        """The exact value m * 2**e / d, rounded."""
         tag = self.tag
         self.tag += 1
-        return lpfloat.fl_round(x, self.fmt, self.scheme, self.stream, self.k, tag)
+        n, d2 = lpfloat.pair_ratio(m, e)
+        return lpfloat.fl_round((n, d2 * d), self.fmt, self.scheme, self.stream, self.k, tag)
 
-    def const(self, c) -> Fraction:
+    def const(self, c) -> tuple:
         # constants quantize deterministically, nearest-even, once per use
-        return lpfloat.fl_round(to_fraction(c), self.fmt, rounding.RoundScheme("rn"))
+        return lpfloat.fl_round(to_ratio(c), self.fmt, _RN)
 
-    def add(self, a, b) -> Fraction:
-        return self._round(a + b)
+    def add(self, a, b) -> tuple:
+        (am, ae), (bm, be) = a, b
+        if ae <= be:
+            return self._round(am + (bm << (be - ae)), ae)
+        return self._round((am << (ae - be)) + bm, be)
 
-    def sub(self, a, b) -> Fraction:
-        return self._round(a - b)
+    def sub(self, a, b) -> tuple:
+        return self.add(a, (-b[0], b[1]))
 
-    def mul(self, a, b) -> Fraction:
-        return self._round(a * b)
+    def mul(self, a, b) -> tuple:
+        return self._round(a[0] * b[0], a[1] + b[1])
 
-    def coef(self, c, a) -> Fraction:
-        return self._round(to_fraction(c) * a)
+    def coef(self, c, a) -> tuple:
+        n, d = to_ratio(c)
+        return self._round(n * a[0], a[1], d)
 
 
-class FractionBackend(FloatBackend):
-    """Exact rational evaluation of a recipe (nothing rounds, nothing clips)."""
+class FractionBackend:
+    """Exact rational evaluation of a recipe (nothing rounds, nothing clips):
+    values are Fractions, and every op takes a tag as the other backends'."""
 
     def __init__(self):
-        super().__init__(None, None)
+        self.tag = 0
 
-    def _round(self, x: Fraction) -> Fraction:
+    def _exact(self, v: Fraction) -> Fraction:
         self.tag += 1
-        return x
+        return v
 
     def const(self, c) -> Fraction:
         return to_fraction(c)
+
+    def add(self, a, b) -> Fraction:
+        return self._exact(a + b)
+
+    def sub(self, a, b) -> Fraction:
+        return self._exact(a - b)
+
+    def mul(self, a, b) -> Fraction:
+        return self._exact(a * b)
+
+    def coef(self, c, a) -> Fraction:
+        return self._exact(to_fraction(c) * a)
 
 
 class EnumBackend(FixedBackend):
@@ -334,13 +361,14 @@ class Objective:
 
     def grad_rounded_float(
         self,
-        x: List[Fraction],
+        x: List[tuple],
         fmt: lpfloat.FloatFormat,
         scheme: rounding.RoundScheme,
         stream: Optional[rng.RandomStream],
         k: int,
-    ) -> List[Fraction]:
-        """Gradient recipe on a low-precision float grid."""
+    ) -> List[tuple]:
+        """Gradient recipe on a low-precision float grid.  The iterate x and
+        the result are grid pairs (M, E), each the value M * 2**E."""
         if self.recipe is None:
             raise NotImplementedError(f"{self.name} has no scalar recipe")
         be = FloatBackend(fmt, scheme, stream, k)

@@ -34,6 +34,17 @@ def to_fraction(x: ExactReal) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact real")
 
 
+def to_ratio(x) -> Tuple[int, int]:
+    """x as an integer ratio (n, d) with d > 0, not necessarily in lowest
+    terms: x is an exact value, or already such a ratio."""
+    if type(x) is tuple:
+        return x
+    if type(x) is int:
+        return x, 1
+    v = to_fraction(x)
+    return v.numerator, v.denominator
+
+
 @dataclass(frozen=True)
 class QFormat:
     """Signed fixed-point format with qi integer bits and qf fractional bits.
@@ -93,16 +104,17 @@ class QFormat:
             )
         return m
 
-    def split(self, x: Fraction) -> Tuple[int, int, int, int]:
-        """(q, r, den, g) with x = (q + r/den) * 2**g, 0 <= r < den and g = -qf,
-        the grid split `lpfloat.FloatFormat.split` makes on a float grid.
+    def split(self, n: int, d: int) -> Tuple[int, int, int, int]:
+        """(q, r, den, g) with x = n/d = (q + r/den) * 2**g, 0 <= r < den and
+        g = -qf, the grid split `lpfloat.FloatFormat.split` makes on a float
+        grid.  d > 0; n/d need not be in lowest terms.
 
         x outside [min_value, max_value] raises OverflowError.
         """
-        q, r = divmod(x.numerator << self.qf, x.denominator)
+        q, r = divmod(n << self.qf, d)
         if q < self.min_mantissa or q + (r > 0) > self.max_mantissa:
-            raise OverflowError(f"{float(x)} is outside the range of {self}")
-        return q, r, x.denominator, -self.qf
+            raise OverflowError(f"{n / d} is outside the range of {self}")
+        return q, r, d, -self.qf
 
     def __str__(self) -> str:
         return f"Q{self.qi}.{self.qf}"

@@ -173,6 +173,15 @@ def bernoulli_ratio(gen: OpWords, nums, dens, n: int) -> np.ndarray:
     probability, no rejection loop.  nums and dens are Python ints or
     arrays (any integer dtype, object for wide values) of 1 or n elements.
     """
+    if n == 1 and type(nums) is int and type(dens) is int:
+        # one Python-int probability, as every lowfloat rounding draws: the
+        # loop below on one element, without its lists
+        while True:
+            w = gen.integers(0, _FULL, size=1, dtype=np.uint64).tolist()[0]
+            hi, rem = divmod(nums << 64, dens)
+            if w != hi or not rem:
+                return np.array([w < hi])
+            nums = rem
     nums, dens = _int_list(nums, n), _int_list(dens, n)
     out = np.zeros(n, dtype=bool)
     idx = range(n)

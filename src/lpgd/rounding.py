@@ -16,8 +16,8 @@ package -- the vector kernels, the binary64 fallback, the exhaustive
 `EnumBackend` (a FixedBackend whose rounding step branches on the same
 weight) and the bound estimators -- calls it.  The scalar laws go through
 one function, `law`, which serves both number formats: a QFormat and an
-`lpfloat.FloatFormat` each `split` a value into (q, r, den, g) with
-x = (q + r/den) * 2**g, and `prob_round_down`, `expected_round`, `round`,
+`lpfloat.FloatFormat` each `split` an integer ratio x = n/d, in any terms,
+into (q, r, den, g) with x = (q + r/den) * 2**g, and `prob_round_down`, `expected_round`, `round`,
 `lpfloat.fl_round` and `oracle.round_distribution` all read it.  A value
 already on the grid (r = 0) rounds to itself under every scheme, including
 the eps-perturbed ones; the vector kernels mask those elements after
@@ -50,7 +50,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .qnum import ExactReal, FixedVal, QFormat, to_fraction
+from .qnum import ExactReal, FixedVal, QFormat, to_fraction, to_ratio
 
 SCHEME_KINDS = ("rn", "sr", "sr_eps", "signed_sr_eps")
 
@@ -137,15 +137,16 @@ def up_weight(q, r, den: int, scheme: RoundScheme, v_sign=0):
     return t + (cap - t) * (t > cap), cap
 
 
-def law(x: ExactReal, fmt, scheme: RoundScheme, v_sign=0):
+def law(x, fmt, scheme: RoundScheme, v_sign=0):
     """(q, g, T, cap): x lies in [q, q + 1] * 2**g on fmt's grid and rounds
     up to (q + 1) * 2**g with probability T/cap (T = 0 on the grid).
 
+    x is an exact value or an integer ratio (n, d) with d > 0, in any terms.
     fmt is a QFormat or an `lpfloat.FloatFormat`; its `split` gives the
     position x / 2**g = q + r/den, which feeds `up_weight` directly.  x
     outside fmt's range raises OverflowError.
     """
-    q, r, den, g = fmt.split(to_fraction(x))
+    q, r, den, g = fmt.split(*to_ratio(x))
     if r == 0:
         return q, g, 0, 1
     t, cap = up_weight(q, r, den, scheme, v_sign)

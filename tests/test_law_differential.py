@@ -12,6 +12,12 @@ must give the same leaves in the same order wherever the old one returned.
 The int64 row kernel `rounding._round_rows` is checked the same way against
 a copy of its `np.divmod` form: the same mantissas, the same words drawn per
 lane and the same OverflowError, for power-of-two and other denominators.
+
+The lowfloat engine, which carries grid pairs (M, E) and unreduced integer
+ratios, is checked against a copy of its form on grid Fractions: the float
+recipe backend and the update step, with the one-element Bernoulli draw as
+it was.  Values, binary64 columns, words drawn at every op address and the
+OverflowError message must all agree.
 """
 
 from fractions import Fraction
@@ -21,8 +27,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpgd import rng, rounding
-from lpgd.lpfloat import FloatFormat, parse_float_format
-from lpgd.objectives import enumerate_recipe, make_objective
+from lpgd.gdengine import SIGMA2_TAG, GDConfig, _LowFloat
+from lpgd.lpfloat import FloatFormat, pair_float, pair_fraction, parse_float_format
+from lpgd.objectives import FloatBackend, enumerate_recipe, make_objective
 from lpgd.oracle import round_distribution
 from lpgd.qnum import FixedVal, QFormat, from_exact, to_fraction
 from lpgd.rng import RandomStream
@@ -468,3 +475,232 @@ def test_enumeration_matches_the_original_where_it_returned(case, spec):
         assert got is OverflowError or sum(p for _, p in got) == 1, (label, fmt, spec)
         return
     assert got == want, (label, fmt, spec)
+
+
+# ---------------------------------------------------------------------------
+# frozen copies: the lowfloat engine on grid Fractions
+# ---------------------------------------------------------------------------
+
+
+def _old_int_list(v, n):
+    if isinstance(v, int):
+        return [v] * n
+    v = (v if isinstance(v, np.ndarray) else np.asarray(v, dtype=object)).reshape(-1).tolist()
+    return v * n if len(v) == 1 else v
+
+
+def _old_bernoulli_ratio(gen, nums, dens, n):
+    nums, dens = _old_int_list(nums, n), _old_int_list(dens, n)
+    out = np.zeros(n, dtype=bool)
+    idx = range(n)
+    while idx:
+        u = gen.integers(0, 2**64, size=len(idx), dtype=np.uint64).tolist()
+        next_idx = []
+        for i, w in zip(idx, u):
+            hi, rem = divmod(nums[i] << 64, dens[i])
+            if w < hi:
+                out[i] = True
+            elif w == hi and rem:
+                nums[i] = rem
+                next_idx.append(i)
+        idx = next_idx
+    return out
+
+
+def _old_fl_round(x, fmt, scheme, stream=None, k=0, tag=0, v_sign=0):
+    q, g, t, cap = _old_law(x, fmt, scheme, v_sign)
+    if 0 < t < cap:
+        if stream is None:
+            raise ValueError(f"{scheme} needs a RandomStream to round {float(to_fraction(x))}")
+        down = _old_bernoulli_ratio(stream.generator(k, tag), cap - t, cap, 1)[0]
+        q += not down
+    elif t:
+        q += 1
+    return _old_scaled(q, g)
+
+
+class _OldFloatBackend:
+    def __init__(self, fmt, scheme, stream=None, k=0):
+        self.fmt = fmt
+        self.scheme = scheme
+        self.stream = stream
+        self.k = k
+        self.tag = 0
+
+    def _round(self, x):
+        tag = self.tag
+        self.tag += 1
+        return _old_fl_round(x, self.fmt, self.scheme, self.stream, self.k, tag)
+
+    def const(self, c):
+        return _old_fl_round(to_fraction(c), self.fmt, parse_scheme("rn"))
+
+    def add(self, a, b):
+        return self._round(a + b)
+
+    def sub(self, a, b):
+        return self._round(a - b)
+
+    def mul(self, a, b):
+        return self._round(a * b)
+
+    def coef(self, c, a):
+        return self._round(to_fraction(c) * a)
+
+
+def _old_classify(g_r, t, us):
+    c2 = [abs(g.numerator) * t.numerator * u.denominator < t.denominator * g.denominator * u.numerator
+          for g, u in zip(g_r, us)]
+    return (1 if not any(c2) else 2 if all(c2) else 3), np.array(c2, dtype=bool)
+
+
+def _old_lowfloat_step(cfg, rows, streams, k):
+    """`_LowFloat.step` on lanes of grid Fractions, less the binary64 gradient."""
+    fmt, t, scheme = cfg.float_fmt, cfg.t, cfg.sigma2_scheme
+    g_t = [
+        list(cfg.objective.recipe(_OldFloatBackend(fmt, cfg.sigma1_scheme, stream, k), list(row)))
+        for row, stream in zip(rows, streams)
+    ]
+    case, c2 = zip(*(
+        _old_classify(g_r, t, [_old_scaled(1, _old_split(v, fmt)[3]) for v in row])
+        for row, g_r in zip(rows, g_t)
+    ))
+    new_x, out = [], np.empty((3, len(rows), len(rows[0])))
+    for r, (row, g_r, stream) in enumerate(zip(rows, g_t, streams)):
+        new_x.append([])
+        for i, (xi, gi) in enumerate(zip(row, g_r)):
+            v_sign = (gi < 0) - (gi > 0) if scheme.uses_given_sign else 0
+            tg = t * gi
+            nxt = _old_fl_round(xi - tg, fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
+            new_x[r].append(nxt)
+            d = xi - nxt
+            out[:, r, i] = gi, d, d - tg
+    return new_x, out, case, c2
+
+
+# ---------------------------------------------------------------------------
+# the lowfloat engine
+# ---------------------------------------------------------------------------
+
+LOWFLOAT_FORMATS = [
+    parse_float_format("fp8e4"), parse_float_format("fp8e5"), parse_float_format("fp16e5"),
+    FloatFormat(60, 4),
+]
+LOWFLOAT_SCHEMES = ["rn", "sr", "sr_eps:0.4", "signed_sr_eps:0.1"]
+COEFS = [2, 11, 400, Fraction(1, 10), Fraction(1, 3), Fraction(-7, 3), Fraction(5, 7)]
+STEPS = [Fraction(1, 10), Fraction(1, 3), Fraction(3, 7), Fraction(1, 1024), Fraction(5, 2)]
+_STEP_OBJECTIVES = {
+    "quadratic": make_objective("quadratic", a_diag=["1/10", "3", "5/7"], x_star=["1/3", "-2", "0"]),
+    "rosenbrock": make_objective("rosenbrock"),
+    "himmelblau": make_objective("himmelblau"),
+}
+
+
+class _LoggedStream(RandomStream):
+    """A RandomStream that keeps every word source it hands out."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.gens = []
+
+    def generator(self, k, tag):
+        gen = super().generator(k, tag)
+        self.gens.append((k, tag, gen))
+        return gen
+
+    def log(self):
+        return [(k, tag, gen._used) for k, tag, gen in self.gens]
+
+
+@st.composite
+def _grid_pair(draw, fmt):
+    """A grid value of fmt as (M, E): zero, subnormals, binade bottoms and
+    tops, the top binade, either sign; mostly of magnitude near 1."""
+    p = fmt.sig_bits
+    e = draw(st.integers(-3, 2) | st.sampled_from([fmt.emin, fmt.emax]) | st.integers(fmt.emin, fmt.emax))
+    e = min(max(e, fmt.emin), fmt.emax)
+    top = (1 << p) - 1
+    low = 0 if e == fmt.emin else 1 << (p - 1)
+    m = draw(st.sampled_from([low, low + 1, top - 1, top]) | st.integers(low, top))
+    return draw(st.sampled_from([1, -1])) * m, e - p + 1
+
+
+def _errors_as_messages(fn):
+    try:
+        return fn()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    fmt=st.sampled_from(LOWFLOAT_FORMATS),
+    spec=st.sampled_from(LOWFLOAT_SCHEMES),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1) | st.none(),
+    k=st.integers(0, 5),
+)
+@settings(max_examples=400, deadline=None)
+def test_float_backend_matches_the_fraction_original(fmt, spec, data, seed, k):
+    values = data.draw(st.lists(_grid_pair(fmt), min_size=1, max_size=4))
+    ops = data.draw(st.lists(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "coef", "const"]), st.integers(0, 20),
+                  st.integers(0, 20), st.sampled_from(COEFS)),
+        min_size=1, max_size=8,
+    ))
+
+    def program(backend, pool):
+        for name, i, j, c in ops:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            if name == "const":
+                pool.append(backend.const(c))
+            elif name == "coef":
+                pool.append(backend.coef(c, a))
+            else:
+                pool.append(getattr(backend, name)(a, b))
+        return pool
+
+    scheme = parse_scheme(spec)
+    streams = [None if seed is None else _LoggedStream(seed) for _ in range(2)]
+    new, old = FloatBackend(fmt, scheme, streams[0], k), _OldFloatBackend(fmt, scheme, streams[1], k)
+    got = _errors_as_messages(lambda: [pair_fraction(*v) for v in program(new, list(values))])
+    want = _errors_as_messages(lambda: program(old, [pair_fraction(*v) for v in values]))
+    assert got == want
+    assert new.tag == old.tag
+    if seed is not None:
+        assert streams[0].log() == streams[1].log()
+
+
+@given(
+    fmt=st.sampled_from(LOWFLOAT_FORMATS),
+    name=st.sampled_from(sorted(_STEP_OBJECTIVES)),
+    t=st.sampled_from(STEPS),
+    sigma1=st.sampled_from(LOWFLOAT_SCHEMES),
+    sigma2=st.sampled_from(LOWFLOAT_SCHEMES),
+    lanes=st.sampled_from([1, 2]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 5),
+)
+@settings(max_examples=400, deadline=None)
+def test_lowfloat_step_matches_the_fraction_original(fmt, name, t, sigma1, sigma2, lanes, data,
+                                                     seed, k):
+    obj = _STEP_OBJECTIVES[name]
+    cfg = GDConfig(objective=obj, t=t, x0=[0] * obj.n, iterations=1, number_system="lowfloat",
+                   float_fmt=fmt, sigma1_scheme=sigma1, sigma2_scheme=sigma2)
+    rows = [[data.draw(_grid_pair(fmt)) for _ in range(obj.n)] for _ in range(lanes)]
+    streams = [[_LoggedStream(seed + r) for r in range(lanes)] for _ in range(2)]
+
+    def new_step():
+        xf = np.array([[pair_float(*v) for v in row] for row in rows])
+        new_x, rec = _LowFloat(cfg).step(rows, xf, streams[0], k)
+        columns = np.stack([rec["g_tilde"], rec["d"], rec["sigma2"]])
+        values = [[pair_fraction(*v) for v in row] for row in new_x]
+        return values, columns.tobytes(), tuple(rec["case"]), np.array(rec["c2_mask"]).tolist()
+
+    def old_step():
+        fr_rows = [[pair_fraction(*v) for v in row] for row in rows]
+        new_x, out, case, c2 = _old_lowfloat_step(cfg, fr_rows, streams[1], k)
+        return new_x, out.tobytes(), case, np.array(c2).tolist()
+
+    assert _errors_as_messages(new_step) == _errors_as_messages(old_step)
+    assert [s.log() for s in streams[0]] == [s.log() for s in streams[1]]

@@ -13,6 +13,7 @@ from lpgd.lpfloat import (
     fl_round,
     is_representable,
     neighbors,
+    pair_fraction,
     parse_float_format,
 )
 from lpgd.rng import RandomStream
@@ -510,3 +511,50 @@ def test_integer_split_matches_fraction_reference(case, spec, v_sign, deltas, wi
     gap_want = OverflowError if want[0] is OverflowError else _ref_binade_gap(v, fmt)
     assert _outcome(binade_gap, v, fmt) == gap_want
     assert is_representable(v, fmt) == (want[0] is not OverflowError and want[0][0] == want[0][1])
+
+
+# ---------------------------------------------------------------------------
+# unreduced ratios: the engine never reduces an op result
+# ---------------------------------------------------------------------------
+
+
+def _result(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    case=_edge_value(),
+    scale=st.sampled_from([3, 10, 2**70]),
+    spec=st.sampled_from(["rn", "sr", "sr_eps:0.4", "signed_sr_eps:0.1"]),
+    v_sign=st.sampled_from([-1, 0, 1]),
+    deltas=st.lists(st.sampled_from([-1, 0, 1]) | st.integers(-(2**64), 2**64), max_size=3),
+)
+@settings(max_examples=400, deadline=None)
+def test_unreduced_ratio_splits_and_rounds_as_its_lowest_terms(case, scale, spec, v_sign, deltas):
+    fmt, v = case
+    n, d = v.numerator, v.denominator
+    split, scaled = _result(fmt.split, n, d), _result(fmt.split, scale * n, scale * d)
+    if isinstance(split, tuple) and len(split) == 4:
+        (q, r, den, g), (kq, kr, kden, kg) = split, scaled
+        assert (kq, kg) == (q, g) and Fraction(kr, kden) == Fraction(r, den)
+    else:
+        assert scaled == split  # the same OverflowError, message included
+    scheme = parse_scheme(spec)
+    p = _outcome(_ref_prob_round_down_fl, v, fmt, scheme, v_sign)
+    words = _prefix_script(p if isinstance(p, Fraction) and 0 < p < 1 else Fraction(1, 2), deltas)
+    streams = [_ScriptedStream(words) for _ in range(3)]
+    outcomes = [
+        _result(fl_round, x, fmt, scheme, stream, 3, 7, v_sign)
+        for x, stream in zip([(n, d), (scale * n, scale * d), v], streams)
+    ]
+    logs = [stream.log() for stream in streams]
+    assert logs[0] == logs[1] == logs[2]
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], tuple) and type(outcomes[0][0]) is int:  # a grid pair
+        assert pair_fraction(*outcomes[0]) == outcomes[2]
+    else:
+        assert outcomes[0] == outcomes[2]

@@ -133,15 +133,16 @@ class TestRecipeBackends:
 
     def test_float_recipe_on_binary64_matches_analytic(self):
         obj = make_objective("quadratic", a_diag=["2", "1/2"], x_star=["1", "0"])
-        from lpgd.lpfloat import parse_float_format
+        from lpgd.lpfloat import pair_float, parse_float_format, to_pair
 
+        # the iterate as grid pairs: the binary64 values 0.3 and -1.2, exactly
         out = obj.grad_rounded_float(
-            [Fraction(3, 10), Fraction(-6, 5)], parse_float_format("binary64"), RN, None, 0
+            [to_pair(0.3), to_pair(-1.2)], parse_float_format("binary64"), RN, None, 0
         )
-        # every quantity is dyadic-exact in binary64 except 3/10-1 and the
+        # every quantity is dyadic-exact in binary64 except 0.3-1 and the
         # products; compare against float math
         ref = eval_grad_reference(obj, [0.3, -1.2])
-        assert np.allclose([float(v) for v in out], ref, rtol=1e-15)
+        assert np.allclose([pair_float(*v) for v in out], ref, rtol=1e-15)
 
 
 class TestEnumeration:
@@ -266,7 +267,7 @@ class TestBlr:
         from lpgd.lpfloat import parse_float_format
 
         with pytest.raises(NotImplementedError):
-            obj.grad_rounded_float([Fraction(0)] * 3, parse_float_format("fp8e5"), SR, None, 0)
+            obj.grad_rounded_float([(0, 0)] * 3, parse_float_format("fp8e5"), SR, None, 0)
 
     def test_stochastic_path_replays_by_seed(self):
         x_data, y = self._tiny()
