@@ -37,7 +37,10 @@ of one state, and each iteration steps every live lane once.  Draws do not
 depend on the batch -- lane r's words for op (k, tag) come from
 RandomStream(seed_r).generator(k, tag), in index order -- so a lane's
 trajectory is bit for bit the run of its seed alone, and `run(cfg)` is the
-one-lane case of the same engine.  Lanes leave the batch one by one when they
+one-lane case of the same engine.  A fixed-point step of one live lane runs
+on Python ints end to end (the recipe, the case test, the update rounding
+and x - d) with the lanes' law, words and errors; the path follows from the
+number of live lanes alone.  Lanes leave the batch one by one when they
 stop (stop_below_f, stop_on_stagnation) or raise; a run's record is kept as
 the rows of its realized steps, so memory grows with the steps taken, never
 with the iteration budget.  A step records only what the other columns
@@ -192,16 +195,21 @@ def classify_case(g_tilde, t: Fraction, u, bounds=None) -> tuple:
     (n, d); u: a scalar grid spacing or per-coordinate spacings, exact values
     or ratios.  A FixedVec with a scalar u compares exactly on
     integers, |g_m| * tn * u_den < td * u_num * scale, and an (R, n) FixedVec
-    of R lanes gives an (R,) case array and an (R, n) mask.  `bounds` is
-    `_c2_bounds(t, u, g_tilde.fmt)` when the caller has it.  A sequence
-    compares each coordinate on integers too, both sides as integer ratios.
+    of R lanes gives an (R,) case array and an (R, n) mask; one lane compares
+    on Python ints.  `bounds` is `_c2_bounds(t, u, g_tilde.fmt)` when the
+    caller has it.  A sequence compares each coordinate on integers too,
+    both sides as integer ratios.
     """
     if isinstance(g_tilde, FixedVec) and not isinstance(u, (list, tuple, np.ndarray)):
         lhs, rhs, wide = bounds or _c2_bounds(t, u, g_tilde.fmt)
+        if g_tilde.m.ndim == 1 or len(g_tilde.m) == 1:
+            c2 = [abs(v) * lhs < rhs for v in g_tilde.m.reshape(-1).tolist()]
+            case = 1 if not any(c2) else 2 if all(c2) else 3
+            if g_tilde.m.ndim == 1:
+                return case, np.array(c2, dtype=bool)
+            return np.array([case]), np.array([c2], dtype=bool)
         m = np.abs(g_tilde.m)
         mask = (m.astype(object) if wide else m) * lhs < rhs
-        if mask.ndim == 1:
-            return (1 if not mask.any() else 2 if mask.all() else 3), mask
         return np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3)), mask
     gv = g_tilde.to_fractions() if isinstance(g_tilde, FixedVec) else g_tilde
     us = u if isinstance(u, (list, tuple, np.ndarray)) else [u] * len(gv)
@@ -277,8 +285,9 @@ class _Fixed(_System):
     def __init__(self, cfg: GDConfig):
         # the config-only constants of the update: tn, the sigma2 denominator
         # td * s_w, the mul-to-working shift, whether g_m * tn or d_m << shift
-        # may leave int64 (the latter once the mul format's integer bits plus
-        # the working fraction bits exceed 62), u_mul and the C2 bounds
+        # may leave int64 on lanes (the latter once the mul format's integer
+        # bits plus the working fraction bits exceed 62; one lane steps on
+        # Python ints), u_mul and the C2 bounds
         w, m, t = cfg.working_fmt, cfg.mul_fmt, cfg.t
         self.cfg, self.u = cfg, cfg.u_mul
         self.tn, self.den, self.shift = t.numerator, t.denominator * w.scale, w.qf - m.qf
@@ -292,7 +301,7 @@ class _Fixed(_System):
         return FixedVec(np.tile(x0.m, (count, 1)), x0.fmt)
 
     def select(self, x: FixedVec, idx) -> FixedVec:
-        return FixedVec(x.m[idx], x.fmt)
+        return FixedVec.of_checked(x.m[idx], x.fmt)
 
     def iterates(self, x: FixedVec) -> dict:
         return {"xs": x.to_floats(), "x_m": x.m}
@@ -303,21 +312,38 @@ class _Fixed(_System):
         g_ref = eval_grad_reference(cfg.objective, xf)
         case, c2 = classify_case(g_t, cfg.t, self.u, self.bounds)
 
-        gens = (
-            [s.generator(k, SIGMA2_TAG) for s in streams]
-            if cfg.sigma2_scheme.is_random
-            else None
-        )
-        v_sign = np.sign(g_t.m) if cfg.sigma2_scheme.uses_given_sign else 0
-        # t * g at the working scale, exact; each lane's rounding path is
-        # chosen from its own values inside round_ratio_vec
-        num = (g_t.m.astype(object) if self.wide_num else g_t.m) * self.tn
-        d_m = rounding.round_ratio_vec(num, self.den, cfg.mul_fmt, cfg.sigma2_scheme, gens, v_sign)
-        step = d_m.astype(object) if self.wide_step else d_m
-        new_x = FixedVec(x.m - (step << self.shift), x.fmt)
+        scheme = cfg.sigma2_scheme
+        gens = [s.generator(k, SIGMA2_TAG) for s in streams] if scheme.is_random else None
+        if len(x.m) == 1:  # one live lane: Python ints, no array op
+            new_x, d_m = self._step_lane(x, g_t, None if gens is None else gens[0])
+        else:
+            v_sign = np.sign(g_t.m) if scheme.uses_given_sign else 0
+            # t * g at the working scale, exact; each lane's rounding path is
+            # chosen from its own values inside round_ratio_vec
+            num = (g_t.m.astype(object) if self.wide_num else g_t.m) * self.tn
+            d_m = rounding.round_ratio_vec(num, self.den, cfg.mul_fmt, scheme, gens, v_sign)
+            step = d_m.astype(object) if self.wide_step else d_m
+            new_x = FixedVec(x.m - (step << self.shift), x.fmt)
         return new_x, {
             "g_tilde_m": g_t.m, "g_exact": g_ref, "d_m": d_m, "case": case, "c2_mask": c2,
         }
+
+    def _step_lane(self, x: FixedVec, g_t: FixedVec, gen):
+        """The update of one live lane on Python ints, with the lanes' law,
+        words and errors: (new iterate, (1, n) d_m)."""
+        g = g_t.m[0].tolist()
+        scheme = self.cfg.sigma2_scheme
+        v_sign = [(v > 0) - (v < 0) for v in g] if scheme.uses_given_sign else 0
+        d = rounding.round_ratio_vec(
+            [v * self.tn for v in g], self.den, self.cfg.mul_fmt, scheme, gen, v_sign
+        )
+        new = [xi - (di << self.shift) for xi, di in zip(x.m[0].tolist(), d)]
+        if min(new, default=0) < x.fmt.min_mantissa or max(new, default=0) > x.fmt.max_mantissa:
+            FixedVec(np.array([new], dtype=object), x.fmt)  # raises the range error
+        return (
+            FixedVec.of_checked(np.array([new], dtype=np.int64), x.fmt),
+            np.array([d], dtype=np.int64),
+        )
 
     def finish(self, cols: dict) -> None:
         """The float columns, from the mantissas, elementwise as in one step."""

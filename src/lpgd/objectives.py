@@ -33,7 +33,6 @@ values 1, residual products 2, mean 3, regularizer 4.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -52,12 +51,6 @@ _RN = rounding.RoundScheme("rn")
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
-def _grid_mantissa(c, fmt: QFormat) -> int:
-    # recipes ask for the same few constants at every iteration
-    return from_exact(c, fmt).m
-
-
 class FixedBackend:
     """Recipe ops on integer mantissas in one fixed-point format.
 
@@ -71,9 +64,15 @@ class FixedBackend:
     elements, in index order, form row r.  Each rounding op draws lane r's
     words from stream r at the op's (k, tag) address, exactly as a one-lane
     backend on that stream would.
+
+    `consts` is a table of the constants' mantissas that backends of one
+    objective share from step to step (see `const`).
     """
 
-    def __init__(self, fmt: QFormat, scheme: rounding.RoundScheme, stream=None, k: int = 0):
+    def __init__(
+        self, fmt: QFormat, scheme: rounding.RoundScheme, stream=None, k: int = 0,
+        consts: Optional[dict] = None,
+    ):
         self.fmt = fmt
         self.scheme = scheme
         self.streams = stream if stream is None or isinstance(stream, list) else [stream]
@@ -81,6 +80,7 @@ class FixedBackend:
         self.tag = 0
         # every backend value is a checked mantissa, so |value| <= peak
         self._peak = -fmt.min_mantissa
+        self._consts = {} if consts is None else consts
 
     def _next_gens(self):
         tag = self.tag
@@ -141,8 +141,16 @@ class FixedBackend:
         )
 
     def const(self, c) -> int:
-        """A stored constant; must sit on the grid exactly."""
-        return _grid_mantissa(c, self.fmt)
+        """A stored constant; must sit on the grid exactly.
+
+        A recipe passes the same constant objects at every step, so the
+        table keys them by identity and hashes neither c nor the format;
+        an entry keeps c alive, so its id cannot pass to another object.
+        """
+        hit = self._consts.get(id(c))
+        if hit is None or hit[0] is not c or hit[1] is not self.fmt:
+            hit = self._consts[id(c)] = (c, self.fmt, from_exact(c, self.fmt).m)
+        return hit[2]
 
     def add(self, a, b):
         self.tag += 1
@@ -334,6 +342,8 @@ class Objective:
     recipe: Optional[Callable] = None  # recipe(backend, xs) -> output values
     minima: Optional[List[np.ndarray]] = None
     params: dict = field(default_factory=dict)
+    # the recipe constants' mantissas, shared by the fixed-point steps
+    _consts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def grad_rounded_fixed(
         self, x: FixedVec, scheme: rounding.RoundScheme, stream, k: int
@@ -349,15 +359,16 @@ class Objective:
             raise NotImplementedError(f"{self.name} has no low-precision recipe")
         lanes = x.m.ndim == 2
         rows = x.m if lanes else x.m[None, :]
-        be = FixedBackend(x.fmt, scheme, stream, k)
+        be = FixedBackend(x.fmt, scheme, stream, k, self._consts)
         if len(rows) == 1:
             # a single lane runs on Python ints, cheaper than 1-element arrays
-            g = np.array([self.recipe(be, [int(v) for v in rows[0]])], dtype=np.int64)
+            g = np.array([self.recipe(be, rows[0].tolist())], dtype=np.int64)
         else:
             # the recipe reads the (n, R) view: xv[i] is coordinate i of every lane
             g = np.empty(rows.shape, dtype=np.int64)
             g.T[...] = self.recipe(be, rows.T)
-        return FixedVec(g if lanes else g[0], x.fmt)
+        # every recipe output is the result of a checked backend op
+        return FixedVec.of_checked(g if lanes else g[0], x.fmt)
 
     def grad_rounded_float(
         self,

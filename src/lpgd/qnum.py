@@ -206,6 +206,14 @@ class FixedVec:
             raise OverflowError(f"mantissa {int(bad)} outside {self.fmt}")
         self.m = m.astype(np.int64, copy=False)
 
+    @classmethod
+    def of_checked(cls, m: np.ndarray, fmt: QFormat) -> "FixedVec":
+        """Wrap int64 mantissas already known to lie in fmt's range, such as
+        the results of checked ops, without scanning them again."""
+        vec = cls.__new__(cls)
+        vec.m, vec.fmt = m, fmt
+        return vec
+
     @property
     def n(self) -> int:
         return int(self.m.shape[-1])

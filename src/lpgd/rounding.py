@@ -30,7 +30,11 @@ splits a position into q and r with a shift and a mask when den = 2**s
 (every fixed-point product, at den = scale**2): q = pos >> s and
 r = pos & (den - 1) are the floor and the residue, negative positions
 included, since `>>` on int64 is arithmetic and `&` takes the two's
-complement.  Other denominators go through `np.divmod`.
+complement.  Other denominators go through `np.divmod`.  One lane's row
+given as a list of Python ints (or one Python int) skips numpy but for its
+words: it rounds on Python ints with the same law, the same row-wide choice
+between `uniform_below` and `bernoulli_ratio`, the same words and the same
+errors as the one-row array.
 
 Binary64 inputs (`round_doubles_vec`) are dyadic, so their rounding decision
 is made exactly on whole arrays: the grid position and the residue's
@@ -203,27 +207,33 @@ def round_ratio_vec(
     scheme: RoundScheme,
     gen=None,
     v_sign=0,
-) -> np.ndarray:
-    """Round the values num[i]/den onto out_fmt's grid; return int64 mantissas.
+):
+    """Round the values num[i]/den onto out_fmt's grid; return their mantissas.
 
-    num is an integer array, or a Python int (one element, rounded on Python
-    ints into an int); den is a positive integer and num/den the exact value
-    in ordinary units, so the grid positions are num * 2**qf / den.  One
-    Bernoulli word per element for the stochastic schemes; every element
-    consumes its draw even when exact, which keeps the draw layout
-    independent of the data.
+    num is an integer array (int64 mantissas come back), a list of Python
+    ints (one lane's row, rounded on Python ints into a list), or a Python
+    int (the row of one, rounded into an int); den is a positive integer and
+    num/den the exact value in ordinary units, so the grid positions are
+    num * 2**qf / den.  One Bernoulli word per element for the stochastic
+    schemes; every element consumes its draw even when exact, which keeps
+    the draw layout independent of the data.
 
     Lanes: a 2-D num holds R independent rows, gen is then a list of R
     word sources (None under rn) and v_sign broadcasts against num.  Row r
     rounds exactly as the 1-D call on num[r] with gen[r] would, draws and
-    path included, and the call raises if any row's call would.
+    path included, and the call raises if any row's call would.  A list
+    rounds as the one-row array of the same values, with the same words
+    and errors.
     """
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     den = int(den)
     lim = _object_lim(den, out_fmt, scheme)
     if isinstance(num, int):
-        return _round_int(num, den, out_fmt, scheme, gen, v_sign, abs(num) >= lim)
+        return _round_list([num], den, out_fmt, scheme, gen, v_sign, abs(num) >= lim)[0]
+    if isinstance(num, list):
+        wide = max(map(abs, num), default=0) >= lim
+        return _round_list(num, den, out_fmt, scheme, gen, v_sign, wide)
     arr = np.asarray(num)
     if arr.dtype.kind not in "iuO":
         raise TypeError(f"ratio numerators must be integers, got dtype {arr.dtype}")
@@ -269,24 +279,38 @@ def _object_lim(den: int, out_fmt: QFormat, scheme: RoundScheme) -> int:
     return 0 if den >= _INT64_SAFE or wide_eps else -(-_INT64_SAFE // out_fmt.scale)
 
 
-def _round_int(num: int, den: int, out_fmt, scheme, gen, v_sign, wide: bool) -> int:
-    """The one-element row num/den of `_round_rows`, on Python ints: the
-    same law, words and errors, with no array built."""
+def _round_list(nums: list, den: int, out_fmt, scheme, gen, v_sign, wide: bool) -> list:
+    """One lane's row nums/den of `_round_rows`, on Python ints: the same
+    law, words and errors, with no array op but the draw.  `wide` is the
+    row's `_object_lim` path: `bernoulli_ratio` words, else `uniform_below`
+    words and their rejection redraws."""
     if scheme.is_random and gen is None:
         raise ValueError(f"{scheme} needs a word source")
-    pos = num * out_fmt.scale
-    q, r = divmod(pos, den)
-    t, cap = up_weight(q, r, den, scheme, int(v_sign) if scheme.uses_given_sign else 0)
+    scale, n = out_fmt.scale, len(nums)
+    signs = [0] * n
+    if scheme.uses_given_sign:
+        signs = v_sign if type(v_sign) is list else np.broadcast_to(np.ravel(v_sign), n).tolist()
+    # cap is the same for every element; an empty row draws nothing at den
+    splits, ts, cap = [], [], den
+    for v, s in zip(nums, signs):
+        q, r = divmod(v * scale, den)
+        t, cap = up_weight(q, r, den, scheme, s)
+        splits.append((q, r))
+        ts.append(t)
     if not scheme.is_random:
-        up = t > 0
+        ups = [t > 0 for t in ts]
     elif wide:
-        up = bool(rng.bernoulli_ratio(gen, t, cap, 1)[0])
+        ups = rng.bernoulli_ratio(gen, ts, cap, n).tolist()
     else:
-        up = int(rng.uniform_below(gen, cap, 1)[0]) < t
-    m = q + (up and r != 0)  # representable values round to themselves
-    if not out_fmt.min_mantissa <= m <= out_fmt.max_mantissa:
-        raise OverflowError(f"rounding {pos}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}")
-    return m
+        ups = [w < t for w, t in zip(rng.uniform_below(gen, cap, n).tolist(), ts)]
+    lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
+    ms = []
+    for v, (q, r), up in zip(nums, splits, ups):
+        m = q + (up and r != 0)  # representable values (r = 0) round to themselves
+        if not lo <= m <= hi:
+            raise OverflowError(f"rounding {v * scale}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}")
+        ms.append(m)
+    return ms
 
 
 def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpgd.gdengine import GDConfig, classify_case, run, run_ensemble
+from lpgd.gdengine import GDConfig, _Fixed, classify_case, run, run_ensemble
 from lpgd.harness import load_config, run_experiment
 from lpgd.lpfloat import FloatFormat
 from lpgd.objectives import make_objective
@@ -778,6 +778,9 @@ _PROBLEMS = {
 _FORMATS = [
     ("Q8.8", None), ("Q6.10", "Q10.6"), ("Q4.12", None), ("Q8.24", "Q12.20"),
     ("Q8.40", None), ("Q2.60", None), ("Q3.4", None),
+    # lanes step on object arrays: d_m << 1 may leave int64 (`_Fixed.wide_step`),
+    # and g_m * tn may too at Himmelblau's t = 3/250 (`_Fixed.wide_num`)
+    ("Q7.56", "Q8.55"),
 ]
 _SCHEMES = ["rn", "sr", "sr_eps:0.4", "signed_sr_eps:1/3"]
 
@@ -816,6 +819,17 @@ class TestLockstepEnsembles:
     def test_ensemble_equals_one_seed_runs(self, case):
         cfg, seeds = case
         assert_same_outcome(cfg, seeds)
+
+    @pytest.mark.parametrize("spec", ["sr", "sr_eps:0.4", "signed_sr_eps:1/3"])
+    def test_wide_update_on_lanes_and_one_lane(self, spec):
+        cfg = GDConfig(
+            objective=make_objective("himmelblau"), t="3/250", x0=["5/2", "3/2"],
+            iterations=8, working_fmt="Q7.56", mul_fmt="Q8.55",
+            sigma1_scheme="sr", sigma2_scheme=spec,
+        )
+        system = _Fixed(cfg)
+        assert system.wide_num and system.wide_step
+        assert_same_outcome(cfg, [3, 0, 7])
 
     def test_duplicate_seeds_replay_the_same_run(self):
         cfg = quad_config(iterations=20, sigma1_scheme="sr", sigma2_scheme="sr")

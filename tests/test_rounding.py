@@ -371,7 +371,7 @@ def test_lanes_round_like_their_rows(case, spec):
 
 
 # ---------------------------------------------------------------------------
-# a Python-int numerator against the same value as a 1x1 row
+# a list of Python ints (and a Python int) against the same values as a row
 # ---------------------------------------------------------------------------
 
 _SAFE = 1 << 62
@@ -410,16 +410,28 @@ def _int_case(draw):
     g = math.gcd(den, fmt.scale)
     edge_hi = (fmt.max_mantissa + 1) * den // fmt.scale  # rounds up past the top, or onto it
     edge_lo = (fmt.min_mantissa - 1) * den // fmt.scale
-    num = draw(st.one_of(
-        st.integers(-5000, 5000),
+    small = st.integers(-5000, 5000)
+    crossing = st.sampled_from([lim, -lim, 4 * lim])  # at or past `_object_lim`
+    element = st.one_of(
+        small,
         st.sampled_from([lim - 1, lim, -lim, 1 - lim]),
         st.integers(-40, 40).map(lambda j: j * (den // g)),  # on the grid
         st.integers(-3, 3).map(lambda j: edge_hi + j),
         st.integers(-3, 3).map(lambda j: edge_lo + j),
-    ))
-    v_sign = draw(st.integers(-1, 1)) if scheme.uses_given_sign else 0
-    words = draw(st.lists(st.sampled_from(["max", "zero", "prefix", "any"]), max_size=3))
-    return fmt, scheme, num, den, v_sign, words, draw(st.integers(0, 9)), draw(st.booleans())
+    )
+    if draw(st.booleans()):
+        nums = draw(st.lists(element, min_size=1, max_size=4))
+    else:  # a row in which one element alone crosses `_object_lim`
+        nums = draw(st.lists(small.filter(lambda v: abs(v) < lim), max_size=3))
+        nums.insert(draw(st.integers(0, len(nums))), draw(crossing))
+    n = len(nums)
+    signs = [draw(st.integers(-1, 1)) if scheme.uses_given_sign else 0 for _ in nums]
+    # "max" forces a rejection redraw wherever the cap is no power of two
+    # (every sr_eps cap here), "prefix" lands on element j's 64-bit prefix
+    tokens = st.sampled_from(["max", "max", "zero", "prefix", "any"])
+    words = draw(st.lists(tokens, max_size=2 * n + 1))
+    with_gen = draw(st.sampled_from([True, True, True, False]))
+    return fmt, scheme, nums, den, signs, words, draw(st.integers(0, 9)), with_gen
 
 
 def _call_outcome(call, gen):
@@ -433,28 +445,42 @@ def _call_outcome(call, gen):
 @given(case=_int_case())
 @settings(max_examples=400, deadline=None)
 def test_int_numerator_rounds_like_a_one_element_row(case):
-    fmt, scheme, num, den, v_sign, words, seed, with_gen = case
-    q, r = divmod(num * fmt.scale, den)
-    t, cap = up_weight(q, r, den, scheme, v_sign)
+    """A list of Python ints rounds as the one-row int64 and object arrays of
+    the same values, and a Python int as the list of one: equal mantissas,
+    equal words used (rejection redraws and tie extensions included) and the
+    same (type, message) of error."""
+    fmt, scheme, nums, den, signs, words, seed, with_gen = case
+    weights = []
+    for v, s in zip(nums, signs):
+        q, r = divmod(v * fmt.scale, den)
+        weights.append(up_weight(q, r, den, scheme, s))
     script = [
-        {"max": (1 << 64) - 1, "zero": 0, "prefix": (t << 64) // cap, "any": 1 << 63}[w]
-        for w in words
+        {"max": (1 << 64) - 1, "zero": 0, "any": 1 << 63}.get(w)
+        if w != "prefix"
+        else (weights[j % len(nums)][0] << 64) // weights[j % len(nums)][1]
+        for j, w in enumerate(words)
     ]
 
     def gen():
         return _ScriptedWords(script, seed) if with_gen else None
 
     g = gen()
-    want = _call_outcome(lambda: round_ratio_vec(num, den, fmt, scheme, g, v_sign), g)
-    assert isinstance(want[0], tuple) or type(want[0]) is int  # no numpy scalar
-    dtypes = [object] + ([np.int64] if abs(num) < 1 << 63 else [])
+    want = _call_outcome(lambda: round_ratio_vec(nums, den, fmt, scheme, g, signs), g)
+    if not isinstance(want[0], tuple):  # Python ints, no numpy scalar
+        assert type(want[0]) is list and all(type(m) is int for m in want[0])
+    if len(nums) == 1:
+        g = gen()
+        got = _call_outcome(lambda: round_ratio_vec(nums[0], den, fmt, scheme, g, signs[0]), g)
+        assert isinstance(got[0], tuple) or type(got[0]) is int
+        assert (got[0] if isinstance(got[0], tuple) else [got[0]], got[1]) == want
+    dtypes = [object] + ([np.int64] if all(abs(v) < 1 << 63 for v in nums) else [])
     for dtype in dtypes:
         g = gen()
-        row, row_gens = np.array([[num]], dtype=dtype), None if g is None else [g]
+        row, row_gens = np.array([nums], dtype=dtype), None if g is None else [g]
         got = _call_outcome(
-            lambda: round_ratio_vec(row, den, fmt, scheme, row_gens, v_sign)[0, 0], g
+            lambda: round_ratio_vec(row, den, fmt, scheme, row_gens, np.array([signs]))[0], g
         )
-        assert (got[0] if isinstance(got[0], tuple) else int(got[0]), got[1]) == want, dtype
+        assert (got[0] if isinstance(got[0], tuple) else got[0].tolist(), got[1]) == want, dtype
 
 
 @pytest.mark.parametrize(
