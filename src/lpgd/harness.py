@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import bounds
 from .gdengine import GDConfig, RunResult, run_ensemble
@@ -153,6 +152,8 @@ class ExperimentSpec:
 
 
 def load_config(path) -> ExperimentSpec:
+    import yaml  # only config files need it; imported here to keep start-up light
+
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):

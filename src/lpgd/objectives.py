@@ -29,6 +29,11 @@ of the blr recipe, which runs on FixedBackend only, take no tag: the exact
 row sum z = sum_j x_ij w_j (`FixedBackend.sum`) and the label subtraction
 s - y.  Its roundings therefore sit at tags 0-4: products 0, logistic
 values 1, residual products 2, mean 3, regularizer 4.
+
+blr's logistic is SciPy's `expit`, imported when a blr objective is built
+(so only blr runs load SciPy, and never inside a timed step).  It is kept
+over a numpy `1 / (1 + exp(-z))`, which need not be bitwise equal to it:
+any difference would move every blr trajectory.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import lpfloat, rng, rounding
 from .qnum import FixedVec, QFormat, from_exact, to_fraction, to_ratio
@@ -51,7 +55,26 @@ _RN = rounding.RoundScheme("rn")
 # ---------------------------------------------------------------------------
 
 
-class FixedBackend:
+class _ConstTable:
+    """`const` for a backend with a format `fmt` and a table `_consts` that
+    backends of one objective share from step to step."""
+
+    def const(self, c):
+        """The stored constant c in the format, `_quantize`d once per format;
+        it takes no tag and no draw.  A constant that fails to quantize is
+        never stored, so it raises on every use.
+
+        A recipe passes the same constant objects at every step, so the
+        table keys them by identity and hashes neither c nor the format;
+        an entry keeps c alive, so its id cannot pass to another object.
+        """
+        hit = self._consts.get(id(c))
+        if hit is None or hit[0] is not c or hit[1] is not self.fmt:
+            hit = self._consts[id(c)] = (c, self.fmt, self._quantize(c))
+        return hit[2]
+
+
+class FixedBackend(_ConstTable):
     """Recipe ops on integer mantissas in one fixed-point format.
 
     add/sub and integer coefficients are exact (hard OverflowError past the
@@ -65,8 +88,7 @@ class FixedBackend:
     words from stream r at the op's (k, tag) address, exactly as a one-lane
     backend on that stream would.
 
-    `consts` is a table of the constants' mantissas that backends of one
-    objective share from step to step (see `const`).
+    `consts` is the table of the constants' mantissas (see `const`).
     """
 
     def __init__(
@@ -140,17 +162,9 @@ class FixedBackend:
             num, gens, lambda row, g: rounding.round_ratio_vec(row, den, self.fmt, self.scheme, g)
         )
 
-    def const(self, c) -> int:
-        """A stored constant; must sit on the grid exactly.
-
-        A recipe passes the same constant objects at every step, so the
-        table keys them by identity and hashes neither c nor the format;
-        an entry keeps c alive, so its id cannot pass to another object.
-        """
-        hit = self._consts.get(id(c))
-        if hit is None or hit[0] is not c or hit[1] is not self.fmt:
-            hit = self._consts[id(c)] = (c, self.fmt, from_exact(c, self.fmt).m)
-        return hit[2]
+    def _quantize(self, c) -> int:
+        """A stored constant's mantissa; c must sit on the grid exactly."""
+        return from_exact(c, self.fmt).m
 
     def add(self, a, b):
         self.tag += 1
@@ -190,12 +204,14 @@ class FixedBackend:
         )
 
 
-class FloatBackend:
+class FloatBackend(_ConstTable):
     """Recipe ops on a low-precision float grid; every result rounds.
 
     A value is a grid pair (M, E), the value M * 2**E, of Python ints.  Each
     op forms its exact result as one integer ratio (n, d), never reduced,
     and rounds it once through `lpfloat.fl_round`.
+
+    `consts` is the table of the constants' grid pairs (see `const`).
     """
 
     def __init__(
@@ -204,12 +220,14 @@ class FloatBackend:
         scheme: rounding.RoundScheme,
         stream: Optional[rng.RandomStream] = None,
         k: int = 0,
+        consts: Optional[dict] = None,
     ):
         self.fmt = fmt
         self.scheme = scheme
         self.stream = stream
         self.k = k
         self.tag = 0
+        self._consts = {} if consts is None else consts
 
     def _round(self, m: int, e: int, d: int = 1) -> tuple:
         """The exact value m * 2**e / d, rounded."""
@@ -218,8 +236,8 @@ class FloatBackend:
         n, d2 = lpfloat.pair_ratio(m, e)
         return lpfloat.fl_round((n, d2 * d), self.fmt, self.scheme, self.stream, self.k, tag)
 
-    def const(self, c) -> tuple:
-        # constants quantize deterministically, nearest-even, once per use
+    def _quantize(self, c) -> tuple:
+        """A stored constant's grid pair: c rounded to nearest-even."""
         return lpfloat.fl_round(to_ratio(c), self.fmt, _RN)
 
     def add(self, a, b) -> tuple:
@@ -342,7 +360,7 @@ class Objective:
     recipe: Optional[Callable] = None  # recipe(backend, xs) -> output values
     minima: Optional[List[np.ndarray]] = None
     params: dict = field(default_factory=dict)
-    # the recipe constants' mantissas, shared by the fixed-point steps
+    # the recipe constants' mantissas or grid pairs, shared by the steps
     _consts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def grad_rounded_fixed(
@@ -382,7 +400,7 @@ class Objective:
         the result are grid pairs (M, E), each the value M * 2**E."""
         if self.recipe is None:
             raise NotImplementedError(f"{self.name} has no scalar recipe")
-        be = FloatBackend(fmt, scheme, stream, k)
+        be = FloatBackend(fmt, scheme, stream, k, self._consts)
         return list(self.recipe(be, list(x)))
 
 
@@ -545,6 +563,8 @@ def blr(
     The recipe runs on FixedBackend only, vectorized over samples, and
     requires the iterate to live in data_fmt.
     """
+    from scipy.special import expit
+
     x_raw = np.asarray(x_data, dtype=np.float64)
     y = np.asarray(y)
     n_samples, n_features = x_raw.shape

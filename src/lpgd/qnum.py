@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -50,7 +51,8 @@ class QFormat:
     """Signed fixed-point format with qi integer bits and qf fractional bits.
 
     The sign bit counts toward qi, so Q8.8 spans [-128, 128 - 2**-8] in steps
-    of 2**-8 and occupies 16 bits.
+    of 2**-8 and occupies 16 bits.  `scale` and the mantissa bounds are
+    computed once per format object; equality and hashing use (qi, qf) only.
     """
 
     qi: int
@@ -64,7 +66,7 @@ class QFormat:
         if self.qi + self.qf > 63:
             raise ValueError(f"Q{self.qi}.{self.qf} does not fit in 64-bit mantissas")
 
-    @property
+    @cached_property
     def scale(self) -> int:
         """Mantissa units per 1.0, i.e. 2**qf."""
         return 1 << self.qf
@@ -74,11 +76,11 @@ class QFormat:
         """Grid spacing 2**-qf."""
         return Fraction(1, self.scale)
 
-    @property
+    @cached_property
     def min_mantissa(self) -> int:
         return -(1 << (self.qi + self.qf - 1))
 
-    @property
+    @cached_property
     def max_mantissa(self) -> int:
         return (1 << (self.qi + self.qf - 1)) - 1
 

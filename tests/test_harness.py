@@ -1,11 +1,17 @@
 """Tests for datasets, experiment configs, summaries, and trace outputs."""
 
 import csv
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpgd
 from lpgd.harness import (
     ExperimentSpec,
     build_objective,
@@ -255,3 +261,60 @@ class TestOutputs:
     def test_svg_log_scale_needs_positive_values(self, tmp_path):
         with pytest.raises(ValueError):
             write_svg_curves(tmp_path / "bad.svg", {"a": np.array([0.0, -1.0])})
+
+
+def run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports this lpgd; fail on its error."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lpgd.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestColdStart:
+    """A process loads SciPy only to build a blr objective, and YAML only to
+    read a config file."""
+
+    def test_non_blr_runs_need_neither_scipy_nor_yaml(self):
+        run_fresh("""
+            import sys
+            sys.modules["scipy"] = None  # any import of scipy or yaml now raises
+            sys.modules["yaml"] = None
+            import lpgd
+            from lpgd import harness
+
+            base = {"t": "2^-10", "iterations": 3, "seeds": 2, "sigma1": "sr", "sigma2": "sr"}
+            specs = [
+                {"name": "q", "objective": {"name": "quadratic", "a_diag": [1, 2]},
+                 "x0": ["1", "1"], "working_fmt": "Q8.8"},
+                {"name": "h", "objective": {"name": "himmelblau"}, "x0": ["2.5", "1.5"],
+                 "number_system": "lowfloat", "float_fmt": "fp16e5"},
+                {"name": "r", "objective": {"name": "rosenbrock"}, "x0": ["0", "0"],
+                 "number_system": "reference"},
+            ]
+            for raw in specs:
+                spec = harness.ExperimentSpec.from_dict({**base, **raw})
+                cfg = harness.spec_to_gd_config(spec, harness.build_objective(spec))
+                runs = harness.run_ensemble(cfg, spec.seeds)
+                assert [r.steps for r in runs] == [3, 3], raw["name"]
+        """)
+
+    def test_scipy_loads_when_blr_is_built(self):
+        run_fresh("""
+            import sys
+            import lpgd
+            from lpgd import harness
+
+            assert "scipy" not in sys.modules and "yaml" not in sys.modules
+            spec = harness.ExperimentSpec.from_dict({
+                "name": "b", "t": "0.1", "x0": ["0", "0"], "iterations": 1,
+                "working_fmt": "Q15.8", "objective": {
+                    "name": "blr",
+                    "dataset": {"kind": "synthetic", "n_samples": 8, "n_features": 2},
+                },
+            })
+            harness.build_objective(spec)
+            assert "scipy.special" in sys.modules
+        """)

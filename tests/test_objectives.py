@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpgd import lpfloat
+from lpgd.gdengine import GDConfig, run
 from lpgd.objectives import (
     FixedBackend,
+    FloatBackend,
     FractionBackend,
     enumerate_recipe,
     eval_grad_reference,
@@ -143,6 +146,49 @@ class TestRecipeBackends:
         # products; compare against float math
         ref = eval_grad_reference(obj, [0.3, -1.2])
         assert np.allclose([pair_float(*v) for v in out], ref, rtol=1e-15)
+
+
+class TestConstantTable:
+    def test_float_constant_rounds_once_per_format(self):
+        table = {}
+        fp8, fp16 = lpfloat.parse_float_format("fp8e5"), lpfloat.parse_float_format("fp16e5")
+        c = Fraction(1, 3)
+        be8, be16 = FloatBackend(fp8, SR, consts=table), FloatBackend(fp16, SR, consts=table)
+        want8, want16 = (lpfloat.fl_round((1, 3), f, RN) for f in (fp8, fp16))
+        assert want8 != want16
+        assert be8.const(c) == be8.const(c) == want8
+        assert be16.const(c) == want16  # a table entry holds for one format only
+        assert be8.const(c) == want8
+        assert be8.tag == be16.tag == 0  # no tag, no draw (no stream is given)
+
+    def test_float_constant_outside_the_format_raises_every_time(self):
+        be = FloatBackend(lpfloat.parse_float_format("fp8e5"), RN)
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                be.const(10**9)
+
+    def test_lowfloat_rosenbrock_rounds_its_constant_on_the_first_step_only(
+        self, monkeypatch
+    ):
+        # per step: 8 recipe roundings and 2 update roundings; the constant 1
+        # rounds once per objective
+        calls = []
+        fl_round = lpfloat.fl_round
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return fl_round(*args, **kwargs)
+
+        monkeypatch.setattr(lpfloat, "fl_round", counted)
+        for iterations in (1, 6):
+            calls.clear()
+            cfg = GDConfig(
+                objective=make_objective("rosenbrock"), t="2^-10", x0=["0", "0"],
+                iterations=iterations, number_system="lowfloat", float_fmt="fp16e5",
+                sigma1_scheme="sr", sigma2_scheme="sr_eps:0.4",
+            )
+            assert run(cfg, [3])[0].steps == iterations
+            assert len(calls) == 11 + 10 * (iterations - 1)
 
 
 class TestEnumeration:

@@ -26,6 +26,14 @@ class TestQFormat:
         assert fmt.min_value == -128
         assert fmt.max_value == Fraction(128 * 256 - 1, 256)
 
+    def test_bounds_are_computed_once_and_stay_out_of_equality(self):
+        a, b = QFormat(8, 8), QFormat(8, 8)
+        assert (a.scale, a.min_mantissa, a.max_mantissa) == (256, -(2**15), 2**15 - 1)
+        assert {"scale", "min_mantissa", "max_mantissa"} <= set(vars(a))
+        assert not {"scale", "min_mantissa", "max_mantissa"} & set(vars(b))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != QFormat(8, 7)
+
     def test_q11_range(self):
         fmt = QFormat(1, 1)
         assert fmt.min_value == -1
