@@ -8,10 +8,12 @@ uniforms one op consumes.  Replaying a run with the same seed reproduces
 every draw; runs with different seeds are independent streams.
 
 `RandomStream.generator(k, tag)` returns an `OpWords`: the word source of
-one address.  All word sources share one module-level Philox, which an op
-re-addresses (key, counter, words already used) before every draw, so no
-bit generator is built per op.  The words are exactly those a fresh
-`Generator(Philox(key, counter))` gives for
+one address.  All word sources share one module-level Philox, so no bit
+generator is built per op.  One function, `_draw`, re-addresses it (key,
+counter, words already used) for every lane of a draw call in one locked
+loop; any other word source in the lane list (a scripted or counting
+stand-in) draws itself through its `integers` inside that loop.  The words
+are exactly those a fresh `Generator(Philox(key, counter))` gives for
 `integers(0, 2**64, size, dtype=uint64)`.
 
 Bernoulli draws take their probability as an exact integer ratio num/den and
@@ -41,12 +43,22 @@ _FULL = 1 << 64
 _U64 = np.dtype(np.uint64)
 
 
-# The one bit generator behind every OpWords.  Every draw re-addresses it
-# first, so its initial key never reaches a draw; `_LOCK` keeps a
-# re-address and its draw together when threads share the module.
+# The one bit generator behind every OpWords and the state `_draw` gives it
+# for each lane: only the counter and key change.  `_LOCK` keeps a
+# re-address and its draw together when threads share the module; it is
+# re-entrant because a foreign source may wrap an OpWords and draw from it
+# while `_draw` holds the lock.
 _BG = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-_LOCK = threading.Lock()
-_EMPTY_BUFFER = (0, 0, 0, 0)
+_LOCK = threading.RLock()
+_ADDR = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+_STATE = {
+    "bit_generator": "Philox",
+    "state": _ADDR,
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
 
 class OpWords:
@@ -68,22 +80,35 @@ class OpWords:
         if low != 0 or high != _FULL or (dtype is not np.uint64 and np.dtype(dtype) != _U64):
             raise ValueError("OpWords draws only integers(0, 2**64, size, dtype=np.uint64)")
         n = operator.index(size)
-        used = self._used
-        with _LOCK:
+        out = _draw((self,), n)[0]
+        return np.array([out], dtype=_U64) if n == 1 else out
+
+
+def _draw(gens, per: int) -> list:
+    """The next `per` words of every lane source in `gens`, in lane order: a
+    Python int per lane when per == 1, else a uint64 array per lane.
+
+    The only re-address of `_BG`: under one hold of `_LOCK`, each OpWords
+    lane points it at its key and counter, skips the words it already used
+    and draws its own.  A source listed twice draws twice, in turn.
+    """
+    out = []
+    with _LOCK:
+        for g in gens:
+            if type(g) is not OpWords:
+                w = g.integers(0, _FULL, size=per, dtype=np.uint64)
+                out.append(int(w[0]) if per == 1 else w)
+                continue
+            used = g._used
             # the counter steps once per 4-word block, before the block
-            _BG.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": (used >> 2, 0, self._k, self._tag), "key": self._key},
-                "buffer": _EMPTY_BUFFER,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            _ADDR["counter"] = (used >> 2, 0, g._k, g._tag)
+            _ADDR["key"] = g._key
+            _BG.state = _STATE
             if used & 3:
                 _BG.random_raw(used & 3)
-            out = _BG.random_raw(n)
-            self._used += n
-        return out
+            out.append(_BG.random_raw() if per == 1 else _BG.random_raw(per))
+            g._used = used + per
+    return out
 
 
 class RandomStream:
@@ -129,10 +154,11 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
         raise ValueError(f"denominator must be in (0, 2**64], got {den}")
     gens = _lanes(gen, n)
     per = n // len(gens)
-    if len(gens) == 1:
-        u = gens[0].integers(0, _FULL, size=per, dtype=np.uint64)
+    words = _draw(gens, per)
+    if per == 1:
+        u = np.array(words, dtype=_U64)
     else:
-        u = np.concatenate([g.integers(0, _FULL, size=per, dtype=np.uint64) for g in gens])
+        u = words[0] if len(words) == 1 else np.concatenate(words)
     if den & (den - 1) == 0:
         # power of two: low bits are already uniform on [0, den)
         return u & np.uint64(den - 1)
@@ -140,11 +166,9 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
     lim = np.uint64((_FULL // den) * den)  # rejection keeps the draw exactly uniform
     bad = u >= lim
     while bad.any():
-        lane_u, lane_bad = u.reshape(len(gens), per), bad.reshape(len(gens), per)
-        for r in np.flatnonzero(lane_bad.any(axis=1)):
-            lane_u[r, lane_bad[r]] = gens[r].integers(
-                0, _FULL, size=int(lane_bad[r].sum()), dtype=np.uint64
-            )
+        # one word per rejected element, each from its own lane in index order
+        idx = np.flatnonzero(bad)
+        u[idx] = _draw([gens[i // per] for i in idx.tolist()], 1)
         bad = u >= lim
     return u % np.uint64(den)
 
@@ -177,7 +201,7 @@ def bernoulli_ratio(gen: OpWords, nums, dens, n: int) -> np.ndarray:
         # one Python-int probability, as every lowfloat rounding draws: the
         # loop below on one element, without its lists
         while True:
-            w = gen.integers(0, _FULL, size=1, dtype=np.uint64).tolist()[0]
+            w = _draw((gen,), 1)[0]
             hi, rem = divmod(nums << 64, dens)
             if w != hi or not rem:
                 return np.array([w < hi])

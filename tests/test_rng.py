@@ -1,15 +1,25 @@
 """Tests for the counter-based random stream and exact Bernoulli draws."""
 
+import ast
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpgd.rng import _KEY_SALT, RandomStream, bernoulli_lt, bernoulli_ratio, uniform_below
+from lpgd import rng
+from lpgd.rng import (
+    _KEY_SALT,
+    RandomStream,
+    _draw,
+    bernoulli_lt,
+    bernoulli_ratio,
+    uniform_below,
+)
 
 U64 = st.integers(0, 2**64 - 1)
 
@@ -197,6 +207,7 @@ class TestOpWords:
         def worker(seed):
             start.wait()
             s = RandomStream(seed)
+            lanes = [RandomStream(seed + j) for j in range(3)]
             for k in range(300):
                 ops = [s.generator(k, tag) for tag in range(2)]
                 got = [[], []]
@@ -205,6 +216,13 @@ class TestOpWords:
                         got[tag] += draw(op, size).tolist()
                 if got != [draw(fresh(seed, k, tag), 9).tolist() for tag in range(2)]:
                     errors.append((seed, k))
+                # three lanes of one op, re-addressed in one locked loop; at
+                # den = 2**64 the uniforms are the words themselves
+                gens = [lane.generator(k, 9) for lane in lanes]
+                got = uniform_below(gens, 1 << 64, 6).tolist() + uniform_below(gens, 1 << 64, 3).tolist()
+                want = [draw(fresh(seed + j, k, 9), 3).tolist() for j in range(3)]
+                if got != [w for ws in want for w in ws[:2]] + [ws[2] for ws in want]:
+                    errors.append((seed, k, "lanes"))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -218,6 +236,101 @@ class TestOpWords:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+
+
+class _Wrapped:
+    """A foreign word source that draws through a real OpWords."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def integers(self, low, high, size, dtype):
+        return self.op.integers(low, high, size=size, dtype=dtype)
+
+
+class TestDraw:
+    """`_draw` re-addresses the shared Philox for every lane of one call."""
+
+    @given(
+        lanes=st.lists(
+            st.tuples(st.sampled_from([0, 7, 2**64 - 1]) | U64, U64, U64, st.integers(0, 11)),
+            min_size=1,
+            max_size=5,
+        ),
+        per=st.sampled_from([0, 1, 2, 3, 5, 9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lanes_continue_their_own_streams(self, lanes, per):
+        # each lane starts at its own offset, mid-block (used & 3 != 0) too
+        ops = []
+        for seed, k, tag, used in lanes:
+            ops.append(RandomStream(seed).generator(k, tag))
+            ops[-1]._used = used
+        got = _draw(ops, per)
+        assert len(got) == len(ops)
+        for (seed, k, tag, used), op, words in zip(lanes, ops, got):
+            ref = fresh(seed, k, tag)
+            draw(ref, used)
+            want = draw(ref, per).tolist()
+            if per == 1:
+                assert type(words) is int and [words] == want
+            else:
+                assert words.dtype == np.uint64 and words.tolist() == want
+            assert op._used == used + per
+
+    def test_a_lane_listed_twice_draws_twice_in_turn(self):
+        a, b = RandomStream(3).generator(1, 2), RandomStream(4).generator(1, 2)
+        wa, wb = draw(fresh(3, 1, 2), 2).tolist(), draw(fresh(4, 1, 2), 1).tolist()
+        assert _draw([a, b, a], 1) == [wa[0], wb[0], wa[1]]
+        assert (a._used, b._used) == (2, 1)
+
+    def test_foreign_sources_draw_themselves(self):
+        words = _Words([5, 6, 7, 8])
+        op = RandomStream(2).generator(0, 1)
+        got = _draw([words, op, words], 2)
+        assert [w.tolist() for w in got] == [[5, 6], draw(fresh(2, 0, 1), 2).tolist(), [7, 8]]
+        assert _draw([_Words([9])], 1) == [9]
+
+    def test_a_foreign_source_wrapping_an_op_does_not_deadlock(self):
+        # the wrapped op draws while `_draw` holds the lock for the outer
+        # call; a lock that is not re-entrant hangs here, so the draws run in
+        # a thread joined with a timeout
+        out = []
+
+        def body():
+            gens = [RandomStream(s).generator(4, 2) for s in (1, 2, 3)]
+            gens[1] = _Wrapped(gens[1])
+            # den 3 << 62 rejects about a quarter of all words: redraws too
+            out.append(uniform_below(gens, 3 << 62, 12).tolist())
+            out.append(bernoulli_ratio(_Wrapped(RandomStream(4).generator(4, 2)), 1, 3, 1).tolist())
+
+        t = threading.Thread(target=body, daemon=True)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive(), "a foreign source drawing inside _draw deadlocked"
+        want = np.concatenate(
+            [uniform_below(RandomStream(s).generator(4, 2), 3 << 62, 4) for s in (1, 2, 3)]
+        )
+        assert out == [
+            want.tolist(),
+            bernoulli_ratio(RandomStream(4).generator(4, 2), 1, 3, 1).tolist(),
+        ]
+
+    def test_one_function_re_addresses_the_bit_generator(self):
+        # every draw goes through `_draw`: it alone sets the shared state
+        tree = ast.parse(Path(rng.__file__).read_text())
+        setters = [
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr == "state"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "_BG"
+        ]
+        assert setters == ["_draw"]
 
 
 class TestUniformBelow:
