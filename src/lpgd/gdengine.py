@@ -21,7 +21,10 @@ see `_System`), built once per run from the config: "fixed" (two's-complement
 grids, working format for the gradient recipe, mul format for the update
 product), "lowfloat" (a small binary float grid for everything, every op
 rounds, the update subtraction rounds once), and "reference" (plain binary64,
-no rounding, for baselines).
+no rounding, for baselines).  Each rounding system has one rounding code for
+the recipe and the update alike: fixed point rounds the update t*g as a
+`FixedBackend.coef` op onto the mul format, and lowfloat rounds x - t*g
+through `lpfloat.fl_round`, as every `FloatBackend` op does.
 
 Draw addressing: gradient-recipe ops use tags 0.. in callsite order; the
 update product uses tag SIGMA2_TAG (1 << 20, far above any recipe).  Two
@@ -29,8 +32,9 @@ runs with the same seed replay identically; per-coordinate draws sit at
 fixed positions in each op's batch.
 
 For signed_sr_eps the update rounding is steered toward descent: in fixed
-mode that is the sign of t*g (same as sr_eps there); in float mode the
-rounded value is x - t*g, so the favored direction is -sign(g).
+mode that is the sign of t*g, which is the sign of the value rounded since
+t > 0, so the update rounds as sr_eps there; in float mode the rounded value
+is x - t*g, so the favored direction is -sign(g).
 
 Ensembles run in lockstep in every number system: the R seeds are R lanes
 of one state, and each iteration steps every live lane once.  Draws do not
@@ -59,7 +63,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import lpfloat, rng, rounding
-from .objectives import Objective, eval_grad_reference
+from .objectives import FixedBackend, Objective, eval_grad_reference
 from .qnum import (
     FixedVec, QFormat, make_format, parse_rational, to_fraction, to_ratio, vec_from_exact,
 )
@@ -277,21 +281,24 @@ class _System:
 
 class _Fixed(_System):
     """Two's-complement grids: an (R, n) FixedVec of mantissas, the recipe on
-    the working format, the update product rounded onto the mul format."""
+    the working format, the update product t * g rounded onto the mul format
+    by a working-format `FixedBackend` at tag SIGMA2_TAG, as `coef` rounds
+    any product.  signed_sr_eps rounds there as sr_eps: t > 0, so the descent
+    sign of t * g is the sign of the value rounded, the sign sr_eps reads."""
 
     columns = {**_System.columns, **dict.fromkeys(("x_m", "g_tilde_m", "d_m"), (np.int64, True))}
     streak_key = "d_m"
 
     def __init__(self, cfg: GDConfig):
-        # the config-only constants of the update: tn, the sigma2 denominator
-        # td * s_w, the mul-to-working shift, whether g_m * tn or d_m << shift
-        # may leave int64 on lanes (the latter once the mul format's integer
-        # bits plus the working fraction bits exceed 62; one lane steps on
-        # Python ints), u_mul and the C2 bounds
+        # the config-only constants of the update: its scheme, the
+        # mul-to-working shift, whether d_m << shift may leave int64 on lanes
+        # (once the mul format's integer bits plus the working fraction bits
+        # exceed 62; one lane steps on Python ints), u_mul and the C2 bounds
         w, m, t = cfg.working_fmt, cfg.mul_fmt, cfg.t
         self.cfg, self.u = cfg, cfg.u_mul
-        self.tn, self.den, self.shift = t.numerator, t.denominator * w.scale, w.qf - m.qf
-        self.wide_num = -w.min_mantissa * t.numerator >= _INT64_LIMIT
+        scheme = cfg.sigma2_scheme
+        self.scheme = replace(scheme, kind="sr_eps") if scheme.uses_given_sign else scheme
+        self.shift = w.qf - m.qf
         self.wide_step = m.qi + w.qf > 62
         self.bounds = _c2_bounds(t, self.u, w)
         self.u_stag = float(self.u)
@@ -312,31 +319,21 @@ class _Fixed(_System):
         g_ref = eval_grad_reference(cfg.objective, xf)
         case, c2 = classify_case(g_t, cfg.t, self.u, self.bounds)
 
-        scheme = cfg.sigma2_scheme
-        gens = [s.generator(k, SIGMA2_TAG) for s in streams] if scheme.is_random else None
+        be = FixedBackend(cfg.working_fmt, self.scheme, streams, k)
+        be.tag = SIGMA2_TAG
         if len(x.m) == 1:  # one live lane: Python ints, no array op
-            new_x, d_m = self._step_lane(x, g_t, None if gens is None else gens[0])
+            new_x, d_m = self._step_lane(x, be.coef(cfg.t, g_t.m[0].tolist(), cfg.mul_fmt))
         else:
-            v_sign = np.sign(g_t.m) if scheme.uses_given_sign else 0
-            # t * g at the working scale, exact; each lane's rounding path is
-            # chosen from its own values inside round_ratio_vec
-            num = (g_t.m.astype(object) if self.wide_num else g_t.m) * self.tn
-            d_m = rounding.round_ratio_vec(num, self.den, cfg.mul_fmt, scheme, gens, v_sign)
+            d_m = be.coef(cfg.t, g_t.m, cfg.mul_fmt)
             step = d_m.astype(object) if self.wide_step else d_m
             new_x = FixedVec(x.m - (step << self.shift), x.fmt)
         return new_x, {
             "g_tilde_m": g_t.m, "g_exact": g_ref, "d_m": d_m, "case": case, "c2_mask": c2,
         }
 
-    def _step_lane(self, x: FixedVec, g_t: FixedVec, gen):
-        """The update of one live lane on Python ints, with the lanes' law,
-        words and errors: (new iterate, (1, n) d_m)."""
-        g = g_t.m[0].tolist()
-        scheme = self.cfg.sigma2_scheme
-        v_sign = [(v > 0) - (v < 0) for v in g] if scheme.uses_given_sign else 0
-        d = rounding.round_ratio_vec(
-            [v * self.tn for v in g], self.den, self.cfg.mul_fmt, scheme, gen, v_sign
-        )
+    def _step_lane(self, x: FixedVec, d: list):
+        """x - d for one live lane on Python ints, d its rounded update
+        mantissas: (new iterate, (1, n) d_m)."""
         new = [xi - (di << self.shift) for xi, di in zip(x.m[0].tolist(), d)]
         if min(new, default=0) < x.fmt.min_mantissa or max(new, default=0) > x.fmt.max_mantissa:
             FixedVec(np.array([new], dtype=object), x.fmt)  # raises the range error

@@ -19,10 +19,11 @@ so rn's ties-to-even and the sign that sr_eps reads come out as in the
 fixed-point case, just on a magnitude-dependent grid.
 
 Values are exact and never pass through binary64.  The public queries
-(`neighbors`, `binade_gap`, `fl_round` on an exact value) take and return
-Fractions.  The engine's hot path carries Python ints instead: a grid value
-is a pair (M, E) meaning M * 2**E, an exact op result is an integer ratio
-(n, d) with d > 0, never reduced, and `fl_round` on a ratio returns a pair.
+(`neighbors`, `fl_round` on an exact value) take and return Fractions; a
+value's grid spacing is 2**g from `split`.  The engine's hot path carries
+Python ints instead: a grid value is a pair (M, E) meaning M * 2**E, an
+exact op result is an integer ratio (n, d) with d > 0, never reduced, and
+`fl_round` on a ratio returns a pair.
 `split` depends only on the rational n/d, so an unreduced ratio rounds and
 draws exactly as its lowest terms do.
 """
@@ -187,14 +188,6 @@ def is_representable(x: ExactReal, fmt: FloatFormat) -> bool:
         return fmt.split(*to_ratio(x))[1] == 0
     except OverflowError:
         return False
-
-
-def binade_gap(x: ExactReal, fmt: FloatFormat) -> Fraction:
-    """Grid spacing in the binade of |x| (the subnormal spacing near zero).
-
-    |x| beyond the largest finite value raises OverflowError.
-    """
-    return pair_fraction(1, fmt.split(*to_ratio(x))[3])
 
 
 def fl_round(

@@ -5,8 +5,10 @@ fixed sequence of elementary ops (add/sub/mul/constant-coefficient) that
 computes the gradient in emulated arithmetic.  Recipes are written once
 against a small ops backend and evaluated four ways:
 
-    FixedBackend     integer mantissas, products round once into the format;
-                     one lane, or R lanes along a leading axis in one pass
+    FixedBackend     integer mantissas, products round once into the format
+                     (or, for `coef`, into a given output format: the engine's
+                     update t*g rounds this way); one lane, or R lanes along a
+                     leading axis in one pass
     FloatBackend     grid pairs (M, E) = M * 2**E of Python ints; every op
                      result is one exact integer ratio, rounded once (float
                      semantics)
@@ -81,12 +83,12 @@ class FixedBackend(_ConstTable):
     format range); products and fractional coefficients round once with the
     given scheme.
 
-    A value is an int mantissa or an int64 array of mantissas.  When R lanes
-    run together, `stream` is a list of the lanes' RandomStreams and every
-    array a rounding op takes holds the lanes along its first axis: lane r's
-    elements, in index order, form row r.  Each rounding op draws lane r's
-    words from stream r at the op's (k, tag) address, exactly as a one-lane
-    backend on that stream would.
+    A value is an int mantissa, a list of one lane's int mantissas, or an
+    int64 array of mantissas.  When R lanes run together, `stream` is a list
+    of the lanes' RandomStreams and every array a rounding op takes holds the
+    lanes along its first axis: lane r's elements, in index order, form row
+    r.  Each rounding op draws lane r's words from stream r at the op's
+    (k, tag) address, exactly as a one-lane backend on that stream would.
 
     `consts` is the table of the constants' mantissas (see `const`).
     """
@@ -115,7 +117,9 @@ class FixedBackend(_ConstTable):
 
     def _times(self, c, a, c_peak: int):
         """c * a exactly for |c| <= c_peak: in int64 when no product can leave
-        it, else in Python ints."""
+        it, else in Python ints.  A list is one lane's row of Python ints."""
+        if type(a) is list:
+            return [v * c for v in a]
         if not isinstance(a, np.ndarray) or c_peak * self._peak < _INT64_LIMIT:
             return a * c
         return a.astype(object) * c
@@ -146,20 +150,21 @@ class FixedBackend(_ConstTable):
             out[i] = kernel(rows[i], g)
         return out.reshape(np.shape(v))
 
-    def _round_ratio(self, num, den: int):
+    def _round_ratio(self, num, den: int, out_fmt: Optional[QFormat] = None):
+        """num/den rounded once onto out_fmt (default: the backend's format)."""
+        fmt = self.fmt if out_fmt is None else out_fmt
         gens = self._next_gens()
         if not isinstance(num, np.ndarray):
             return rounding.round_ratio_vec(
-                num, den, self.fmt, self.scheme, None if gens is None else gens[0]
+                num, den, fmt, self.scheme, None if gens is None else gens[0]
             )
-        if gens and num.size == len(gens):
-            # one element per lane: every lane in one call
-            return rounding.round_ratio_vec(
-                num.reshape(-1, 1), den, self.fmt, self.scheme, gens
-            ).reshape(num.shape)
-        # wide rows: one call per lane is cheaper than one call over all lanes
+        if num.ndim <= 2:
+            # each lane's elements form one row: every lane in one call
+            rows = num.reshape(len(gens) if gens else 1, -1)
+            return rounding.round_ratio_vec(rows, den, fmt, self.scheme, gens).reshape(num.shape)
+        # per-lane matrices: one call per lane is cheaper than one call over all lanes
         return self._by_lane(
-            num, gens, lambda row, g: rounding.round_ratio_vec(row, den, self.fmt, self.scheme, g)
+            num, gens, lambda row, g: rounding.round_ratio_vec(row, den, fmt, self.scheme, g)
         )
 
     def _quantize(self, c) -> int:
@@ -179,14 +184,15 @@ class FixedBackend(_ConstTable):
         num = self._times(b, a, self._peak)
         return self._round_ratio(num, self.fmt.scale * self.fmt.scale)
 
-    def coef(self, c, a):
-        """c * a for an exact rational coefficient c; rounds once if off-grid."""
+    def coef(self, c, a, out_fmt: Optional[QFormat] = None):
+        """c * a for an exact rational coefficient c; rounds once if off-grid,
+        or, given out_fmt (the engine's update t * g), always onto out_fmt."""
         cf = to_fraction(c)
-        if cf.denominator == 1:
+        if cf.denominator == 1 and out_fmt is None:
             self.tag += 1
             return self._check(self._times(int(cf), a, abs(int(cf))))
         num = self._times(cf.numerator, a, abs(cf.numerator))
-        return self._round_ratio(num, cf.denominator * self.fmt.scale)
+        return self._round_ratio(num, cf.denominator * self.fmt.scale, out_fmt)
 
     def sum(self, a, axis: int):
         """The exact sum of a along axis, range-checked; takes no tag."""
@@ -300,16 +306,17 @@ class EnumBackend(FixedBackend):
         self.used = 0
         self.prob = Fraction(1)
 
-    def _round_ratio(self, num: int, den: int) -> int:
+    def _round_ratio(self, num: int, den: int, out_fmt: Optional[QFormat] = None) -> int:
+        fmt = self.fmt if out_fmt is None else out_fmt
         self.tag += 1
-        q, r = divmod(num * self.fmt.scale, den)
+        q, r = divmod(num * fmt.scale, den)
         t, cap = rounding.up_weight(q, r, den, self.scheme)
         if not r or t in (0, cap):  # decided by the law: no branch
-            return self.fmt.check_mantissa(q + bool(r and t))
+            return fmt.check_mantissa(q + bool(r and t))
         up = self.plan[self.used] if self.used < len(self.plan) else 0
         self.used += 1
         self.prob *= Fraction(t if up else cap - t, cap)
-        return self.fmt.check_mantissa(q + up)
+        return fmt.check_mantissa(q + up)
 
 
 def enumerate_recipe(

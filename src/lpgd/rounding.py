@@ -30,11 +30,14 @@ splits a position into q and r with a shift and a mask when den = 2**s
 (every fixed-point product, at den = scale**2): q = pos >> s and
 r = pos & (den - 1) are the floor and the residue, negative positions
 included, since `>>` on int64 is arithmetic and `&` takes the two's
-complement.  Other denominators go through `np.divmod`.  One lane's row
-given as a list of Python ints (or one Python int) skips numpy but for its
-words: it rounds on Python ints with the same law, the same row-wide choice
-between `uniform_below` and `bernoulli_ratio`, the same words and the same
-errors as the one-row array.
+complement.  Other denominators go through `np.divmod`.  The Python-int
+kernel `_round_list` takes every other row: one lane's row given as a list
+of Python ints (or one Python int) skips numpy but for its words, and each
+row of an array whose positions pass int64 (see `_object_lim`) goes there
+too.  It rounds with the same law, the same row-wide choice between
+`uniform_below` and `bernoulli_ratio`, the same words and the same errors
+as the one-row array, so each row goes through exactly one kernel for its
+integer representation.
 
 Binary64 inputs (`round_doubles_vec`) are dyadic, so their rounding decision
 is made exactly on whole arrays: the grid position and the residue's
@@ -258,16 +261,21 @@ def round_ratio_vec(
         big = (rows.max(axis=1) >= lim) | (rows.min(axis=1) <= -lim)
 
     out = np.empty(rows.shape, dtype=np.int64)
-    for idx, dtype in ((np.flatnonzero(~big), np.int64), (np.flatnonzero(big), object)):
-        if idx.size:
-            out[idx] = _round_rows(
-                rows[idx].astype(dtype) * scale,
-                den,
-                out_fmt,
-                scheme,
-                None if gens is None else [gens[r] for r in idx],
-                None if signs is None else signs[idx],
-            )
+    idx = np.flatnonzero(~big)
+    if idx.size:
+        out[idx] = _round_rows(
+            rows[idx].astype(np.int64) * scale,
+            den,
+            out_fmt,
+            scheme,
+            None if gens is None else [gens[r] for r in idx],
+            None if signs is None else signs[idx],
+        )
+    for r in np.flatnonzero(big):  # rows past int64: the Python-int kernel
+        out[r] = _round_list(
+            rows[r].tolist(), den, out_fmt, scheme, None if gens is None else gens[r],
+            0 if signs is None else signs[r], True,
+        )
     return out if lanes else out[0]
 
 
@@ -280,10 +288,11 @@ def _object_lim(den: int, out_fmt: QFormat, scheme: RoundScheme) -> int:
 
 
 def _round_list(nums: list, den: int, out_fmt, scheme, gen, v_sign, wide: bool) -> list:
-    """One lane's row nums/den of `_round_rows`, on Python ints: the same
-    law, words and errors, with no array op but the draw.  `wide` is the
-    row's `_object_lim` path: `bernoulli_ratio` words, else `uniform_below`
-    words and their rejection redraws."""
+    """One lane's row nums/den on Python ints: the law, words and errors of
+    the one-row array, with no array op but the draw.  `wide` is the row's
+    `_object_lim` path: `bernoulli_ratio` words (the path of every row past
+    int64), else `uniform_below` words and their rejection redraws, as
+    `_round_rows` draws them."""
     if scheme.is_random and gen is None:
         raise ValueError(f"{scheme} needs a word source")
     scale, n = out_fmt.scale, len(nums)
@@ -314,42 +323,32 @@ def _round_list(nums: list, den: int, out_fmt, scheme, gen, v_sign, wide: bool) 
 
 
 def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
-    """Round the grid positions pos/den, one row per lane, onto out_fmt.
-
-    int64 rows draw through one `bernoulli_lt` call over all lanes; object
-    rows (see `_object_lim`) draw through `bernoulli_ratio` lane by lane, as
-    a one-row call would.
-    """
+    """Round the int64 grid positions pos/den, one row per lane, onto
+    out_fmt, drawing through one `bernoulli_lt` call over all lanes.  Rows
+    past int64 (see `_object_lim`) never come here: `round_ratio_vec` sends
+    them to `_round_list`, the Python-int kernel."""
     if scheme.is_random and gens is None:
         raise ValueError(f"{scheme} needs a word source")
-    small = pos.dtype != object
-    if not small:
-        q, r = pos // den, pos % den  # r in [0, den)
-    elif den & (den - 1) == 0:  # den = 2**s: the dyadic split
+    if den & (den - 1) == 0:  # den = 2**s: the dyadic split
         q, r = pos >> (den.bit_length() - 1), pos & (den - 1)
     else:
         q, r = np.divmod(pos, den)
     nums, cap = up_weight(q, r, den, scheme, signs)
     if not scheme.is_random:
         up = nums > 0
-    elif small:
-        up = rng.bernoulli_lt(gens, nums.reshape(-1), cap, nums.size).reshape(nums.shape)
     else:
-        up = np.array(
-            [rng.bernoulli_ratio(g, row, cap, row.size) for g, row in zip(gens, nums)],
-            dtype=bool,
-        ).reshape(nums.shape)
+        up = rng.bernoulli_lt(gens, nums.reshape(-1), cap, nums.size).reshape(nums.shape)
     if scheme.kind != "sr":  # under sr, T = r = 0 already rounds them down
         up &= r != 0  # representable values round to themselves
 
-    m = q + up if q.dtype != object else q + up.astype(object)
+    m = q + up
     lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
     if m.size and (m.min() < lo or m.max() > hi):
         i = int(np.argmax((m < lo) | (m > hi)))
         raise OverflowError(
             f"rounding {int(pos.flat[i])}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}"
         )
-    return m.astype(np.int64, copy=False)
+    return m
 
 
 def round_doubles_vec(

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpgd.gdengine import GDConfig, _Fixed, classify_case, run, run_ensemble
+from lpgd.gdengine import SIGMA2_TAG, GDConfig, _Fixed, classify_case, run, run_ensemble
 from lpgd.harness import load_config, run_experiment
 from lpgd.lpfloat import FloatFormat
 from lpgd.objectives import make_objective
 from lpgd.qnum import FixedVec, QFormat
+from lpgd.rng import RandomStream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -322,6 +323,42 @@ class TestFixedRun:
         res = run(cfg)
         flips = (np.sign(res.g_tilde) * np.sign(res.g_exact) < 0).sum(axis=1)
         assert np.array_equal(res.nonopp_violations, flips)
+
+
+def runs_and_words(cfg, seeds, monkeypatch):
+    """run_ensemble(cfg, seeds), and the words drawn at each (seed, k, tag)."""
+    made = []
+    generator = RandomStream.generator
+
+    def counted(stream, k, tag):
+        gen = generator(stream, k, tag)
+        made.append((stream.seed, k, tag, gen))
+        return gen
+
+    with monkeypatch.context() as m:
+        m.setattr(RandomStream, "generator", counted)
+        runs = run_ensemble(cfg, seeds)
+    return runs, sorted((s, k, tag, gen._used) for s, k, tag, gen in made)
+
+
+class TestSignedUpdate:
+    @pytest.mark.parametrize("working, mul", [("Q8.12", None), ("Q6.10", "Q10.6")])
+    @pytest.mark.parametrize("seeds", [[3], [0, 1, 2, 3]])
+    def test_signed_sr_eps_update_is_sr_eps(self, working, mul, seeds, monkeypatch):
+        # t > 0: the update's descent sign is the sign of t * g, as sr_eps reads it
+        cfg = _quad3(
+            x0=["1", "-3/4", "5/8"], iterations=60, working_fmt=working, mul_fmt=mul,
+            sigma2_scheme="signed_sr_eps:1/3",
+        )
+        signed, signed_words = runs_and_words(cfg, seeds, monkeypatch)
+        plain, plain_words = runs_and_words(
+            replace(cfg, sigma2_scheme="sr_eps:1/3"), seeds, monkeypatch
+        )
+        for a, b in zip(signed, plain):
+            assert np.array_equal(a.x_m, b.x_m) and np.array_equal(a.d_m, b.d_m)
+            assert (a.d_m < 0).any() and (a.d_m > 0).any()
+        assert signed_words == plain_words
+        assert any(tag == SIGMA2_TAG and used for _, _, tag, used in signed_words)
 
 
 class TestFloatRun:
@@ -779,7 +816,7 @@ _FORMATS = [
     ("Q8.8", None), ("Q6.10", "Q10.6"), ("Q4.12", None), ("Q8.24", "Q12.20"),
     ("Q8.40", None), ("Q2.60", None), ("Q3.4", None),
     # lanes step on object arrays: d_m << 1 may leave int64 (`_Fixed.wide_step`),
-    # and g_m * tn may too at Himmelblau's t = 3/250 (`_Fixed.wide_num`)
+    # and g_m * tn may too at Himmelblau's t = 3/250 (`FixedBackend._times`)
     ("Q7.56", "Q8.55"),
 ]
 _SCHEMES = ["rn", "sr", "sr_eps:0.4", "signed_sr_eps:1/3"]
@@ -828,7 +865,7 @@ class TestLockstepEnsembles:
             sigma1_scheme="sr", sigma2_scheme=spec,
         )
         system = _Fixed(cfg)
-        assert system.wide_num and system.wide_step
+        assert -cfg.working_fmt.min_mantissa * cfg.t.numerator >= 2**63 and system.wide_step
         assert_same_outcome(cfg, [3, 0, 7])
 
     def test_duplicate_seeds_replay_the_same_run(self):

@@ -9,19 +9,24 @@ from hypothesis import strategies as st
 
 from lpgd.lpfloat import (
     FloatFormat,
-    binade_gap,
     fl_round,
     is_representable,
     neighbors,
     pair_fraction,
     parse_float_format,
 )
+from lpgd.qnum import to_ratio
 from lpgd.rng import RandomStream
 from lpgd.rounding import expected_round, parse_scheme, prob_round_down, up_weight
 
 FP8 = FloatFormat(3, 5)  # 1 sign + 5 exp + 2 stored significand bits
 SR = parse_scheme("sr")
 RN = parse_scheme("rn")
+
+
+def split_gap(x, fmt):
+    """2**g, `FloatFormat.split`'s grid spacing in the binade of |x|."""
+    return pair_fraction(1, fmt.split(*to_ratio(x))[3])
 
 
 class TestFormat:
@@ -107,23 +112,23 @@ class TestNeighbors:
 
 class TestBinadeGap:
     def test_gap_doubles_per_binade(self):
-        assert binade_gap(Fraction(3, 4), FP8) == Fraction(1, 8)
-        assert binade_gap(Fraction(3, 2), FP8) == Fraction(1, 4)
-        assert binade_gap(Fraction(3), FP8) == Fraction(1, 2)
+        assert split_gap(Fraction(3, 4), FP8) == Fraction(1, 8)
+        assert split_gap(Fraction(3, 2), FP8) == Fraction(1, 4)
+        assert split_gap(Fraction(3), FP8) == Fraction(1, 2)
 
     def test_gap_at_zero_is_subnormal_step(self):
-        assert binade_gap(0, FP8) == FP8.min_subnormal
+        assert split_gap(0, FP8) == FP8.min_subnormal
 
     def test_gap_ignores_sign(self):
-        assert binade_gap(Fraction(-3, 2), FP8) == Fraction(1, 4)
+        assert split_gap(Fraction(-3, 2), FP8) == Fraction(1, 4)
 
     def test_beyond_range_raises_like_neighbors(self):
         # past max_finite there is no binade to report: raise, as neighbors does
         top_gap = FP8.max_finite / 7
         for x in (4 * FP8.max_finite, FP8.max_finite + top_gap / 2, -FP8.max_finite - top_gap):
             with pytest.raises(OverflowError):
-                binade_gap(x, FP8)
-        assert binade_gap(-FP8.max_finite, FP8) == top_gap
+                split_gap(x, FP8)
+        assert split_gap(-FP8.max_finite, FP8) == top_gap
 
 
 class TestRoundingLaws:
@@ -137,7 +142,7 @@ class TestRoundingLaws:
         assert p in (Fraction(0), Fraction(1))
         assert down in (lo, hi)
         # whichever neighbor wins must have an even significand
-        e_gap = binade_gap(down, FP8)
+        e_gap = split_gap(down, FP8)
         assert int(abs(down) / e_gap) % 2 == 0
 
     def test_sr_probability_is_distance_fraction(self):
@@ -193,7 +198,7 @@ def test_neighbors_enclose_and_touch_grid(num, den):
     assert lo <= x <= hi
     assert is_representable(lo, FP8) and is_representable(hi, FP8)
     if lo != hi:
-        assert hi - lo == binade_gap(x, FP8) or (
+        assert hi - lo == split_gap(x, FP8) or (
             # at a binade top the spacing quoted for x is the lower binade's
             abs(hi) == 2 ** (len(bin(int(hi))) - 3)
         )
@@ -507,9 +512,9 @@ def test_integer_split_matches_fraction_reference(case, spec, v_sign, deltas, wi
     assert got == want
     values = (got[0] if isinstance(got[0], tuple) else ()) + got[1:4]
     assert all(type(x) is Fraction for x in values if not isinstance(x, type))
-    # the reference's binade_gap answers past max_finite; binade_gap raises there
+    # the reference's binade_gap answers past max_finite; split raises there
     gap_want = OverflowError if want[0] is OverflowError else _ref_binade_gap(v, fmt)
-    assert _outcome(binade_gap, v, fmt) == gap_want
+    assert _outcome(split_gap, v, fmt) == gap_want
     assert is_representable(v, fmt) == (want[0] is not OverflowError and want[0][0] == want[0][1])
 
 

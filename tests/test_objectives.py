@@ -17,6 +17,7 @@ from lpgd.objectives import (
     eval_grad_reference,
     make_objective,
 )
+from lpgd.oracle import round_distribution
 from lpgd.qnum import FixedVec, QFormat, vec_from_exact
 from lpgd.rng import RandomStream
 from lpgd.rounding import parse_scheme
@@ -243,6 +244,19 @@ class TestEnumeration:
             lambda be: [be.coef(Fraction(3, 4), 1)], QFormat(4, 2), parse_scheme(spec)
         )
         assert leaves == [((Fraction(1, 4),), Fraction(1))]
+
+
+    @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
+    @pytest.mark.parametrize("t", ["1/32", "3/250", "7/3"])
+    def test_update_enumerates_onto_the_mul_format(self, spec, t):
+        # the engine's update t * g: coef onto the mul format Q10.6 from a
+        # working-format Q6.10 backend, whose leaves read mul mantissas << 4
+        work, mul = QFormat(6, 10), QFormat(10, 6)
+        scheme, t = parse_scheme(spec), Fraction(t)
+        for g_m in (-5000, -37, 0, 999, 12345):
+            leaves = enumerate_recipe(lambda be: [be.coef(t, g_m, mul) << 4], work, scheme)
+            got = {value: p for (value,), p in leaves}
+            assert got == round_distribution(t * Fraction(g_m, work.scale), mul, scheme)
 
 
 class TestBlr:

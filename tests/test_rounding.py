@@ -142,6 +142,23 @@ class TestUpWeight:
             assert t.dtype == dtype and t.shape == (n,)
             assert [(int(v), cap) for v in t] == scalar
 
+    @given(
+        data=st.data(),
+        den=st.integers(min_value=1, max_value=2**40) | st.integers(2**62, 2**100),
+        eps=st.fractions(min_value=0, max_value=1).filter(lambda e: 0 < e < 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_signed_sr_eps_on_the_values_sign_is_sr_eps(self, data, den, eps):
+        # the fixed-point update rounds t * g with t > 0, so the descent sign
+        # it would pass is the sign of the value q + r/den itself
+        q = data.draw(st.integers(-(2**20), 2**20) | st.sampled_from([-1, 0]))
+        r = data.draw(st.sampled_from([0, 1, den - 1]) | st.integers(0, den - 1))
+        pos = q + Fraction(r, den)
+        v_sign = (pos > 0) - (pos < 0)
+        assert up_weight(q, r, den, RoundScheme("signed_sr_eps", eps), v_sign) == up_weight(
+            q, r, den, RoundScheme("sr_eps", eps)
+        )
+
 
 class TestExpectedRound:
     def test_sr_unbiased(self):
