@@ -45,12 +45,14 @@ one-lane case of the same engine.  A fixed-point step of one live lane runs
 on Python ints end to end (the recipe, the case test, the update rounding
 and x - d) with the lanes' law, words and errors; the path follows from the
 number of live lanes alone.  Lanes leave the batch one by one when they
-stop (stop_below_f, stop_on_stagnation) or raise; a run's record is kept as
-the rows of its realized steps, so memory grows with the steps taken, never
-with the iteration budget.  A step records only what the other columns
-cannot give (fixed point: the mantissas; lowfloat: the floats of exact
-values); the remaining float columns follow once per run, with the binary64
-expressions of one step.
+stop (stop_below_f, stop_on_stagnation).  An exception ends the batch, and
+`run` reruns the seeds one at a time to raise the first failing seed's
+exception, as a sequential run would.  A run's record is kept as the rows
+of its realized steps, so memory grows with the steps taken, never with the
+iteration budget.  A step records only what the other columns cannot give
+(fixed point: the mantissas; lowfloat: the floats of exact values); the
+remaining float columns follow once per run, with the binary64 expressions
+of one step.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -461,11 +463,19 @@ def run(cfg: GDConfig, seeds: Optional[Sequence[int]] = None):
     `run(cfg)` is one run at cfg.seed.  `run(cfg, seeds)` is one run per
     seed (each with config `replace(cfg, seed=s)`), returned in seed order;
     the runs advance together in lockstep, whatever the number system.  A
-    failing run raises, as running the seeds one after another would: the
-    exception of the first failing seed.
+    failing run raises, as running the seeds one after another would: when
+    a batch of several seeds raises, each seed reruns alone until one raises
+    its own exception (the batch's is raised if none does).
     """
     cfgs = [cfg] if seeds is None else [replace(cfg, seed=operator.index(s)) for s in seeds]
-    results = _run_lanes(cfgs)
+    try:
+        results = _run_lanes(cfgs)
+    except Exception:
+        if len(cfgs) < 2:
+            raise
+        for c in cfgs:  # draws are addressed by seed, so a rerun replays its words
+            _run_lanes([c])
+        raise
     return results[0] if seeds is None else results
 
 
@@ -518,11 +528,9 @@ def _grown(col: np.ndarray, cap: int, size: int) -> np.ndarray:
 def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     """Runs of configs that differ only in seed, one lane each, in lockstep.
 
-    The live lanes share one state and one `_advance` per iteration.  If it
-    raises, each lane replays the iteration alone (its draws are addressed by
-    seed, k and tag, so a replay draws the same words); the lanes from the
-    first that raises on are dropped, the rest step again together, and the
-    first one's exception is raised at the end.
+    The live lanes share one state and one `_advance` per iteration, and a
+    lane leaves when it stops.  An exception from any lane ends the batch;
+    `run` finds the seed it belongs to.
     """
     if not cfgs:
         return []
@@ -535,50 +543,26 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     lanes = len(cfgs)
 
     # per live lane, in lane order: lane index, stream, iterate and its
-    # binary64 row, f, zero-step streak
+    # binary64 row, zero-step streak
     live = np.arange(lanes)
     lane_streams = [rng.RandomStream(c.seed) for c in cfgs]
     x = system.lanes(lanes)
     x0_rows = system.iterates(x)
     xf = x0_rows["xs"]
     f0 = obj.f(xf[0])
-    f = np.full(lanes, f0, dtype=np.float64)
     streak = np.zeros(lanes, dtype=np.int64)
     stagnation_iter = np.full(lanes, -1, dtype=np.int64)  # by lane index
     final: list = [None] * lanes  # by lane index, kept when a lane leaves the batch
-    errors: Dict[int, Exception] = {}
     rows = _StepRows(system.columns, obj.n)
 
-    def select(keep):
-        for j in np.flatnonzero(~keep):
-            final[live[j]] = system.lane(x, j)
-        idx = np.flatnonzero(keep)
-        return (
-            live[idx], [lane_streams[j] for j in idx], system.select(x, idx), xf[idx],
-            f[idx], streak[idx],
-        )
-
     for k in range(0 if f0 <= below else cfg.iterations):
-        try:
-            new_x, rec = _advance(x, xf, system, lane_streams, k)
-        except Exception:
-            for j, i in enumerate(live):
-                try:
-                    _advance(system.select(x, [j]), xf[[j]], system, [lane_streams[j]], k)
-                except Exception as lane_exc:
-                    errors[i] = lane_exc
-            # runs after the first failing seed are never returned
-            keep = live < min(errors, default=lanes)
-            if not keep.any():
-                break
-            live, lane_streams, x, xf, f, streak = select(keep)
-            new_x, rec = _advance(x, xf, system, lane_streams, k)
+        x, rec = _advance(x, xf, system, lane_streams, k)
         rows.append(live, rec)
-        x, xf, f = new_x, rec["xs"], rec["fs"]
+        xf = rec["xs"]
 
         moved = rec[system.streak_key].any(axis=1)
         streak = np.where(moved, 0, streak + 1)
-        stop = f <= below
+        stop = rec["fs"] <= below
         if streak.max() >= window:
             for j in np.flatnonzero(streak >= window):
                 if stagnation_iter[live[j]] < 0 and np.linalg.norm(rec["g_exact"][j]) > stag_norm:
@@ -587,10 +571,13 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
         if stop.any():
             if stop.all():
                 break
-            live, lane_streams, x, xf, f, streak = select(~stop)
+            for j in np.flatnonzero(stop):
+                final[live[j]] = system.lane(x, j)
+            idx = np.flatnonzero(~stop)
+            live, xf, streak = live[idx], xf[idx], streak[idx]
+            lane_streams = [lane_streams[j] for j in idx]
+            x = system.select(x, idx)
 
-    if errors:
-        raise errors[min(errors)]
     for j, i in enumerate(live):
         final[i] = system.lane(x, j)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -143,6 +143,12 @@ class ExperimentSpec:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
+        ]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         spec = dict(raw)
         if "seeds" in spec and isinstance(spec["seeds"], int):
             spec["seeds"] = list(range(spec["seeds"]))

@@ -116,7 +116,7 @@ def mc_round_mean(
     """Sample mean of n independent roundings of x."""
     v = to_fraction(x)
     gen = RandomStream(seed).generator(0, 0)
-    nums = np.array([v.numerator] * n, dtype=object)
+    nums = np.full(n, v.numerator)  # int64 when it fits: one int64 kernel call
     m = rounding.round_ratio_vec(nums, v.denominator, fmt, scheme, gen, v_sign)
     return float(m.mean()) / fmt.scale
 
@@ -193,7 +193,7 @@ def check_small_step_second_moment(
     exact, formula = second_moment_small_step(v, fmt, scheme, v_sign)
     val = to_fraction(v)
     gen = RandomStream(seed).generator(0, 0)
-    nums = np.array([val.numerator] * n, dtype=object)
+    nums = np.full(n, val.numerator)
     m = rounding.round_ratio_vec(nums, val.denominator, fmt, scheme, gen, v_sign)
     d2 = (m.astype(np.float64) / fmt.scale) ** 2
     dist = round_distribution(val, fmt, scheme, v_sign)

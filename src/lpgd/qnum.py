@@ -130,10 +130,10 @@ def parse_rational(value: Union[str, ExactReal]) -> Fraction:
     """
     if isinstance(value, str):
         text = value.strip()
-        m = re.match(r"^([+-]?\d+)\^([+-]?\d+)$", text)
-        if m:
-            base, exp = int(m.group(1)), int(m.group(2))
-            return Fraction(base) ** exp
+        m = re.match(r"^([+-]?)(\d+)\^([+-]?\d+)$", text)
+        if m:  # the sign applies to the power: -2^-4 is -(2^-4)
+            power = Fraction(int(m.group(2))) ** int(m.group(3))
+            return -power if m.group(1) == "-" else power
         return Fraction(text)
     return to_fraction(value)
 

@@ -31,13 +31,13 @@ splits a position into q and r with a shift and a mask when den = 2**s
 r = pos & (den - 1) are the floor and the residue, negative positions
 included, since `>>` on int64 is arithmetic and `&` takes the two's
 complement.  Other denominators go through `np.divmod`.  The Python-int
-kernel `_round_list` takes every other row: one lane's row given as a list
-of Python ints (or one Python int) skips numpy but for its words, and each
-row of an array whose positions pass int64 (see `_object_lim`) goes there
-too.  It rounds with the same law, the same row-wide choice between
-`uniform_below` and `bernoulli_ratio`, the same words and the same errors
-as the one-row array, so each row goes through exactly one kernel for its
-integer representation.
+kernel `_round_list` takes everything else: one lane's row given as a list
+of Python ints (or one Python int) skips numpy but for its words, and an
+array of object dtype, or one with any row whose positions pass int64 (see
+`_object_lim`), goes there row by row.  It rounds with the same law, the
+same row-wide choice between `uniform_below` and `bernoulli_ratio`, the
+same words and the same errors as the int64 kernel, so a row rounds the
+same on either kernel.
 
 Binary64 inputs (`round_doubles_vec`) are dyadic, so their rounding decision
 is made exactly on whole arrays: the grid position and the residue's
@@ -223,10 +223,12 @@ def round_ratio_vec(
 
     Lanes: a 2-D num holds R independent rows, gen is then a list of R
     word sources (None under rn) and v_sign broadcasts against num.  Row r
-    rounds exactly as the 1-D call on num[r] with gen[r] would, draws and
-    path included, and the call raises if any row's call would.  A list
-    rounds as the one-row array of the same values, with the same words
-    and errors.
+    rounds exactly as the 1-D call on num[r] with gen[r] would, draws
+    included, and the call raises the first error in row order.  An integer
+    array whose rows all stay below `_object_lim` rounds in one
+    `_round_rows` call; any other array rounds row by row on Python ints.
+    A list rounds as the one-row array of the same values, with the same
+    words and errors.
     """
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
@@ -250,32 +252,20 @@ def round_ratio_vec(
     )
     # a row's path (`_object_lim`) depends only on its own values, never on the
     # dtype or on other rows, so a value rounds the same however it is packaged
-    scale = out_fmt.scale
-    if rows.dtype == object:
-        big = np.array([max(map(abs, row), default=0) >= lim for row in rows], dtype=bool)
-    elif not rows.size or (rows.max() < lim and rows.min() > -lim):
-        pos = rows.astype(np.int64, copy=False) * scale
+    if rows.dtype != object and (not rows.size or (rows.max() < lim and rows.min() > -lim)):
+        pos = rows.astype(np.int64, copy=False) * out_fmt.scale
         out = _round_rows(pos, den, out_fmt, scheme, gens, signs)
-        return out if lanes else out[0]
-    else:
-        big = (rows.max(axis=1) >= lim) | (rows.min(axis=1) <= -lim)
-
-    out = np.empty(rows.shape, dtype=np.int64)
-    idx = np.flatnonzero(~big)
-    if idx.size:
-        out[idx] = _round_rows(
-            rows[idx].astype(np.int64) * scale,
-            den,
-            out_fmt,
-            scheme,
-            None if gens is None else [gens[r] for r in idx],
-            None if signs is None else signs[idx],
-        )
-    for r in np.flatnonzero(big):  # rows past int64: the Python-int kernel
-        out[r] = _round_list(
-            rows[r].tolist(), den, out_fmt, scheme, None if gens is None else gens[r],
-            0 if signs is None else signs[r], True,
-        )
+    else:  # object rows or a row past int64: every row on Python ints
+        out = np.array(
+            [
+                _round_list(
+                    row, den, out_fmt, scheme, None if gens is None else gens[r],
+                    0 if signs is None else signs[r], max(map(abs, row), default=0) >= lim,
+                )
+                for r, row in enumerate(rows.tolist())
+            ],
+            dtype=np.int64,
+        ).reshape(rows.shape)
     return out if lanes else out[0]
 
 

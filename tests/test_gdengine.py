@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpgd import gdengine
 from lpgd.gdengine import SIGMA2_TAG, GDConfig, _Fixed, classify_case, run, run_ensemble
 from lpgd.harness import load_config, run_experiment
 from lpgd.lpfloat import FloatFormat
@@ -949,5 +950,44 @@ class TestLockstepEnsembles:
         assert str(err.value) == messages[first]
         assert_same_outcome(cfg, seeds)
 
+    def test_batch_only_failure_reruns_each_seed_alone(self, monkeypatch):
+        class Sentinel(Exception):
+            pass
+
+        step = _Fixed.step
+
+        def batch_only_step(self, x, xf, streams, k):
+            if len(streams) > 1 and k == 3:
+                raise Sentinel
+            return step(self, x, xf, streams, k)
+
+        monkeypatch.setattr(_Fixed, "step", batch_only_step)
+        calls = _count_batches(monkeypatch)
+        with pytest.raises(Sentinel):
+            run_ensemble(quad_config(sigma1_scheme="sr", sigma2_scheme="sr"), [4, 1, 7])
+        assert calls == [3, 1, 1, 1]
+
+    def test_failing_one_seed_run_is_not_rerun(self, monkeypatch):
+        # seed 8 leaves Q2.4 within 14 steps (see the test above)
+        cfg = quad_config(
+            x0=["1/16"], t="35/16", iterations=14, working_fmt="Q2.4",
+            sigma1_scheme="sr", sigma2_scheme="sr", seed=8,
+        )
+        calls = _count_batches(monkeypatch)
+        with pytest.raises(OverflowError):
+            run_ensemble(cfg, [8])
+        with pytest.raises(OverflowError):
+            run(cfg)
+        assert calls == [1, 1]
+
     def test_empty_seed_list(self):
         assert run_ensemble(quad_config(), []) == []
+
+
+def _count_batches(monkeypatch) -> list:
+    """Record the lane count of every `_run_lanes` call from here on."""
+    calls, run_lanes = [], gdengine._run_lanes
+    monkeypatch.setattr(
+        gdengine, "_run_lanes", lambda cfgs: calls.append(len(cfgs)) or run_lanes(cfgs)
+    )
+    return calls

@@ -126,6 +126,11 @@ class TestSpec:
         with pytest.raises(ValueError, match="unknown config keys"):
             tiny_spec(stepsize="0.1")
 
+    def test_missing_keys_named(self):
+        raw = {"name": "tiny", "objective": {"name": "quadratic", "a_diag": [1], "x_star": [0]}}
+        with pytest.raises(ValueError, match=r"missing config keys: \['t', 'x0', 'iterations'\]"):
+            ExperimentSpec.from_dict(raw)
+
     def test_seed_count_expands_to_range(self):
         assert tiny_spec(seeds=3).seeds == [0, 1, 2]
         assert tiny_spec(seeds=[5, 9]).seeds == [5, 9]

@@ -112,6 +112,12 @@ class TestMcAgainstExact:
         assert est.ok
         assert est.expected == pytest.approx(0.3)
 
+    def test_expectation_check_past_int64(self):
+        # the numerator 2^70 + 1 passes int64: the samples round on Python ints
+        x = Fraction(2**70 + 1, 2**72)
+        est = check_expectation(x, QFormat(12, 8), parse_scheme("sr_eps:0.4"), n=20_000)
+        assert est.ok
+
     def test_mc_round_mean_deterministic_scheme(self):
         got = mc_round_mean(Fraction(3, 10), Q88, RN, n=50, seed=0)
         assert got == pytest.approx(77 / 256)

@@ -67,6 +67,11 @@ class TestParseRational:
         assert parse_rational("2^-10") == Fraction(1, 1024)
         assert parse_rational("2^3") == 8
 
+    def test_sign_applies_to_the_power(self):
+        assert parse_rational("-2^-4") == Fraction(-1, 16)
+        assert parse_rational("-2^2") == -4
+        assert parse_rational("+2^-1") == Fraction(1, 2)
+
     def test_fraction_text(self):
         assert parse_rational("3/250") == Fraction(3, 250)
 

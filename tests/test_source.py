@@ -1,12 +1,14 @@
 """Source hygiene: every name a module of lpgd imports is read in that module,
-and every private module-level name or method is read somewhere in lpgd."""
+every private module-level name or method is read somewhere in lpgd, and
+every module parses as the oldest Python the package supports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lpgd"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lpgd"
 
 
 def unused_imports(source: str) -> list:
@@ -116,3 +118,14 @@ def test_scanner_finds_an_unused_private_name():
 def test_no_unused_private_names():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_parses_as_python_3_10(path):
+    # pyproject's requires-python floor
+    ast.parse(path.read_text(), feature_version=(3, 10))
