@@ -52,10 +52,10 @@ def _cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "summary.yaml").write_text(yaml.safe_dump(summary, sort_keys=False))
         write_trace_csv(result, out / "trace.csv")
+        curve = result.mean_f_curve()
+        # a run that starts at its minimum f = 0 has nothing to draw on a log scale
         write_svg_curves(
-            out / "curves.svg",
-            {"mean f": result.mean_f_curve()},
-            title=spec.name,
+            out / "curves.svg", {"mean f": curve}, title=spec.name, log_y=bool((curve > 0).any())
         )
         print(f"wrote {out}/summary.yaml, trace.csv, curves.svg")
     return 0

@@ -47,12 +47,12 @@ and x - d) with the lanes' law, words and errors; the path follows from the
 number of live lanes alone.  Lanes leave the batch one by one when they
 stop (stop_below_f, stop_on_stagnation).  An exception ends the batch, and
 `run` reruns the seeds one at a time to raise the first failing seed's
-exception, as a sequential run would.  A run's record is kept as the rows
-of its realized steps, so memory grows with the steps taken, never with the
-iteration budget.  A step records only what the other columns cannot give
-(fixed point: the mantissas; lowfloat: the floats of exact values); the
-remaining float columns follow once per run, with the binary64 expressions
-of one step.
+exception, as a sequential run would.  A run's record is the list of its
+realized steps' dicts, joined column by column when the run ends, so memory
+grows with the steps taken, never with the iteration budget.  A step records
+only what the other columns cannot give (fixed point: the mantissas;
+lowfloat: the floats of exact values); the remaining float columns follow
+once per run, with the binary64 expressions of one step.
 """
 
 from __future__ import annotations
@@ -439,7 +439,10 @@ class _Reference(_System):
     def step(self, x: np.ndarray, xf: np.ndarray, streams: list, k: int):
         g_ref = eval_grad_reference(self.cfg.objective, xf)
         d = float(self.cfg.t) * g_ref
-        return x - d, {"g_exact": g_ref, "d": d, "case": 0, "c2_mask": False}
+        return x - d, {
+            "g_exact": g_ref, "d": d, "case": np.zeros(len(x), np.uint8),
+            "c2_mask": np.zeros(x.shape, bool),
+        }
 
     def finish(self, cols: dict) -> None:
         """The rounded gradient is the exact one, with no error."""
@@ -453,7 +456,9 @@ _SYSTEMS = {"fixed": _Fixed, "lowfloat": _LowFloat, "reference": _Reference}
 def gd_step(x_state, x_floats: np.ndarray, system: _System, streams: list, k: int):
     """One update of R lanes in `system`'s number system: x_state is their
     state, x_floats its binary64 rows, streams their RandomStreams.  Returns
-    (new_state, step dict); every array in the dict has a leading lane axis."""
+    (new_state, step dict); every value in the dict has a leading lane axis.
+    The run keeps the dict's arrays as its record until it ends, so no step
+    writes into an array after returning it: every step builds new arrays."""
     return system.step(x_state, x_floats, streams, k)
 
 
@@ -484,53 +489,14 @@ def run_ensemble(cfg: GDConfig, seeds: Sequence[int]) -> List[RunResult]:
     return run(cfg, seeds)
 
 
-def _advance(x, xf: np.ndarray, system, streams: list, k: int):
-    """One iteration of the live lanes: the update, then the new iterates'
-    binary64 rows ("xs") and f at each ("fs")."""
-    new_x, rec = gd_step(x, xf, system, streams, k)
-    rec.update(system.iterates(new_x))
-    rec["fs"] = np.array([system.cfg.objective.f(row) for row in rec["xs"]], dtype=np.float64)
-    return new_x, rec
-
-
-class _StepRows:
-    """The step records of all lanes, one row per lane and step, appended
-    batch by batch into column buffers that double when full, so memory
-    follows the steps taken rather than the iteration budget."""
-
-    def __init__(self, fields: dict, n: int):
-        # fields: step-dict key -> (dtype, whether it holds one entry per coordinate)
-        self.cols = {
-            key: np.zeros((0, n) if per_coord else (0,), dtype=dtype)
-            for key, (dtype, per_coord) in fields.items()
-        }
-        self.lane = np.zeros(0, dtype=np.int64)
-        self.size = 0
-
-    def append(self, lanes: np.ndarray, rec: dict) -> None:
-        end = self.size + lanes.size
-        if end > self.lane.size:
-            cap = max(2 * self.lane.size, end, 64)
-            self.lane = _grown(self.lane, cap, self.size)
-            self.cols = {key: _grown(col, cap, self.size) for key, col in self.cols.items()}
-        self.lane[self.size : end] = lanes
-        for key, col in self.cols.items():
-            col[self.size : end] = rec[key]
-        self.size = end
-
-
-def _grown(col: np.ndarray, cap: int, size: int) -> np.ndarray:
-    out = np.empty((cap,) + col.shape[1:], dtype=col.dtype)
-    out[:size] = col[:size]
-    return out
-
-
 def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     """Runs of configs that differ only in seed, one lane each, in lockstep.
 
-    The live lanes share one state and one `_advance` per iteration, and a
-    lane leaves when it stops.  An exception from any lane ends the batch;
-    `run` finds the seed it belongs to.
+    The live lanes share one state and one `gd_step` per iteration, and a
+    lane leaves when it stops.  Each iteration appends its live lanes and
+    step dict to a list; when the run ends, each column of `system.columns`
+    is one concatenation over that list, sorted by lane.  An exception from
+    any lane ends the batch; `run` finds the seed it belongs to.
     """
     if not cfgs:
         return []
@@ -553,12 +519,14 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     streak = np.zeros(lanes, dtype=np.int64)
     stagnation_iter = np.full(lanes, -1, dtype=np.int64)  # by lane index
     final: list = [None] * lanes  # by lane index, kept when a lane leaves the batch
-    rows = _StepRows(system.columns, obj.n)
+    steps = []  # (live lanes, step dict) per iteration
 
     for k in range(0 if f0 <= below else cfg.iterations):
-        x, rec = _advance(x, xf, system, lane_streams, k)
-        rows.append(live, rec)
+        x, rec = gd_step(x, xf, system, lane_streams, k)
+        rec.update(system.iterates(x))
         xf = rec["xs"]
+        rec["fs"] = np.array([obj.f(row) for row in xf], dtype=np.float64)
+        steps.append((live, rec))
 
         moved = rec[system.streak_key].any(axis=1)
         streak = np.where(moved, 0, streak + 1)
@@ -582,11 +550,14 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
         final[i] = system.lane(x, j)
 
     # each lane's rows, in iteration order
-    lane_of_row = rows.lane[: rows.size]
+    lane_of_row = np.concatenate([np.zeros(0, np.int64)] + [lv for lv, _ in steps])
     order = np.argsort(lane_of_row, kind="stable")
-    steps = np.bincount(lane_of_row, minlength=lanes)
-    start = np.concatenate(([0], np.cumsum(steps)))
-    cols = {key: col[: rows.size][order] for key, col in rows.cols.items()}
+    start = np.concatenate(([0], np.cumsum(np.bincount(lane_of_row, minlength=lanes))))
+    cols = {}
+    for key, (dtype, per_coord) in system.columns.items():
+        empty = np.zeros((0, obj.n) if per_coord else (0,), dtype)
+        rows = np.concatenate([empty] + [rec[key] for _, rec in steps])
+        cols[key] = rows.astype(dtype, copy=False)[order]
     system.finish(cols)
     cols["nonopp_violations"] = check_nonopposite(cols["g_tilde"], cols["g_exact"])
     first = {"fs": np.array([f0]), **{key: col[:1] for key, col in x0_rows.items()}}
@@ -601,7 +572,7 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
                 final_state=final[r],
                 stagnated=bool(stagnation_iter[r] >= 0),
                 stagnation_iter=int(stagnation_iter[r]),
-                steps=int(steps[r]),
+                steps=int(start[r + 1] - start[r]),
                 **run_rows,
             )
         )

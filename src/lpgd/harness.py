@@ -179,10 +179,10 @@ def build_objective(spec: ExperimentSpec) -> Objective:
             ds = idx_blr_dataset(**ds_spec)
         else:
             raise ValueError(f"unknown dataset kind {kind!r}")
-        data_fmt = make_format(obj_spec.pop("data_fmt", spec.working_fmt))
-        return make_objective(
-            "blr", x_data=ds.x, y=ds.y, data_fmt=data_fmt, **obj_spec
-        )
+        data_fmt = obj_spec.pop("data_fmt", spec.working_fmt)  # None: binary64 data
+        if data_fmt is not None:
+            data_fmt = make_format(data_fmt)
+        return make_objective("blr", x_data=ds.x, y=ds.y, data_fmt=data_fmt, **obj_spec)
     return make_objective(name, **obj_spec)
 
 

@@ -50,6 +50,7 @@ and, if the probability has bits below 2**-64, to further words.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -256,13 +257,16 @@ def round_ratio_vec(
         pos = rows.astype(np.int64, copy=False) * out_fmt.scale
         out = _round_rows(pos, den, out_fmt, scheme, gens, signs)
     else:  # object rows or a row past int64: every row on Python ints
+        # operator.index: an object array may hold numpy integers, which
+        # would wrap in _round_list, or floats, which are not numerators
+        ints = [list(map(operator.index, row)) for row in rows.tolist()]
         out = np.array(
             [
                 _round_list(
                     row, den, out_fmt, scheme, None if gens is None else gens[r],
                     0 if signs is None else signs[r], max(map(abs, row), default=0) >= lim,
                 )
-                for r, row in enumerate(rows.tolist())
+                for r, row in enumerate(ints)
             ],
             dtype=np.int64,
         ).reshape(rows.shape)

@@ -43,6 +43,17 @@ class TestRun:
         assert (out_dir / "curves.svg").exists()
         assert "wrote" in capsys.readouterr().out
 
+    def test_out_dir_when_mean_f_is_zero_throughout(self, tmp_path, capsys):
+        # (3, 2) is Himmelblau's minimizer and on the Q8.8 grid: f = 0 at every k
+        p = tmp_path / "at_min.yaml"
+        p.write_text(
+            "name: at-min\nobjective: {name: himmelblau}\nworking_fmt: Q8.8\n"
+            't: "0.012"\nx0: ["3", "2"]\niterations: 5\nseeds: 2\nsigma1: sr\nsigma2: sr\n'
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(p), "--out", str(out_dir)]) == 0
+        assert (out_dir / "curves.svg").stat().st_size > 0
+
     def test_stop_below_f_in_e_notation(self, tmp_path, capsys):
         # YAML reads 1e-3 (no dot) as text; the config still takes it as a number
         p = tmp_path / "e.yaml"

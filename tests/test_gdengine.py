@@ -429,6 +429,50 @@ class TestReferenceRun:
         assert (res.case == 0).all()
 
 
+def _two_coord(system, **over):
+    fmts = {
+        "fixed": dict(working_fmt="Q8.8"),
+        "lowfloat": dict(working_fmt=None, float_fmt="fp8e5"),
+        "reference": dict(working_fmt=None),
+    }
+    return quad_config(
+        objective=make_objective("quadratic", a_diag=[1, 4], x_star=[0, 0]),
+        x0=["1", "-1/2"], number_system=system, sigma1_scheme="sr", sigma2_scheme="sr",
+        **fmts[system], **over,
+    )
+
+
+class TestStepRecord:
+    """A run keeps each step dict as its record and joins the columns once,
+    so every step value must be lane-leading in the column's shape."""
+
+    @pytest.mark.parametrize("name", ["fixed", "lowfloat", "reference"])
+    def test_step_values_lead_with_the_lane_axis(self, name):
+        system = gdengine._SYSTEMS[name](_two_coord(name))
+        x = system.lanes(3)
+        streams = [RandomStream(s) for s in range(3)]
+        _, rec = gdengine.gd_step(x, system.iterates(x)["xs"], system, streams, 0)
+        for key, (_, per_coord) in system.columns.items():
+            if key in rec:
+                assert np.shape(rec[key]) == ((3, 2) if per_coord else (3,)), key
+
+    @pytest.mark.parametrize("system", ["fixed", "lowfloat", "reference"])
+    @pytest.mark.parametrize("how", [dict(iterations=0), dict(stop_below_f=1.25)])
+    def test_zero_step_runs_keep_column_dtypes_and_shapes(self, system, how):
+        cfg = _two_coord(system, **how)  # f(x0) = 1/2 + 4/8 = 1
+        columns = gdengine._SYSTEMS[system].columns
+        for res in run(cfg, seeds=[0, 1]):
+            assert res.steps == 0
+            for key in ("fs", "xs") + (("x_m",) if system == "fixed" else ()):
+                assert len(getattr(res, key)) == 1, key
+            for key, (dtype, per_coord) in columns.items():
+                if key not in ("fs", "xs", "x_m"):
+                    col = getattr(res, key)
+                    assert col.dtype == dtype and col.shape == ((0, 2) if per_coord else (0,)), key
+            for key in ("g_tilde", "sigma1", "sigma2", "d", "nonopp_violations"):
+                assert len(getattr(res, key)) == 0, key
+
+
 def digest_runs(runs) -> str:
     """sha256 of the replayable record of an ensemble: every run's iterate,
     step and rounded-gradient mantissas (exact binary64 values on lowfloat

@@ -192,6 +192,28 @@ class TestBuildAndRun:
             vec_from_exact([0, 0, 0], QFormat(15, 8)), parse_scheme("rn"), None, 0
         )
 
+    @pytest.mark.parametrize("system", ["reference", "lowfloat"])
+    def test_blr_without_a_fixed_point_format(self, system):
+        spec = tiny_spec(
+            objective={
+                "name": "blr",
+                "dataset": {"kind": "synthetic", "n_samples": 20, "n_features": 3, "seed": 1},
+            },
+            number_system=system,
+            working_fmt=None,
+            float_fmt="fp16e5" if system == "lowfloat" else None,
+            x0=["0", "0", "0"],
+            iterations=3,
+        )
+        assert build_objective(spec).n == 3
+        if system == "lowfloat":  # blr's recipe is fixed point only
+            with pytest.raises(NotImplementedError):
+                run_experiment(spec)
+            return
+        runs = run_experiment(spec).runs
+        assert [r.steps for r in runs] == [3, 3]
+        assert runs[0].final_f == runs[1].final_f < runs[0].fs[0]
+
     def test_unknown_dataset_kind(self):
         spec = tiny_spec(objective={"name": "blr", "dataset": {"kind": "csv"}})
         with pytest.raises(ValueError):

@@ -236,6 +236,21 @@ class TestEnumeration:
         mean = np.mean([float(g[0].value) for g in samples])
         assert abs(mean - float(mean0)) <= 4 * se
 
+    def test_signed_sr_eps_in_a_recipe_has_the_sr_law(self):
+        # recipe ops pass no sign, so the eps term drops out of the law
+        obj = make_objective("quadratic", a_diag=["3/4", "5/8", "7/16"], x_star=[0, 0, 0])
+        fmt, x_m = QFormat(4, 2), [3, -5, 7]
+
+        def law(spec):
+            out = {}
+            scheme = parse_scheme(spec)
+            for values, p in enumerate_recipe(lambda be: obj.recipe(be, x_m), fmt, scheme):
+                out[values] = out.get(values, 0) + p
+            return out
+
+        assert len(law("sr")) > 1
+        assert law("signed_sr_eps:1/3") == law("sr") != law("sr_eps:1/3")
+
     @pytest.mark.parametrize("spec", ["rn", "sr_eps:0.4"])
     def test_forced_up_rounding_is_one_leaf(self, spec):
         # (3/4)(1/4) sits 3/4 of the way up its Q4.2 cell: rn and the clamped

@@ -1,6 +1,7 @@
 """Rounding kernels: frozen probabilities, expectations, and vector paths."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,28 @@ class TestVectorPaths:
     def test_float_numerators_rejected(self):
         with pytest.raises(TypeError):
             round_ratio_vec(np.array([1.5]), 2, Q88, parse_scheme("rn"))
+
+    def test_numpy_integers_in_an_object_array_round_as_python_ints(self):
+        sr, den = parse_scheme("sr"), 2**62
+        want = round_ratio_vec(
+            np.array([2**61, 3], dtype=object), den, Q88, sr, RandomStream(5).generator(0, 0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = round_ratio_vec(
+                np.array([np.int64(2**61), np.int64(3)], dtype=object), den, Q88, sr,
+                RandomStream(5).generator(0, 0),
+            )
+        assert want.tolist() == [128, 0]
+        assert got.tolist() == want.tolist()
+
+    def test_float_in_an_object_array_rejected(self):
+        # sr would round 2.5/2 without complaint: its law never reads q's parity
+        with pytest.raises(TypeError):
+            round_ratio_vec(
+                np.array([2.5], dtype=object), 2, Q88, parse_scheme("sr"),
+                RandomStream(5).generator(0, 0),
+            )
 
 
 @st.composite
