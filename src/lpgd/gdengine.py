@@ -42,17 +42,20 @@ depend on the batch -- lane r's words for op (k, tag) come from
 RandomStream(seed_r).generator(k, tag), in index order -- so a lane's
 trajectory is bit for bit the run of its seed alone, and `run(cfg)` is the
 one-lane case of the same engine.  A fixed-point step of one live lane runs
-on Python ints end to end (the recipe, the case test, the update rounding
-and x - d) with the lanes' law, words and errors; the path follows from the
-number of live lanes alone.  Lanes leave the batch one by one when they
-stop (stop_below_f, stop_on_stagnation).  An exception ends the batch, and
-`run` reruns the seeds one at a time to raise the first failing seed's
-exception, as a sequential run would.  A run's record is the list of its
+on Python ints end to end (the recipe, the update rounding and x - d) with
+the lanes' law, words and errors; the path follows from the number of live
+lanes alone.  Lanes leave the batch one by one when they stop (stop_below_f,
+stop_on_stagnation).  An exception ends the batch, and `run` reruns the
+seeds one at a time to raise the first failing seed's exception, as a
+sequential run would.  A run's record is the list of its
 realized steps' dicts, joined column by column when the run ends, so memory
 grows with the steps taken, never with the iteration budget.  A step records
 only what the other columns cannot give (fixed point: the mantissas;
-lowfloat: the floats of exact values); the remaining float columns follow
-once per run, with the binary64 expressions of one step.
+lowfloat: the floats of exact values, and the case labels, which need the
+exact grid pairs); the remaining float columns follow once per run, with
+the binary64 expressions of one step, and so do the case labels of fixed
+point (one integer comparison over all rows of g_tilde_m) and reference
+(all 0).
 """
 
 from __future__ import annotations
@@ -194,46 +197,35 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def classify_case(g_tilde, t: Fraction, u, bounds=None) -> tuple:
+def classify_case(g_tilde, t: Fraction, u) -> tuple:
     """(case, c2_mask): coordinate i is C2 when |t * g_i| < u_i.
 
     g_tilde: a FixedVec, or a sequence of exact values or integer ratios
     (n, d); u: a scalar grid spacing or per-coordinate spacings, exact values
-    or ratios.  A FixedVec with a scalar u compares exactly on
-    integers, |g_m| * tn * u_den < td * u_num * scale, and an (R, n) FixedVec
-    of R lanes gives an (R,) case array and an (R, n) mask; one lane compares
-    on Python ints.  `bounds` is `_c2_bounds(t, u, g_tilde.fmt)` when the
-    caller has it.  A sequence compares each coordinate on integers too,
-    both sides as integer ratios.
+    or ratios.  A FixedVec with a scalar u compares exactly on integers,
+    |g_m| * tn * u_den < td * u_num * scale, in int64 unless a side may leave
+    it; (N, n) rows give an (N,) case array and an (N, n) mask, one (n,) row
+    a case and an (n,) mask.  A sequence compares each coordinate on integers
+    too, both sides as integer ratios.
     """
     if isinstance(g_tilde, FixedVec) and not isinstance(u, (list, tuple, np.ndarray)):
-        lhs, rhs, wide = bounds or _c2_bounds(t, u, g_tilde.fmt)
-        if g_tilde.m.ndim == 1 or len(g_tilde.m) == 1:
-            c2 = [abs(v) * lhs < rhs for v in g_tilde.m.reshape(-1).tolist()]
-            case = 1 if not any(c2) else 2 if all(c2) else 3
-            if g_tilde.m.ndim == 1:
-                return case, np.array(c2, dtype=bool)
-            return np.array([case]), np.array([c2], dtype=bool)
-        m = np.abs(g_tilde.m)
-        mask = (m.astype(object) if wide else m) * lhs < rhs
-        return np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3)), mask
+        uf, fmt = to_fraction(u), g_tilde.fmt
+        lhs, rhs = t.numerator * uf.denominator, t.denominator * uf.numerator * fmt.scale
+        m = np.atleast_2d(g_tilde.m)
+        if -fmt.min_mantissa * lhs >= _INT64_LIMIT or rhs >= _INT64_LIMIT:
+            m = m.astype(object)
+        mask = np.abs(m) * lhs < rhs
+        case = np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3))
+        return (int(case[0]), mask[0]) if g_tilde.m.ndim == 1 else (case, mask)
     gv = g_tilde.to_fractions() if isinstance(g_tilde, FixedVec) else g_tilde
     us = u if isinstance(u, (list, tuple, np.ndarray)) else [u] * len(gv)
     tn, td = t.numerator, t.denominator
     c2 = []
-    for g, ui in zip(gv, us):
+    for g, ui in zip(gv, us, strict=True):
         (gn, gd), (un, ud) = to_ratio(g), to_ratio(ui)
         # |t g| < u on integers: t and every denominator are positive
         c2.append(abs(gn) * tn * ud < td * gd * un)
     return (1 if not any(c2) else 2 if all(c2) else 3), np.array(c2, dtype=bool)
-
-
-def _c2_bounds(t: Fraction, u, fmt: QFormat) -> tuple:
-    """classify_case's integer sides tn * u_den and td * u_num * scale, and
-    whether |g_m| times the first may leave int64."""
-    uf = to_fraction(u)
-    lhs, rhs = t.numerator * uf.denominator, t.denominator * uf.numerator * fmt.scale
-    return lhs, rhs, -fmt.min_mantissa * lhs >= _INT64_LIMIT or rhs >= _INT64_LIMIT
 
 
 def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray):
@@ -256,15 +248,13 @@ class _System:
     binary64 rows "xs", and the mantissas "x_m" of fixed-point lanes.
     `step` is one update of every lane; `columns` maps what a step records
     to (dtype, one entry per coordinate?), and `finish` derives the other
-    float columns, the sign flips aside, once per run.  Zero rows of the
-    `streak_key` column make the stagnation streak, and `u_stag` is the grid
-    spacing of the stagnation test.
+    columns, the sign flips aside, once per run: the float columns, and the
+    `case` and `c2_mask` labels where a step does not record them.  Zero
+    rows of the `streak_key` column make the stagnation streak, and `u_stag`
+    is the grid spacing of the stagnation test.
     """
 
-    columns = {
-        "fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True),
-        "case": (np.uint8, False), "c2_mask": (bool, True),
-    }
+    columns = {"fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True)}
     streak_key = "d"
     u_stag = 0.0
 
@@ -295,14 +285,13 @@ class _Fixed(_System):
         # the config-only constants of the update: its scheme, the
         # mul-to-working shift, whether d_m << shift may leave int64 on lanes
         # (once the mul format's integer bits plus the working fraction bits
-        # exceed 62; one lane steps on Python ints), u_mul and the C2 bounds
-        w, m, t = cfg.working_fmt, cfg.mul_fmt, cfg.t
+        # exceed 62; one lane steps on Python ints) and u_mul
+        w, m = cfg.working_fmt, cfg.mul_fmt
         self.cfg, self.u = cfg, cfg.u_mul
         scheme = cfg.sigma2_scheme
         self.scheme = replace(scheme, kind="sr_eps") if scheme.uses_given_sign else scheme
         self.shift = w.qf - m.qf
         self.wide_step = m.qi + w.qf > 62
-        self.bounds = _c2_bounds(t, self.u, w)
         self.u_stag = float(self.u)
 
     def lanes(self, count: int) -> FixedVec:
@@ -319,7 +308,6 @@ class _Fixed(_System):
         cfg = self.cfg
         g_t = cfg.objective.grad_rounded_fixed(x, cfg.sigma1_scheme, streams, k)
         g_ref = eval_grad_reference(cfg.objective, xf)
-        case, c2 = classify_case(g_t, cfg.t, self.u, self.bounds)
 
         be = FixedBackend(cfg.working_fmt, self.scheme, streams, k)
         be.tag = SIGMA2_TAG
@@ -329,9 +317,7 @@ class _Fixed(_System):
             d_m = be.coef(cfg.t, g_t.m, cfg.mul_fmt)
             step = d_m.astype(object) if self.wide_step else d_m
             new_x = FixedVec(x.m - (step << self.shift), x.fmt)
-        return new_x, {
-            "g_tilde_m": g_t.m, "g_exact": g_ref, "d_m": d_m, "case": case, "c2_mask": c2,
-        }
+        return new_x, {"g_tilde_m": g_t.m, "g_exact": g_ref, "d_m": d_m}
 
     def _step_lane(self, x: FixedVec, d: list):
         """x - d for one live lane on Python ints, d its rounded update
@@ -345,10 +331,15 @@ class _Fixed(_System):
         )
 
     def finish(self, cols: dict) -> None:
-        """The float columns, from the mantissas, elementwise as in one step."""
-        g = cols["g_tilde_m"] / self.cfg.working_fmt.scale
-        d = cols["d_m"] / self.cfg.mul_fmt.scale
-        cols.update(g_tilde=g, d=d, sigma1=g - cols["g_exact"], sigma2=d - float(self.cfg.t) * g)
+        """The float columns, from the mantissas, elementwise as in one step,
+        and the case labels of all rows in one integer comparison."""
+        cfg, g_m = self.cfg, cols["g_tilde_m"]
+        case, c2 = classify_case(FixedVec.of_checked(g_m, cfg.working_fmt), cfg.t, self.u)
+        g, d = g_m / cfg.working_fmt.scale, cols["d_m"] / cfg.mul_fmt.scale
+        cols.update(
+            case=case.astype(np.uint8), c2_mask=c2, g_tilde=g, d=d,
+            sigma1=g - cols["g_exact"], sigma2=d - float(cfg.t) * g,
+        )
 
 
 class _LowFloat(_System):
@@ -358,7 +349,10 @@ class _LowFloat(_System):
     lane's iterate as Fractions.  The binary64 columns come from the ints by
     one correct rounding each, as float(Fraction) rounds."""
 
-    columns = {**_System.columns, **dict.fromkeys(("g_tilde", "d", "sigma2"), (np.float64, True))}
+    columns = {
+        **_System.columns, **dict.fromkeys(("g_tilde", "d", "sigma2"), (np.float64, True)),
+        "case": (np.uint8, False), "c2_mask": (bool, True),
+    }
 
     @property
     def u_stag(self) -> float:
@@ -439,15 +433,15 @@ class _Reference(_System):
     def step(self, x: np.ndarray, xf: np.ndarray, streams: list, k: int):
         g_ref = eval_grad_reference(self.cfg.objective, xf)
         d = float(self.cfg.t) * g_ref
-        return x - d, {
-            "g_exact": g_ref, "d": d, "case": np.zeros(len(x), np.uint8),
-            "c2_mask": np.zeros(x.shape, bool),
-        }
+        return x - d, {"g_exact": g_ref, "d": d}
 
     def finish(self, cols: dict) -> None:
-        """The rounded gradient is the exact one, with no error."""
+        """The rounded gradient is the exact one, with no error and case 0."""
         g = cols["g_exact"]
-        cols.update(g_tilde=g.copy(), sigma1=np.zeros_like(g), sigma2=np.zeros_like(g))
+        cols.update(
+            g_tilde=g.copy(), sigma1=np.zeros_like(g), sigma2=np.zeros_like(g),
+            case=np.zeros(len(g), np.uint8), c2_mask=np.zeros(g.shape, bool),
+        )
 
 
 _SYSTEMS = {"fixed": _Fixed, "lowfloat": _LowFloat, "reference": _Reference}

@@ -152,6 +152,8 @@ class ExperimentSpec:
         spec = dict(raw)
         if "seeds" in spec and isinstance(spec["seeds"], int):
             spec["seeds"] = list(range(spec["seeds"]))
+        if "seeds" in spec and not spec["seeds"]:
+            raise ValueError(f"seeds must name at least one seed, got {raw['seeds']!r}")
         spec["x0"] = [str(v) for v in spec["x0"]]
         spec["t"] = str(spec["t"])
         return cls(**spec)

@@ -214,8 +214,8 @@ def round_ratio_vec(
 ):
     """Round the values num[i]/den onto out_fmt's grid; return their mantissas.
 
-    num is an integer array (int64 mantissas come back), a list of Python
-    ints (one lane's row, rounded on Python ints into a list), or a Python
+    num is an integer array (int64 mantissas come back), a list of integers
+    (one lane's row, rounded on Python ints into a list), or a Python
     int (the row of one, rounded into an int); den is a positive integer and
     num/den the exact value in ordinary units, so the grid positions are
     num * 2**qf / den.  One Bernoulli word per element for the stochastic
@@ -238,6 +238,7 @@ def round_ratio_vec(
     if isinstance(num, int):
         return _round_list([num], den, out_fmt, scheme, gen, v_sign, abs(num) >= lim)[0]
     if isinstance(num, list):
+        num = list(map(operator.index, num))  # numpy integers would wrap, floats round
         wide = max(map(abs, num), default=0) >= lim
         return _round_list(num, den, out_fmt, scheme, gen, v_sign, wide)
     arr = np.asarray(num)

@@ -119,6 +119,14 @@ class TestClassify:
         )
         assert case == 3 and mask.tolist() == [False, True]
 
+    def test_spacings_must_match_the_gradient(self):
+        # zip would drop the third coordinate and call the run case 3
+        with pytest.raises(ValueError):
+            classify_case(
+                [Fraction(1), Fraction(1), Fraction(1, 512)],
+                Fraction(1, 4),
+                [Fraction(1, 256), Fraction(1, 256)],
+            )
 
     @given(
         rows=st.lists(
@@ -460,7 +468,11 @@ class TestStepRecord:
     @pytest.mark.parametrize("how", [dict(iterations=0), dict(stop_below_f=1.25)])
     def test_zero_step_runs_keep_column_dtypes_and_shapes(self, system, how):
         cfg = _two_coord(system, **how)  # f(x0) = 1/2 + 4/8 = 1
-        columns = gdengine._SYSTEMS[system].columns
+        # the case labels come from `finish` on fixed point and reference
+        columns = {
+            **gdengine._SYSTEMS[system].columns,
+            "case": (np.uint8, False), "c2_mask": (bool, True),
+        }
         for res in run(cfg, seeds=[0, 1]):
             assert res.steps == 0
             for key in ("fs", "xs") + (("x_m",) if system == "fixed" else ()):
@@ -471,6 +483,38 @@ class TestStepRecord:
                     assert col.dtype == dtype and col.shape == ((0, 2) if per_coord else (0,)), key
             for key in ("g_tilde", "sigma1", "sigma2", "d", "nonopp_violations"):
                 assert len(getattr(res, key)) == 0, key
+
+
+class TestCaseLabels:
+    """Fixed point labels every row once per run from the recorded mantissas."""
+
+    def test_one_classification_per_run(self, monkeypatch):
+        calls, classify = [], gdengine.classify_case
+        monkeypatch.setattr(
+            gdengine, "classify_case", lambda *a: calls.append(1) or classify(*a)
+        )
+        runs = run(_quad3(iterations=40), seeds=[0, 1, 2])
+        assert len(calls) == 1 and [r.steps for r in runs] == [40] * 3
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GDConfig(
+                objective=make_objective("himmelblau"), t="3/250", x0=["5/2", "3/2"],
+                iterations=8, working_fmt="Q7.56", mul_fmt="Q8.55",
+                sigma1_scheme="sr", sigma2_scheme="sr",
+            ),
+            _two_coord("fixed", iterations=30),
+        ],
+        ids=["Q7.56-wide", "Q8.8"],
+    )
+    def test_labels_match_the_sequence_path(self, cfg):
+        scale = cfg.working_fmt.scale
+        for res in run(cfg, seeds=[3, 0, 7]):
+            assert res.case.dtype == np.uint8 and res.case.shape == (res.steps,)
+            for k, row in enumerate(res.g_tilde_m):
+                case, mask = classify_case([Fraction(int(v), scale) for v in row], cfg.t, cfg.u_mul)
+                assert res.case[k] == case and res.c2_mask[k].tolist() == mask.tolist()
 
 
 def digest_runs(runs) -> str:

@@ -135,6 +135,12 @@ class TestSpec:
         assert tiny_spec(seeds=3).seeds == [0, 1, 2]
         assert tiny_spec(seeds=[5, 9]).seeds == [5, 9]
 
+    @pytest.mark.parametrize("seeds", [0, -2, []])
+    def test_empty_seed_list_rejected(self, seeds):
+        # an empty ensemble used to die in summarize, after the config was accepted
+        with pytest.raises(ValueError, match="seeds"):
+            tiny_spec(seeds=seeds)
+
     @pytest.mark.parametrize("window", [0, -3])
     def test_stagnation_window_below_one_rejected(self, window):
         with pytest.raises(ValueError, match="stagnation_window"):

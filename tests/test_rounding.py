@@ -294,6 +294,21 @@ class TestVectorPaths:
                 RandomStream(5).generator(0, 0),
             )
 
+    def test_numpy_integers_in_a_list_round_as_python_ints(self):
+        sr, den = parse_scheme("sr"), 2**62
+        want = round_ratio_vec([2**61, 3], den, Q88, sr, RandomStream(5).generator(0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = round_ratio_vec(
+                [np.int64(2**61), np.int64(3)], den, Q88, sr, RandomStream(5).generator(0, 0)
+            )
+        assert want == [128, 0] and got == want
+        assert all(type(v) is int for v in got)
+
+    def test_float_in_a_list_rejected(self):
+        with pytest.raises(TypeError):
+            round_ratio_vec([2.5], 2, Q88, parse_scheme("sr"), RandomStream(5).generator(0, 0))
+
 
 @st.composite
 def _value_and_format(draw):
