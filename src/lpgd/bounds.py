@@ -263,8 +263,8 @@ def estimate_pl_constants(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     pts = _grid_points(box, resolution, n)
-    fs = np.array([obj.f(p) for p in pts])
-    gs = np.stack([obj.grad(p) for p in pts])
+    fs = np.asarray(obj.f(pts), dtype=np.float64)
+    gs = np.asarray(obj.grad(pts), dtype=np.float64)
 
     if f_star is None:
         f_star = obj.f_star if obj.f_star is not None else float(fs.min())

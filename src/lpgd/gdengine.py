@@ -51,11 +51,18 @@ sequential run would.  A run's record is the list of its
 realized steps' dicts, joined column by column when the run ends, so memory
 grows with the steps taken, never with the iteration budget.  A step records
 only what the other columns cannot give (fixed point: the mantissas;
-lowfloat: the floats of exact values, and the case labels, which need the
-exact grid pairs); the remaining float columns follow once per run, with
-the binary64 expressions of one step, and so do the case labels of fixed
+lowfloat: the iterate's floats, the floats of exact values, and the case
+labels, which need the exact grid pairs; reference: its gradient, which is
+its update) and does no binary64 work beyond that.  The other columns
+follow once per run, over the rows of every lane: fixed point's xs from
+x_m, f at every iterate in one `f` call, the binary64 gradient at every
+pre-step iterate in one `eval_grad_reference` call, the other float columns
+with the binary64 expressions of one step, and the case labels of fixed
 point (one integer comparison over all rows of g_tilde_m) and reference
-(all 0).
+(all 0).  Each row is bitwise the value of that row alone.  A step
+evaluates f only when stop_below_f is set, and the gradient only at a lane
+whose zero-update streak reaches the stagnation window, each on the same
+float rows with the same calls, so those values equal the recorded rows.
 """
 
 from __future__ import annotations
@@ -238,23 +245,30 @@ def check_nonopposite(g_tilde: np.ndarray, g_exact: np.ndarray):
 # number systems
 # ---------------------------------------------------------------------------
 
+# columns with a row per iterate, x0's included; the others have one per step
+_ITERATE_COLUMNS = ("fs", "xs", "x_m")
+
 
 class _System:
     """What one number system does differently, built once per run.
 
     `lanes(R)` is the state of R lanes at x0, `select` keeps some lanes and
     `lane(x, j)` is lane j's iterate as a one-seed run returns it.
-    `iterates(x)` are the columns that record the lanes' iterates: their
-    binary64 rows "xs", and the mantissas "x_m" of fixed-point lanes.
-    `step` is one update of every lane; `columns` maps what a step records
-    to (dtype, one entry per coordinate?), and `finish` derives the other
-    columns, the sign flips aside, once per run: the float columns, and the
-    `case` and `c2_mask` labels where a step does not record them.  Zero
+    `floats(x)` are the lanes' binary64 rows, and `iterates(x)` the column
+    that records the lanes' iterates: "xs", or the mantissas "x_m" on fixed
+    point.  `step(x, xf, streams, k)` is one update of every lane; no step
+    reads xf, the lanes' binary64 rows (`gd_step` passes None).  `columns`
+    maps what a step records, the iterate column included, to (dtype, one
+    entry per coordinate?).  `finish(cols, pre)` derives the other columns,
+    the sign flips aside, once per run over all rows, `pre` selecting the
+    rows of the iterate columns that a step starts from: xs where a step
+    does not record it, fs at every iterate, g_exact at the pre-step
+    iterates where a step does not record it, the other float columns, and
+    the `case` and `c2_mask` labels where a step does not record them.  Zero
     rows of the `streak_key` column make the stagnation streak, and `u_stag`
     is the grid spacing of the stagnation test.
     """
 
-    columns = {"fs": (np.float64, False), "xs": (np.float64, True), "g_exact": (np.float64, True)}
     streak_key = "d"
     u_stag = 0.0
 
@@ -267,8 +281,19 @@ class _System:
     def lane(self, x, j: int):
         return self.select(x, j)
 
-    def iterates(self, x: np.ndarray) -> dict:
-        return {"xs": x}
+    def floats(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def iterates(self, x) -> dict:
+        return {"xs": self.floats(x)}
+
+    def finish(self, cols: dict, pre: np.ndarray) -> None:
+        """fs at every iterate and, unless a step records it, g_exact at the
+        pre-step iterates: one call each over every lane's rows."""
+        obj = self.cfg.objective
+        cols["fs"] = np.asarray(obj.f(cols["xs"]), dtype=np.float64)
+        if "g_exact" not in cols:
+            cols["g_exact"] = eval_grad_reference(obj, cols["xs"][pre])
 
 
 class _Fixed(_System):
@@ -278,18 +303,21 @@ class _Fixed(_System):
     any product.  signed_sr_eps rounds there as sr_eps: t > 0, so the descent
     sign of t * g is the sign of the value rounded, the sign sr_eps reads."""
 
-    columns = {**_System.columns, **dict.fromkeys(("x_m", "g_tilde_m", "d_m"), (np.int64, True))}
+    columns = dict.fromkeys(("x_m", "g_tilde_m", "d_m"), (np.int64, True))
     streak_key = "d_m"
 
     def __init__(self, cfg: GDConfig):
         # the config-only constants of the update: its scheme, the
         # mul-to-working shift, whether d_m << shift may leave int64 on lanes
         # (once the mul format's integer bits plus the working fraction bits
-        # exceed 62; one lane steps on Python ints) and u_mul
+        # exceed 62; one lane steps on Python ints) and u_mul, and the
+        # backend that rounds the update, pointed at each step's lanes
         w, m = cfg.working_fmt, cfg.mul_fmt
         self.cfg, self.u = cfg, cfg.u_mul
         scheme = cfg.sigma2_scheme
-        self.scheme = replace(scheme, kind="sr_eps") if scheme.uses_given_sign else scheme
+        self.update = FixedBackend(
+            w, replace(scheme, kind="sr_eps") if scheme.uses_given_sign else scheme
+        )
         self.shift = w.qf - m.qf
         self.wide_step = m.qi + w.qf > 62
         self.u_stag = float(self.u)
@@ -301,23 +329,25 @@ class _Fixed(_System):
     def select(self, x: FixedVec, idx) -> FixedVec:
         return FixedVec.of_checked(x.m[idx], x.fmt)
 
-    def iterates(self, x: FixedVec) -> dict:
-        return {"xs": x.to_floats(), "x_m": x.m}
+    def floats(self, x: FixedVec) -> np.ndarray:
+        return x.to_floats()
 
-    def step(self, x: FixedVec, xf: np.ndarray, streams: list, k: int):
+    def iterates(self, x: FixedVec) -> dict:
+        return {"x_m": x.m}
+
+    def step(self, x: FixedVec, xf, streams: list, k: int):
         cfg = self.cfg
         g_t = cfg.objective.grad_rounded_fixed(x, cfg.sigma1_scheme, streams, k)
-        g_ref = eval_grad_reference(cfg.objective, xf)
 
-        be = FixedBackend(cfg.working_fmt, self.scheme, streams, k)
-        be.tag = SIGMA2_TAG
+        be = self.update
+        be.streams, be.k, be.tag = streams, k, SIGMA2_TAG
         if len(x.m) == 1:  # one live lane: Python ints, no array op
             new_x, d_m = self._step_lane(x, be.coef(cfg.t, g_t.m[0].tolist(), cfg.mul_fmt))
         else:
             d_m = be.coef(cfg.t, g_t.m, cfg.mul_fmt)
             step = d_m.astype(object) if self.wide_step else d_m
             new_x = FixedVec(x.m - (step << self.shift), x.fmt)
-        return new_x, {"g_tilde_m": g_t.m, "g_exact": g_ref, "d_m": d_m}
+        return new_x, {"g_tilde_m": g_t.m, "d_m": d_m}
 
     def _step_lane(self, x: FixedVec, d: list):
         """x - d for one live lane on Python ints, d its rounded update
@@ -330,10 +360,13 @@ class _Fixed(_System):
             np.array([d], dtype=np.int64),
         )
 
-    def finish(self, cols: dict) -> None:
-        """The float columns, from the mantissas, elementwise as in one step,
-        and the case labels of all rows in one integer comparison."""
+    def finish(self, cols: dict, pre: np.ndarray) -> None:
+        """xs from the mantissas, then fs and g_exact, the other float
+        columns elementwise as in one step, and the case labels of all rows
+        in one integer comparison."""
         cfg, g_m = self.cfg, cols["g_tilde_m"]
+        cols["xs"] = self.floats(FixedVec.of_checked(cols["x_m"], cfg.working_fmt))
+        super().finish(cols, pre)
         case, c2 = classify_case(FixedVec.of_checked(g_m, cfg.working_fmt), cfg.t, self.u)
         g, d = g_m / cfg.working_fmt.scale, cols["d_m"] / cfg.mul_fmt.scale
         cols.update(
@@ -350,7 +383,7 @@ class _LowFloat(_System):
     one correct rounding each, as float(Fraction) rounds."""
 
     columns = {
-        **_System.columns, **dict.fromkeys(("g_tilde", "d", "sigma2"), (np.float64, True)),
+        **dict.fromkeys(("xs", "g_tilde", "d", "sigma2"), (np.float64, True)),
         "case": (np.uint8, False), "c2_mask": (bool, True),
     }
 
@@ -372,10 +405,10 @@ class _LowFloat(_System):
     def lane(self, x: list, j: int) -> List[Fraction]:
         return [lpfloat.pair_fraction(m, e) for m, e in x[j]]
 
-    def iterates(self, x: list) -> dict:
-        return {"xs": np.array([[lpfloat.pair_float(m, e) for m, e in row] for row in x])}
+    def floats(self, x: list) -> np.ndarray:
+        return np.array([[lpfloat.pair_float(m, e) for m, e in row] for row in x])
 
-    def step(self, x: list, xf: np.ndarray, streams: list, k: int):
+    def step(self, x: list, xf, streams: list, k: int):
         cfg = self.cfg
         fmt, t, scheme = cfg.float_fmt, cfg.t, cfg.sigma2_scheme
         tn, td = t.numerator, t.denominator
@@ -383,7 +416,6 @@ class _LowFloat(_System):
             cfg.objective.grad_rounded_float(row, fmt, cfg.sigma1_scheme, stream, k)
             for row, stream in zip(x, streams)
         ]
-        g_ref = eval_grad_reference(cfg.objective, xf)
         # C2 when |t*g_i| < 2**G_i, the grid spacing at x_i, on integer ratios
         case, c2 = zip(*(
             classify_case(
@@ -414,29 +446,31 @@ class _LowFloat(_System):
                 )
             new_x.append(new_row)
         return new_x, {
-            "g_tilde": out[0], "g_exact": g_ref, "d": out[1], "sigma2": out[2],
-            "case": case, "c2_mask": c2,
+            "g_tilde": out[0], "d": out[1], "sigma2": out[2], "case": case, "c2_mask": c2,
         }
 
-    def finish(self, cols: dict) -> None:
+    def finish(self, cols: dict, pre: np.ndarray) -> None:
+        super().finish(cols, pre)
         cols["sigma1"] = cols["g_tilde"] - cols["g_exact"]
 
 
 class _Reference(_System):
-    """Plain binary64 descent, no rounding: (R, n) float64 rows."""
+    """Plain binary64 descent, no rounding: (R, n) float64 rows.  A step
+    records its gradient, since the update is that gradient."""
 
-    columns = {**_System.columns, "d": (np.float64, True)}
+    columns = dict.fromkeys(("xs", "g_exact", "d"), (np.float64, True))
 
     def lanes(self, count: int) -> np.ndarray:
         return np.tile([float(parse_rational(v)) for v in self.cfg.x0], (count, 1))
 
-    def step(self, x: np.ndarray, xf: np.ndarray, streams: list, k: int):
-        g_ref = eval_grad_reference(self.cfg.objective, xf)
+    def step(self, x: np.ndarray, xf, streams: list, k: int):
+        g_ref = eval_grad_reference(self.cfg.objective, x)
         d = float(self.cfg.t) * g_ref
         return x - d, {"g_exact": g_ref, "d": d}
 
-    def finish(self, cols: dict) -> None:
+    def finish(self, cols: dict, pre: np.ndarray) -> None:
         """The rounded gradient is the exact one, with no error and case 0."""
+        super().finish(cols, pre)
         g = cols["g_exact"]
         cols.update(
             g_tilde=g.copy(), sigma1=np.zeros_like(g), sigma2=np.zeros_like(g),
@@ -447,13 +481,13 @@ class _Reference(_System):
 _SYSTEMS = {"fixed": _Fixed, "lowfloat": _LowFloat, "reference": _Reference}
 
 
-def gd_step(x_state, x_floats: np.ndarray, system: _System, streams: list, k: int):
+def gd_step(x_state, system: _System, streams: list, k: int):
     """One update of R lanes in `system`'s number system: x_state is their
-    state, x_floats its binary64 rows, streams their RandomStreams.  Returns
-    (new_state, step dict); every value in the dict has a leading lane axis.
-    The run keeps the dict's arrays as its record until it ends, so no step
-    writes into an array after returning it: every step builds new arrays."""
-    return system.step(x_state, x_floats, streams, k)
+    state, streams their RandomStreams.  Returns (new_state, step dict);
+    every value in the dict has a leading lane axis.  The run keeps the
+    dict's arrays as its record until it ends, so no step writes into an
+    array after returning it: every step builds new arrays."""
+    return system.step(x_state, None, streams, k)
 
 
 def run(cfg: GDConfig, seeds: Optional[Sequence[int]] = None):
@@ -489,8 +523,10 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     The live lanes share one state and one `gd_step` per iteration, and a
     lane leaves when it stops.  Each iteration appends its live lanes and
     step dict to a list; when the run ends, each column of `system.columns`
-    is one concatenation over that list, sorted by lane.  An exception from
-    any lane ends the batch; `run` finds the seed it belongs to.
+    is one concatenation over that list, sorted by lane, the lanes' x0 rows
+    heading the iterate columns, and `system.finish` derives the others.  An
+    exception from any lane ends the batch; `run` finds the seed it belongs
+    to.
     """
     if not cfgs:
         return []
@@ -498,68 +534,77 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     obj = cfg.objective
     system = _SYSTEMS[cfg.number_system](cfg)
     window = cfg.stagnation_window
-    below = np.nan if cfg.stop_below_f is None else cfg.stop_below_f
+    check_f = cfg.stop_below_f is not None
     stag_norm = 10.0 * np.sqrt(obj.n) * system.u_stag
     lanes = len(cfgs)
 
-    # per live lane, in lane order: lane index, stream, iterate and its
-    # binary64 row, zero-step streak
+    # per live lane, in lane order: lane index, stream, iterate, zero-step streak
     live = np.arange(lanes)
     lane_streams = [rng.RandomStream(c.seed) for c in cfgs]
     x = system.lanes(lanes)
     x0_rows = system.iterates(x)
-    xf = x0_rows["xs"]
-    f0 = obj.f(xf[0])
     streak = np.zeros(lanes, dtype=np.int64)
     stagnation_iter = np.full(lanes, -1, dtype=np.int64)  # by lane index
     final: list = [None] * lanes  # by lane index, kept when a lane leaves the batch
     steps = []  # (live lanes, step dict) per iteration
 
-    for k in range(0 if f0 <= below else cfg.iterations):
-        x, rec = gd_step(x, xf, system, lane_streams, k)
+    below_at_x0 = check_f and obj.f(system.floats(x)[0]) <= cfg.stop_below_f
+    for k in range(0 if below_at_x0 else cfg.iterations):
+        x_pre = x
+        x, rec = gd_step(x, system, lane_streams, k)
         rec.update(system.iterates(x))
-        xf = rec["xs"]
-        rec["fs"] = np.array([obj.f(row) for row in xf], dtype=np.float64)
         steps.append((live, rec))
 
         moved = rec[system.streak_key].any(axis=1)
         streak = np.where(moved, 0, streak + 1)
-        stop = rec["fs"] <= below
+        if check_f:
+            stop = obj.f(rec["xs"] if "xs" in rec else system.floats(x)) <= cfg.stop_below_f
+        else:
+            stop = np.zeros(len(live), dtype=bool)
         if streak.max() >= window:
-            for j in np.flatnonzero(streak >= window):
-                if stagnation_iter[live[j]] < 0 and np.linalg.norm(rec["g_exact"][j]) > stag_norm:
-                    stagnation_iter[live[j]] = k - window + 1
-                    stop[j] |= cfg.stop_on_stagnation
+            due = np.flatnonzero((streak >= window) & (stagnation_iter[live] < 0))
+            if due.size:
+                # the gradient at the step's start, as `finish` records it
+                g = eval_grad_reference(obj, system.floats(system.select(x_pre, due)))
+                for j, g_j in zip(due, g):
+                    if np.linalg.norm(g_j) > stag_norm:
+                        stagnation_iter[live[j]] = k - window + 1
+                        stop[j] |= cfg.stop_on_stagnation
         if stop.any():
             if stop.all():
                 break
             for j in np.flatnonzero(stop):
                 final[live[j]] = system.lane(x, j)
             idx = np.flatnonzero(~stop)
-            live, xf, streak = live[idx], xf[idx], streak[idx]
+            live, streak = live[idx], streak[idx]
             lane_streams = [lane_streams[j] for j in idx]
             x = system.select(x, idx)
 
     for j, i in enumerate(live):
         final[i] = system.lane(x, j)
 
-    # each lane's rows, in iteration order
-    lane_of_row = np.concatenate([np.zeros(0, np.int64)] + [lv for lv, _ in steps])
-    order = np.argsort(lane_of_row, kind="stable")
-    start = np.concatenate(([0], np.cumsum(np.bincount(lane_of_row, minlength=lanes))))
+    # each lane's rows, in iteration order: step columns have one row per
+    # step, iterate columns x0's row first and one row after each step
+    step_lanes = np.concatenate([np.zeros(0, np.int64)] + [lv for lv, _ in steps])
+    step_order = np.argsort(step_lanes, kind="stable")
+    iterate_order = np.argsort(np.concatenate((np.arange(lanes), step_lanes)), kind="stable")
+    start = np.concatenate(([0], np.cumsum(np.bincount(step_lanes, minlength=lanes))))
+    last = start[1:] + np.arange(lanes)  # each lane's last iterate row
+    pre = np.ones(last[-1] + 1, dtype=bool)
+    pre[last] = False
     cols = {}
     for key, (dtype, per_coord) in system.columns.items():
-        empty = np.zeros((0, obj.n) if per_coord else (0,), dtype)
-        rows = np.concatenate([empty] + [rec[key] for _, rec in steps])
+        if key in _ITERATE_COLUMNS:
+            head, order = x0_rows[key], iterate_order
+        else:
+            head, order = np.zeros((0, obj.n) if per_coord else (0,), dtype), step_order
+        rows = np.concatenate([head] + [rec[key] for _, rec in steps])
         cols[key] = rows.astype(dtype, copy=False)[order]
-    system.finish(cols)
+    system.finish(cols, pre)
     cols["nonopp_violations"] = check_nonopposite(cols["g_tilde"], cols["g_exact"])
-    first = {"fs": np.array([f0]), **{key: col[:1] for key, col in x0_rows.items()}}
     results = []
     for r, c in enumerate(cfgs):
-        run_rows = {key: col[start[r] : start[r + 1]] for key, col in cols.items()}
-        for key, row in first.items():
-            run_rows[key] = np.concatenate((row, run_rows[key]))
+        by_step, by_iterate = slice(start[r], start[r + 1]), slice(start[r] + r, last[r] + 1)
         results.append(
             RunResult(
                 config=c,
@@ -567,7 +612,10 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
                 stagnated=bool(stagnation_iter[r] >= 0),
                 stagnation_iter=int(stagnation_iter[r]),
                 steps=int(start[r + 1] - start[r]),
-                **run_rows,
+                **{
+                    key: col[by_iterate if key in _ITERATE_COLUMNS else by_step]
+                    for key, col in cols.items()
+                },
             )
         )
     return results

@@ -320,7 +320,11 @@ def write_svg_curves(
     width: int = 720,
     height: int = 440,
 ) -> None:
-    """Iteration-indexed curves as one self-contained SVG file."""
+    """Iteration-indexed curves as one self-contained SVG file.  The title
+    and the curve labels are escaped, so any text gives well-formed XML."""
+    # imported here: xml.sax.saxutils loads urllib.request (some 7 MiB)
+    from xml.sax.saxutils import escape
+
     ml, mr, mt, mb = 60, 16, 28, 40
     pw, ph = width - ml - mr, height - mt - mb
     ys_all = np.concatenate([np.asarray(c, dtype=np.float64) for c in curves.values()])
@@ -354,7 +358,7 @@ def write_svg_curves(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="18" font-size="14">{title}</text>',
+        f'<text x="{ml}" y="18" font-size="14">{escape(title)}</text>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt+ph}" stroke="#333"/>',
         f'<line x1="{ml}" y1="{mt+ph}" x2="{ml+pw}" y2="{mt+ph}" stroke="#333"/>',
     ]
@@ -388,6 +392,6 @@ def write_svg_curves(
             f'<line x1="{ml+pw-150}" y1="{ly-4}" x2="{ml+pw-126}" y2="{ly-4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{ml+pw-120}" y="{ly}">{label}</text>')
+        parts.append(f'<text x="{ml+pw-120}" y="{ly}">{escape(label)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts))

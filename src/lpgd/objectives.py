@@ -354,7 +354,13 @@ def enumerate_recipe(
 
 @dataclass
 class Objective:
-    """An optimization target plus (optionally) its low-precision recipe."""
+    """An optimization target plus (optionally) its low-precision recipe.
+
+    `f` and `grad` are binary64 and take one point (n,) or rows (N, n): f
+    gives a float or an (N,) array, grad an (n,) or (N, n) array, and each
+    row's value is bitwise the value of that row alone, so a run may
+    evaluate all its iterates in one call.
+    """
 
     name: str
     n: int
@@ -412,11 +418,44 @@ class Objective:
 
 
 def eval_grad_reference(obj: Objective, x) -> np.ndarray:
-    """Exact-arithmetic (binary64) gradient at x, or at each row of a 2-D x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return np.array([obj.grad(row) for row in x], dtype=np.float64).reshape(x.shape)
-    return np.asarray(obj.grad(x), dtype=np.float64)
+    """Exact-arithmetic (binary64) gradient at x, or at each row of a 2-D x,
+    in one `obj.grad` call."""
+    return np.asarray(obj.grad(np.asarray(x, dtype=np.float64)), dtype=np.float64)
+
+
+def _row_by_row(point_fn: Callable, per_coord: bool) -> Callable:
+    """point_fn, which takes one point (n,), extended to rows (N, n) by one
+    call per row: for a value whose batched form is not bitwise equal to the
+    one-point form (a BLAS dot product, a matvec against a matmat)."""
+
+    def fn(x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return point_fn(x)
+        out = np.array([point_fn(row) for row in x], dtype=np.float64)
+        return out.reshape(x.shape if per_coord else x.shape[:1])
+
+    return fn
+
+
+def _of_x1_x2(fn: Callable) -> Callable:
+    """fn(x1, x2), elementwise in binary64, on one point (2,) (a float for a
+    scalar result) or on rows (N, 2).  Overflow and invalid operations are
+    silent, as on Python floats: the value is inf or nan, recorded as it is."""
+
+    def on_points(x):
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(x[..., 0], x[..., 1])
+        return float(out) if np.ndim(out) == 0 else out
+
+    return on_points
+
+
+def _square(v):
+    """v ** 2 through C `pow`, as Python's float ** 2 computes it; numpy's
+    `** 2` squares, which gives the other neighbour on some doubles."""
+    return np.float_power(v, 2.0)
 
 
 # -- quadratic --------------------------------------------------------------
@@ -440,7 +479,7 @@ def quadratic(a_diag, x_star=None) -> Objective:
     xs = np.array([float(v) for v in xs_fr])
 
     def f(x: np.ndarray) -> float:
-        d = np.asarray(x, dtype=np.float64) - xs
+        d = x - xs
         return float(0.5 * np.dot(a * d, d))
 
     def grad(x: np.ndarray) -> np.ndarray:
@@ -456,7 +495,7 @@ def quadratic(a_diag, x_star=None) -> Objective:
     return Objective(
         name="quadratic",
         n=n,
-        f=f,
+        f=_row_by_row(f, per_coord=False),  # np.dot goes through BLAS
         grad=grad,
         x_star=xs,
         f_star=0.0,
@@ -474,14 +513,14 @@ def quadratic(a_diag, x_star=None) -> Objective:
 def rosenbrock() -> Objective:
     """f(x) = (1 - x1)^2 + 100 (x2 - x1^2)^2, minimum at (1, 1)."""
 
-    def f(x: np.ndarray) -> float:
-        x1, x2 = float(x[0]), float(x[1])
-        return (1.0 - x1) ** 2 + 100.0 * (x2 - x1 * x1) ** 2
+    @_of_x1_x2
+    def f(x1, x2):
+        return _square(1.0 - x1) + 100.0 * _square(x2 - x1 * x1)
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        x1, x2 = float(x[0]), float(x[1])
+    @_of_x1_x2
+    def grad(x1, x2):
         v = x2 - x1 * x1
-        return np.array([-2.0 * (1.0 - x1) - 400.0 * x1 * v, 200.0 * v])
+        return np.stack([-2.0 * (1.0 - x1) - 400.0 * x1 * v, 200.0 * v], axis=-1)
 
     def recipe(be, xv):
         x1, x2 = xv
@@ -519,15 +558,15 @@ HIMMELBLAU_MINIMA = [
 def himmelblau() -> Objective:
     """f(x) = (x1^2 + x2 - 11)^2 + (x1 + x2^2 - 7)^2, four global minima."""
 
-    def f(x: np.ndarray) -> float:
-        x1, x2 = float(x[0]), float(x[1])
-        return (x1 * x1 + x2 - 11.0) ** 2 + (x1 + x2 * x2 - 7.0) ** 2
+    @_of_x1_x2
+    def f(x1, x2):
+        return _square(x1 * x1 + x2 - 11.0) + _square(x1 + x2 * x2 - 7.0)
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        x1, x2 = float(x[0]), float(x[1])
+    @_of_x1_x2
+    def grad(x1, x2):
         b = x1 * x1 + x2 - 11.0
         e = x1 + x2 * x2 - 7.0
-        return np.array([4.0 * x1 * b + 2.0 * e, 2.0 * b + 4.0 * x2 * e])
+        return np.stack([4.0 * x1 * b + 2.0 * e, 2.0 * b + 4.0 * x2 * e], axis=-1)
 
     def recipe(be, xv):
         x1, x2 = xv
@@ -592,14 +631,14 @@ def blr(
     yv = y.astype(np.float64)
     lam = float(reg)
 
+    # one matvec per point: a matmat over rows need not be bitwise equal to it
     def f(w: np.ndarray) -> float:
-        z = x_q @ np.asarray(w, dtype=np.float64)
+        z = x_q @ w
         # log(1 + e^z) - y z, stable via logaddexp
         loss = np.logaddexp(0.0, z) - yv * z
         return float(loss.mean() + 0.5 * lam * np.dot(w, w))
 
     def grad(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
         z = x_q @ w
         r = expit(z) - yv
         return x_q.T @ r / n_samples + lam * w
@@ -629,8 +668,8 @@ def blr(
     return Objective(
         name="blr",
         n=n_features,
-        f=f,
-        grad=grad,
+        f=_row_by_row(f, per_coord=False),
+        grad=_row_by_row(grad, per_coord=True),
         lip_grad=hess_bound,
         recipe=recipe,
         params={"n_samples": n_samples, "n_features": n_features, "reg": lam},

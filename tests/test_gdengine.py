@@ -459,7 +459,7 @@ class TestStepRecord:
         system = gdengine._SYSTEMS[name](_two_coord(name))
         x = system.lanes(3)
         streams = [RandomStream(s) for s in range(3)]
-        _, rec = gdengine.gd_step(x, system.iterates(x)["xs"], system, streams, 0)
+        _, rec = gdengine.gd_step(x, system, streams, 0)
         for key, (_, per_coord) in system.columns.items():
             if key in rec:
                 assert np.shape(rec[key]) == ((3, 2) if per_coord else (3,)), key
@@ -515,6 +515,66 @@ class TestCaseLabels:
             for k, row in enumerate(res.g_tilde_m):
                 case, mask = classify_case([Fraction(int(v), scale) for v in row], cfg.t, cfg.u_mul)
                 assert res.case[k] == case and res.c2_mask[k].tolist() == mask.tolist()
+
+
+def _counted(obj, calls: list):
+    """obj with f and grad recording (name, shape of the argument) per call."""
+    f, grad = obj.f, obj.grad
+    obj.f = lambda x: calls.append(("f", np.shape(x))) or f(x)
+    obj.grad = lambda x: calls.append(("grad", np.shape(x))) or grad(x)
+    return obj
+
+
+class TestBinary64Columns:
+    """A rounding step does no binary64 work that no lane's next step reads:
+    xs, fs and g_exact follow once per run, over the rows of every lane."""
+
+    @pytest.mark.parametrize("system", ["fixed", "lowfloat"])
+    def test_one_f_and_one_grad_call_per_run(self, system):
+        calls = []
+        cfg = _two_coord(system, iterations=40)
+        cfg = replace(cfg, objective=_counted(cfg.objective, calls))
+        runs = run(cfg, seeds=[0, 1, 2])
+        assert [r.steps for r in runs] == [40] * 3
+        assert calls == [("f", (3 * 41, 2)), ("grad", (3 * 40, 2))]
+        calls.clear()
+        assert run(replace(cfg, seed=1)).steps == 40
+        assert calls == [("f", (41, 2)), ("grad", (40, 2))]
+
+    def test_stop_below_f_evaluates_f_on_the_live_lanes(self):
+        calls = []
+        cfg = _quad3(iterations=300, stop_below_f=1e-2)
+        cfg = replace(cfg, objective=_counted(cfg.objective, calls))
+        runs = run(cfg, seeds=[0, 1, 2])
+        steps = [r.steps for r in runs]
+        assert max(steps) < 300 and all(r.final_f <= 1e-2 for r in runs)
+        # f at x0, then at the live lanes' new iterates after every step;
+        # the recorded columns: f at every row and grad at every pre-step row
+        assert calls[0] == ("f", (3,))
+        assert calls[1:-2] == [("f", (sum(s > k for s in steps), 3)) for k in range(max(steps))]
+        assert calls[-2:] == [("f", (sum(steps) + 3, 3)), ("grad", (sum(steps), 3))]
+
+    def test_stagnation_reads_the_recorded_gradient(self):
+        # the config of TestLockstepEnsembles.test_lanes_stagnate_independently
+        cfg = quad_config(
+            x0=["13/256"], t="1/32", iterations=60, sigma1_scheme="rn",
+            sigma2_scheme="sr", stagnation_window=4,
+        )
+        seeds = list(range(10))
+        kept = run_ensemble(cfg, seeds)
+        stopped = run_ensemble(replace(cfg, stop_on_stagnation=True), seeds)
+        flagged = [r.stagnation_iter for r in kept if r.stagnated]
+        assert len(set(flagged)) > 1 and len(flagged) < len(seeds)
+        u, window = float(cfg.u_mul), cfg.stagnation_window
+        for a, b in zip(kept, stopped):
+            assert (a.stagnated, a.stagnation_iter) == (b.stagnated, b.stagnation_iter)
+            if not a.stagnated:
+                assert b.steps == a.steps == 60
+                continue
+            k = a.stagnation_iter + window - 1
+            assert not a.d_m[a.stagnation_iter : k + 1].any()
+            assert np.linalg.norm(a.g_exact[k]) > 10.0 * u  # n = 1
+            assert b.steps == k + 1 and np.array_equal(b.g_exact, a.g_exact[: k + 1])
 
 
 def digest_runs(runs) -> str:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,16 @@ class TestOutputs:
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
         assert "demo" in text and "iteration" in text
+
+    def test_svg_escapes_title_and_labels(self, tmp_path):
+        # `lpgd run` passes the config's name as the title
+        path = tmp_path / "curves.svg"
+        write_svg_curves(path, {"sr <a> & b": np.array([1.0, 0.5])}, title="quad <sr> & eps")
+        texts = [
+            node.firstChild.data
+            for node in xml.dom.minidom.parse(str(path)).getElementsByTagName("text")
+        ]
+        assert "quad <sr> & eps" in texts and "sr <a> & b" in texts
 
     def test_svg_linear_scale(self, tmp_path):
         path = tmp_path / "lin.svg"

@@ -43,6 +43,76 @@ FD_POINTS = {
 }
 
 
+def _blr_small():
+    rng_ = np.random.default_rng(3)
+    x_data = rng_.normal(size=(30, 3))
+    y = (rng_.random(30) < 0.5).astype(int)
+    return make_objective("blr", x_data=x_data, y=y, data_fmt=QFormat(8, 8), reg=0.01)
+
+
+ROW_OBJECTIVES = {
+    "quadratic": lambda: make_objective(
+        "quadratic", a_diag=["3", "1/10", "1/1000"], x_star=["1/3", "-2", "0.7"]
+    ),
+    "rosenbrock": lambda: make_objective("rosenbrock"),
+    "himmelblau": lambda: make_objective("himmelblau"),
+    "blr": _blr_small,
+}
+_ROW_OBJ = {name: make() for name, make in ROW_OBJECTIVES.items()}
+
+
+@st.composite
+def _rows(draw, n: int):
+    # arbitrary doubles (inf and nan included), or values on a Q8.8 grid
+    grid = st.integers(-(2**15), 2**15 - 1).map(lambda m: m / 256)
+    value = st.one_of(st.floats(width=64), grid)
+    count = draw(st.integers(0, 6))
+    return np.array([[draw(value) for _ in range(n)] for _ in range(count)]).reshape(count, n)
+
+
+class TestRowsEqualPoints:
+    """f and grad on rows (N, n) give, row for row, the bits of one point."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_OBJECTIVES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_bitwise_the_points(self, name, data):
+        obj = _ROW_OBJ[name]
+        x = data.draw(_rows(obj.n))
+        with np.errstate(all="ignore"):  # overflow is recorded as inf, not raised
+            f_rows, g_rows = obj.f(x), obj.grad(x)
+            f_pts = [obj.f(row) for row in x]
+            g_pts = [obj.grad(row) for row in x]
+            g_ref = eval_grad_reference(obj, x)
+        assert all(type(v) is float for v in f_pts)
+        assert f_rows.dtype == g_rows.dtype == np.float64
+        assert f_rows.shape == (len(x),) and g_rows.shape == x.shape
+        assert f_rows.tobytes() == np.array(f_pts, dtype=np.float64).tobytes()
+        assert g_rows.tobytes() == np.array(g_pts, dtype=np.float64).reshape(x.shape).tobytes()
+        assert g_ref.tobytes() == g_rows.tobytes()
+
+    @pytest.mark.parametrize("name", ["rosenbrock", "himmelblau"])
+    def test_squares_round_as_python_floats(self, name):
+        # Python's float ** 2 goes through C pow, which on some doubles gives
+        # the other neighbour of the square than x * x does
+        obj = _ROW_OBJ[name]
+        x = np.random.default_rng(5).normal(scale=1e3, size=(20_000, 2))
+        want = [
+            (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2 if name == "rosenbrock"
+            else (a * a + b - 11.0) ** 2 + (a + b * b - 7.0) ** 2
+            for a, b in x.tolist()
+        ]
+        assert obj.f(x).tobytes() == np.array(want).tobytes()
+
+    def test_overflow_is_inf_without_a_warning(self):
+        # binary64 as Python floats compute it: no raise from ** 2, no warning
+        x = np.array([[1e200, 1.0], [1.0, 1.0]])
+        for name in ("rosenbrock", "himmelblau"):
+            obj = _ROW_OBJ[name]
+            assert obj.f(x)[0] == np.inf and np.isfinite(obj.f(x)[1])
+            assert np.isinf(obj.grad(x)[0]).any()
+
+
 class TestAnalyticGradients:
     @pytest.mark.parametrize("name", sorted(FD_POINTS))
     def test_grad_matches_finite_differences(self, name):
