@@ -30,23 +30,6 @@ from .objectives import Objective
 from .rounding import up_weight
 
 
-@dataclass
-class BoundParams:
-    """Constants an envelope needs: smoothness L, PL constant mu, step t."""
-
-    L: float
-    mu: float
-    t: float
-    u: float = 0.0
-    eps: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.mu <= self.L / 2 + 1e-12:
-            raise ValueError(f"need 0 < mu <= L/2, got mu={self.mu}, L={self.L}")
-        if self.t <= 0:
-            raise ValueError("step size must be positive")
-
-
 def _stack(runs: Sequence[RunResult], attr: str) -> np.ndarray:
     k = min(r.steps for r in runs)
     return np.stack([getattr(r, attr)[:k] for r in runs])

@@ -256,8 +256,7 @@ class _System:
     `lane(x, j)` is lane j's iterate as a one-seed run returns it.
     `floats(x)` are the lanes' binary64 rows, and `iterates(x)` the column
     that records the lanes' iterates: "xs", or the mantissas "x_m" on fixed
-    point.  `step(x, xf, streams, k)` is one update of every lane; no step
-    reads xf, the lanes' binary64 rows (`gd_step` passes None).  `columns`
+    point.  `step(x, streams, k)` is one update of every lane.  `columns`
     maps what a step records, the iterate column included, to (dtype, one
     entry per coordinate?).  `finish(cols, pre)` derives the other columns,
     the sign flips aside, once per run over all rows, `pre` selecting the
@@ -335,7 +334,7 @@ class _Fixed(_System):
     def iterates(self, x: FixedVec) -> dict:
         return {"x_m": x.m}
 
-    def step(self, x: FixedVec, xf, streams: list, k: int):
+    def step(self, x: FixedVec, streams: list, k: int):
         cfg = self.cfg
         g_t = cfg.objective.grad_rounded_fixed(x, cfg.sigma1_scheme, streams, k)
 
@@ -408,7 +407,7 @@ class _LowFloat(_System):
     def floats(self, x: list) -> np.ndarray:
         return np.array([[lpfloat.pair_float(m, e) for m, e in row] for row in x])
 
-    def step(self, x: list, xf, streams: list, k: int):
+    def step(self, x: list, streams: list, k: int):
         cfg = self.cfg
         fmt, t, scheme = cfg.float_fmt, cfg.t, cfg.sigma2_scheme
         tn, td = t.numerator, t.denominator
@@ -463,7 +462,7 @@ class _Reference(_System):
     def lanes(self, count: int) -> np.ndarray:
         return np.tile([float(parse_rational(v)) for v in self.cfg.x0], (count, 1))
 
-    def step(self, x: np.ndarray, xf, streams: list, k: int):
+    def step(self, x: np.ndarray, streams: list, k: int):
         g_ref = eval_grad_reference(self.cfg.objective, x)
         d = float(self.cfg.t) * g_ref
         return x - d, {"g_exact": g_ref, "d": d}
@@ -487,7 +486,7 @@ def gd_step(x_state, system: _System, streams: list, k: int):
     every value in the dict has a leading lane axis.  The run keeps the
     dict's arrays as its record until it ends, so no step writes into an
     array after returning it: every step builds new arrays."""
-    return system.step(x_state, None, streams, k)
+    return system.step(x_state, streams, k)
 
 
 def run(cfg: GDConfig, seeds: Optional[Sequence[int]] = None):

@@ -321,25 +321,30 @@ def write_svg_curves(
     height: int = 440,
 ) -> None:
     """Iteration-indexed curves as one self-contained SVG file.  The title
-    and the curve labels are escaped, so any text gives well-formed XML."""
+    and the curve labels are escaped, so any text gives well-formed XML.
+    Non-finite values (a diverging run) are left out of the axis range and
+    the curves, as non-positive values are on a log scale."""
     # imported here: xml.sax.saxutils loads urllib.request (some 7 MiB)
     from xml.sax.saxutils import escape
 
     ml, mr, mt, mb = 60, 16, 28, 40
     pw, ph = width - ml - mr, height - mt - mb
-    ys_all = np.concatenate([np.asarray(c, dtype=np.float64) for c in curves.values()])
+    points = {}  # label -> (iterations, values) of the plotted points
+    for label, c in curves.items():
+        ys = np.asarray(c, dtype=np.float64)
+        keep = np.isfinite(ys) & (ys > 0 if log_y else True)
+        points[label] = (np.flatnonzero(keep).tolist(), ys[keep])
+    ys_all = np.concatenate([ys for _, ys in points.values()])
+    if ys_all.size == 0:
+        raise ValueError(f"no {'positive ' if log_y else ''}finite value to plot")
+    lo, hi = float(ys_all.min()), float(ys_all.max())
     if log_y:
-        pos = ys_all[ys_all > 0]
-        if pos.size == 0:
-            raise ValueError("log scale needs at least one positive value")
-        lo, hi = float(pos.min()), float(pos.max())
         y_lo, y_hi = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         if y_lo == y_hi:
             y_hi += 1
         to_unit = lambda v: (math.log10(v) - y_lo) / (y_hi - y_lo)
         ticks = [(10.0**e, f"1e{e}") for e in range(y_lo, y_hi + 1)]
     else:
-        lo, hi = float(ys_all.min()), float(ys_all.max())
         if lo == hi:
             hi = lo + 1
         to_unit = lambda v: (v - lo) / (hi - lo)
@@ -376,13 +381,9 @@ def write_svg_curves(
     parts.append(
         f'<text x="{ml+pw/2:.0f}" y="{height-8}" text-anchor="middle">iteration</text>'
     )
-    for idx, (label, ys) in enumerate(curves.items()):
+    for idx, (label, (ks, ys)) in enumerate(points.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = []
-        for k, v in enumerate(np.asarray(ys, dtype=np.float64)):
-            if log_y and v <= 0:
-                continue
-            pts.append(f"{px(k):.1f},{py(v):.1f}")
+        pts = [f"{px(k):.1f},{py(v):.1f}" for k, v in zip(ks, ys)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{" ".join(pts)}"/>'

@@ -372,7 +372,6 @@ class Objective:
     pl_mu: Optional[float] = None
     recipe: Optional[Callable] = None  # recipe(backend, xs) -> output values
     minima: Optional[List[np.ndarray]] = None
-    params: dict = field(default_factory=dict)
     # the recipe constants' mantissas or grid pairs, shared by the steps
     _consts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -441,13 +440,19 @@ def _row_by_row(point_fn: Callable, per_coord: bool) -> Callable:
 def _of_x1_x2(fn: Callable) -> Callable:
     """fn(x1, x2), elementwise in binary64, on one point (2,) (a float for a
     scalar result) or on rows (N, 2).  Overflow and invalid operations are
-    silent, as on Python floats: the value is inf or nan, recorded as it is."""
+    silent, as on Python floats: the value is inf or nan, recorded as it is.
+
+    A point runs as a row of one: numpy's scalar arithmetic, unlike its
+    array loops, can return the other operand's payload when both are nan."""
 
     def on_points(x):
         x = np.asarray(x, dtype=np.float64)
+        rows = x.reshape(-1, 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = fn(x[..., 0], x[..., 1])
-        return float(out) if np.ndim(out) == 0 else out
+            out = fn(rows[:, 0], rows[:, 1])
+        if x.ndim == 2:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]
 
     return on_points
 
@@ -503,7 +508,6 @@ def quadratic(a_diag, x_star=None) -> Objective:
         pl_mu=float(a.min()),
         recipe=recipe,
         minima=[xs],
-        params={"a_diag": a.tolist(), "x_star": xs.tolist()},
     )
 
 
@@ -672,7 +676,6 @@ def blr(
         grad=_row_by_row(grad, per_coord=True),
         lip_grad=hess_bound,
         recipe=recipe,
-        params={"n_samples": n_samples, "n_features": n_features, "reg": lam},
     )
 
 

@@ -15,17 +15,16 @@ standard error computed from the exact distribution where available.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import lpfloat, rounding
 from .objectives import FractionBackend, Objective, enumerate_recipe
-from .qnum import ExactReal, QFormat, to_fraction
+from .qnum import ExactReal, QFormat, to_fraction, to_ratio
 from .rng import RandomStream
 
 Dist = Dict[Fraction, Fraction]
@@ -225,24 +224,6 @@ def exact_grad(obj: Objective, x: Sequence[ExactReal]) -> Tuple[Fraction, ...]:
     return tuple(to_fraction(v) for v in out)
 
 
-def input_corner_distribution(
-    x: Sequence[ExactReal], fmt: QFormat, scheme: rounding.RoundScheme
-) -> List[Tuple[Tuple[int, ...], Fraction]]:
-    """Joint distribution of independently rounding each coordinate onto fmt."""
-    per_coord = []
-    for xi in x:
-        d = round_distribution(xi, fmt, scheme)
-        per_coord.append([(int(v * fmt.scale), p) for v, p in d.items()])
-    corners = []
-    for combo in itertools.product(*per_coord):
-        ms = tuple(m for m, _ in combo)
-        p = Fraction(1)
-        for _, pc in combo:
-            p *= pc
-        corners.append((ms, p))
-    return corners
-
-
 def exact_rounded_grad_mean(
     obj: Objective,
     x: Sequence[ExactReal],
@@ -251,20 +232,19 @@ def exact_rounded_grad_mean(
 ) -> Tuple[Fraction, ...]:
     """Exact E[g~] of the full pipeline: quantize x, then the rounded recipe.
 
-    Both stages use the same scheme; the outer expectation enumerates the
-    input corners, the inner one enumerates the recipe's rounding tree.
+    Both stages use the same scheme and run as one rounding tree: each
+    coordinate rounds onto fmt with the backend's own rounding step, then
+    the recipe runs on the rounded point.
     """
-    corners = input_corner_distribution(x, fmt, scheme)
-    total: Optional[List[Fraction]] = None
-    for ms, pc in corners:
-        leaves = enumerate_recipe(lambda be: obj.recipe(be, list(ms)), fmt, scheme)
-        mean_c = None
-        for outputs, pl in leaves:
-            scaled = [v * pl for v in outputs]
-            mean_c = scaled if mean_c is None else [a + b for a, b in zip(mean_c, scaled)]
-        contrib = [v * pc for v in mean_c]
-        total = contrib if total is None else [a + b for a, b in zip(total, contrib)]
-    return tuple(total)
+    if obj.recipe is None:
+        raise ValueError(f"objective {obj.name} has no recipe")
+    ratios = [to_ratio(v) for v in x]
+
+    def pipeline(be):
+        return obj.recipe(be, [be._round_ratio(n, d) for n, d in ratios])
+
+    outs, probs = zip(*enumerate_recipe(pipeline, fmt, scheme))
+    return tuple(sum(v * p for v, p in zip(col, probs)) for col in zip(*outs))
 
 
 def bias_scaling_curve(

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from lpgd.bounds import (
-    BoundParams,
     alpha_of,
     beta_and_h_of,
     bound_envelope,
@@ -63,19 +62,6 @@ def fabricated_run(t, g_exact, sigma1, sigma2, case, c2_mask=None, g_tilde_m=Non
         g_tilde_m=None if g_tilde_m is None else np.asarray(g_tilde_m, dtype=np.int64),
         steps=k,
     )
-
-
-class TestBoundParams:
-    def test_accepts_pl_pair(self):
-        BoundParams(L=100.0, mu=1e-3, t=0.01)
-
-    def test_rejects_mu_above_half_l(self):
-        with pytest.raises(ValueError):
-            BoundParams(L=1.0, mu=0.6, t=0.01)
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            BoundParams(L=1.0, mu=0.1, t=0.0)
 
 
 class TestFactorEstimators:

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import re
+import xml.dom.minidom
 
 import pytest
 
@@ -54,12 +55,29 @@ class TestRun:
         assert main(["run", str(p), "--out", str(out_dir)]) == 0
         assert (out_dir / "curves.svg").stat().st_size > 0
 
+    def test_out_dir_when_the_run_diverges(self, tmp_path, capsys):
+        # t = 1/64 is far past 2/L here: f overflows to inf, then turns nan
+        p = tmp_path / "diverging.yaml"
+        p.write_text(
+            "name: diverging\nobjective: {name: rosenbrock}\nnumber_system: reference\n"
+            't: "1/64"\nx0: ["1/2", "1/4"]\niterations: 60\nseeds: 2\n'
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(p), "--out", str(out_dir)]) == 0
+        doc = xml.dom.minidom.parse(str(out_dir / "curves.svg"))
+        assert doc.getElementsByTagName("polyline")
+
     def test_stop_below_f_in_e_notation(self, tmp_path, capsys):
         # YAML reads 1e-3 (no dot) as text; the config still takes it as a number
         p = tmp_path / "e.yaml"
         p.write_text(CONFIG.replace("iterations: 5", "iterations: 40") + "stop_below_f: 1e-3\n")
         assert main(["run", str(p)]) == 0
         assert "steps_max: 40" not in capsys.readouterr().out  # stopped early
+
+    def test_missing_config_file(self, tmp_path):
+        path = tmp_path / "absent.yaml"
+        with pytest.raises(SystemExit, match=f"no such config file: {re.escape(str(path))}"):
+            main(["run", str(path)])
 
     def test_stop_below_f_must_be_a_number(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -150,6 +168,10 @@ class TestPlEstimate:
         assert "mu_hat       0.25" in out
         assert "L_hat        4" in out
         assert "known mu     0.25" in out
+
+    def test_malformed_box_rejected(self):
+        with pytest.raises(SystemExit, match="bad --box segment '0,a', want lo,hi pairs"):
+            main(["pl-estimate", "rosenbrock", "--box", "0,a;0,2"])
 
     def test_rosenbrock_needs_no_params(self, capsys):
         code = main(["pl-estimate", "rosenbrock", "--box", "0,2;0,2", "--resolution", "21"])

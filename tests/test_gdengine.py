@@ -84,6 +84,14 @@ class TestConfig:
                 x0=["33/32"],
             ).initial_state()
 
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            quad_config(iterations=-1)
+
+    def test_float_mode_needs_float_fmt(self):
+        with pytest.raises(ValueError, match="lowfloat mode needs float_fmt"):
+            quad_config(number_system="lowfloat", working_fmt=None)
+
     def test_unknown_number_system(self):
         with pytest.raises(ValueError):
             quad_config(number_system="posit")
@@ -1104,10 +1112,10 @@ class TestLockstepEnsembles:
 
         step = _Fixed.step
 
-        def batch_only_step(self, x, xf, streams, k):
+        def batch_only_step(self, x, streams, k):
             if len(streams) > 1 and k == 3:
                 raise Sentinel
-            return step(self, x, xf, streams, k)
+            return step(self, x, streams, k)
 
         monkeypatch.setattr(_Fixed, "step", batch_only_step)
         calls = _count_batches(monkeypatch)

@@ -302,6 +302,19 @@ class TestOutputs:
         write_svg_curves(path, {"a": np.array([-1.0, 0.0, 1.0])}, log_y=False)
         assert "<polyline" in path.read_text()
 
+    def test_svg_leaves_out_non_finite_values(self, tmp_path):
+        # a diverging run's mean f reaches inf, then nan
+        for log_y in (True, False):
+            path = tmp_path / "diverging.svg"
+            curve = {"a": np.array([1.0, 10.0, np.inf, np.nan])}
+            write_svg_curves(path, curve, title="diverging", log_y=log_y)
+            doc = xml.dom.minidom.parse(str(path))
+            (line,) = doc.getElementsByTagName("polyline")
+            assert len(line.getAttribute("points").split()) == 2
+            ticks = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+            assert ("1e0" in ticks and "1e1" in ticks) if log_y else ("1" in ticks and "10" in ticks)
+            assert "nan" not in path.read_text() and "inf" not in path.read_text()
+
     def test_svg_log_scale_needs_positive_values(self, tmp_path):
         with pytest.raises(ValueError):
             write_svg_curves(tmp_path / "bad.svg", {"a": np.array([0.0, -1.0])})

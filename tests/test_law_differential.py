@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from lpgd import rng, rounding
 from lpgd.gdengine import SIGMA2_TAG, GDConfig, _LowFloat
-from lpgd.lpfloat import FloatFormat, pair_float, pair_fraction, parse_float_format
+from lpgd.lpfloat import FloatFormat, pair_fraction, parse_float_format
 from lpgd.objectives import FloatBackend, enumerate_recipe, make_objective
 from lpgd.oracle import round_distribution
 from lpgd.qnum import FixedVal, QFormat, from_exact, to_fraction
@@ -691,8 +691,7 @@ def test_lowfloat_step_matches_the_fraction_original(fmt, name, t, sigma1, sigma
     streams = [[_LoggedStream(seed + r) for r in range(lanes)] for _ in range(2)]
 
     def new_step():
-        xf = np.array([[pair_float(*v) for v in row] for row in rows])
-        new_x, rec = _LowFloat(cfg).step(rows, xf, streams[0], k)
+        new_x, rec = _LowFloat(cfg).step(rows, streams[0], k)
         columns = np.stack([rec["g_tilde"], rec["d"], rec["sigma2"]])
         values = [[pair_fraction(*v) for v in row] for row in new_x]
         return values, columns.tobytes(), tuple(rec["case"]), np.array(rec["c2_mask"]).tolist()

@@ -14,6 +14,7 @@ from lpgd.lpfloat import (
     neighbors,
     pair_fraction,
     parse_float_format,
+    to_pair,
 )
 from lpgd.qnum import to_ratio
 from lpgd.rng import RandomStream
@@ -62,6 +63,13 @@ class TestFormat:
     def test_str_round_trips(self):
         assert str(FP8) == "fp8e5"
         assert parse_float_format(str(FP8)) == FP8
+
+
+class TestGridPairs:
+    def test_dyadic_values_only(self):
+        assert to_pair(Fraction(3, 8)) == (3, -3)
+        with pytest.raises(ValueError, match="1/3 is not dyadic, so no pair"):
+            to_pair(Fraction(1, 3))
 
 
 class TestNeighbors:

@@ -1,5 +1,6 @@
 """Tests for the objective zoo and its low-precision gradient recipes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,20 @@ class TestRecipeBackends:
     def test_fixed_backend_integer_coef_never_rounds(self):
         be = FixedBackend(QFormat(8, 8), SR, None, 0)  # no stream on purpose
         assert be.coef(4, 33) == 132
+
+    def test_fixed_backend_stochastic_op_needs_streams(self):
+        be = FixedBackend(QFormat(8, 8), SR)
+        with pytest.raises(ValueError, match="stochastic scheme needs a RandomStream"):
+            be.mul(3, 5)
+
+    def test_no_recipe_raises(self):
+        obj = replace(make_objective("rosenbrock"), recipe=None)
+        fmt = QFormat(8, 8)
+        with pytest.raises(NotImplementedError, match="rosenbrock has no low-precision recipe"):
+            obj.grad_rounded_fixed(vec_from_exact([1, 2], fmt), RN, None, 0)
+        with pytest.raises(NotImplementedError, match="rosenbrock has no scalar recipe"):
+            obj.grad_rounded_float([(1, 0), (2, 0)], lpfloat.parse_float_format("fp16e5"),
+                                   RN, None, 0)
 
     def test_fixed_backend_fractional_coef_rounds_once(self):
         be = FixedBackend(QFormat(8, 8), RN)

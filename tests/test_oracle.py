@@ -1,13 +1,17 @@
 """Tests for the exact-distribution oracles and their MC cross-checks."""
 
+import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpgd.lpfloat import FloatFormat
-from lpgd.objectives import make_objective
+from lpgd.objectives import enumerate_recipe, make_objective
 from lpgd.oracle import (
     McEstimate,
     bias_scaling_curve,
@@ -22,7 +26,6 @@ from lpgd.oracle import (
     exact_rounded_grad_mean,
     fit_log_slope,
     float_update_mean,
-    input_corner_distribution,
     mc_round_mean,
     mc_rounded_grad_mean,
     round_distribution,
@@ -168,12 +171,11 @@ class TestPipelineBias:
         ref = obj.grad(np.array([2.5, 1.5]))
         assert [float(v) for v in g] == ref.tolist()
 
-    def test_corner_probabilities_sum_to_one(self):
-        corners = input_corner_distribution(
-            [Fraction(3, 10), Fraction(7, 10)], Q88, SR
-        )
-        assert len(corners) == 4
-        assert sum(p for _, p in corners) == 1
+    def test_no_recipe_raises(self):
+        obj = replace(make_objective("rosenbrock"), recipe=None)
+        for fn in (exact_grad, lambda o, x: exact_rounded_grad_mean(o, x, Q88, SR)):
+            with pytest.raises(ValueError, match="objective rosenbrock has no recipe"):
+                fn(obj, [Fraction(3, 10), Fraction(7, 10)])
 
     def test_linear_recipe_has_zero_bias(self):
         # sub and integer coef are exact, the input quantization is SR:
@@ -210,6 +212,74 @@ class TestPipelineBias:
             mean, se = mc_rounded_grad_mean(obj, x, fmt, scheme, n=3_000, seed=2)
             z = (mean - np.array([float(v) for v in expected])) / se
             assert (np.abs(z) <= 4).all(), (name, z)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline mean against its corner-by-corner form
+# ---------------------------------------------------------------------------
+
+
+def _corner_by_corner_grad_mean(obj, x, fmt, scheme):
+    """E[g~] as the product law of the input roundings, then one recipe
+    tree per input corner, weighted by the corner's probability."""
+    per_coord = []
+    for xi in x:
+        d = round_distribution(xi, fmt, scheme)
+        per_coord.append([(int(v * fmt.scale), p) for v, p in d.items()])
+    total = None
+    for combo in itertools.product(*per_coord):
+        ms = [m for m, _ in combo]
+        pc = math.prod(p for _, p in combo)
+        mean_c = None
+        for outputs, pl in enumerate_recipe(lambda be: obj.recipe(be, list(ms)), fmt, scheme):
+            scaled = [v * pl for v in outputs]
+            mean_c = scaled if mean_c is None else [a + b for a, b in zip(mean_c, scaled)]
+        contrib = [v * pc for v in mean_c]
+        total = contrib if total is None else [a + b for a, b in zip(total, contrib)]
+    return tuple(total)
+
+
+_PIPELINE_OBJECTIVES = {
+    "quadratic": make_objective("quadratic", a_diag=["1/3", "5/4"], x_star=["1/2", "-1"]),
+    "rosenbrock": make_objective("rosenbrock"),
+    "himmelblau": make_objective("himmelblau"),
+}
+
+
+@st.composite
+def _pipeline_case(draw):
+    """An objective, a Q format with 2-6 fraction bits and a point inside its
+    range, mostly |x| <= 1, with coordinates on and off the grid.  A
+    coordinate anywhere in the range mostly overflows inside the recipe."""
+    fmt = QFormat(draw(st.integers(5, 10)), draw(st.integers(2, 6)))
+    name = draw(st.sampled_from(sorted(_PIPELINE_OBJECTIVES)))
+    x = []
+    for _ in range(2):
+        den = draw(st.sampled_from([1, 3, 10, fmt.scale, 4 * fmt.scale]))
+        lo, hi = int(fmt.min_value * den), int(fmt.max_value * den)
+        wide = draw(st.integers(0, 4)) == 0
+        x.append(Fraction(draw(st.integers(lo, hi) if wide else st.integers(-den, den)), den))
+    return name, x, fmt
+
+
+@given(
+    case=_pipeline_case(),
+    spec=st.sampled_from(["rn", "sr", "sr_eps:0.4", "sr_eps:1/3", "signed_sr_eps:0.25"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_pipeline_mean_matches_corner_by_corner(case, spec):
+    name, x, fmt = case
+    obj, scheme = _PIPELINE_OBJECTIVES[name], parse_scheme(spec)
+
+    def outcome(fn):
+        try:
+            return fn(obj, x, fmt, scheme)
+        except (OverflowError, ValueError, AssertionError) as exc:
+            return type(exc)
+
+    got = outcome(exact_rounded_grad_mean)
+    assert got == outcome(_corner_by_corner_grad_mean), (name, x, fmt, spec)
+    assert isinstance(got, type) or all(type(v) is Fraction for v in got)
 
 
 class TestFloatDrift:

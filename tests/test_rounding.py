@@ -268,6 +268,14 @@ class TestVectorPaths:
         out = round_doubles_vec(vals, Q88, sr, RandomStream(0).generator(0, 0))
         assert out.tolist() == [128, -64, 768]
 
+    def test_nonpositive_denominator_rejected(self):
+        with pytest.raises(ValueError, match="denominator must be positive, got 0"):
+            round_ratio_vec(np.array([1], dtype=np.int64), 0, Q88, parse_scheme("rn"))
+
+    def test_stochastic_doubles_need_a_word_source(self):
+        with pytest.raises(ValueError, match="sr needs a word source"):
+            round_doubles_vec(np.array([0.3]), Q88, parse_scheme("sr"))
+
     def test_float_numerators_rejected(self):
         with pytest.raises(TypeError):
             round_ratio_vec(np.array([1.5]), 2, Q88, parse_scheme("rn"))
