@@ -92,10 +92,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_pl_estimate(args) -> int:
     kwargs = {}
     if args.a_diag:
-        kwargs["a_diag"] = [s for s in args.a_diag.split(",")]
+        kwargs["a_diag"] = args.a_diag.split(",")
     if args.x_star:
-        kwargs["x_star"] = [s for s in args.x_star.split(",")]
-    obj = make_objective(args.objective, **kwargs)
+        kwargs["x_star"] = args.x_star.split(",")
+    if kwargs and args.objective != "quadratic":
+        raise SystemExit("--a-diag and --x-star apply only to the quadratic objective")
     box = []
     for pair in args.box.split(";"):
         lo, _, hi = pair.partition(",")
@@ -103,7 +104,11 @@ def _cmd_pl_estimate(args) -> int:
             box.append((float(lo), float(hi)))
         except ValueError:
             raise SystemExit(f"bad --box segment {pair!r}, want lo,hi pairs joined by ';'")
-    est = estimate_pl_constants(obj, box, resolution=args.resolution)
+    try:
+        obj = make_objective(args.objective, **kwargs)
+        est = estimate_pl_constants(obj, box, resolution=args.resolution)
+    except ValueError as exc:  # a bad objective, box or resolution
+        raise SystemExit(str(exc))
     print(f"objective    {obj.name} (n={obj.n})")
     print(f"sampled      {est.n_points} points")
     print(f"mu_hat       {est.mu_hat:.6g}")

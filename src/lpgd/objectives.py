@@ -359,7 +359,9 @@ class Objective:
     `f` and `grad` are binary64 and take one point (n,) or rows (N, n): f
     gives a float or an (N,) array, grad an (n,) or (N, n) array, and each
     row's value is bitwise the value of that row alone, so a run may
-    evaluate all its iterates in one call.
+    evaluate all its iterates in one call.  Not so in nan payload bits from
+    9 rows up when a row's input nans carry different payloads (numpy's
+    SIMD loops); arithmetic makes only the default nan, as in every record.
     """
 
     name: str

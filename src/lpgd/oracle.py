@@ -6,11 +6,14 @@ two roundings, conditional second moments of the update, the quantization
 bias of a gradient recipe, and the mean drift of a float update in the
 near-stagnation regime.  One `round_distribution` serves fixed-point and
 float grids alike, read off `rounding.law`.  Each exact result here comes
-with an MC counterpart so a disagreement points at whichever side broke.
+with an MC counterpart so a disagreement points at whichever side broke,
+and the counterpart samples the code the exact side reads, at the same
+(k, tag) addresses: the gradient pipeline is one recipe, enumerated on
+`EnumBackend` and run on `FixedBackend`.
 
-Convention for agreement checks: a sample mean is consistent when it sits
-within `se_mult` standard errors (default 4) of the exact value, with the
-standard error computed from the exact distribution where available.
+Convention for agreement checks (`_estimate`): a sample mean is consistent
+when it sits within `se_mult` standard errors (default 4) of the exact mean
+of the law it was sampled from, the standard error taken from that law.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import lpfloat, rounding
-from .objectives import FractionBackend, Objective, enumerate_recipe
+from .objectives import FixedBackend, FractionBackend, Objective, enumerate_recipe
 from .qnum import ExactReal, QFormat, to_fraction, to_ratio
 from .rng import RandomStream
 
@@ -104,6 +107,33 @@ def dist_variance(d: Dist) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _rounded_samples(
+    x: ExactReal, fmt: QFormat, scheme: rounding.RoundScheme, n: int, seed: int, v_sign: int = 0
+) -> np.ndarray:
+    """n independent roundings of x onto fmt, in binary64: one
+    `round_ratio_vec` call on the words of (seed, 0, 0)."""
+    num, den = to_ratio(x)
+    gen = RandomStream(seed).generator(0, 0)
+    # int64 when the numerator fits: one int64 kernel call
+    m = rounding.round_ratio_vec(np.full(n, num), den, fmt, scheme, gen, v_sign)
+    return m / fmt.scale
+
+
+def _estimate(dist: Dist, samples, se_mult: float) -> McEstimate:
+    """The mean of samples against the exact mean of dist, the law each
+    sample follows, with the standard error of dist's exact variance."""
+    n = len(samples)
+    if n < 1:
+        raise ValueError(f"n = {n}: a sample mean needs at least one sample")
+    return McEstimate(
+        mean=float(np.mean(samples)),
+        se=math.sqrt(float(dist_variance(dist)) / n),
+        n=n,
+        expected=float(dist_mean(dist)),
+        se_mult=se_mult,
+    )
+
+
 def mc_round_mean(
     x: ExactReal,
     fmt: QFormat,
@@ -113,11 +143,7 @@ def mc_round_mean(
     v_sign: int = 0,
 ) -> float:
     """Sample mean of n independent roundings of x."""
-    v = to_fraction(x)
-    gen = RandomStream(seed).generator(0, 0)
-    nums = np.full(n, v.numerator)  # int64 when it fits: one int64 kernel call
-    m = rounding.round_ratio_vec(nums, v.denominator, fmt, scheme, gen, v_sign)
-    return float(m.mean()) / fmt.scale
+    return float(_rounded_samples(x, fmt, scheme, n, seed, v_sign).mean())
 
 
 def check_expectation(
@@ -131,16 +157,7 @@ def check_expectation(
 ) -> McEstimate:
     """Sample mean of round(x) against the exact expectation."""
     dist = round_distribution(x, fmt, scheme, v_sign)
-    expected = dist_mean(dist)
-    var = dist_variance(dist)
-    mean = mc_round_mean(x, fmt, scheme, n, seed, v_sign)
-    return McEstimate(
-        mean=mean,
-        se=math.sqrt(float(var) / n),
-        n=n,
-        expected=float(expected),
-        se_mult=se_mult,
-    )
+    return _estimate(dist, _rounded_samples(x, fmt, scheme, n, seed, v_sign), se_mult)
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +182,13 @@ def second_moment_small_step(
     exact = dist_moment(dist, 2)
     if val == 0:
         return exact, Fraction(0)
-    if scheme.kind in ("rn",):
+    if scheme.kind == "rn":
         raise ValueError("the small-step second-moment formula is stochastic-only")
-    if scheme.kind == "sr" or scheme.eps is None:
-        formula = u * abs(val)
-    else:
-        p_down = rounding.prob_round_down(val, fmt, scheme, v_sign)
-        if 0 < p_down < 1:
-            c = scheme.eps
-        else:
-            c = (u - abs(val)) / u
-        formula = u * abs(val) + u * u * c
-    return exact, formula
+    if scheme.eps is None:
+        return exact, u * abs(val)
+    # a clamped probability leaves one outcome
+    c = scheme.eps if len(dist) == 2 else (u - abs(val)) / u
+    return exact, u * abs(val) + u * u * c
 
 
 def check_small_step_second_moment(
@@ -190,23 +202,10 @@ def check_small_step_second_moment(
 ) -> Tuple[Fraction, Fraction, McEstimate]:
     """Exact vs formula vs MC for E[d^2] in the small-step regime."""
     exact, formula = second_moment_small_step(v, fmt, scheme, v_sign)
-    val = to_fraction(v)
-    gen = RandomStream(seed).generator(0, 0)
-    nums = np.full(n, val.numerator)
-    m = rounding.round_ratio_vec(nums, val.denominator, fmt, scheme, gen, v_sign)
-    d2 = (m.astype(np.float64) / fmt.scale) ** 2
-    dist = round_distribution(val, fmt, scheme, v_sign)
-    sq = {v_ * v_: Fraction(0) for v_ in dist}
-    for v_, p in dist.items():
-        sq[v_ * v_] += p
-    var = dist_variance(sq)
-    mc = McEstimate(
-        mean=float(d2.mean()),
-        se=math.sqrt(float(var) / n),
-        n=n,
-        expected=float(exact),
-        se_mult=se_mult,
-    )
+    dist = round_distribution(v, fmt, scheme, v_sign)
+    # |v| < u: the two neighbours are 0 and +-u, so their squares are distinct
+    squares = {w * w: p for w, p in dist.items()}
+    mc = _estimate(squares, _rounded_samples(v, fmt, scheme, n, seed, v_sign) ** 2, se_mult)
     return exact, formula, mc
 
 
@@ -224,6 +223,16 @@ def exact_grad(obj: Objective, x: Sequence[ExactReal]) -> Tuple[Fraction, ...]:
     return tuple(to_fraction(v) for v in out)
 
 
+def _quantized_recipe(obj: Objective, x: Sequence[ExactReal]):
+    """The quantize-then-evaluate pipeline as one recipe: each coordinate
+    x_i = n/d rounds onto the backend's format with the backend's own
+    rounding step, then the objective's recipe runs on the rounded point."""
+    if obj.recipe is None:
+        raise ValueError(f"objective {obj.name} has no recipe")
+    ratios = [to_ratio(v) for v in x]
+    return lambda be: obj.recipe(be, [be._round_ratio(n, d) for n, d in ratios])
+
+
 def exact_rounded_grad_mean(
     obj: Objective,
     x: Sequence[ExactReal],
@@ -231,19 +240,8 @@ def exact_rounded_grad_mean(
     scheme: rounding.RoundScheme,
 ) -> Tuple[Fraction, ...]:
     """Exact E[g~] of the full pipeline: quantize x, then the rounded recipe.
-
-    Both stages use the same scheme and run as one rounding tree: each
-    coordinate rounds onto fmt with the backend's own rounding step, then
-    the recipe runs on the rounded point.
-    """
-    if obj.recipe is None:
-        raise ValueError(f"objective {obj.name} has no recipe")
-    ratios = [to_ratio(v) for v in x]
-
-    def pipeline(be):
-        return obj.recipe(be, [be._round_ratio(n, d) for n, d in ratios])
-
-    outs, probs = zip(*enumerate_recipe(pipeline, fmt, scheme))
+    Both stages use the same scheme and run as one rounding tree."""
+    outs, probs = zip(*enumerate_recipe(_quantized_recipe(obj, x), fmt, scheme))
     return tuple(sum(v * p for v, p in zip(col, probs)) for col in zip(*outs))
 
 
@@ -276,9 +274,6 @@ def fit_log_slope(curve: Sequence[Tuple[Fraction, Tuple[Fraction, ...]]]) -> flo
     return float(slope)
 
 
-_QUANT_TAG_BASE = 500_000  # input quantization draws, clear of recipe tags
-
-
 def mc_rounded_grad_mean(
     obj: Objective,
     x: Sequence[ExactReal],
@@ -287,24 +282,19 @@ def mc_rounded_grad_mean(
     n: int = 10_000,
     seed: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(mean, se) per coordinate of the quantize-then-evaluate pipeline."""
-    from .qnum import FixedVec
+    """(mean, se) per coordinate of the quantize-then-evaluate pipeline.
 
+    Sample rep runs `exact_rounded_grad_mean`'s recipe on a FixedBackend at
+    iteration rep of RandomStream(seed), so it draws at the very (rep, tag)
+    addresses whose branches the enumeration sums over.
+    """
+    if n < 2:
+        raise ValueError(f"n = {n}: a standard error needs at least two samples")
+    pipeline = _quantized_recipe(obj, x)
     stream = RandomStream(seed)
-    xs = [to_fraction(v) for v in x]
-    dim = len(xs)
-    acc = np.zeros((n, dim))
-    for rep in range(n):
-        ms = []
-        for i, v in enumerate(xs):
-            fx = rounding.round(v, fmt, scheme, stream, rep, _QUANT_TAG_BASE + i)
-            ms.append(fx.m)
-        xq = FixedVec(np.array(ms, dtype=np.int64), fmt)
-        g = obj.grad_rounded_fixed(xq, scheme, stream, rep)
-        acc[rep] = g.to_floats()
-    mean = acc.mean(axis=0)
-    se = acc.std(axis=0, ddof=1) / math.sqrt(n)
-    return mean, se
+    outs = [pipeline(FixedBackend(fmt, scheme, stream, rep, obj._consts)) for rep in range(n)]
+    acc = np.array(outs, dtype=np.float64) / fmt.scale
+    return acc.mean(axis=0), acc.std(axis=0, ddof=1) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -359,42 +349,28 @@ def check_float_drift(
     stays interior.
     """
     xv, gv, tv = to_fraction(x), to_fraction(g), to_fraction(t)
-    step = tv * gv
-    v_sign = 0
-    if scheme.uses_given_sign:
-        v_sign = -((gv > 0) - (gv < 0))
-    exact = float_update_mean(xv, step, fmt, scheme, v_sign)
-
-    lo, hi = lpfloat.neighbors(xv - step, fmt)
-    gap = hi - lo
+    step, sgn = tv * gv, (gv > 0) - (gv < 0)
+    v_sign = -sgn if scheme.uses_given_sign else 0
+    dist = round_distribution(xv - step, fmt, scheme, v_sign)
     if scheme.kind == "sr":
         formula = step
     elif scheme.kind == "signed_sr_eps":
-        sgn = (gv > 0) - (gv < 0)
-        formula = step + sgn * scheme.eps * gap
-        p = rounding.prob_round_down(xv - step, fmt, scheme, v_sign)
-        if not 0 < p < 1:
+        if len(dist) < 2:
             raise ValueError(
                 "perturbed probability clamped; the interior drift formula "
                 "does not apply at this (x, g, t, eps)"
             )
+        formula = step + sgn * scheme.eps * (max(dist) - min(dist))
     else:
         raise ValueError(f"no drift formula for scheme {scheme}")
 
-    dist = round_distribution(xv - step, fmt, scheme, v_sign)
-    var = dist_variance(dist)
     stream = RandomStream(seed)
-    total = 0.0
-    for rep in range(n):
-        r = lpfloat.fl_round(xv - step, fmt, scheme, stream, rep, 0, v_sign)
-        total += float(xv - r)
-    mc = McEstimate(
-        mean=total / n,
-        se=math.sqrt(float(var) / n),
-        n=n,
-        expected=float(exact),
-        se_mult=se_mult,
-    )
+    steps = [
+        float(xv - lpfloat.fl_round(xv - step, fmt, scheme, stream, rep, 0, v_sign))
+        for rep in range(n)
+    ]
+    step_law = {xv - r: p for r, p in dist.items()}
     return StagnationCheck(
-        scheme=scheme, step=step, exact_mean=exact, formula=formula, mc=mc
+        scheme=scheme, step=step, exact_mean=dist_mean(step_law), formula=formula,
+        mc=_estimate(step_law, steps, se_mult),
     )

@@ -17,11 +17,11 @@ package -- the vector kernels, the binary64 fallback, the exhaustive
 weight) and the bound estimators -- calls it.  The scalar laws go through
 one function, `law`, which serves both number formats: a QFormat and an
 `lpfloat.FloatFormat` each `split` an integer ratio x = n/d, in any terms,
-into (q, r, den, g) with x = (q + r/den) * 2**g, and `prob_round_down`, `expected_round`, `round`,
-`lpfloat.fl_round` and `oracle.round_distribution` all read it.  A value
-already on the grid (r = 0) rounds to itself under every scheme, including
-the eps-perturbed ones; the vector kernels mask those elements after
-drawing, so the draw layout never depends on the data.
+into (q, r, den, g) with x = (q + r/den) * 2**g, and `prob_round_down`,
+`expected_round`, `lpfloat.fl_round` and `oracle.round_distribution` all
+read it.  A value already on the grid (r = 0) rounds to itself under every
+scheme, including the eps-perturbed ones; the vector kernels mask those
+elements after drawing, so the draw layout never depends on the data.
 
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
@@ -58,7 +58,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .qnum import ExactReal, FixedVal, QFormat, to_fraction, to_ratio
+from .qnum import ExactReal, QFormat, to_ratio
 
 SCHEME_KINDS = ("rn", "sr", "sr_eps", "signed_sr_eps")
 
@@ -171,32 +171,6 @@ def expected_round(x: ExactReal, fmt, scheme: RoundScheme, v_sign: int = 0) -> F
     """Exact E[round(x)] = (q + P(round up)) * 2**g over the two neighbours."""
     q, g, t, cap = law(x, fmt, scheme, v_sign)
     return (q + Fraction(t, cap)) * Fraction(2) ** g
-
-
-def round(
-    x: ExactReal,
-    fmt: QFormat,
-    scheme: RoundScheme,
-    stream: Optional[rng.RandomStream] = None,
-    k: int = 0,
-    tag: int = 0,
-    v_sign: int = 0,
-) -> FixedVal:
-    """Round one exact value into fmt under scheme.
-
-    Random schemes need a RandomStream plus the (iteration, op tag) address;
-    rn, clamped eps schemes and already-representable values draw nothing.
-    A random rounding delegates to the ratio kernel's Python-int path, so a
-    value rounds identically whether it arrives alone or inside an array.
-    """
-    v = to_fraction(x)
-    q, _, t, cap = law(v, fmt, scheme, v_sign)
-    if not 0 < t < cap:
-        return FixedVal(q + (t > 0), fmt)
-    if stream is None:
-        raise ValueError(f"{scheme} needs a RandomStream to round {float(v)}")
-    gen = stream.generator(k, tag)
-    return FixedVal(round_ratio_vec(v.numerator, v.denominator, fmt, scheme, gen, v_sign), fmt)
 
 
 # ---------------------------------------------------------------------------

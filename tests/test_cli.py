@@ -1,7 +1,11 @@
 """Tests for the command-line front end."""
 
+import os
 import re
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,28 @@ class TestPlEstimate:
     def test_malformed_box_rejected(self):
         with pytest.raises(SystemExit, match="bad --box segment '0,a', want lo,hi pairs"):
             main(["pl-estimate", "rosenbrock", "--box", "0,a;0,2"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rosenbrock", "--box", "0,2"], "box needs 2 (lo, hi) pairs"),
+            (["rosenbrock", "--box", "0,2;0,2", "--resolution", "1"],
+             "resolution must be at least 2"),
+            (["rosenbrock", "--box", "0,2;0,2", "--a-diag", "1,2"],
+             "--a-diag and --x-star apply only to the quadratic objective"),
+            (["himmelblau", "--box", "0,2;0,2", "--x-star", "1,2"],
+             "--a-diag and --x-star apply only to the quadratic objective"),
+        ],
+        ids=["box-pairs", "resolution", "a-diag", "x-star"],
+    )
+    def test_bad_input_exits_with_one_line(self, argv, message):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpgd.cli", "pl-estimate", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == message + "\n"
 
     def test_rosenbrock_needs_no_params(self, capsys):
         code = main(["pl-estimate", "rosenbrock", "--box", "0,2;0,2", "--resolution", "21"])

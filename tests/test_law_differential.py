@@ -2,7 +2,7 @@
 against frozen copies of their per-format implementations.
 
 The copies below are the fixed-point `prob_round_down`, `expected_round`,
-`round`, `fixed_round_distribution` and `EnumBackend`, and the float grid's
+`fixed_round_distribution` and `EnumBackend`, and the float grid's
 split, `prob_round_down_fl`, `expected_round_fl` and
 `float_round_distribution`, as they were written once per format.  Inside
 each format's range the current functions must agree with them exactly
@@ -31,13 +31,12 @@ from lpgd.gdengine import SIGMA2_TAG, GDConfig, _LowFloat
 from lpgd.lpfloat import FloatFormat, pair_fraction, parse_float_format
 from lpgd.objectives import FloatBackend, enumerate_recipe, make_objective
 from lpgd.oracle import round_distribution
-from lpgd.qnum import FixedVal, QFormat, from_exact, to_fraction
+from lpgd.qnum import QFormat, from_exact, to_fraction
 from lpgd.rng import RandomStream
 from lpgd.rounding import (
     expected_round,
     parse_scheme,
     prob_round_down,
-    round_ratio_vec,
     up_weight,
 )
 
@@ -67,20 +66,6 @@ def _old_expected_round(x, fmt, scheme, v_sign=0):
     q = pos.numerator // pos.denominator
     p_down = _old_prob_round_down(x, fmt, scheme, v_sign)
     return Fraction(q + 1 - p_down, fmt.scale)
-
-
-def _old_round(x, fmt, scheme, stream=None, k=0, tag=0, v_sign=0):
-    v = to_fraction(x)
-    if not fmt.min_value <= v <= fmt.max_value:
-        raise OverflowError(f"{float(v)} is outside the range of {fmt}")
-    p_down = _old_prob_round_down(v, fmt, scheme, v_sign)
-    if p_down in (0, 1):
-        pos = v * fmt.scale
-        return FixedVal(fmt.check_mantissa(pos.numerator // pos.denominator + (p_down == 0)), fmt)
-    if stream is None:
-        raise ValueError(f"{scheme} needs a RandomStream to round {float(v)}")
-    gen = stream.generator(k, tag)
-    return FixedVal(round_ratio_vec(v.numerator, v.denominator, fmt, scheme, gen, v_sign), fmt)
 
 
 def _old_fixed_round_distribution(x, fmt, scheme, v_sign=0):
@@ -342,23 +327,6 @@ def test_laws_match_the_per_format_originals(case, spec, v_sign):
         if isinstance(want, dict):
             assert list(got.items()) == list(want.items())
             assert all(type(key) is Fraction for key in got)
-
-
-@given(
-    case=_in_range_value(),
-    spec=st.sampled_from(SCHEMES),
-    v_sign=st.sampled_from([-1, 0, 1]),
-    seed=st.integers(0, 2**32 - 1) | st.none(),
-)
-@settings(max_examples=300, deadline=None)
-def test_fixed_round_matches_the_original(case, spec, v_sign, seed):
-    fmt, v = case
-    assume(isinstance(fmt, QFormat))
-    scheme = parse_scheme(spec)
-    streams = [None if seed is None else RandomStream(seed) for _ in range(2)]
-    got = _outcome(rounding.round, v, fmt, scheme, streams[0], 3, 5, v_sign)
-    want = _outcome(_old_round, v, fmt, scheme, streams[1], 3, 5, v_sign)
-    assert got == want
 
 
 # ---------------------------------------------------------------------------

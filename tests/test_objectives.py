@@ -64,11 +64,17 @@ _ROW_OBJ = {name: make() for name, make in ROW_OBJECTIVES.items()}
 
 @st.composite
 def _rows(draw, n: int):
-    # arbitrary doubles (inf and nan included), or values on a Q8.8 grid
+    """0-24 rows, past numpy's 8-element switch to its SIMD loops, of
+    arbitrary doubles (inf and nan included) or values on a Q8.8 grid.
+    Every nan of one example carries one payload, drawn with it: rows keep
+    no promise on payload bits between nans that differ (see `Objective`)."""
     grid = st.integers(-(2**15), 2**15 - 1).map(lambda m: m / 256)
     value = st.one_of(st.floats(width=64), grid)
-    count = draw(st.integers(0, 6))
-    return np.array([[draw(value) for _ in range(n)] for _ in range(count)]).reshape(count, n)
+    count = draw(st.integers(0, 24))
+    x = np.array([[draw(value) for _ in range(n)] for _ in range(count)]).reshape(count, n)
+    bits = 0x7FF8 << 48 | draw(st.integers(0, 2**51 - 1)) | draw(st.booleans()) << 63
+    x[np.isnan(x)] = np.array([bits], dtype=np.uint64).view(np.float64)[0]
+    return x
 
 
 class TestRowsEqualPoints:

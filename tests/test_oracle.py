@@ -126,6 +126,24 @@ class TestMcAgainstExact:
         assert got == pytest.approx(77 / 256)
 
 
+class TestSampleCount:
+    """Too few samples raise a ValueError that names n, before any empty
+    mean warns or a sum divides by zero."""
+
+    def test_expectation_needs_a_sample(self):
+        with pytest.raises(ValueError, match="n = 0"):
+            check_expectation(Fraction(3, 10), Q88, SR, n=0)
+
+    def test_float_drift_needs_a_sample(self):
+        with pytest.raises(ValueError, match="n = 0"):
+            check_float_drift(1, Fraction(1, 2), Fraction(1, 64), FP8, SR, n=0)
+
+    def test_pipeline_standard_error_needs_two_samples(self):
+        obj = make_objective("himmelblau")
+        with pytest.raises(ValueError, match="n = 1"):
+            mc_rounded_grad_mean(obj, [Fraction(3, 10), Fraction(7, 10)], QFormat(7, 3), SR, n=1)
+
+
 class TestSmallStepSecondMoment:
     def test_sr_formula_matches_exactly(self):
         u = Q88.u
@@ -173,7 +191,11 @@ class TestPipelineBias:
 
     def test_no_recipe_raises(self):
         obj = replace(make_objective("rosenbrock"), recipe=None)
-        for fn in (exact_grad, lambda o, x: exact_rounded_grad_mean(o, x, Q88, SR)):
+        for fn in (
+            exact_grad,
+            lambda o, x: exact_rounded_grad_mean(o, x, Q88, SR),
+            lambda o, x: mc_rounded_grad_mean(o, x, Q88, SR, n=2),
+        ):
             with pytest.raises(ValueError, match="objective rosenbrock has no recipe"):
                 fn(obj, [Fraction(3, 10), Fraction(7, 10)])
 
@@ -199,6 +221,16 @@ class TestPipelineBias:
         curve = bias_scaling_curve(obj, x, fmts, SR)
         slope = fit_log_slope(curve)
         assert 1.6 <= slope <= 2.4
+
+    def test_sampled_mean_takes_an_input_that_rounds_back_inside(self):
+        # x_0 lies past Q2.4's top, 1/4 of a grid step, so rn rounds it down
+        # onto max_value: both means round it as the engine's kernels do
+        obj = make_objective("quadratic", a_diag=[1, 1])
+        fmt = QFormat(2, 4)
+        x = [fmt.max_value + Fraction(1, 64), Fraction(1, 3)]
+        assert exact_rounded_grad_mean(obj, x, fmt, RN) == (Fraction(31, 16), Fraction(5, 16))
+        mean, se = mc_rounded_grad_mean(obj, x, fmt, RN, n=20)
+        assert mean.tolist() == [31 / 16, 5 / 16] and se.tolist() == [0.0, 0.0]
 
     def test_mc_pipeline_agrees_with_enumeration(self):
         x = [Fraction(3, 10), Fraction(7, 10)]
@@ -280,6 +312,25 @@ def test_pipeline_mean_matches_corner_by_corner(case, spec):
     got = outcome(exact_rounded_grad_mean)
     assert got == outcome(_corner_by_corner_grad_mean), (name, x, fmt, spec)
     assert isinstance(got, type) or all(type(v) is Fraction for v in got)
+
+
+@given(
+    case=_pipeline_case(),
+    spec=st.sampled_from(["rn", "sr", "sr_eps:0.4", "sr_eps:1/3", "signed_sr_eps:0.25"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_sampled_mean_accepts_what_the_exact_mean_accepts(case, spec):
+    # every sample takes one branch of the enumerated tree, so a tree with
+    # no overflowing leaf has no overflowing sample; rn has one leaf
+    name, x, fmt = case
+    obj, scheme = _PIPELINE_OBJECTIVES[name], parse_scheme(spec)
+    try:
+        exact = exact_rounded_grad_mean(obj, x, fmt, scheme)
+    except OverflowError:
+        return
+    mean, se = mc_rounded_grad_mean(obj, x, fmt, scheme, n=20)
+    if scheme.kind == "rn":
+        assert mean.tolist() == [float(v) for v in exact] and se.tolist() == [0.0, 0.0]
 
 
 class TestFloatDrift:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lpgd import rng
 from lpgd.lpfloat import FloatFormat, fl_round
 from lpgd.oracle import round_distribution
-from lpgd.qnum import QFormat, make_format
+from lpgd.qnum import QFormat
 from lpgd.rng import RandomStream
 from lpgd.rounding import (
     RoundScheme,
@@ -19,7 +19,6 @@ from lpgd.rounding import (
     law,
     parse_scheme,
     prob_round_down,
-    round as round_one,
     round_doubles_vec,
     round_ratio_vec,
     up_weight,
@@ -178,8 +177,8 @@ _TOP_GAP = FP8.max_finite / 7  # fp8e5's top binade steps by max_finite / 7
 
 
 class TestOutOfRange:
-    """Every exact law and both one-value roundings raise just past either
-    end of a format's range, whatever the scheme."""
+    """Every exact law, and the float grid's one-value rounding, raise just
+    past either end of a format's range, whatever the scheme."""
 
     @pytest.mark.parametrize(
         "fmt, x",
@@ -194,12 +193,12 @@ class TestOutOfRange:
     @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
     def test_raises(self, fmt, x, spec):
         scheme = parse_scheme(spec)
-        one_round = round_one if isinstance(fmt, QFormat) else fl_round
         for fn in (law, prob_round_down, expected_round, round_distribution):
             with pytest.raises(OverflowError):
                 fn(x, fmt, scheme, 0)
-        with pytest.raises(OverflowError):
-            one_round(x, fmt, scheme, RandomStream(0), 0, 0)
+        if isinstance(fmt, FloatFormat):
+            with pytest.raises(OverflowError):
+                fl_round(x, fmt, scheme, RandomStream(0), 0, 0)
 
     @pytest.mark.parametrize("fmt", [Q88, FP8], ids=["q", "fp"])
     def test_range_ends_are_inside(self, fmt):
@@ -207,31 +206,6 @@ class TestOutOfRange:
         bottom = Q88.min_value if fmt is Q88 else -FP8.max_finite
         for x in (top, bottom):
             assert round_distribution(x, fmt, parse_scheme("sr")) == {x: 1}
-
-
-class TestScalarRound:
-    def test_deterministic_paths_need_no_stream(self):
-        rn = parse_scheme("rn")
-        assert round_one(Fraction(24, 100), Q11, rn).value == 0
-        assert round_one(Fraction(26, 100), Q11, rn).value == Fraction(1, 2)
-
-    def test_stochastic_needs_stream(self):
-        with pytest.raises(ValueError):
-            round_one(Fraction(24, 100), Q11, parse_scheme("sr"))
-
-    def test_out_of_range_raises_before_rounding(self):
-        # beyond the top grid point is out of range even though rounding
-        # down would land inside
-        with pytest.raises(OverflowError):
-            round_one(Fraction(51, 100), Q11, parse_scheme("rn"))
-
-    def test_replay_is_identical(self):
-        sr = parse_scheme("sr")
-        a = [round_one(Fraction(24, 100), Q11, sr, RandomStream(7), k, 0).m for k in range(64)]
-        b = [round_one(Fraction(24, 100), Q11, sr, RandomStream(7), k, 0).m for k in range(64)]
-        assert a == b
-        c = [round_one(Fraction(24, 100), Q11, sr, RandomStream(8), k, 0).m for k in range(64)]
-        assert a != c
 
 
 class TestVectorPaths:
@@ -333,12 +307,12 @@ def _value_and_format(draw):
 def test_round_lands_on_enclosing_grid_points(xf, spec):
     x, fmt = xf
     scheme = parse_scheme(spec)
-    stream = RandomStream(11)
-    fx = round_one(x, fmt, scheme, stream, 0, 0)
-    gap = fx.value - x
+    m = round_ratio_vec(x.numerator, x.denominator, fmt, scheme, RandomStream(11).generator(0, 0))
+    assert type(m) is int
+    gap = Fraction(m, fmt.scale) - x
     assert abs(gap) < fmt.u
     if fmt.holds_exactly(x):
-        assert fx.value == x
+        assert gap == 0
 
 
 @given(xf=_value_and_format())
@@ -347,35 +321,6 @@ def test_expected_round_is_mean_of_two_point_distribution(xf):
     x, fmt = xf
     sr = parse_scheme("sr")
     assert expected_round(x, fmt, sr) == x  # unbiasedness, exactly
-
-
-@given(
-    num=st.integers(min_value=-9999, max_value=9999),
-    den=st.integers(min_value=1, max_value=997),
-    spec=st.sampled_from(["sr", "sr_eps:0.25", "signed_sr_eps:0.5"]),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-@settings(max_examples=150, deadline=None)
-def test_scalar_and_vector_draws_agree(num, den, spec, seed):
-    """One value through the scalar kernel equals the same slot of a vector.
-
-    The scalar path hands the kernel the Fraction's reduced ratio, so the
-    vector call must use the same representation; an unreduced num/den pair
-    has the same value but a different draw modulus.
-    """
-    scheme = parse_scheme(spec)
-    x = Fraction(num, den * 256)
-    v_sign = 1 if num >= 0 else -1
-    fx = round_one(x, Q88, scheme, RandomStream(seed), 0, 0, v_sign=v_sign)
-    vec = round_ratio_vec(
-        np.array([x.numerator], dtype=np.int64),
-        x.denominator,
-        Q88,
-        scheme,
-        RandomStream(seed).generator(0, 0),
-        v_sign=v_sign,
-    )
-    assert fx.m == vec[0]
 
 
 # ---------------------------------------------------------------------------
