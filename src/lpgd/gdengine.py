@@ -59,10 +59,13 @@ x_m, f at every iterate in one `f` call, the binary64 gradient at every
 pre-step iterate in one `eval_grad_reference` call, the other float columns
 with the binary64 expressions of one step, and the case labels of fixed
 point (one integer comparison over all rows of g_tilde_m) and reference
-(all 0).  Each row is bitwise the value of that row alone.  A step
-evaluates f only when stop_below_f is set, and the gradient only at a lane
-whose zero-update streak reaches the stagnation window, each on the same
-float rows with the same calls, so those values equal the recorded rows.
+(all 0).  Each row is bitwise the value of that row alone.  The loop tests
+only the configured stop criteria: f at the live lanes when stop_below_f is
+set, and with stop_on_stagnation the zero-update streak and the gradient at
+the lanes whose streak reaches the window, each on the same float rows with
+the same calls as the record.  `stagnation_iter` is derived from the record
+once per run, so a run with no stop criterion does no work per iteration
+beyond its step and that step's record.
 """
 
 from __future__ import annotations
@@ -112,6 +115,12 @@ class GDConfig:
         self.t = parse_rational(self.t)
         if self.t <= 0:
             raise ValueError(f"step size must be positive, got {self.t}")
+        for name in ("iterations", "stagnation_window"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.stagnation_window < 1:
@@ -182,6 +191,10 @@ class RunResult:
     d_m: Optional[np.ndarray] = None
     final_state: object = None
     stagnated: bool = False
+    # k - window + 1 for the first step k that ends `window` steps with an
+    # all-zero update (d_m on fixed point, d otherwise) while the norm of
+    # g_exact[k] exceeds 10 sqrt(n) u (u: the update grid's spacing, or the
+    # float format's unit roundoff); -1 if none.  Derived from the record.
     stagnation_iter: int = -1
     steps: int = 0
 
@@ -516,6 +529,35 @@ def run_ensemble(cfg: GDConfig, seeds: Sequence[int]) -> List[RunResult]:
     return run(cfg, seeds)
 
 
+def _gradient_above(g_row: np.ndarray, bound: float) -> bool:
+    """The stagnation test of one binary64 gradient row: its norm, one BLAS
+    dot as `np.linalg.norm` takes it, exceeds bound (a nan norm does not)."""
+    return bool(np.linalg.norm(g_row) > bound)
+
+
+def _stagnation_iters(
+    moved: np.ndarray, g_exact: np.ndarray, start: np.ndarray, window: int, bound: float
+) -> np.ndarray:
+    """Each lane's stagnation_iter from its step rows, lane r's rows being
+    start[r]:start[r + 1] in step order: k - window + 1 for the first step k
+    that ends a run of `window` steps with no movement (`moved` False) and
+    whose pre-step gradient row in g_exact is above bound, else -1."""
+    rows = np.arange(len(moved))
+    # a row's streak counts back to the last row that moved, at most to its
+    # lane's first row
+    lane_head = np.repeat(start[:-1], np.diff(start))
+    last_moved = np.maximum(np.maximum.accumulate(np.where(moved, rows, -1)), lane_head - 1)
+    due = np.flatnonzero(rows - last_moved >= window)
+    lane_due = np.searchsorted(due, start)
+    out = np.full(len(start) - 1, -1, dtype=np.int64)
+    for r in range(len(out)):
+        for i in due[lane_due[r] : lane_due[r + 1]]:
+            if _gradient_above(g_exact[i], bound):
+                out[r] = i - start[r] - window + 1
+                break
+    return out
+
+
 def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     """Runs of configs that differ only in seed, one lane each, in lockstep.
 
@@ -526,6 +568,13 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     heading the iterate columns, and `system.finish` derives the others.  An
     exception from any lane ends the batch; `run` finds the seed it belongs
     to.
+
+    Each iteration steps, records, and tests only the configured stop
+    criteria: f at the live lanes for stop_below_f, and for
+    stop_on_stagnation the zero-update streaks and the gradient at the lanes
+    whose streak reaches the window, a hit stopping its lane at once.
+    `stagnation_iter` is derived from the record once per run, for every
+    run, by the same norm test (`_stagnation_iters`).
     """
     if not cfgs:
         return []
@@ -533,7 +582,7 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     obj = cfg.objective
     system = _SYSTEMS[cfg.number_system](cfg)
     window = cfg.stagnation_window
-    check_f = cfg.stop_below_f is not None
+    check_f, check_stag = cfg.stop_below_f is not None, cfg.stop_on_stagnation
     stag_norm = 10.0 * np.sqrt(obj.n) * system.u_stag
     lanes = len(cfgs)
 
@@ -543,32 +592,30 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     x = system.lanes(lanes)
     x0_rows = system.iterates(x)
     streak = np.zeros(lanes, dtype=np.int64)
-    stagnation_iter = np.full(lanes, -1, dtype=np.int64)  # by lane index
     final: list = [None] * lanes  # by lane index, kept when a lane leaves the batch
     steps = []  # (live lanes, step dict) per iteration
 
     below_at_x0 = check_f and obj.f(system.floats(x)[0]) <= cfg.stop_below_f
     for k in range(0 if below_at_x0 else cfg.iterations):
-        x_pre = x
+        x_pre = x if check_stag else None
         x, rec = gd_step(x, system, lane_streams, k)
         rec.update(system.iterates(x))
         steps.append((live, rec))
+        if not (check_f or check_stag):
+            continue
 
-        moved = rec[system.streak_key].any(axis=1)
-        streak = np.where(moved, 0, streak + 1)
         if check_f:
             stop = obj.f(rec["xs"] if "xs" in rec else system.floats(x)) <= cfg.stop_below_f
         else:
             stop = np.zeros(len(live), dtype=bool)
-        if streak.max() >= window:
-            due = np.flatnonzero((streak >= window) & (stagnation_iter[live] < 0))
+        if check_stag:
+            streak = np.where(rec[system.streak_key].any(axis=1), 0, streak + 1)
+            due = np.flatnonzero(streak >= window)
             if due.size:
                 # the gradient at the step's start, as `finish` records it
                 g = eval_grad_reference(obj, system.floats(system.select(x_pre, due)))
                 for j, g_j in zip(due, g):
-                    if np.linalg.norm(g_j) > stag_norm:
-                        stagnation_iter[live[j]] = k - window + 1
-                        stop[j] |= cfg.stop_on_stagnation
+                    stop[j] |= _gradient_above(g_j, stag_norm)
         if stop.any():
             if stop.all():
                 break
@@ -601,6 +648,9 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
         cols[key] = rows.astype(dtype, copy=False)[order]
     system.finish(cols, pre)
     cols["nonopp_violations"] = check_nonopposite(cols["g_tilde"], cols["g_exact"])
+    stagnation_iter = _stagnation_iters(
+        cols[system.streak_key].any(axis=1), cols["g_exact"], start, window, stag_norm
+    )
     results = []
     for r, c in enumerate(cfgs):
         by_step, by_iterate = slice(start[r], start[r + 1]), slice(start[r] + r, last[r] + 1)

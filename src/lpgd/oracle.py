@@ -107,11 +107,19 @@ def dist_variance(d: Dist) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _check_sample_count(n: int, least: int = 1) -> None:
+    """Raise a ValueError that names n unless n >= least: a mean needs one
+    sample, a sample standard error two."""
+    if n < least:
+        raise ValueError(f"n = {n}: the estimate needs n >= {least}")
+
+
 def _rounded_samples(
     x: ExactReal, fmt: QFormat, scheme: rounding.RoundScheme, n: int, seed: int, v_sign: int = 0
 ) -> np.ndarray:
-    """n independent roundings of x onto fmt, in binary64: one
+    """n >= 1 independent roundings of x onto fmt, in binary64: one
     `round_ratio_vec` call on the words of (seed, 0, 0)."""
+    _check_sample_count(n)
     num, den = to_ratio(x)
     gen = RandomStream(seed).generator(0, 0)
     # int64 when the numerator fits: one int64 kernel call
@@ -121,10 +129,9 @@ def _rounded_samples(
 
 def _estimate(dist: Dist, samples, se_mult: float) -> McEstimate:
     """The mean of samples against the exact mean of dist, the law each
-    sample follows, with the standard error of dist's exact variance."""
+    sample follows, with the standard error of dist's exact variance; every
+    caller has checked the sample count before sampling."""
     n = len(samples)
-    if n < 1:
-        raise ValueError(f"n = {n}: a sample mean needs at least one sample")
     return McEstimate(
         mean=float(np.mean(samples)),
         se=math.sqrt(float(dist_variance(dist)) / n),
@@ -288,8 +295,7 @@ def mc_rounded_grad_mean(
     iteration rep of RandomStream(seed), so it draws at the very (rep, tag)
     addresses whose branches the enumeration sums over.
     """
-    if n < 2:
-        raise ValueError(f"n = {n}: a standard error needs at least two samples")
+    _check_sample_count(n, least=2)
     pipeline = _quantized_recipe(obj, x)
     stream = RandomStream(seed)
     outs = [pipeline(FixedBackend(fmt, scheme, stream, rep, obj._consts)) for rep in range(n)]
@@ -364,6 +370,7 @@ def check_float_drift(
     else:
         raise ValueError(f"no drift formula for scheme {scheme}")
 
+    _check_sample_count(n)
     stream = RandomStream(seed)
     steps = [
         float(xv - lpfloat.fl_round(xv - step, fmt, scheme, stream, rep, 0, v_sign))

@@ -96,6 +96,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             quad_config(number_system="posit")
 
+    @pytest.mark.parametrize("field", ["iterations", "stagnation_window"])
+    def test_counts_must_be_integers(self, field):
+        # 2.5 steps would die in range() mid-run; a 2.5-step window would
+        # flag stagnation at a truncated k - 2.5 + 1
+        with pytest.raises(ValueError, match=field):
+            quad_config(**{field: 2.5})
+        cfg = quad_config(**{field: np.int64(5)})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 5
+
     @pytest.mark.parametrize("window", [0, -3])
     def test_stagnation_window_below_one_rejected(self, window):
         # window 0 would flag stagnation after any step, -3 before the run starts
@@ -562,25 +571,49 @@ class TestBinary64Columns:
         assert calls[1:-2] == [("f", (sum(s > k for s in steps), 3)) for k in range(max(steps))]
         assert calls[-2:] == [("f", (sum(steps) + 3, 3)), ("grad", (sum(steps), 3))]
 
+    def test_stagnation_is_derived_from_the_record(self):
+        # g = 1/16 > 10 u, but t g = 1/1024 rounds to zero every step: with
+        # no stop criterion the loop evaluates neither f nor the gradient
+        calls = []
+        cfg = quad_config(x0=["1/16"], t="1/64", iterations=20, stagnation_window=5)
+        cfg = replace(cfg, objective=_counted(cfg.objective, calls))
+        res = run(cfg)
+        assert (res.steps, res.stagnated, res.stagnation_iter) == (20, True, 0)
+        assert calls == [("f", (21, 1)), ("grad", (20, 1))]
+
     def test_stagnation_reads_the_recorded_gradient(self):
-        # the config of TestLockstepEnsembles.test_lanes_stagnate_independently
-        cfg = quad_config(
-            x0=["13/256"], t="1/32", iterations=60, sigma1_scheme="rn",
-            sigma2_scheme="sr", stagnation_window=4,
-        )
+        for over in (
+            # the config of TestLockstepEnsembles.test_lanes_stagnate_independently
+            dict(x0=["13/256"], t="1/32"),
+            # t g = x / 4096 against fp16e5's gap of 1/1024 below x0 = 1: each
+            # update is zero with chance about 3/4
+            dict(x0=["1"], t="2^-12", number_system="lowfloat", working_fmt=None,
+                 float_fmt="fp16e5"),
+            # some lanes stop below f before a streak reaches the window
+            dict(x0=["13/256"], t="1/32", stop_below_f=1e-3),
+        ):
+            self._assert_stagnation_reads_the_record(quad_config(
+                iterations=60, sigma1_scheme="rn", sigma2_scheme="sr", stagnation_window=4, **over
+            ))
+
+    @staticmethod
+    def _assert_stagnation_reads_the_record(cfg):
         seeds = list(range(10))
         kept = run_ensemble(cfg, seeds)
         stopped = run_ensemble(replace(cfg, stop_on_stagnation=True), seeds)
         flagged = [r.stagnation_iter for r in kept if r.stagnated]
         assert len(set(flagged)) > 1 and len(flagged) < len(seeds)
-        u, window = float(cfg.u_mul), cfg.stagnation_window
+        fixed = cfg.number_system == "fixed"
+        u = float(cfg.u_mul if fixed else cfg.float_fmt.unit_roundoff)
+        window = cfg.stagnation_window
         for a, b in zip(kept, stopped):
             assert (a.stagnated, a.stagnation_iter) == (b.stagnated, b.stagnation_iter)
             if not a.stagnated:
-                assert b.steps == a.steps == 60
+                assert b.steps == a.steps
+                assert a.steps == 60 or (cfg.stop_below_f is not None and a.final_f <= cfg.stop_below_f)
                 continue
             k = a.stagnation_iter + window - 1
-            assert not a.d_m[a.stagnation_iter : k + 1].any()
+            assert not (a.d_m if fixed else a.d)[a.stagnation_iter : k + 1].any()
             assert np.linalg.norm(a.g_exact[k]) > 10.0 * u  # n = 1
             assert b.steps == k + 1 and np.array_equal(b.g_exact, a.g_exact[: k + 1])
 

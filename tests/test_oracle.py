@@ -138,6 +138,19 @@ class TestSampleCount:
         with pytest.raises(ValueError, match="n = 0"):
             check_float_drift(1, Fraction(1, 2), Fraction(1, 64), FP8, SR, n=0)
 
+    def test_round_mean_needs_a_sample(self):
+        with pytest.raises(ValueError, match="n = 0"):
+            mc_round_mean(Fraction(1, 3), QFormat(4, 4), SR, 0, 0)
+
+    @pytest.mark.parametrize("check", [
+        lambda n: check_expectation(Fraction(3, 10), Q88, SR, n=n),
+        lambda n: check_small_step_second_moment(Q88.u / 5, Q88, SR, n=n),
+        lambda n: check_float_drift(1, Fraction(1, 2), Fraction(1, 64), FP8, SR, n=n),
+    ], ids=["expectation", "small_step_second_moment", "float_drift"])
+    def test_negative_count_is_named(self, check):
+        with pytest.raises(ValueError, match="n = -1"):
+            check(-1)
+
     def test_pipeline_standard_error_needs_two_samples(self):
         obj = make_objective("himmelblau")
         with pytest.raises(ValueError, match="n = 1"):
