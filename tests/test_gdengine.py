@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lpgd import gdengine
 from lpgd.gdengine import SIGMA2_TAG, GDConfig, _Fixed, classify_case, run, run_ensemble
-from lpgd.harness import load_config, run_experiment
+from lpgd.harness import load_config, run_experiment, synthetic_blr_dataset
 from lpgd.lpfloat import FloatFormat
 from lpgd.objectives import make_objective
 from lpgd.qnum import FixedVec, QFormat
@@ -829,6 +829,42 @@ class TestFullRecordDigests:
     )
     def test_one_seed_quadratic(self, over, want):
         assert digest_records([run(_quad3(**over))]) == want
+
+    @pytest.mark.parametrize(
+        "over, seeds, want",
+        [
+            # int64 rows (`_round_rows`)
+            (dict(), 3, "aa28fd8f8a4523aa43830cff5c5a3d06594a2528663172e216c43a6afd372118"),
+            # one lane: the gradient recipe rounds on Python ints (`_round_list`)
+            (dict(), 1, "6a486e12b6444bc6933282bc68806709a8d8258277fd5b420b233db18949f3b9"),
+            # object rows: every draw goes through bernoulli_ratio
+            (
+                dict(working_fmt="Q8.40", mul_fmt="Q8.40"), 2,
+                "681cb2df7b3bdfab1220e54b0edf299ed3005cc1cf35c2d088c24e6724a74373",
+            ),
+        ],
+    )
+    def test_quadratic_signed_eps_sigma1(self, over, seeds, want):
+        # the gradient recipe passes no sign: signed_sr_eps leans by s = 0
+        cfg = _quad3(
+            **{"mul_fmt": "Q8.6", "iterations": 60, "sigma1_scheme": "signed_sr_eps:1/3", **over}
+        )
+        assert digest_records(run_ensemble(cfg, seeds=range(seeds))) == want
+
+    def test_blr_signed_eps_sigma1(self):
+        # the logistic values round through `round_doubles_vec` with lean 0
+        ds = synthetic_blr_dataset(n_samples=40, n_features=3, seed=7)
+        cfg = GDConfig(
+            objective=make_objective("blr", x_data=ds.x, y=ds.y, data_fmt=QFormat(8, 8)),
+            t="1/4",
+            x0=["0", "0", "0"],
+            iterations=15,
+            working_fmt="Q8.8",
+            sigma1_scheme="signed_sr_eps:0.25",
+            sigma2_scheme="sr",
+        )
+        want = "a1e903b54162c9502dc25a672971577100cae7bc3c69e77981c31891c23aae72"
+        assert digest_records(run_ensemble(cfg, seeds=range(2))) == want
 
     @pytest.mark.parametrize(
         "name, want",
