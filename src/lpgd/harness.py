@@ -252,9 +252,9 @@ def summarize(result: ExperimentResult) -> Dict:
     return out
 
 
-def write_trace_csv(result: ExperimentResult, path, run_index: int = 0) -> None:
-    """Per-iteration trace of one run, with the single-run factor estimates."""
-    run_ = result.runs[run_index]
+def write_trace_csv(result: ExperimentResult, path) -> None:
+    """Per-iteration trace of the first run, with the single-run factor estimates."""
+    run_ = result.runs[0]
     obj = result.objective
     L = obj.lip_grad
     cfg = run_.config
@@ -317,16 +317,15 @@ def write_svg_curves(
     curves: Dict[str, np.ndarray],
     title: str = "",
     log_y: bool = True,
-    width: int = 720,
-    height: int = 440,
 ) -> None:
-    """Iteration-indexed curves as one self-contained SVG file.  The title
-    and the curve labels are escaped, so any text gives well-formed XML.
-    Non-finite values (a diverging run) are left out of the axis range and
-    the curves, as non-positive values are on a log scale."""
+    """Iteration-indexed curves as one self-contained 720 x 440 SVG file.
+    The title and the curve labels are escaped, so any text gives well-formed
+    XML.  Non-finite values (a diverging run) are left out of the axis range
+    and the curves, as non-positive values are on a log scale."""
     # imported here: xml.sax.saxutils loads urllib.request (some 7 MiB)
     from xml.sax.saxutils import escape
 
+    width, height = 720, 440
     ml, mr, mt, mb = 60, 16, 28, 40
     pw, ph = width - ml - mr, height - mt - mb
     points = {}  # label -> (iterations, values) of the plotted points

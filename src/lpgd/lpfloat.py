@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from . import rng
-from .qnum import ExactReal, to_fraction, to_ratio
+from .qnum import ExactReal, ratio_str, to_fraction, to_ratio
 from .rounding import RoundScheme, law
 
 _FP_PATTERN = re.compile(r"^fp(\d+)e(\d+)$")
@@ -116,7 +116,7 @@ class FloatFormat:
         if e >= self.emax:  # g is clamped to the top binade's, where max_finite is top * 2**g
             top = (1 << self.sig_bits) - 1
             if q < -top or q + (r > 0) > top:
-                raise OverflowError(f"{n / d} is beyond the largest finite {self} value")
+                raise OverflowError(f"{ratio_str(n, d)} is beyond the largest finite {self} value")
         return q, r, den, g
 
     def gap_exponent(self, m: int, e: int) -> int:
@@ -208,7 +208,7 @@ def fl_round(
     if 0 < t < cap:
         if stream is None:
             n, d = to_ratio(x)
-            raise ValueError(f"{scheme} needs a RandomStream to round {n / d}")
+            raise ValueError(f"{scheme} needs a RandomStream to round {ratio_str(n, d)}")
         q += not rng.bernoulli_ratio(stream.generator(k, tag), cap - t, cap, 1)[0]
     elif t:
         q += 1

@@ -12,8 +12,9 @@ and the counterpart samples the code the exact side reads, at the same
 `EnumBackend` and run on `FixedBackend`.
 
 Convention for agreement checks (`_estimate`): a sample mean is consistent
-when it sits within `se_mult` standard errors (default 4) of the exact mean
-of the law it was sampled from, the standard error taken from that law.
+when it sits within `SE_MULT` = 4 standard errors of the exact mean of the
+law it was sampled from, the standard error taken from that law.  Only
+`check_float_drift` samples a lean; the other checks round at v_sign = 0.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .rng import RandomStream
 
 Dist = Dict[Fraction, Fraction]
 
+SE_MULT = 4
+
 
 @dataclass
 class McEstimate:
@@ -41,7 +44,6 @@ class McEstimate:
     se: float
     n: int
     expected: float
-    se_mult: float = 4.0
 
     @property
     def z(self) -> float:
@@ -51,7 +53,7 @@ class McEstimate:
 
     @property
     def ok(self) -> bool:
-        return abs(self.z) <= self.se_mult
+        return abs(self.z) <= SE_MULT
 
     def __str__(self) -> str:
         return (
@@ -115,7 +117,7 @@ def _check_sample_count(n: int, least: int = 1) -> None:
 
 
 def _rounded_samples(
-    x: ExactReal, fmt: QFormat, scheme: rounding.RoundScheme, n: int, seed: int, v_sign: int = 0
+    x: ExactReal, fmt: QFormat, scheme: rounding.RoundScheme, n: int, seed: int
 ) -> np.ndarray:
     """n >= 1 independent roundings of x onto fmt, in binary64: one
     `round_ratio_vec` call on the words of (seed, 0, 0)."""
@@ -123,11 +125,11 @@ def _rounded_samples(
     num, den = to_ratio(x)
     gen = RandomStream(seed).generator(0, 0)
     # int64 when the numerator fits: one int64 kernel call
-    m = rounding.round_ratio_vec(np.full(n, num), den, fmt, scheme, gen, v_sign)
+    m = rounding.round_ratio_vec(np.full(n, num), den, fmt, scheme, gen)
     return m / fmt.scale
 
 
-def _estimate(dist: Dist, samples, se_mult: float) -> McEstimate:
+def _estimate(dist: Dist, samples) -> McEstimate:
     """The mean of samples against the exact mean of dist, the law each
     sample follows, with the standard error of dist's exact variance; every
     caller has checked the sample count before sampling."""
@@ -137,7 +139,6 @@ def _estimate(dist: Dist, samples, se_mult: float) -> McEstimate:
         se=math.sqrt(float(dist_variance(dist)) / n),
         n=n,
         expected=float(dist_mean(dist)),
-        se_mult=se_mult,
     )
 
 
@@ -147,10 +148,9 @@ def mc_round_mean(
     scheme: rounding.RoundScheme,
     n: int,
     seed: int,
-    v_sign: int = 0,
 ) -> float:
     """Sample mean of n independent roundings of x."""
-    return float(_rounded_samples(x, fmt, scheme, n, seed, v_sign).mean())
+    return float(_rounded_samples(x, fmt, scheme, n, seed).mean())
 
 
 def check_expectation(
@@ -159,12 +159,10 @@ def check_expectation(
     scheme: rounding.RoundScheme,
     n: int = 100_000,
     seed: int = 0,
-    v_sign: int = 0,
-    se_mult: float = 4.0,
 ) -> McEstimate:
     """Sample mean of round(x) against the exact expectation."""
-    dist = round_distribution(x, fmt, scheme, v_sign)
-    return _estimate(dist, _rounded_samples(x, fmt, scheme, n, seed, v_sign), se_mult)
+    dist = round_distribution(x, fmt, scheme)
+    return _estimate(dist, _rounded_samples(x, fmt, scheme, n, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +178,7 @@ def second_moment_small_step(
     The formula is u|v| for plain stochastic rounding and u|v| + u^2 c for
     the eps-biased variants, where c is eps while the perturbed probability
     stays interior and (u - |v|)/u once it clamps.  Exact zeros give 0.
+    signed_sr_eps has the form only at the lean sign(v); others raise.
     """
     val = to_fraction(v)
     u = fmt.u
@@ -193,6 +192,8 @@ def second_moment_small_step(
         raise ValueError("the small-step second-moment formula is stochastic-only")
     if scheme.eps is None:
         return exact, u * abs(val)
+    if scheme.uses_given_sign and (v_sign > 0) - (v_sign < 0) != (val > 0) - (val < 0):
+        raise ValueError(f"the small-step formula needs the lean sign(v), got v_sign = {v_sign}")
     # a clamped probability leaves one outcome
     c = scheme.eps if len(dist) == 2 else (u - abs(val)) / u
     return exact, u * abs(val) + u * u * c
@@ -204,15 +205,14 @@ def check_small_step_second_moment(
     scheme: rounding.RoundScheme,
     n: int = 100_000,
     seed: int = 0,
-    v_sign: int = 0,
-    se_mult: float = 4.0,
 ) -> Tuple[Fraction, Fraction, McEstimate]:
-    """Exact vs formula vs MC for E[d^2] in the small-step regime."""
-    exact, formula = second_moment_small_step(v, fmt, scheme, v_sign)
-    dist = round_distribution(v, fmt, scheme, v_sign)
+    """Exact vs formula vs MC for E[d^2] in the small-step regime.  The
+    samples lean by 0, so signed_sr_eps raises for v != 0."""
+    exact, formula = second_moment_small_step(v, fmt, scheme)
+    dist = round_distribution(v, fmt, scheme)
     # |v| < u: the two neighbours are 0 and +-u, so their squares are distinct
     squares = {w * w: p for w, p in dist.items()}
-    mc = _estimate(squares, _rounded_samples(v, fmt, scheme, n, seed, v_sign) ** 2, se_mult)
+    mc = _estimate(squares, _rounded_samples(v, fmt, scheme, n, seed) ** 2)
     return exact, formula, mc
 
 
@@ -344,7 +344,6 @@ def check_float_drift(
     scheme: rounding.RoundScheme,
     n: int = 20_000,
     seed: int = 0,
-    se_mult: float = 4.0,
 ) -> StagnationCheck:
     """Verify the mean realized step of x <- fl(x - t g) on a float grid.
 
@@ -379,5 +378,5 @@ def check_float_drift(
     step_law = {xv - r: p for r, p in dist.items()}
     return StagnationCheck(
         scheme=scheme, step=step, exact_mean=dist_mean(step_law), formula=formula,
-        mc=_estimate(step_law, steps, se_mult),
+        mc=_estimate(step_law, steps),
     )

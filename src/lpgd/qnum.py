@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from typing import Tuple, Union
@@ -44,6 +45,14 @@ def to_ratio(x) -> Tuple[int, int]:
         return x, 1
     v = to_fraction(x)
     return v.numerator, v.denominator
+
+
+def ratio_str(n: int, d: int) -> str:
+    """n/d for an error message: binary64, or 17 digits past its range."""
+    try:
+        return repr(n / d)
+    except OverflowError:
+        return f"{Decimal(n) / Decimal(d):.17g}"
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ class QFormat:
         """
         q, r = divmod(n << self.qf, d)
         if q < self.min_mantissa or q + (r > 0) > self.max_mantissa:
-            raise OverflowError(f"{n / d} is outside the range of {self}")
+            raise OverflowError(f"{ratio_str(n, d)} is outside the range of {self}")
         return q, r, d, -self.qf
 
     def __str__(self) -> str:
@@ -134,7 +143,10 @@ def parse_rational(value: Union[str, ExactReal]) -> Fraction:
         if m:  # the sign applies to the power: -2^-4 is -(2^-4)
             power = Fraction(int(m.group(2))) ** int(m.group(3))
             return -power if m.group(1) == "-" else power
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     return to_fraction(value)
 
 

@@ -8,20 +8,21 @@ In grid units the value sits at position q + r/den with q = floor and
     rn             T = den if 2r > den, or 2r = den and q is odd; else 0
     sr             T = r                                 (cap = den)
     sr_eps         T = clamp(r*b + s*a*den, 0, cap)      (cap = den*b)
-    signed_sr_eps  the same with s = sign(v) from the caller
+    signed_sr_eps  the same with s = sign(v_sign), given by the caller
 
-where eps = a/b, s = sign(x) for sr_eps, and sign(v) is the direction the
-perturbation should favor (e.g. the descent step).  Every exact law in the
-package -- the vector kernels, the binary64 fallback, the exhaustive
-`EnumBackend` (a FixedBackend whose rounding step branches on the same
-weight) and the bound estimators -- calls it.  The scalar laws go through
-one function, `law`, which serves both number formats: a QFormat and an
-`lpfloat.FloatFormat` each `split` an integer ratio x = n/d, in any terms,
-into (q, r, den, g) with x = (q + r/den) * 2**g, and `prob_round_down`,
-`expected_round`, `lpfloat.fl_round` and `oracle.round_distribution` all
-read it.  A value already on the grid (r = 0) rounds to itself under every
-scheme, including the eps-perturbed ones; the vector kernels mask those
-elements after drawing, so the draw layout never depends on the data.
+where eps = a/b and s = sign(x) for sr_eps.  Only the scalar law takes a
+v_sign (lowfloat's update gives -sign(g)); the vector kernels take none and
+round signed_sr_eps at s = 0.  Every exact law in the package -- the vector
+kernels, the binary64 fallback, the exhaustive `EnumBackend` (a FixedBackend
+whose rounding step branches on the same weight) and the bound estimators
+-- calls it.  The scalar laws go through one function, `law`, which serves
+both number formats: a QFormat and an `lpfloat.FloatFormat` each `split` an
+integer ratio x = n/d, in any terms, into (q, r, den, g) with
+x = (q + r/den) * 2**g, and `prob_round_down`, `expected_round`,
+`lpfloat.fl_round` and `oracle.round_distribution` all read it.  A value
+already on the grid (r = 0) rounds to itself under every scheme, including
+the eps-perturbed ones; the vector kernels mask those elements after
+drawing, so the draw layout never depends on the data.
 
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
@@ -58,7 +59,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .qnum import ExactReal, QFormat, to_ratio
+from .qnum import ExactReal, QFormat, parse_rational, to_ratio
 
 SCHEME_KINDS = ("rn", "sr", "sr_eps", "signed_sr_eps")
 
@@ -103,8 +104,8 @@ class RoundScheme:
 def parse_scheme(spec: Union[str, RoundScheme]) -> RoundScheme:
     """Parse 'rn', 'sr', 'sr_eps:<eps>' or 'signed_sr_eps:<eps>'.
 
-    eps is read as an exact rational: '0.4' means 2/5, not the binary64
-    nearest to 0.4; '2/5' and '1/3' work too.
+    eps is read as an exact rational by `qnum.parse_rational`: '0.4' means
+    2/5, not the binary64 nearest to 0.4; '2/5', '1/3' and '2^-4' work too.
     """
     if isinstance(spec, RoundScheme):
         return spec
@@ -112,7 +113,7 @@ def parse_scheme(spec: Union[str, RoundScheme]) -> RoundScheme:
     if ":" not in text:
         return RoundScheme(text)
     kind, _, eps_text = text.partition(":")
-    return RoundScheme(kind.strip(), Fraction(eps_text.strip()))
+    return RoundScheme(kind.strip(), parse_rational(eps_text))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,6 @@ def round_ratio_vec(
     out_fmt: QFormat,
     scheme: RoundScheme,
     gen=None,
-    v_sign=0,
 ):
     """Round the values num[i]/den onto out_fmt's grid; return their mantissas.
 
@@ -196,51 +196,44 @@ def round_ratio_vec(
     schemes; every element consumes its draw even when exact, which keeps
     the draw layout independent of the data.
 
-    Lanes: a 2-D num holds R independent rows, gen is then a list of R
-    word sources (None under rn) and v_sign broadcasts against num.  Row r
-    rounds exactly as the 1-D call on num[r] with gen[r] would, draws
-    included, and the call raises the first error in row order.  An integer
-    array whose rows all stay below `_object_lim` rounds in one
-    `_round_rows` call; any other array rounds row by row on Python ints.
-    A list rounds as the one-row array of the same values, with the same
-    words and errors.
+    Lanes: a 2-D num holds R independent rows, and gen is then a list of R
+    word sources (None under rn).  Row r rounds exactly as the 1-D call on
+    num[r] with gen[r] would, draws included, and the call raises the first
+    error in row order.  An integer array whose rows all stay below
+    `_object_lim` rounds in one `_round_rows` call; any other array rounds
+    row by row on Python ints.  A list rounds as the one-row array of the
+    same values, with the same words and errors.  No kernel takes a sign:
+    signed_sr_eps rounds at s = 0.
     """
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     den = int(den)
     lim = _object_lim(den, out_fmt, scheme)
     if isinstance(num, int):
-        return _round_list([num], den, out_fmt, scheme, gen, v_sign, abs(num) >= lim)[0]
+        return _round_list([num], den, out_fmt, scheme, gen, abs(num) >= lim)[0]
     if isinstance(num, list):
         num = list(map(operator.index, num))  # numpy integers would wrap, floats round
         wide = max(map(abs, num), default=0) >= lim
-        return _round_list(num, den, out_fmt, scheme, gen, v_sign, wide)
+        return _round_list(num, den, out_fmt, scheme, gen, wide)
     arr = np.asarray(num)
     if arr.dtype.kind not in "iuO":
         raise TypeError(f"ratio numerators must be integers, got dtype {arr.dtype}")
     lanes = arr.ndim == 2
     rows = arr if lanes else arr.reshape(1, -1)
     gens = None if gen is None else list(gen) if lanes else [gen]
-    signs = (
-        np.broadcast_to(np.asarray(v_sign), arr.shape).reshape(rows.shape)
-        if scheme.uses_given_sign
-        else None
-    )
     # a row's path (`_object_lim`) depends only on its own values, never on the
     # dtype or on other rows, so a value rounds the same however it is packaged
     if rows.dtype != object and (not rows.size or (rows.max() < lim and rows.min() > -lim)):
         pos = rows.astype(np.int64, copy=False) * out_fmt.scale
-        out = _round_rows(pos, den, out_fmt, scheme, gens, signs)
+        out = _round_rows(pos, den, out_fmt, scheme, gens)
     else:  # object rows or a row past int64: every row on Python ints
         # operator.index: an object array may hold numpy integers, which
         # would wrap in _round_list, or floats, which are not numerators
         ints = [list(map(operator.index, row)) for row in rows.tolist()]
         out = np.array(
             [
-                _round_list(
-                    row, den, out_fmt, scheme, None if gens is None else gens[r],
-                    0 if signs is None else signs[r], max(map(abs, row), default=0) >= lim,
-                )
+                _round_list(row, den, out_fmt, scheme, None if gens is None else gens[r],
+                            max(map(abs, row), default=0) >= lim)
                 for r, row in enumerate(ints)
             ],
             dtype=np.int64,
@@ -256,7 +249,7 @@ def _object_lim(den: int, out_fmt: QFormat, scheme: RoundScheme) -> int:
     return 0 if den >= _INT64_SAFE or wide_eps else -(-_INT64_SAFE // out_fmt.scale)
 
 
-def _round_list(nums: list, den: int, out_fmt, scheme, gen, v_sign, wide: bool) -> list:
+def _round_list(nums: list, den: int, out_fmt, scheme, gen, wide: bool) -> list:
     """One lane's row nums/den on Python ints: the law, words and errors of
     the one-row array, with no array op but the draw.  `wide` is the row's
     `_object_lim` path: `bernoulli_ratio` words (the path of every row past
@@ -265,14 +258,11 @@ def _round_list(nums: list, den: int, out_fmt, scheme, gen, v_sign, wide: bool) 
     if scheme.is_random and gen is None:
         raise ValueError(f"{scheme} needs a word source")
     scale, n = out_fmt.scale, len(nums)
-    signs = [0] * n
-    if scheme.uses_given_sign:
-        signs = v_sign if type(v_sign) is list else np.broadcast_to(np.ravel(v_sign), n).tolist()
     # cap is the same for every element; an empty row draws nothing at den
     splits, ts, cap = [], [], den
-    for v, s in zip(nums, signs):
+    for v in nums:
         q, r = divmod(v * scale, den)
-        t, cap = up_weight(q, r, den, scheme, s)
+        t, cap = up_weight(q, r, den, scheme)
         splits.append((q, r))
         ts.append(t)
     if not scheme.is_random:
@@ -291,7 +281,7 @@ def _round_list(nums: list, den: int, out_fmt, scheme, gen, v_sign, wide: bool) 
     return ms
 
 
-def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
+def _round_rows(pos, den, out_fmt, scheme, gens) -> np.ndarray:
     """Round the int64 grid positions pos/den, one row per lane, onto
     out_fmt, drawing through one `bernoulli_lt` call over all lanes.  Rows
     past int64 (see `_object_lim`) never come here: `round_ratio_vec` sends
@@ -302,7 +292,7 @@ def _round_rows(pos, den, out_fmt, scheme, gens, signs) -> np.ndarray:
         q, r = pos >> (den.bit_length() - 1), pos & (den - 1)
     else:
         q, r = np.divmod(pos, den)
-    nums, cap = up_weight(q, r, den, scheme, signs)
+    nums, cap = up_weight(q, r, den, scheme)
     if not scheme.is_random:
         up = nums > 0
     else:
@@ -325,7 +315,6 @@ def round_doubles_vec(
     out_fmt: QFormat,
     scheme: RoundScheme,
     gen: Optional[rng.OpWords] = None,
-    v_sign=0,
 ) -> np.ndarray:
     """Round binary64 values (taken as exact dyadics) into out_fmt.
 
@@ -342,12 +331,13 @@ def round_doubles_vec(
     - Stochastic schemes draw one uint64 word u per element and compare it
       against the 64-bit prefix of P(up) = clamp(r + s*eps, 0, 1) * 2**64,
       exactly as `rng.bernoulli_ratio` does: u < prefix rounds up, u above
-      it rounds down.  The eps offset adds floor(eps * 2**64) (s = +1) or
-      subtracts it plus one (s = -1), clamped at 0 and 2**64, which pins the
-      prefix to one of two neighbours.  Elements whose u lands on either
-      neighbour (chance about 2**-63 each) are settled with exact Fractions,
-      and those whose u equals the exact prefix of a probability with bits
-      below 2**-64 finish through `rng.bernoulli_ratio` on the remainder.
+      it rounds down.  The sr_eps offset adds floor(eps * 2**64) (s = +1)
+      or subtracts it plus one (s = -1), clamped at 0 and 2**64, which pins
+      the prefix to one of two neighbours (signed_sr_eps: s = 0, no offset).
+      Elements whose u lands on either neighbour (chance about 2**-63 each)
+      are settled with exact Fractions, and those whose u equals the exact
+      prefix of a probability with bits below 2**-64 finish through
+      `rng.bernoulli_ratio` on the remainder.
 
     The draw layout is therefore one word per element in index order, then
     the extension words of the undecided elements; on-grid values draw like
@@ -375,13 +365,9 @@ def round_doubles_vec(
         f64 = np.ldexp(mag - np.floor(mag), 64)
         lo = np.where(pos < 0, -np.ceil(f64).astype(np.uint64), np.floor(f64).astype(np.uint64))
         full = np.zeros(n, dtype=bool)
-        if scheme.eps is not None:
-            if scheme.uses_value_sign:
-                s = np.sign(vals)
-            else:
-                s = np.sign(np.broadcast_to(np.asarray(v_sign), (n,)).astype(int))
+        if scheme.uses_value_sign:
             e_hi = (scheme.eps.numerator << 64) // scheme.eps.denominator
-            plus, minus = s > 0, s < 0
+            plus, minus = vals > 0, vals < 0
             full = plus & (lo > np.uint64(_WORD - 1 - e_hi))
             down = np.uint64(min(e_hi + 1, _WORD - 1))
             lo = np.where(plus, lo + np.uint64(e_hi), lo)
@@ -392,10 +378,7 @@ def round_doubles_vec(
         pending, nums, dens = [], [], []
         for i in np.flatnonzero(~full & (u - lo <= np.uint64(1))):
             p = Fraction(float(vals[i])) * out_fmt.scale
-            t, cap = up_weight(
-                *divmod(p.numerator, p.denominator), p.denominator, scheme,
-                int(s[i]) if scheme.uses_given_sign else 0,
-            )
+            t, cap = up_weight(*divmod(p.numerator, p.denominator), p.denominator, scheme)
             hi, rem = divmod(t << 64, cap)
             up[i] = int(u[i]) < hi
             if int(u[i]) == hi and rem:

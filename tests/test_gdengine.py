@@ -69,6 +69,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             quad_config(t="0")
 
+    def test_zero_denominator_step_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'1/0'"):
+            quad_config(t="1/0")
+
     def test_x0_length_must_match(self):
         with pytest.raises(ValueError):
             quad_config(x0=["1", "2"])

@@ -147,6 +147,10 @@ class TestSpec:
         with pytest.raises(ValueError, match="stagnation_window"):
             run_experiment(tiny_spec(stagnation_window=window))
 
+    def test_zero_denominator_step_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'1/0'"):
+            run_experiment(tiny_spec(t="1/0"))
+
     def test_numbers_kept_as_strings(self):
         spec = tiny_spec(t=0.25, x0=[1, 1])
         assert spec.t == "0.25"

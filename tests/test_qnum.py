@@ -89,6 +89,10 @@ class TestParseRational:
         with pytest.raises(ValueError):
             to_fraction(float("inf"))
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse_rational("1/0")
+
 
 class TestFixedVal:
     def test_from_exact_on_grid(self):

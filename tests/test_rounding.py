@@ -33,6 +33,7 @@ class TestScheme:
         assert parse_scheme("rn") == RoundScheme("rn")
         assert parse_scheme("sr_eps:0.4") == RoundScheme("sr_eps", Fraction(2, 5))
         assert parse_scheme("signed_sr_eps:1/3").eps == Fraction(1, 3)
+        assert parse_scheme("sr_eps: 2^-4").eps == Fraction(1, 16)
 
     def test_eps_required_bounds(self):
         with pytest.raises(ValueError):
@@ -47,6 +48,10 @@ class TestScheme:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             RoundScheme("stochastic")
+
+    def test_zero_denominator_eps_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse_scheme("sr_eps:1/0")
 
 
 class TestProbRoundDown:
@@ -200,6 +205,14 @@ class TestOutOfRange:
             with pytest.raises(OverflowError):
                 fl_round(x, fmt, scheme, RandomStream(0), 0, 0)
 
+    def test_values_past_binary64_keep_their_messages(self):
+        # the messages show the value without dividing n / d in binary64
+        with pytest.raises(OverflowError, match=r"^1\.0+e\+400 is outside the range of Q8\.8$"):
+            prob_round_down(10**400, Q88, parse_scheme("sr"))
+        # inside binary64's range, though n / d overflows a double
+        with pytest.raises(ValueError, match=r"^sr needs a RandomStream to round 1\.79769"):
+            fl_round((2**1024 + 2**900 + 1, 1), FloatFormat(53, 11), parse_scheme("sr"))
+
     @pytest.mark.parametrize("fmt", [Q88, FP8], ids=["q", "fp"])
     def test_range_ends_are_inside(self, fmt):
         top = Q88.max_value if fmt is Q88 else FP8.max_finite
@@ -340,15 +353,14 @@ def _lane_case(draw):
         [draw(st.integers(-mag, mag)) for _ in range(cols)]
         for mag in (draw(st.sampled_from([1 << 10, 4 * lim])) for _ in range(rows))
     ]
-    v_sign = [[draw(st.integers(-1, 1)) for _ in range(cols)] for _ in range(rows)]
     seeds = draw(st.lists(st.integers(0, 5), min_size=rows, max_size=rows))
-    return fmt, den, num, v_sign, seeds
+    return fmt, den, num, seeds
 
 
 @given(case=_lane_case(), spec=st.sampled_from(["rn", "sr", "sr_eps:0.3", "signed_sr_eps:1/3"]))
 @settings(max_examples=200, deadline=None)
 def test_lanes_round_like_their_rows(case, spec):
-    fmt, den, num, v_sign, seeds = case
+    fmt, den, num, seeds = case
     scheme = parse_scheme(spec)
 
     def gens():
@@ -356,21 +368,20 @@ def test_lanes_round_like_their_rows(case, spec):
 
     fits = all(abs(v) < 1 << 62 for row in num for v in row)
     arr = np.array(num, dtype=np.int64 if fits else object).reshape(len(num), -1)
-    signs = np.array(v_sign, dtype=np.int64).reshape(arr.shape)
     batch_gens, row_gens = gens(), gens()
     want = []
     for r in range(len(arr)):
         try:
             g = row_gens[r] if row_gens else None
-            want.append(round_ratio_vec(arr[r], den, fmt, scheme, g, signs[r]))
+            want.append(round_ratio_vec(arr[r], den, fmt, scheme, g))
         except OverflowError:
             want = OverflowError
             break
     if want is OverflowError:
         with pytest.raises(OverflowError):
-            round_ratio_vec(arr, den, fmt, scheme, batch_gens, signs)
+            round_ratio_vec(arr, den, fmt, scheme, batch_gens)
         return
-    got = round_ratio_vec(arr, den, fmt, scheme, batch_gens, signs)
+    got = round_ratio_vec(arr, den, fmt, scheme, batch_gens)
     assert got.dtype == np.int64 and got.shape == arr.shape
     assert got.tolist() == [w.tolist() for w in want]
     if scheme.is_random:  # every lane consumed exactly its own row's words
@@ -433,13 +444,12 @@ def _int_case(draw):
         nums = draw(st.lists(small.filter(lambda v: abs(v) < lim), max_size=3))
         nums.insert(draw(st.integers(0, len(nums))), draw(crossing))
     n = len(nums)
-    signs = [draw(st.integers(-1, 1)) if scheme.uses_given_sign else 0 for _ in nums]
     # "max" forces a rejection redraw wherever the cap is no power of two
     # (every sr_eps cap here), "prefix" lands on element j's 64-bit prefix
     tokens = st.sampled_from(["max", "max", "zero", "prefix", "any"])
     words = draw(st.lists(tokens, max_size=2 * n + 1))
     with_gen = draw(st.sampled_from([True, True, True, False]))
-    return fmt, scheme, nums, den, signs, words, draw(st.integers(0, 9)), with_gen
+    return fmt, scheme, nums, den, words, draw(st.integers(0, 9)), with_gen
 
 
 def _call_outcome(call, gen):
@@ -457,11 +467,8 @@ def test_int_numerator_rounds_like_a_one_element_row(case):
     the same values, and a Python int as the list of one: equal mantissas,
     equal words used (rejection redraws and tie extensions included) and the
     same (type, message) of error."""
-    fmt, scheme, nums, den, signs, words, seed, with_gen = case
-    weights = []
-    for v, s in zip(nums, signs):
-        q, r = divmod(v * fmt.scale, den)
-        weights.append(up_weight(q, r, den, scheme, s))
+    fmt, scheme, nums, den, words, seed, with_gen = case
+    weights = [up_weight(*divmod(v * fmt.scale, den), den, scheme) for v in nums]
     script = [
         {"max": (1 << 64) - 1, "zero": 0, "any": 1 << 63}.get(w)
         if w != "prefix"
@@ -473,21 +480,19 @@ def test_int_numerator_rounds_like_a_one_element_row(case):
         return _ScriptedWords(script, seed) if with_gen else None
 
     g = gen()
-    want = _call_outcome(lambda: round_ratio_vec(nums, den, fmt, scheme, g, signs), g)
+    want = _call_outcome(lambda: round_ratio_vec(nums, den, fmt, scheme, g), g)
     if not isinstance(want[0], tuple):  # Python ints, no numpy scalar
         assert type(want[0]) is list and all(type(m) is int for m in want[0])
     if len(nums) == 1:
         g = gen()
-        got = _call_outcome(lambda: round_ratio_vec(nums[0], den, fmt, scheme, g, signs[0]), g)
+        got = _call_outcome(lambda: round_ratio_vec(nums[0], den, fmt, scheme, g), g)
         assert isinstance(got[0], tuple) or type(got[0]) is int
         assert (got[0] if isinstance(got[0], tuple) else [got[0]], got[1]) == want
     dtypes = [object] + ([np.int64] if all(abs(v) < 1 << 63 for v in nums) else [])
     for dtype in dtypes:
         g = gen()
         row, row_gens = np.array([nums], dtype=dtype), None if g is None else [g]
-        got = _call_outcome(
-            lambda: round_ratio_vec(row, den, fmt, scheme, row_gens, np.array([signs]))[0], g
-        )
+        got = _call_outcome(lambda: round_ratio_vec(row, den, fmt, scheme, row_gens)[0], g)
         assert (got[0] if isinstance(got[0], tuple) else got[0].tolist(), got[1]) == want, dtype
 
 
@@ -661,22 +666,17 @@ def _doubles_case(draw):
     vals = np.array(draw(st.lists(_double_in_format(fmt), min_size=1, max_size=24)))
     kind = draw(st.sampled_from(["rn", "sr", "sr_eps", "signed_sr_eps"]))
     eps = draw(st.sampled_from(_DIFF_EPS)) if kind.endswith("eps") else None
-    scheme = RoundScheme(kind, eps)
-    if draw(st.booleans()):
-        v_sign = draw(st.sampled_from([-1, 0, 1]))
-    else:
-        v_sign = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=vals.size,
-                                        max_size=vals.size)))
-    return vals, fmt, scheme, v_sign
+    # the kernel takes no sign: the references round signed_sr_eps at lean 0
+    return vals, fmt, RoundScheme(kind, eps)
 
 
 @given(case=_doubles_case(), seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=300, deadline=None)
 def test_doubles_kernel_matches_fraction_reference(case, seed):
-    vals, fmt, scheme, v_sign = case
+    vals, fmt, scheme = case
     g_ref, g_new = _CountingGen(seed), _CountingGen(seed)
-    ref = _outcome(_reference_round_doubles, vals, fmt, scheme, g_ref, v_sign)
-    assert _outcome(round_doubles_vec, vals, fmt, scheme, g_new, v_sign) == ref
+    ref = _outcome(_reference_round_doubles, vals, fmt, scheme, g_ref)
+    assert _outcome(round_doubles_vec, vals, fmt, scheme, g_new) == ref
     assert g_new.words == g_ref.words
 
 
@@ -690,17 +690,17 @@ def test_doubles_kernel_words_on_the_prefix(case, seed, data):
     element down the extension path, word for word; u one off the prefix
     exercises the neighbours the vectorized kernel settles exactly.
     """
-    vals, fmt, scheme, v_sign = case
+    vals, fmt, scheme = case
     if not scheme.is_random:
         return
     first = []
-    for p in _draw_probs(vals, fmt, scheme, v_sign):
+    for p in _draw_probs(vals, fmt, scheme, 0):
         hi = (p.numerator << 64) // p.denominator
         w = hi + data.draw(st.sampled_from([0, 0, 0, -1, 1, 2]))
         first.append(min(max(w, 0), (1 << 64) - 1))
     g_ref, g_new = _CountingGen(seed, first), _CountingGen(seed, first)
-    ref = _outcome(_reference_round_doubles, vals, fmt, scheme, g_ref, v_sign)
-    assert _outcome(round_doubles_vec, vals, fmt, scheme, g_new, v_sign) == ref
+    ref = _outcome(_reference_round_doubles, vals, fmt, scheme, g_ref)
+    assert _outcome(round_doubles_vec, vals, fmt, scheme, g_new) == ref
     assert g_new.words == g_ref.words
 
 
