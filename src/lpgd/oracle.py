@@ -171,29 +171,27 @@ def check_expectation(
 
 
 def second_moment_small_step(
-    v: ExactReal, fmt: QFormat, scheme: rounding.RoundScheme, v_sign: int = 0
+    v: ExactReal, fmt: QFormat, scheme: rounding.RoundScheme
 ) -> Tuple[Fraction, Fraction]:
     """(exact E[d^2], formula value) for d = round(v) with |v| < u.
 
     The formula is u|v| for plain stochastic rounding and u|v| + u^2 c for
-    the eps-biased variants, where c is eps while the perturbed probability
-    stays interior and (u - |v|)/u once it clamps.  Exact zeros give 0.
-    signed_sr_eps has the form only at the lean sign(v); others raise.
+    sr_eps, where c is eps while the perturbed probability stays interior
+    and (u - |v|)/u once it clamps.  Exact zeros give 0.  signed_sr_eps
+    rounds at lean 0 here, which is the plain sr law.
     """
     val = to_fraction(v)
     u = fmt.u
     if abs(val) >= u:
         raise ValueError(f"|v| = {val} is not below the grid spacing {u}")
-    dist = round_distribution(val, fmt, scheme, v_sign)
+    dist = round_distribution(val, fmt, scheme)
     exact = dist_moment(dist, 2)
     if val == 0:
         return exact, Fraction(0)
     if scheme.kind == "rn":
         raise ValueError("the small-step second-moment formula is stochastic-only")
-    if scheme.eps is None:
+    if scheme.eps is None or scheme.uses_given_sign:
         return exact, u * abs(val)
-    if scheme.uses_given_sign and (v_sign > 0) - (v_sign < 0) != (val > 0) - (val < 0):
-        raise ValueError(f"the small-step formula needs the lean sign(v), got v_sign = {v_sign}")
     # a clamped probability leaves one outcome
     c = scheme.eps if len(dist) == 2 else (u - abs(val)) / u
     return exact, u * abs(val) + u * u * c
@@ -206,8 +204,7 @@ def check_small_step_second_moment(
     n: int = 100_000,
     seed: int = 0,
 ) -> Tuple[Fraction, Fraction, McEstimate]:
-    """Exact vs formula vs MC for E[d^2] in the small-step regime.  The
-    samples lean by 0, so signed_sr_eps raises for v != 0."""
+    """Exact vs formula vs MC for E[d^2] in the small-step regime."""
     exact, formula = second_moment_small_step(v, fmt, scheme)
     dist = round_distribution(v, fmt, scheme)
     # |v| < u: the two neighbours are 0 and +-u, so their squares are distinct

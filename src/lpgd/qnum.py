@@ -140,10 +140,10 @@ def parse_rational(value: Union[str, ExactReal]) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         m = re.match(r"^([+-]?)(\d+)\^([+-]?\d+)$", text)
-        if m:  # the sign applies to the power: -2^-4 is -(2^-4)
-            power = Fraction(int(m.group(2))) ** int(m.group(3))
-            return -power if m.group(1) == "-" else power
         try:
+            if m:  # the sign applies to the power: -2^-4 is -(2^-4)
+                power = Fraction(int(m.group(2))) ** int(m.group(3))
+                return -power if m.group(1) == "-" else power
             return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None

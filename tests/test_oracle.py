@@ -175,21 +175,16 @@ class TestSmallStepSecondMoment:
         exact, formula = second_moment_small_step(u * Fraction(9, 10), Q88, scheme)
         assert exact == formula == u * u
 
-    def test_signed_eps_formula_needs_the_lean_of_v(self):
-        # v = u/5 under signed_sr_eps:0.2: E[d^2]/u^2 is 2/5 at lean +1, as
-        # the formula says, but 0 at lean -1, where the formula gives 1
+    def test_signed_eps_rounds_at_lean_zero(self):
+        # with no lean, signed_sr_eps follows the plain sr law: E[d^2] = u|v|
         u = Q88.u
         scheme = parse_scheme("signed_sr_eps:0.2")
-        exact, formula = second_moment_small_step(u / 5, Q88, scheme, v_sign=1)
-        assert exact == formula == Fraction(2, 5) * u * u
-        exact, formula = second_moment_small_step(-u / 5, Q88, scheme, v_sign=-1)
-        assert exact == formula == Fraction(2, 5) * u * u
-        for v, lean in [(u / 5, -1), (u / 5, 0), (-u / 5, 1)]:
-            with pytest.raises(ValueError, match="lean"):
-                second_moment_small_step(v, Q88, scheme, v_sign=lean)
-        # the sampled side rounds on the vector kernels, which take no lean
-        with pytest.raises(ValueError, match="lean"):
-            check_small_step_second_moment(u / 5, Q88, scheme, n=10)
+        for v in (u / 5, -u / 5):
+            exact, formula = second_moment_small_step(v, Q88, scheme)
+            assert exact == formula == u * u / 5
+        exact, formula, mc = check_small_step_second_moment(u / 5, Q88, scheme, n=20_000, seed=3)
+        assert exact == formula == u * u / 5
+        assert mc.ok
 
     def test_zero_step(self):
         exact, formula = second_moment_small_step(0, Q88, SR)

@@ -92,6 +92,8 @@ class TestParseRational:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             parse_rational("1/0")
+        with pytest.raises(ValueError, match=r"zero denominator in '0\^-1'"):
+            parse_rational("0^-1")
 
 
 class TestFixedVal:

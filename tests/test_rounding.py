@@ -52,6 +52,8 @@ class TestScheme:
     def test_zero_denominator_eps_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             parse_scheme("sr_eps:1/0")
+        with pytest.raises(ValueError, match=r"zero denominator in '0\^-1'"):
+            parse_scheme("sr_eps:0^-1")
 
 
 class TestProbRoundDown:
