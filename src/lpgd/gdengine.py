@@ -164,10 +164,6 @@ class GDConfig:
             raise ValueError("u_mul is only defined in fixed mode")
         return self.mul_fmt.u
 
-    def initial_state(self):
-        system = _SYSTEMS[self.number_system](self)
-        return system.lane(system.lanes(1), 0)
-
 
 @dataclass
 class RunResult:
@@ -220,15 +216,16 @@ class RunResult:
 def classify_case(g_tilde, t: Fraction, u) -> tuple:
     """(case, c2_mask): coordinate i is C2 when |t * g_i| < u_i.
 
-    g_tilde: a FixedVec, or a sequence of exact values or integer ratios
-    (n, d); u: a scalar grid spacing or per-coordinate spacings, exact values
-    or ratios.  A FixedVec with a scalar u compares exactly on integers,
+    g_tilde is a FixedVec with one exact grid spacing u (fixed point's
+    `finish`), or a sequence of exact values or integer ratios (n, d) with u
+    per coordinate, exact values or ratios too (lowfloat's step), or one
+    spacing for all.  A FixedVec compares exactly on integers,
     |g_m| * tn * u_den < td * u_num * scale, in int64 unless a side may leave
     it; (N, n) rows give an (N,) case array and an (N, n) mask, one (n,) row
     a case and an (n,) mask.  A sequence compares each coordinate on integers
     too, both sides as integer ratios.
     """
-    if isinstance(g_tilde, FixedVec) and not isinstance(u, (list, tuple, np.ndarray)):
+    if isinstance(g_tilde, FixedVec):
         uf, fmt = to_fraction(u), g_tilde.fmt
         lhs, rhs = t.numerator * uf.denominator, t.denominator * uf.numerator * fmt.scale
         m = np.atleast_2d(g_tilde.m)
@@ -237,11 +234,10 @@ def classify_case(g_tilde, t: Fraction, u) -> tuple:
         mask = np.abs(m) * lhs < rhs
         case = np.where(~mask.any(axis=1), 1, np.where(mask.all(axis=1), 2, 3))
         return (int(case[0]), mask[0]) if g_tilde.m.ndim == 1 else (case, mask)
-    gv = g_tilde.to_fractions() if isinstance(g_tilde, FixedVec) else g_tilde
-    us = u if isinstance(u, (list, tuple, np.ndarray)) else [u] * len(gv)
+    us = u if isinstance(u, (list, tuple, np.ndarray)) else [u] * len(g_tilde)
     tn, td = t.numerator, t.denominator
     c2 = []
-    for g, ui in zip(gv, us, strict=True):
+    for g, ui in zip(g_tilde, us, strict=True):
         (gn, gd), (un, ud) = to_ratio(g), to_ratio(ui)
         # |t g| < u on integers: t and every denominator are positive
         c2.append(abs(gn) * tn * ud < td * gd * un)
@@ -441,7 +437,7 @@ class _LowFloat(_System):
         for r, (row, g_r, stream) in enumerate(zip(x, g_t, streams)):
             new_row = []
             for i, ((xm, xe), (gm, ge)) in enumerate(zip(row, g_r)):
-                v_sign = (gm < 0) - (gm > 0) if scheme.uses_given_sign else 0  # -sign(g): descent
+                v_sign = (gm < 0) - (gm > 0)  # -sign(g): descent; only signed_sr_eps reads it
                 # x - t*g = (td*xm*2**xe - tn*gm*2**ge) / td as one ratio n/d
                 e = min(xe, ge)
                 n, d = lpfloat.pair_ratio((td * xm << (xe - e)) - (tn * gm << (ge - e)), e)

@@ -47,7 +47,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import lpfloat, rng, rounding
-from .qnum import FixedVec, QFormat, from_exact, to_fraction, to_ratio
+from .qnum import FixedVec, QFormat, from_exact, parse_rational, to_fraction, to_ratio
 
 _INT64_LIMIT = 1 << 63
 _RN = rounding.RoundScheme("rn")
@@ -471,17 +471,18 @@ def _square(v):
 def quadratic(a_diag, x_star=None) -> Objective:
     """f(x) = 0.5 (x - x*)' A (x - x*) with diagonal A > 0.
 
-    Entries of a_diag and x_star may be Fractions (or decimal strings); the
-    recipe uses them exactly, the binary64 f/grad use their float images.
+    Entries of a_diag and x_star are read by `qnum.parse_rational` (exact
+    values, or text like '1/10', '0.1' or '2^-4'); the recipe uses them
+    exactly, the binary64 f/grad use their float images.
     """
-    a_fr = [Fraction(v) if isinstance(v, str) else to_fraction(v) for v in a_diag]
+    a_fr = [parse_rational(v) for v in a_diag]
     if any(v <= 0 for v in a_fr):
         raise ValueError("diagonal entries must be positive")
     n = len(a_fr)
     if x_star is None:
         xs_fr = [Fraction(0)] * n
     else:
-        xs_fr = [Fraction(v) if isinstance(v, str) else to_fraction(v) for v in x_star]
+        xs_fr = [parse_rational(v) for v in x_star]
     a = np.array([float(v) for v in a_fr])
     xs = np.array([float(v) for v in xs_fr])
 

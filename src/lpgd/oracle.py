@@ -14,7 +14,8 @@ and the counterpart samples the code the exact side reads, at the same
 Convention for agreement checks (`_estimate`): a sample mean is consistent
 when it sits within `SE_MULT` = 4 standard errors of the exact mean of the
 law it was sampled from, the standard error taken from that law.  Only
-`check_float_drift` samples a lean; the other checks round at v_sign = 0.
+`check_float_drift` gives a lean, -sign(g), to `round_distribution` and
+the `lpfloat.fl_round` it samples; the other checks round at lean 0.
 """
 
 from __future__ import annotations
@@ -140,17 +141,6 @@ def _estimate(dist: Dist, samples) -> McEstimate:
         n=n,
         expected=float(dist_mean(dist)),
     )
-
-
-def mc_round_mean(
-    x: ExactReal,
-    fmt: QFormat,
-    scheme: rounding.RoundScheme,
-    n: int,
-    seed: int,
-) -> float:
-    """Sample mean of n independent roundings of x."""
-    return float(_rounded_samples(x, fmt, scheme, n, seed).mean())
 
 
 def check_expectation(
@@ -305,19 +295,6 @@ def mc_rounded_grad_mean(
 # ---------------------------------------------------------------------------
 
 
-def float_update_mean(
-    x: ExactReal,
-    step: ExactReal,
-    fmt: lpfloat.FloatFormat,
-    scheme: rounding.RoundScheme,
-    v_sign: int = 0,
-) -> Fraction:
-    """Exact E[x - fl(x - step)]: the mean realized step of one float update."""
-    xv = to_fraction(x)
-    dist = round_distribution(xv - to_fraction(step), fmt, scheme, v_sign)
-    return xv - dist_mean(dist)
-
-
 @dataclass
 class StagnationCheck:
     """One (gradient sign) branch of the float drift comparison."""
@@ -352,8 +329,7 @@ def check_float_drift(
     """
     xv, gv, tv = to_fraction(x), to_fraction(g), to_fraction(t)
     step, sgn = tv * gv, (gv > 0) - (gv < 0)
-    v_sign = -sgn if scheme.uses_given_sign else 0
-    dist = round_distribution(xv - step, fmt, scheme, v_sign)
+    dist = round_distribution(xv - step, fmt, scheme, -sgn)
     if scheme.kind == "sr":
         formula = step
     elif scheme.kind == "signed_sr_eps":
@@ -369,7 +345,7 @@ def check_float_drift(
     _check_sample_count(n)
     stream = RandomStream(seed)
     steps = [
-        float(xv - lpfloat.fl_round(xv - step, fmt, scheme, stream, rep, 0, v_sign))
+        float(xv - lpfloat.fl_round(xv - step, fmt, scheme, stream, rep, 0, -sgn))
         for rep in range(n)
     ]
     step_law = {xv - r: p for r, p in dist.items()}

@@ -10,8 +10,10 @@ In grid units the value sits at position q + r/den with q = floor and
     sr_eps         T = clamp(r*b + s*a*den, 0, cap)      (cap = den*b)
     signed_sr_eps  the same with s = sign(v_sign), given by the caller
 
-where eps = a/b and s = sign(x) for sr_eps.  Only the scalar law takes a
-v_sign (lowfloat's update gives -sign(g)); the vector kernels take none and
+where eps = a/b and s = sign(x) for sr_eps.  Only `law`,
+`oracle.round_distribution` and `lpfloat.fl_round` take a v_sign, and only
+lowfloat's update and `oracle.check_float_drift` give one (-sign(g));
+`prob_round_down`, `expected_round` and the vector kernels take none and
 round signed_sr_eps at s = 0.  Every exact law in the package -- the vector
 kernels, the binary64 fallback, the exhaustive `EnumBackend` (a FixedBackend
 whose rounding step branches on the same weight) and the bound estimators
@@ -69,7 +71,8 @@ _WORD = 1 << 64  # one uniform draw word spans [0, 2**64)
 
 @dataclass(frozen=True)
 class RoundScheme:
-    """A rounding rule: one of rn / sr / sr_eps / signed_sr_eps."""
+    """A rounding rule: one of rn / sr / sr_eps / signed_sr_eps.  eps is read
+    by `qnum.parse_rational`: text exactly, a float at its binary64 value."""
 
     kind: str
     eps: Optional[Fraction] = None
@@ -77,6 +80,8 @@ class RoundScheme:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown rounding scheme {self.kind!r}")
+        if self.eps is not None:
+            object.__setattr__(self, "eps", parse_rational(self.eps))
         if self.kind in ("sr_eps", "signed_sr_eps"):
             if self.eps is None or not 0 < self.eps < 1:
                 raise ValueError(f"{self.kind} needs eps in (0, 1), got {self.eps}")
@@ -113,7 +118,7 @@ def parse_scheme(spec: Union[str, RoundScheme]) -> RoundScheme:
     if ":" not in text:
         return RoundScheme(text)
     kind, _, eps_text = text.partition(":")
-    return RoundScheme(kind.strip(), parse_rational(eps_text))
+    return RoundScheme(kind.strip(), eps_text)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +167,15 @@ def law(x, fmt, scheme: RoundScheme, v_sign=0):
     return q, g, t, cap
 
 
-def prob_round_down(x: ExactReal, fmt, scheme: RoundScheme, v_sign: int = 0) -> Fraction:
+def prob_round_down(x: ExactReal, fmt, scheme: RoundScheme) -> Fraction:
     """Exact probability that x rounds to its lower neighbour on fmt's grid."""
-    _, _, t, cap = law(x, fmt, scheme, v_sign)
+    _, _, t, cap = law(x, fmt, scheme)
     return 1 - Fraction(t, cap)
 
 
-def expected_round(x: ExactReal, fmt, scheme: RoundScheme, v_sign: int = 0) -> Fraction:
+def expected_round(x: ExactReal, fmt, scheme: RoundScheme) -> Fraction:
     """Exact E[round(x)] = (q + P(round up)) * 2**g over the two neighbours."""
-    q, g, t, cap = law(x, fmt, scheme, v_sign)
+    q, g, t, cap = law(x, fmt, scheme)
     return (q + Fraction(t, cap)) * Fraction(2) ** g
 
 

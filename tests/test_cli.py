@@ -187,8 +187,9 @@ class TestPlEstimate:
              "--a-diag and --x-star apply only to the quadratic objective"),
             (["himmelblau", "--box", "0,2;0,2", "--x-star", "1,2"],
              "--a-diag and --x-star apply only to the quadratic objective"),
+            (["quadratic", "--a-diag", "1/0", "--box", "0,1"], "zero denominator in '1/0'"),
         ],
-        ids=["box-pairs", "resolution", "a-diag", "x-star"],
+        ids=["box-pairs", "resolution", "a-diag", "x-star", "zero-denominator"],
     )
     def test_bad_input_exits_with_one_line(self, argv, message):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -17,6 +17,7 @@ from lpgd.lpfloat import FloatFormat
 from lpgd.objectives import make_objective
 from lpgd.qnum import FixedVec, QFormat
 from lpgd.rng import RandomStream
+from lpgd.rounding import RoundScheme
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -78,15 +79,17 @@ class TestConfig:
             quad_config(x0=["1", "2"])
 
     def test_off_grid_x0_rejected(self):
-        with pytest.raises(ValueError):
-            quad_config(x0=["1/3"]).initial_state()
-        with pytest.raises(ValueError):
-            quad_config(
-                number_system="lowfloat",
-                working_fmt=None,
-                float_fmt="fp8e5",
-                x0=["33/32"],
-            ).initial_state()
+        with pytest.raises(ValueError, match="not on the Q8.8 grid"):
+            run(quad_config(x0=["1/3"]))
+        with pytest.raises(ValueError, match="not on the fp8e5 grid"):
+            run(
+                quad_config(
+                    number_system="lowfloat",
+                    working_fmt=None,
+                    float_fmt="fp8e5",
+                    x0=["33/32"],
+                )
+            )
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations must be >= 0"):
@@ -854,6 +857,14 @@ class TestFullRecordDigests:
             **{"mul_fmt": "Q8.6", "iterations": 60, "sigma1_scheme": "signed_sr_eps:1/3", **over}
         )
         assert digest_records(run_ensemble(cfg, seeds=range(seeds))) == want
+
+    def test_float_eps_runs_as_its_exact_value(self):
+        # a float eps is read at its binary64 value, and 0.25 is exactly 1/4
+        def digest(scheme):
+            cfg = _quad3(sigma1_scheme=scheme, iterations=40)
+            return digest_records(run_ensemble(cfg, seeds=range(2)))
+
+        assert digest(RoundScheme("sr_eps", 0.25)) == digest("sr_eps:1/4")
 
     def test_blr_signed_eps_sigma1(self):
         # the logistic values round through `round_doubles_vec` with lean 0

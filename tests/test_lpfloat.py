@@ -16,6 +16,7 @@ from lpgd.lpfloat import (
     parse_float_format,
     to_pair,
 )
+from lpgd.oracle import dist_mean, round_distribution
 from lpgd.qnum import to_ratio
 from lpgd.rng import RandomStream
 from lpgd.rounding import expected_round, parse_scheme, prob_round_down, up_weight
@@ -173,8 +174,8 @@ class TestRoundingLaws:
         # matching what sr_eps does on positive values
         scheme = parse_scheme("signed_sr_eps:0.1")
         x = Fraction(11, 10)
-        up_biased = expected_round(x, FP8, scheme, v_sign=1)
-        down_biased = expected_round(x, FP8, scheme, v_sign=-1)
+        up_biased = dist_mean(round_distribution(x, FP8, scheme, 1))
+        down_biased = dist_mean(round_distribution(x, FP8, scheme, -1))
         assert up_biased == x + scheme.eps * Fraction(1, 4)
         assert down_biased == x - scheme.eps * Fraction(1, 4)
 
@@ -396,9 +397,12 @@ def _float_grid_value(draw):
 def test_prob_round_down_fl_matches_reference(case, spec, v_sign):
     fmt, v = case
     scheme = parse_scheme(spec)
-    assert prob_round_down(v, fmt, scheme, v_sign) == _reference_prob_round_down_fl(
-        v, fmt, scheme, v_sign
-    )
+    assert prob_round_down(v, fmt, scheme) == _reference_prob_round_down_fl(v, fmt, scheme)
+    # the lean reaches the law through round_distribution: its mass on the
+    # lower neighbour is the reference's P(round down) at that lean
+    lo = _ref_neighbors(v, fmt)[0]
+    p_down = round_distribution(v, fmt, scheme, v_sign).get(lo, Fraction(0))
+    assert p_down == _reference_prob_round_down_fl(v, fmt, scheme, v_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +489,13 @@ def _outcome(fn, *args):
 
 
 def _all_outcomes(api, v, fmt, scheme, v_sign, stream):
+    """Each reader's value or error type; v_sign is the rounding's lean, which
+    prob_round_down and expected_round do not take."""
     neighbors_, prob_, expected_, round_ = api
     return (
         _outcome(neighbors_, v, fmt),
-        _outcome(prob_, v, fmt, scheme, v_sign),
-        _outcome(expected_, v, fmt, scheme, v_sign),
+        _outcome(prob_, v, fmt, scheme),
+        _outcome(expected_, v, fmt, scheme),
         _outcome(round_, v, fmt, scheme, stream, 3, 7, v_sign),
         stream.log() if stream else None,
     )

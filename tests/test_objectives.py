@@ -153,6 +153,18 @@ class TestAnalyticGradients:
         with pytest.raises(ValueError):
             make_objective("quadratic", a_diag=[1, 0])
 
+    @pytest.mark.parametrize(
+        "kwargs", [dict(a_diag=["1/0"]), dict(a_diag=["1"], x_star=["1/0"])], ids=["a_diag", "x_star"]
+    )
+    def test_quadratic_zero_denominator_is_a_value_error(self, kwargs):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            make_objective("quadratic", **kwargs)
+
+    def test_quadratic_reads_powers_of_two(self):
+        q = make_objective("quadratic", a_diag=["2^-4"], x_star=["-2^-3"])
+        assert q.f(np.array([-0.125])) == 0.0
+        assert eval_grad_reference(q, [0.875]).tolist() == [0.0625]
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_objective("rastrigin")

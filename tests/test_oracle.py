@@ -25,8 +25,6 @@ from lpgd.oracle import (
     exact_grad,
     exact_rounded_grad_mean,
     fit_log_slope,
-    float_update_mean,
-    mc_round_mean,
     mc_rounded_grad_mean,
     round_distribution,
     second_moment_small_step,
@@ -121,9 +119,10 @@ class TestMcAgainstExact:
         est = check_expectation(x, QFormat(12, 8), parse_scheme("sr_eps:0.4"), n=20_000)
         assert est.ok
 
-    def test_mc_round_mean_deterministic_scheme(self):
-        got = mc_round_mean(Fraction(3, 10), Q88, RN, n=50, seed=0)
-        assert got == pytest.approx(77 / 256)
+    def test_expectation_deterministic_scheme(self):
+        # rn: every sample is 77/256, the nearest grid point to 3/10
+        est = check_expectation(Fraction(3, 10), Q88, RN, n=50)
+        assert est.mean == est.expected == 77 / 256 and est.se == 0
 
 
 class TestSampleCount:
@@ -137,10 +136,6 @@ class TestSampleCount:
     def test_float_drift_needs_a_sample(self):
         with pytest.raises(ValueError, match="n = 0"):
             check_float_drift(1, Fraction(1, 2), Fraction(1, 64), FP8, SR, n=0)
-
-    def test_round_mean_needs_a_sample(self):
-        with pytest.raises(ValueError, match="n = 0"):
-            mc_round_mean(Fraction(1, 3), QFormat(4, 4), SR, 0, 0)
 
     @pytest.mark.parametrize("check", [
         lambda n: check_expectation(Fraction(3, 10), Q88, SR, n=n),
@@ -385,6 +380,6 @@ class TestFloatDrift:
             check_float_drift(1, Fraction(1, 2), Fraction(1, 64), FP8, RN, n=10)
 
     def test_update_mean_for_on_grid_step(self):
-        # x - step lands on the grid: the mean realized step is exact
-        got = float_update_mean(1, Fraction(1, 4), FP8, SR)
-        assert got == Fraction(1, 4)
+        # x - t g lands on the grid: the mean realized step is exact
+        chk = check_float_drift(1, 16, Fraction(1, 64), FP8, SR, n=10)
+        assert chk.exact_mean == Fraction(1, 4) and chk.mc.mean == 0.25

@@ -49,6 +49,15 @@ class TestScheme:
         with pytest.raises(ValueError):
             RoundScheme("stochastic")
 
+    def test_eps_is_read_as_an_exact_rational(self):
+        # a float is taken at its binary64 value, text exactly
+        assert RoundScheme("sr_eps", 0.25) == parse_scheme("sr_eps:1/4")
+        assert RoundScheme("sr_eps", "0.4") == parse_scheme("sr_eps:2/5")
+        assert RoundScheme("sr_eps", 0.4).eps == Fraction(0.4) != Fraction(2, 5)
+        assert str(RoundScheme("signed_sr_eps", 0.25)) == "signed_sr_eps:1/4"
+        with pytest.raises(ValueError, match="needs eps in"):
+            RoundScheme("sr_eps", "1.5")
+
     def test_zero_denominator_eps_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             parse_scheme("sr_eps:1/0")
@@ -73,8 +82,10 @@ class TestProbRoundDown:
             prob_round_down(Fraction(3, 4), Q11, rn)
 
     def test_on_grid_is_identity_for_all_schemes(self):
+        half = Fraction(1, 2)
         for spec in ("rn", "sr", "sr_eps:0.4", "signed_sr_eps:0.4"):
-            assert prob_round_down(Fraction(1, 2), Q11, parse_scheme(spec), v_sign=1) == 1
+            assert prob_round_down(half, Q11, parse_scheme(spec)) == 1
+            assert round_distribution(half, Q11, parse_scheme(spec), 1) == {half: 1}
 
     def test_sr_eps_shifts_by_value_sign(self):
         se = parse_scheme("sr_eps:0.2")
@@ -90,8 +101,8 @@ class TestProbRoundDown:
     def test_signed_uses_caller_sign(self):
         ss = parse_scheme("signed_sr_eps:0.2")
         x = Fraction(1, 5) * Q88.u
-        assert prob_round_down(x, Q88, ss, v_sign=1) == Fraction(3, 5)
-        assert prob_round_down(x, Q88, ss, v_sign=-1) == Fraction(1)
+        assert round_distribution(x, Q88, ss, 1) == {0: Fraction(3, 5), Q88.u: Fraction(2, 5)}
+        assert round_distribution(x, Q88, ss, -1) == {0: Fraction(1)}
 
 
 _KERNEL_SCHEMES = ["rn", "sr", "sr_eps:0.3", "sr_eps:1/3", "signed_sr_eps:1/3", "signed_sr_eps:0.9"]
@@ -202,7 +213,7 @@ class TestOutOfRange:
         scheme = parse_scheme(spec)
         for fn in (law, prob_round_down, expected_round, round_distribution):
             with pytest.raises(OverflowError):
-                fn(x, fmt, scheme, 0)
+                fn(x, fmt, scheme)
         if isinstance(fmt, FloatFormat):
             with pytest.raises(OverflowError):
                 fl_round(x, fmt, scheme, RandomStream(0), 0, 0)
@@ -221,6 +232,28 @@ class TestOutOfRange:
         bottom = Q88.min_value if fmt is Q88 else -FP8.max_finite
         for x in (top, bottom):
             assert round_distribution(x, fmt, parse_scheme("sr")) == {x: 1}
+
+
+@given(
+    fmt=st.sampled_from([Q88, FP8]),
+    spec=st.sampled_from(["rn", "sr", "sr_eps:0.4", "sr_eps:1/3"]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_only_signed_sr_eps_reads_the_lean(fmt, spec, data):
+    # lowfloat's update and check_float_drift give the lean -sign(g) under
+    # every scheme: every scheme but signed_sr_eps must round as at lean 0
+    top = Q88.max_value if fmt is Q88 else FP8.max_finite
+    bottom = Q88.min_value if fmt is Q88 else -FP8.max_finite
+    x = data.draw(
+        st.sampled_from([bottom, Fraction(0), fmt.u if fmt is Q88 else FP8.min_subnormal, top])
+        | st.fractions(min_value=-1, max_value=1, max_denominator=1 << 20)
+        | st.fractions(min_value=bottom, max_value=top, max_denominator=1 << 8)
+    )
+    scheme = parse_scheme(spec)
+    at_zero = law(x, fmt, scheme, 0)
+    for s in (1, -1):
+        assert law(x, fmt, scheme, s) == at_zero
 
 
 class TestVectorPaths:
