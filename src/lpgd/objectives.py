@@ -483,6 +483,8 @@ def quadratic(a_diag, x_star=None) -> Objective:
         xs_fr = [Fraction(0)] * n
     else:
         xs_fr = [parse_rational(v) for v in x_star]
+        if len(xs_fr) != n:
+            raise ValueError(f"x_star has length {len(xs_fr)}, a_diag has length {n}")
     a = np.array([float(v) for v in a_fr])
     xs = np.array([float(v) for v in xs_fr])
 

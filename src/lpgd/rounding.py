@@ -29,11 +29,23 @@ drawing, so the draw layout never depends on the data.
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
 binary64 rounding anywhere in the emulation itself.  The int64 row kernel
-splits a position into q and r with a shift and a mask when den = 2**s
-(every fixed-point product, at den = scale**2): q = pos >> s and
-r = pos & (den - 1) are the floor and the residue, negative positions
-included, since `>>` on int64 is arithmetic and `&` takes the two's
-complement.  Other denominators go through `np.divmod`.  The Python-int
+rounds sr on den = 2**s (every fixed-point product, at den = scale**2)
+without splitting the position pos = q*den + r: with u the word's low s
+bits, q + [u < r] = (pos + den - 1 - u) >> s, since r + den - 1 - u
+reaches den exactly when u < r.  Other schemes split with a shift and a
+mask: q = pos >> s and r = pos & (den - 1) are the floor and the residue,
+negative positions included, since `>>` on int64 is arithmetic and `&`
+takes the two's complement.  Other denominators go through `np.divmod`.
+
+Range checks cost no pass when the input's bounds settle them:
+`round_ratio_vec` takes each row's max and min to choose its kernel, every
+mantissa lies in [floor(min/den), ceil(max/den)] of the positions, and an
+interval inside the format needs no scan of the output;
+`round_doubles_vec` does the same with max |pos|.  Otherwise the output is
+scanned and the first element out of range named.  A kernel
+writes in place only into arrays it made itself: never into the caller's
+numerators or values, nor into what a foreign word source's `integers`
+returned, which may be a view of that source's own words.  The Python-int
 kernel `_round_list` takes everything else: one lane's row given as a list
 of Python ints (or one Python int) skips numpy but for its words, and an
 array of object dtype, or one with any row whose positions pass int64 (see
@@ -228,9 +240,14 @@ def round_ratio_vec(
     gens = None if gen is None else list(gen) if lanes else [gen]
     # a row's path (`_object_lim`) depends only on its own values, never on the
     # dtype or on other rows, so a value rounds the same however it is packaged
-    if rows.dtype != object and (not rows.size or (rows.max() < lim and rows.min() > -lim)):
-        pos = rows.astype(np.int64, copy=False) * out_fmt.scale
-        out = _round_rows(pos, den, out_fmt, scheme, gens)
+    top = bot = 0  # an empty row takes the path of a zero, as a list does
+    ints = rows.dtype != object
+    if ints and rows.size:
+        top, bot = int(rows.max()), int(rows.min())
+    if ints and top < lim and bot > -lim:  # the bounds also settle the output range
+        scale = out_fmt.scale
+        pos = rows.astype(np.int64, copy=False) * scale
+        out = _round_rows(pos, den, out_fmt, scheme, gens, (bot * scale, top * scale))
     else:  # object rows or a row past int64: every row on Python ints
         # operator.index: an object array may hold numpy integers, which
         # would wrap in _round_list, or floats, which are not numerators
@@ -286,27 +303,50 @@ def _round_list(nums: list, den: int, out_fmt, scheme, gen, wide: bool) -> list:
     return ms
 
 
-def _round_rows(pos, den, out_fmt, scheme, gens) -> np.ndarray:
+def _round_rows(pos, den, out_fmt, scheme, gens, bounds=None) -> np.ndarray:
     """Round the int64 grid positions pos/den, one row per lane, onto
-    out_fmt, drawing through one `bernoulli_lt` call over all lanes.  Rows
+    out_fmt, drawing one word per element over all lanes at once.  Rows
     past int64 (see `_object_lim`) never come here: `round_ratio_vec` sends
-    them to `_round_list`, the Python-int kernel."""
+    them to `_round_list`, the Python-int kernel.
+
+    sr on den = 2**s rounds pos = q*den + r up when the word's low s bits u
+    fall below r, and r + den - 1 - u reaches den exactly then, so
+    m = (pos + den - 1 - u) >> s: a subtract, an add and a shift, in place
+    in the words (an on-grid element, r = 0, never rounds up).  No sum
+    wraps: |pos| < 2**62 and den < 2**62 here.  Other schemes and
+    denominators split pos into q and r and draw against `up_weight`.
+
+    bounds, when given, is (lo, hi) with lo <= pos <= hi elementwise.  Every
+    mantissa then lies in [floor(lo/den), ceil(hi/den)], and when that
+    interval is inside out_fmt the output range scan is skipped.  pos is
+    never written: only the arrays made here are.
+    """
     if scheme.is_random and gens is None:
         raise ValueError(f"{scheme} needs a word source")
-    if den & (den - 1) == 0:  # den = 2**s: the dyadic split
-        q, r = pos >> (den.bit_length() - 1), pos & (den - 1)
+    dyadic = den & (den - 1) == 0
+    if scheme.kind == "sr" and dyadic:
+        m = rng.uniform_below(gens, den, pos.size).view(np.int64)
+        np.subtract(den - 1, m, out=m)
+        m += pos.reshape(-1)
+        m >>= den.bit_length() - 1
+        m = m.reshape(pos.shape)
     else:
-        q, r = np.divmod(pos, den)
-    nums, cap = up_weight(q, r, den, scheme)
-    if not scheme.is_random:
-        up = nums > 0
-    else:
-        up = rng.bernoulli_lt(gens, nums.reshape(-1), cap, nums.size).reshape(nums.shape)
-    if scheme.kind != "sr":  # under sr, T = r = 0 already rounds them down
-        up &= r != 0  # representable values round to themselves
+        if dyadic:  # den = 2**s: the dyadic split
+            q, r = pos >> (den.bit_length() - 1), pos & (den - 1)
+        else:
+            q, r = np.divmod(pos, den)
+        nums, cap = up_weight(q, r, den, scheme)
+        if not scheme.is_random:
+            up = nums > 0
+        else:
+            up = rng.bernoulli_lt(gens, nums.reshape(-1), cap, nums.size).reshape(nums.shape)
+        if scheme.kind != "sr":  # under sr, T = r = 0 already rounds them down
+            up &= r != 0  # representable values round to themselves
+        m = q + up
 
-    m = q + up
     lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
+    if bounds is not None and lo <= bounds[0] // den and -(-bounds[1] // den) <= hi:
+        return m
     if m.size and (m.min() < lo or m.max() > hi):
         i = int(np.argmax((m < lo) | (m > hi)))
         raise OverflowError(
@@ -346,30 +386,41 @@ def round_doubles_vec(
 
     The draw layout is therefore one word per element in index order, then
     the extension words of the undecided elements; on-grid values draw like
-    any other and then round to themselves.
+    any other and then round to themselves.  Every mantissa lies in
+    [floor(pos), ceil(pos)], so when max |pos| <= max_mantissa (read off
+    the input's max and min, which also catch NaN, inf and |pos| >= 2**63)
+    the output needs no range scan.
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     n = vals.size
-    finite = np.isfinite(vals)
-    if not finite.all():
-        bad = float(vals[np.argmin(finite)])
-        if bad != bad:
-            raise ValueError(f"cannot round NaN into {out_fmt}")
-        raise OverflowError(f"{bad} overflows {out_fmt}")
-    pos = np.ldexp(vals, out_fmt.qf)
-    if n and np.abs(pos).max() >= 2.0**63:
+    top = bot = 0.0
+    if n:
+        top, bot = float(vals.max()), float(vals.min())
+    lim = 2.0 ** (63 - out_fmt.qf)  # |v| * 2**qf against 2**63
+    if not (top < lim and bot > -lim):  # a NaN fails both
+        finite = np.isfinite(vals)
+        if not finite.all():
+            bad = float(vals[np.argmin(finite)])
+            if bad != bad:
+                raise ValueError(f"cannot round NaN into {out_fmt}")
+            raise OverflowError(f"{bad} overflows {out_fmt}")
         raise OverflowError(f"double input overflows {out_fmt}")
+    pos = np.ldexp(vals, out_fmt.qf)
 
     if scheme.kind == "rn":
         m = np.rint(pos).astype(np.int64)
     else:
         if gen is None:
             raise ValueError(f"{scheme} needs a word source")
-        q = np.floor(pos)
-        mag = np.abs(pos)
-        f64 = np.ldexp(mag - np.floor(mag), 64)
-        lo = np.where(pos < 0, -np.ceil(f64).astype(np.uint64), np.floor(f64).astype(np.uint64))
-        full = np.zeros(n, dtype=bool)
+        neg = bot < 0
+        mag = np.abs(pos) if neg else pos
+        fl = np.floor(mag)
+        m = (np.floor(pos) if neg else fl).astype(np.int64)
+        f64 = np.ldexp(mag - fl, 64)
+        lo = f64.astype(np.uint64)  # floor(F): F >= 0
+        if neg:
+            lo = np.where(pos < 0, -np.ceil(f64).astype(np.uint64), lo)
+        full = None
         if scheme.uses_value_sign:
             e_hi = (scheme.eps.numerator << 64) // scheme.eps.denominator
             plus, minus = vals > 0, vals < 0
@@ -379,9 +430,13 @@ def round_doubles_vec(
             lo = np.where(minus, np.where(lo >= down, lo - down, 0), lo)
         # the exact prefix is lo or lo + 1 (or 2**64 when full)
         u = gen.integers(0, _WORD, size=n, dtype=np.uint64)
-        up = full | (u < lo)
+        up = u < lo
+        near = u - lo <= np.uint64(1)
+        if full is not None:
+            up |= full
+            near &= ~full
         pending, nums, dens = [], [], []
-        for i in np.flatnonzero(~full & (u - lo <= np.uint64(1))):
+        for i in np.flatnonzero(near):
             p = Fraction(float(vals[i])) * out_fmt.scale
             t, cap = up_weight(*divmod(p.numerator, p.denominator), p.denominator, scheme)
             hi, rem = divmod(t << 64, cap)
@@ -392,9 +447,15 @@ def round_doubles_vec(
                 dens.append(cap)
         if pending:
             up[pending] = rng.bernoulli_ratio(gen, nums, dens, len(pending))
-        up[f64 == 0] = False  # representable values round to themselves
-        m = q.astype(np.int64) + up
+        if full is not None:
+            # representable values round to themselves; elsewhere their prefix
+            # lo = 0 (s = 0) and T = r = 0 keep them down already
+            up[f64 == 0] = False
+        m += up
 
-    if ((m < out_fmt.min_mantissa) | (m > out_fmt.max_mantissa)).any():
+    # m lies in [floor(pos), ceil(pos)]: |pos| <= max_mantissa settles the range
+    if max(top, -bot) * out_fmt.scale > out_fmt.max_mantissa and (
+        (m < out_fmt.min_mantissa) | (m > out_fmt.max_mantissa)
+    ).any():
         raise OverflowError(f"double input overflows {out_fmt}")
     return m

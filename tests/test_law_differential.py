@@ -20,6 +20,7 @@ it was.  Values, binary64 columns, words drawn at every op address and the
 OverflowError message must all agree.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +405,79 @@ def test_on_grid_rows_draw_and_round_to_themselves(case, seed):
         assert used == [pos.shape[1]] * len(pos)  # one word per element
     else:
         assert min(used) >= pos.shape[1]  # and any rejection redraws
+
+
+@st.composite
+def _ratio_row_case(draw):
+    """A Q format, a scheme, a denominator whose rows round on int64 and 1 or
+    3 lanes of numerators num whose positions num * scale sit on the grid or
+    off it, either sign, at the grid's ends and, in half the cases, past
+    them; or, at den = 2**61, just under the int64-safe limit
+    |num| * scale < 2**62."""
+    fmt = QFormat(draw(st.integers(1, 8)), draw(st.integers(0, 10)))
+    scheme = parse_scheme(draw(st.sampled_from(ROW_SCHEMES)))
+    edge = draw(st.integers(0, 4)) == 0
+    if edge:
+        den = 1 << 61
+    elif draw(st.booleans()):
+        den = 1 << draw(st.sampled_from([0, 1, 8, 16, 40]) | st.integers(0, 61))
+    else:
+        den = draw(st.sampled_from([3, 5, 12, 500 * 256, 3 << 59]) | st.integers(3, (1 << 62) - 1))
+        assume(den & (den - 1))
+    lim = rounding._object_lim(den, fmt, scheme)
+    assume(lim > 0)  # int64 rows
+    scale = fmt.scale
+    step = den // math.gcd(den, scale)  # the least on-grid |num|
+    lo, hi = fmt.min_mantissa, fmt.max_mantissa
+    if draw(st.booleans()):  # past the ends too
+        lo, hi = lo - 2, hi + 2
+    ends = [fmt.min_mantissa - 1, fmt.min_mantissa, -1, 0, 1, fmt.max_mantissa,
+            fmt.max_mantissa + 1]
+    mant = st.sampled_from([m for m in ends if lo <= m <= hi]) | st.integers(lo, hi)
+    resid = st.sampled_from([0, 1, den // 2, den - 1]) | st.integers(0, den - 1)
+
+    def element():
+        if edge:
+            num = (lim - 1 - draw(st.integers(0, 3))) * draw(st.sampled_from([1, -1]))
+        else:
+            num = (draw(mant) * den + draw(resid)) // scale
+            if draw(st.booleans()):
+                num -= num % step  # on the grid
+        return max(-lim + 1, min(lim - 1, num))
+
+    lanes, n = draw(st.sampled_from([1, 3])), draw(st.integers(1, 6))
+    num = np.array([[element() for _ in range(n)] for _ in range(lanes)], dtype=np.int64)
+    return fmt, scheme, den, num
+
+
+def _flat_row(pos, den, fmt, scheme, gens):
+    """`round_ratio_vec` on a one-lane case as a 1-D row with one word source."""
+    return rounding.round_ratio_vec(pos[0], den, fmt, scheme, gens and gens[0])[None]
+
+
+def _list_row(pos, den, fmt, scheme, gens):
+    """`_round_list`, the Python-int kernel, on a one-lane case."""
+    return np.array([rounding._round_list(pos[0].tolist(), den, fmt, scheme, gens and gens[0],
+                                          False)])
+
+
+@given(case=_ratio_row_case(), seed=st.integers(0, 2**40))
+@settings(max_examples=500, deadline=None)
+def test_int64_rows_match_the_divmod_original(case, seed):
+    """round_ratio_vec on int64 numerators against the frozen divmod kernel
+    fed num * scale: mantissas, words per lane and the OverflowError, where
+    the rows' bounds settle the output range and where they do not.  Each
+    lane rounded alone on Python ints (`_round_list`) gives the same."""
+    fmt, scheme, den, num = case
+    want = _rows_outcome(lambda pos, *args: _old_round_rows(pos * fmt.scale, *args, 0), case, seed)
+    assert _rows_outcome(rounding.round_ratio_vec, case, seed) == want
+    if len(num) == 1:
+        assert _rows_outcome(_flat_row, case, seed) == want
+    lanes = [_rows_outcome(_list_row, (fmt, scheme, den, num[r:r + 1]), seed + r)
+             for r in range(len(num))]
+    errors = [out for out, _ in lanes if isinstance(out, tuple)]
+    assert (errors[0] if errors else [row for out, _ in lanes for row in out]) == want[0]
+    assert [u for _, used in lanes for u in used] == want[1]
 
 
 # ---------------------------------------------------------------------------

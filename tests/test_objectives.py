@@ -160,6 +160,11 @@ class TestAnalyticGradients:
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             make_objective("quadratic", **kwargs)
 
+    @pytest.mark.parametrize("x_star", [["1"], ["1", "2", "3"]], ids=["short", "long"])
+    def test_quadratic_x_star_length_must_match_a_diag(self, x_star):
+        with pytest.raises(ValueError, match=f"x_star has length {len(x_star)}, a_diag has length 2"):
+            make_objective("quadratic", a_diag=["1", "2"], x_star=x_star)
+
     def test_quadratic_reads_powers_of_two(self):
         q = make_objective("quadratic", a_diag=["2^-4"], x_star=["-2^-3"])
         assert q.f(np.array([-0.125])) == 0.0

@@ -290,6 +290,17 @@ class TestVectorPaths:
         out = round_doubles_vec(vals, Q88, sr, RandomStream(0).generator(0, 0))
         assert out.tolist() == [128, -64, 768]
 
+    def test_empty_rows_round_at_any_denominator(self):
+        # an empty row takes the Python-int path past 2**62, as the empty list does
+        sr = parse_scheme("sr")
+        for den in (1 << 16, 1 << 70):
+            gens = [RandomStream(s).generator(0, 0) for s in range(3)]
+            assert round_ratio_vec([], den, Q88, sr, gens[0]) == []
+            for num, gen in ((np.zeros(0, dtype=np.int64), gens[0]),
+                             (np.zeros((3, 0), dtype=np.int64), gens)):
+                out = round_ratio_vec(num, den, Q88, sr, gen)
+                assert out.dtype == np.int64 and out.shape == num.shape
+
     def test_nonpositive_denominator_rejected(self):
         with pytest.raises(ValueError, match="denominator must be positive, got 0"):
             round_ratio_vec(np.array([1], dtype=np.int64), 0, Q88, parse_scheme("rn"))
@@ -705,9 +716,33 @@ def _doubles_case(draw):
     return vals, fmt, RoundScheme(kind, eps)
 
 
-@given(case=_doubles_case(), seed=st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=300, deadline=None)
+@st.composite
+def _range_edge_case(draw):
+    """1-4 values of which some sit at the range's edges: |pos| within 1 of
+    max_mantissa, either sign, or pos = min_mantissa exactly."""
+    fmt = draw(st.sampled_from(_DIFF_FORMATS))
+    u = 2.0 ** -fmt.qf
+
+    def edge():
+        if draw(st.booleans()):
+            return fmt.min_mantissa * u
+        frac = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0))
+        return draw(st.sampled_from([-1.0, 1.0])) * (fmt.max_mantissa + frac) * u
+
+    n = draw(st.integers(1, 4))
+    vals = [edge() if draw(st.booleans()) else draw(_double_in_format(fmt)) for _ in range(n)]
+    kind = draw(st.sampled_from(["rn", "sr", "sr_eps"]))
+    eps = draw(st.sampled_from(_DIFF_EPS)) if kind == "sr_eps" else None
+    return np.array(vals), fmt, RoundScheme(kind, eps)
+
+
+@given(case=_doubles_case() | _range_edge_case(),
+       seed=st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=400, deadline=None)
 def test_doubles_kernel_matches_fraction_reference(case, seed):
+    """Mantissas and words against the reference; at the range's edges the
+    reference also decides whether the call raises or returns (the kernel
+    skips its range scan when max |pos| <= max_mantissa)."""
     vals, fmt, scheme = case
     g_ref, g_new = _CountingGen(seed), _CountingGen(seed)
     ref = _outcome(_reference_round_doubles, vals, fmt, scheme, g_ref)
@@ -776,3 +811,35 @@ class TestDoublesKernel:
         with pytest.raises(OverflowError):
             round_doubles_vec(np.array([127.999]), Q88, parse_scheme("sr_eps:0.5"),
                               RandomStream(0).generator(0, 0))
+
+
+class _ViewWords:
+    """A word source whose `integers` hands out views into its own script."""
+
+    def __init__(self, seed, size):
+        self.script = RandomStream(seed).u64(0, 0, size)
+        self._at = 0
+
+    def integers(self, low, high, size, dtype):
+        out = self.script[self._at:self._at + size]
+        self._at += size
+        return out
+
+
+@pytest.mark.parametrize("fmt", [QFormat(8, 0), Q88, QFormat(15, 8)])
+@pytest.mark.parametrize("spec", ["sr", "sr_eps:0.4", "signed_sr_eps:1/4"])
+@pytest.mark.parametrize("den", [1 << 16, 3])
+def test_kernels_write_only_into_their_own_arrays(fmt, spec, den):
+    scheme = parse_scheme(spec)
+    num = np.arange(-40, 40, dtype=np.int64) * 3
+    vals = num / 7.0
+    given = num.copy(), vals.copy()
+    sources = [_ViewWords(seed, 1000) for seed in range(3)]
+    scripts = [s.script.copy() for s in sources]
+    round_ratio_vec(num, den, fmt, scheme, sources[0])
+    round_ratio_vec(num.reshape(2, -1), den, fmt, scheme, sources[1:])
+    round_doubles_vec(vals, fmt, scheme, sources[0])
+    assert all(s._at > 0 for s in sources)
+    for s, script in zip(sources, scripts):
+        assert (s.script == script).all()
+    assert (num == given[0]).all() and (vals == given[1]).all()
