@@ -241,10 +241,10 @@ def round_ratio_vec(
     # a row's path (`_object_lim`) depends only on its own values, never on the
     # dtype or on other rows, so a value rounds the same however it is packaged
     top = bot = 0  # an empty row takes the path of a zero, as a list does
-    ints = rows.dtype != object
-    if ints and rows.size:
+    if rows.dtype != object and rows.size:
         top, bot = int(rows.max()), int(rows.min())
-    if ints and top < lim and bot > -lim:  # the bounds also settle the output range
+    # the bounds also settle the output range
+    if rows.dtype != object and top < lim and bot > -lim:
         scale = out_fmt.scale
         pos = rows.astype(np.int64, copy=False) * scale
         out = _round_rows(pos, den, out_fmt, scheme, gens, (bot * scale, top * scale))
@@ -312,19 +312,23 @@ def _round_rows(pos, den, out_fmt, scheme, gens, bounds=None) -> np.ndarray:
     sr on den = 2**s rounds pos = q*den + r up when the word's low s bits u
     fall below r, and r + den - 1 - u reaches den exactly then, so
     m = (pos + den - 1 - u) >> s: a subtract, an add and a shift, in place
-    in the words (an on-grid element, r = 0, never rounds up).  No sum
-    wraps: |pos| < 2**62 and den < 2**62 here.  Other schemes and
-    denominators split pos into q and r and draw against `up_weight`.
+    in the words (an on-grid element, r = 0, never rounds up).  The sum
+    stays below 2**63 when pos <= 2**63 - den, as it does for every row
+    `round_ratio_vec` sends (|pos| < 2**62); larger positions split instead.
+    Other schemes and denominators split pos into q and r and draw against
+    `up_weight`.
 
-    bounds, when given, is (lo, hi) with lo <= pos <= hi elementwise.  Every
-    mantissa then lies in [floor(lo/den), ceil(hi/den)], and when that
-    interval is inside out_fmt the output range scan is skipped.  pos is
-    never written: only the arrays made here are.
+    bounds is (lo, hi) with lo <= pos <= hi elementwise, read off pos when
+    not given.  Every mantissa lies in [floor(lo/den), ceil(hi/den)], and
+    when that interval is inside out_fmt the output range scan is skipped.
+    pos is never written: only the arrays made here are.
     """
     if scheme.is_random and gens is None:
         raise ValueError(f"{scheme} needs a word source")
+    if bounds is None:
+        bounds = (int(pos.min()), int(pos.max())) if pos.size else (0, 0)
     dyadic = den & (den - 1) == 0
-    if scheme.kind == "sr" and dyadic:
+    if scheme.kind == "sr" and dyadic and bounds[1] <= 2**63 - den:
         m = rng.uniform_below(gens, den, pos.size).view(np.int64)
         np.subtract(den - 1, m, out=m)
         m += pos.reshape(-1)
@@ -345,9 +349,9 @@ def _round_rows(pos, den, out_fmt, scheme, gens, bounds=None) -> np.ndarray:
         m = q + up
 
     lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
-    if bounds is not None and lo <= bounds[0] // den and -(-bounds[1] // den) <= hi:
+    if lo <= bounds[0] // den and -(-bounds[1] // den) <= hi:
         return m
-    if m.size and (m.min() < lo or m.max() > hi):
+    if m.min() < lo or m.max() > hi:  # m is not empty: bounds (0, 0) return above
         i = int(np.argmax((m < lo) | (m > hi)))
         raise OverflowError(
             f"rounding {int(pos.flat[i])}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}"
@@ -412,6 +416,8 @@ def round_doubles_vec(
     else:
         if gen is None:
             raise ValueError(f"{scheme} needs a word source")
+        # with no negative value (blr's logistic values) |pos| is pos and
+        # the prefix needs no sign select
         neg = bot < 0
         mag = np.abs(pos) if neg else pos
         fl = np.floor(mag)

@@ -394,6 +394,22 @@ def test_round_rows_matches_the_divmod_original(case, seed):
     assert got == _rows_outcome(lambda *args: _old_round_rows(*args, 0), case, seed)
 
 
+def test_sr_rows_near_the_int64_top_match_the_divmod_original():
+    """Positions up to 2**63 - 1 called straight into `_round_rows`: under sr
+    at den = 2**61 the sum pos + den - 1 - u would pass int64 there, so the
+    kernel must split instead and still match the original."""
+    den, fmt = 1 << 61, QFormat(4, 0)
+    pos = np.array([[3 * den + den - 1, 3 * den + 1, 3 * den, -4 * den, -3 * den - 1] * 8,
+                    [(1 << 63) - 1, 3 * den + den // 2, 2 * den + den - 1, 0, -1] * 8],
+                   dtype=np.int64)
+    case = (fmt, parse_scheme("sr"), den, pos)
+    for seed in range(4):
+        want = _rows_outcome(lambda *args: _old_round_rows(*args, 0), case, seed)
+        assert _rows_outcome(rounding._round_rows, case, seed) == want
+        assert _rows_outcome(rounding._round_rows, (fmt, case[1], den, pos[:1]), seed)[0] == \
+            want[0][:1]
+
+
 @given(case=_row_case(on_grid=True), seed=st.integers(0, 2**40))
 @settings(max_examples=100, deadline=None)
 def test_on_grid_rows_draw_and_round_to_themselves(case, seed):

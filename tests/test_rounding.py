@@ -738,7 +738,7 @@ def _range_edge_case(draw):
 
 @given(case=_doubles_case() | _range_edge_case(),
        seed=st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_doubles_kernel_matches_fraction_reference(case, seed):
     """Mantissas and words against the reference; at the range's edges the
     reference also decides whether the call raises or returns (the kernel
