@@ -88,6 +88,13 @@ SIGMA2_TAG = 1 << 20
 _INT64_LIMIT = 1 << 63
 
 
+def check_x0(x0) -> None:
+    """ValueError unless x0 is one flat sequence of coordinates: text would
+    split into its characters, and a scalar has none."""
+    if np.ndim(x0) != 1:
+        raise ValueError(f"x0 must be a list of coordinates, got {x0!r}")
+
+
 @dataclass
 class GDConfig:
     """Everything one emulated descent run needs."""
@@ -139,6 +146,7 @@ class GDConfig:
             self.float_fmt, lpfloat.FloatFormat
         ):
             self.float_fmt = lpfloat.parse_float_format(self.float_fmt)
+        check_x0(self.x0)
         if len(self.x0) != self.objective.n:
             raise ValueError(
                 f"x0 has {len(self.x0)} coordinates, objective wants {self.objective.n}"

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .gdengine import GDConfig, RunResult, run_ensemble
+from .gdengine import GDConfig, RunResult, check_x0, run_ensemble
 from .objectives import Objective, make_objective
 from .qnum import make_format
 
@@ -150,10 +150,13 @@ class ExperimentSpec:
         if missing:
             raise ValueError(f"missing config keys: {missing}")
         spec = dict(raw)
+        if isinstance(spec.get("seeds"), bool):  # YAML's true would count as 1 seed
+            raise ValueError(f"seeds must be a count or a list of seeds, got {raw['seeds']!r}")
         if "seeds" in spec and isinstance(spec["seeds"], int):
             spec["seeds"] = list(range(spec["seeds"]))
         if "seeds" in spec and not spec["seeds"]:
             raise ValueError(f"seeds must name at least one seed, got {raw['seeds']!r}")
+        check_x0(spec["x0"])
         spec["x0"] = [str(v) for v in spec["x0"]]
         spec["t"] = str(spec["t"])
         return cls(**spec)

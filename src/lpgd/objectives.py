@@ -187,12 +187,12 @@ class FixedBackend(_ConstTable):
     def coef(self, c, a, out_fmt: Optional[QFormat] = None):
         """c * a for an exact rational coefficient c; rounds once if off-grid,
         or, given out_fmt (the engine's update t * g), always onto out_fmt."""
-        cf = to_fraction(c)
-        if cf.denominator == 1 and out_fmt is None:
+        n, d = to_ratio(c)  # an exact value's ratio is in lowest terms
+        num = self._times(n, a, abs(n))
+        if d == 1 and out_fmt is None:
             self.tag += 1
-            return self._check(self._times(int(cf), a, abs(int(cf))))
-        num = self._times(cf.numerator, a, abs(cf.numerator))
-        return self._round_ratio(num, cf.denominator * self.fmt.scale, out_fmt)
+            return self._check(num)
+        return self._round_ratio(num, d * self.fmt.scale, out_fmt)
 
     def sum(self, a, axis: int):
         """The exact sum of a along axis, range-checked; takes no tag."""

@@ -19,7 +19,11 @@ are exactly those a fresh `Generator(Philox(key, counter))` gives for
 Bernoulli draws take their probability as an exact integer ratio num/den and
 are exact: a uniform r on [0, den) is compared against num.  Power-of-two
 denominators mask the low bits of a 64-bit word; anything else goes through
-rejection sampling.
+rejection sampling.  `uniform_below` takes a short draw, one lane of at most
+`_SHORT_DRAW` words (as every one-lane fixed-point rounding op of a small
+objective draws), on the Python ints `_draw` returns, which skips numpy's
+per-call cost at that size; longer and multi-lane draws work on uint64
+arrays.  Both paths draw the same words and the same redraws.
 
 Every draw function takes one word source or, for R lanes advanced
 together, a list of R per-lane word sources: lane r then supplies its share
@@ -41,6 +45,13 @@ import numpy as np
 _KEY_SALT = 0x9E3779B97F4A8000
 _FULL = 1 << 64
 _U64 = np.dtype(np.uint64)
+# The most words a one-lane `uniform_below` draws on Python ints; longer
+# draws are cheaper as arrays.  Timed per call (Python 3.11, numpy 2.4,
+# 2-core Xeon): on a non-dyadic den the ints save 2.5 us at 1 word and 0.9
+# at 8, falling to 0.2 at 12; on a dyadic den, whose array path is one mask,
+# they save about 0.7 at 1 word and lose 0.1-0.6 at 2-8 and 1.0 at 10.  At
+# 8 the two kinds about balance.
+_SHORT_DRAW = 8
 
 
 # The one bit generator behind every OpWords and the state `_draw` gives it
@@ -148,11 +159,16 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
     """n exact uniforms on [0, den) as uint64, for 0 < den <= 2**64.
 
     With a list of R lane word sources, lane r supplies elements
-    [r*n/R, (r+1)*n/R) and its own rejection redraws.
+    [r*n/R, (r+1)*n/R) and its own rejection redraws.  One lane drawing at
+    most `_SHORT_DRAW` words works on the Python ints of its words and
+    builds the array once; it draws the same words as the array path.
     """
+    den = operator.index(den)
     if not 0 < den <= _FULL:
         raise ValueError(f"denominator must be in (0, 2**64], got {den}")
     gens = _lanes(gen, n)
+    if len(gens) == 1 and n <= _SHORT_DRAW:
+        return np.array(_uniform_ints(gens[0], den, n), dtype=_U64)
     per = n // len(gens)
     words = _draw(gens, per)
     if per == 1:
@@ -171,6 +187,23 @@ def uniform_below(gen, den: int, n: int) -> np.ndarray:
         u[idx] = _draw([gens[i // per] for i in idx.tolist()], 1)
         bad = u >= lim
     return u % np.uint64(den)
+
+
+def _uniform_ints(g, den: int, n: int) -> list:
+    """n uniforms on [0, den) from the one lane source g, as Python ints: the
+    words, and the rejection redraws in index order, of the array path."""
+    ws = _draw((g,), n)[0]
+    ws = [ws] if n == 1 else ws.tolist()
+    if den & (den - 1) == 0:
+        mask = den - 1
+        return [w & mask for w in ws]
+    lim = (_FULL // den) * den
+    bad = [i for i, w in enumerate(ws) if w >= lim]
+    while bad:
+        for i, w in zip(bad, _draw([g] * len(bad), 1)):
+            ws[i] = w
+        bad = [i for i in bad if ws[i] >= lim]
+    return [w % den for w in ws]
 
 
 def bernoulli_lt(gen, nums, den: int, n: int) -> np.ndarray:

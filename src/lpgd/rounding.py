@@ -52,7 +52,9 @@ array of object dtype, or one with any row whose positions pass int64 (see
 `_object_lim`), goes there row by row.  It rounds with the same law, the
 same row-wide choice between `uniform_below` and `bernoulli_ratio`, the
 same words and the same errors as the int64 kernel, so a row rounds the
-same on either kernel.
+same on either kernel.  Under sr with `uniform_below` words it uses the
+int64 kernel's identity at any den, one floor division per element:
+m = (pos + den - 1 - u) // den.
 
 Binary64 inputs (`round_doubles_vec`) are dyadic, so their rounding decision
 is made exactly on whole arrays: the grid position and the residue's
@@ -280,26 +282,30 @@ def _round_list(nums: list, den: int, out_fmt, scheme, gen, wide: bool) -> list:
     if scheme.is_random and gen is None:
         raise ValueError(f"{scheme} needs a word source")
     scale, n = out_fmt.scale, len(nums)
-    # cap is the same for every element; an empty row draws nothing at den
-    splits, ts, cap = [], [], den
-    for v in nums:
-        q, r = divmod(v * scale, den)
-        t, cap = up_weight(q, r, den, scheme)
-        splits.append((q, r))
-        ts.append(t)
-    if not scheme.is_random:
-        ups = [t > 0 for t in ts]
-    elif wide:
-        ups = rng.bernoulli_ratio(gen, ts, cap, n).tolist()
+    if scheme.kind == "sr" and not wide:
+        # q + [u < r] = (pos + den - 1 - u) // den, as `_round_rows` shifts
+        us = rng.uniform_below(gen, den, n).tolist()
+        ms = [(v * scale + den - 1 - u) // den for v, u in zip(nums, us)]
     else:
-        ups = [w < t for w, t in zip(rng.uniform_below(gen, cap, n).tolist(), ts)]
+        # cap is the same for every element; an empty row draws nothing at den
+        splits, ts, cap = [], [], den
+        for v in nums:
+            q, r = divmod(v * scale, den)
+            t, cap = up_weight(q, r, den, scheme)
+            splits.append((q, r))
+            ts.append(t)
+        if not scheme.is_random:
+            ups = [t > 0 for t in ts]
+        elif wide:
+            ups = rng.bernoulli_ratio(gen, ts, cap, n).tolist()
+        else:
+            ups = [w < t for w, t in zip(rng.uniform_below(gen, cap, n).tolist(), ts)]
+        # representable values (r = 0) round to themselves
+        ms = [q + (up and r != 0) for (q, r), up in zip(splits, ups)]
     lo, hi = out_fmt.min_mantissa, out_fmt.max_mantissa
-    ms = []
-    for v, (q, r), up in zip(nums, splits, ups):
-        m = q + (up and r != 0)  # representable values (r = 0) round to themselves
+    for v, m in zip(nums, ms):
         if not lo <= m <= hi:
             raise OverflowError(f"rounding {v * scale}/{den} * 2^-{out_fmt.qf} overflows {out_fmt}")
-        ms.append(m)
     return ms
 
 

@@ -78,6 +78,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             quad_config(x0=["1", "2"])
 
+    @pytest.mark.parametrize(
+        "x0", ["12", "1", 1, Fraction(1, 2), [["1", "2"]]],
+        ids=["text", "char", "int", "fraction", "nested"],
+    )
+    def test_text_or_scalar_x0_rejected(self, x0):
+        # "12" used to run from (1, 2), one coordinate per character
+        obj = make_objective("quadratic", a_diag=[1, 1], x_star=[0, 0])
+        with pytest.raises(ValueError, match="x0 must be a list of coordinates"):
+            quad_config(objective=obj, x0=x0)
+
     def test_off_grid_x0_rejected(self):
         with pytest.raises(ValueError, match="not on the Q8.8 grid"):
             run(quad_config(x0=["1/3"]))

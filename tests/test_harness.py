@@ -142,6 +142,33 @@ class TestSpec:
         with pytest.raises(ValueError, match="seeds"):
             tiny_spec(seeds=seeds)
 
+    @pytest.mark.parametrize("seeds", [True, False])
+    def test_boolean_seeds_rejected(self, seeds):
+        # True used to count as one seed, [0]
+        with pytest.raises(ValueError, match="seeds must be a count or a list"):
+            tiny_spec(seeds=seeds)
+
+    @pytest.mark.parametrize(
+        "x0", ["00", "1", 1, 0.5, [["1", "1"]]], ids=["text", "char", "int", "float", "nested"]
+    )
+    def test_text_or_scalar_x0_rejected(self, x0):
+        # "00" used to become ['0', '0'], one coordinate per character
+        with pytest.raises(ValueError, match="x0 must be a list of coordinates"):
+            tiny_spec(x0=x0)
+
+    @pytest.mark.parametrize(
+        "line, field", [("x0: 1", "x0"), ('x0: "12"', "x0"), ("seeds: true", "seeds")]
+    )
+    def test_load_config_names_a_malformed_field(self, tmp_path, line, field):
+        # YAML x0: 1 used to die with "'int' object is not iterable"
+        text = 'name: demo\nobjective: {name: quadratic, a_diag: [2, 2]}\nt: "1/8"\niterations: 3\n'
+        if field != "x0":
+            text += 'x0: ["1", "1"]\n'
+        p = tmp_path / "cfg.yaml"
+        p.write_text(text + line + "\n")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            load_config(p)
+
     @pytest.mark.parametrize("window", [0, -3])
     def test_stagnation_window_below_one_rejected(self, window):
         with pytest.raises(ValueError, match="stagnation_window"):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpgd import rng
@@ -362,6 +362,38 @@ class TestUniformBelow:
                 uniform_below(g, den, 8)
         assert uniform_below(g, 1 << 64, 8).dtype == np.uint64
 
+    @pytest.mark.parametrize("short", [True, False], ids=["short", "array"])
+    def test_rejected_words_redraw_in_index_order(self, short, monkeypatch):
+        # elements 0 and 1 are rejected; element 0's redraw is rejected
+        # again, so it takes its third word only after element 1's second
+        if not short:
+            monkeypatch.setattr(rng, "_SHORT_DRAW", -1)
+        lim = (2**64 // 10) * 10
+        words = _Words([lim, 2**64 - 1, 5, lim + 2, 6, 7, 99])
+        assert uniform_below(words, 10, 3).tolist() == [7, 6, 5]
+        assert words.used == 6
+
+    @pytest.mark.parametrize("short", [True, False], ids=["short", "array"])
+    def test_power_of_two_masks_scripted_words(self, short, monkeypatch):
+        if not short:
+            monkeypatch.setattr(rng, "_SHORT_DRAW", -1)
+        words = _Words([2**64 - 1, 17, 32])
+        assert uniform_below(words, 16, 3).tolist() == [15, 1, 0]
+        assert words.used == 3
+
+    @pytest.mark.parametrize("den", [3, 16, (1 << 62) + 3])
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_numpy_integer_den_draws_as_the_python_int(self, den, n):
+        # `_FULL // den` on a numpy integer raised OverflowError
+        g0 = RandomStream(7).generator(1, 2)
+        want = uniform_below(g0, den, n).tolist()
+        lt = bernoulli_lt(RandomStream(7).generator(1, 2), 1, den, n).tolist()
+        for kind in (np.int64, np.uint64):
+            g = RandomStream(7).generator(1, 2)
+            assert uniform_below(g, kind(den), n).tolist() == want
+            assert g._used == g0._used
+            assert bernoulli_lt(RandomStream(7).generator(1, 2), 1, kind(den), n).tolist() == lt
+
     @given(
         den=st.integers(min_value=2, max_value=1 << 20),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -382,19 +414,33 @@ class TestLaneDraws:
 
     @given(
         seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
-        per=st.integers(1, 5),
+        per=st.sampled_from([1, 2, 3, 5, rng._SHORT_DRAW, rng._SHORT_DRAW + 1]),
         den=st.sampled_from([1, 16, 10, 3 << 62, (1 << 63) + 1, 1 << 64]),
     )
+    # one lane at the short-draw limit and one word past it, dyadic and not
+    @example(seeds=[5], per=rng._SHORT_DRAW, den=16)
+    @example(seeds=[5], per=rng._SHORT_DRAW + 1, den=16)
+    @example(seeds=[5], per=rng._SHORT_DRAW, den=(1 << 63) + 1)
+    @example(seeds=[5], per=rng._SHORT_DRAW + 1, den=(1 << 63) + 1)
     @settings(max_examples=100, deadline=None)
     def test_uniform_below_matches_lane_by_lane(self, seeds, per, den):
         # dens near 2**63 reject about half of all words, so redraws are
-        # taken from each lane's own generator in index order
+        # taken from each lane's own generator in index order; a lane alone
+        # draws at most _SHORT_DRAW words on Python ints, which must give the
+        # words of the array path (the reference, with no short draws)
         batch_gens = self.lanes(seeds)
         got = uniform_below(batch_gens, den, per * len(seeds))
         one_gens = self.lanes(seeds)
         want = np.concatenate([uniform_below(g, den, per) for g in one_gens])
-        assert got.tolist() == want.tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "_SHORT_DRAW", -1)
+            ref_gens = self.lanes(seeds)
+            ref = np.concatenate([uniform_below(g, den, per) for g in ref_gens])
+        assert want.dtype == ref.dtype == np.uint64
+        assert got.tolist() == want.tolist() == ref.tolist()
         # and every lane consumed the same words
+        used = [g._used for g in ref_gens]
+        assert [g._used for g in batch_gens] == [g._used for g in one_gens] == used
         nxt = [draw(g, 1).tolist() for g in batch_gens]
         assert nxt == [draw(g, 1).tolist() for g in one_gens]
 
