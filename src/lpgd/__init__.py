@@ -6,7 +6,7 @@ rounding error into gradient and update components, and estimators for the
 convergence-rate factors those errors induce.
 """
 
-from .qnum import QFormat, FixedVal, FixedVec, make_format, parse_rational
+from .qnum import QFormat, FixedVec, make_format, parse_rational
 from .lpfloat import FloatFormat, parse_float_format
 from .rounding import RoundScheme, parse_scheme
 from .rng import RandomStream
@@ -15,7 +15,6 @@ from .gdengine import GDConfig, RunResult, run, run_ensemble
 
 __all__ = [
     "QFormat",
-    "FixedVal",
     "FixedVec",
     "make_format",
     "parse_rational",

@@ -122,12 +122,18 @@ class GDConfig:
         self.t = parse_rational(self.t)
         if self.t <= 0:
             raise ValueError(f"step size must be positive, got {self.t}")
-        for name in ("iterations", "stagnation_window"):
+        for name in ("iterations", "stagnation_window", "seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # YAML's true would read as 1
+                    raise TypeError
                 setattr(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.stop_on_stagnation, bool):  # "false" is truthy
+            raise ValueError(
+                f"stop_on_stagnation must be true or false, got {self.stop_on_stagnation!r}"
+            )
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.stagnation_window < 1:
@@ -136,6 +142,8 @@ class GDConfig:
             raise ValueError(f"unknown number system {self.number_system!r}")
         self.sigma1_scheme = rounding.parse_scheme(self.sigma1_scheme)
         self.sigma2_scheme = rounding.parse_scheme(self.sigma2_scheme)
+        if isinstance(self.stop_below_f, bool):
+            raise ValueError(f"stop_below_f must be a number, got {self.stop_below_f!r}")
         if self.stop_below_f is not None:
             self.stop_below_f = float(self.stop_below_f)
         if self.working_fmt is not None and not isinstance(self.working_fmt, QFormat):

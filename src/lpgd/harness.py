@@ -150,16 +150,28 @@ class ExperimentSpec:
         if missing:
             raise ValueError(f"missing config keys: {missing}")
         spec = dict(raw)
-        if isinstance(spec.get("seeds"), bool):  # YAML's true would count as 1 seed
-            raise ValueError(f"seeds must be a count or a list of seeds, got {raw['seeds']!r}")
-        if "seeds" in spec and isinstance(spec["seeds"], int):
-            spec["seeds"] = list(range(spec["seeds"]))
-        if "seeds" in spec and not spec["seeds"]:
-            raise ValueError(f"seeds must name at least one seed, got {raw['seeds']!r}")
+        if "seeds" in spec:
+            spec["seeds"] = _seed_list(spec["seeds"])
         check_x0(spec["x0"])
         spec["x0"] = [str(v) for v in spec["x0"]]
         spec["t"] = str(spec["t"])
         return cls(**spec)
+
+
+def _seed_list(seeds) -> List[int]:
+    """A config's seeds: a positive count n is seeds 0..n-1, else a non-empty
+    list of integers in [0, 2**64)."""
+    # type() is int: YAML's true is no count, and "3" or 2.0 no seed
+    if type(seeds) is int and seeds > 0:
+        return list(range(seeds))
+    if isinstance(seeds, (list, tuple)) and seeds and all(
+        type(s) is int and 0 <= s < 2**64 for s in seeds
+    ):
+        return list(seeds)
+    raise ValueError(
+        "seeds must be a count or a list of seeds: a positive integer or a "
+        f"non-empty list of integers in [0, 2**64), got {seeds!r}"
+    )
 
 
 def load_config(path) -> ExperimentSpec:

@@ -11,9 +11,9 @@ Every query rests on one integer split, `FloatFormat.split`: v = (q + r/den)
 of v's numerator and denominator, and the floor acts on the signed
 numerator, so the neighbours are q * 2**g and (q + 1) * 2**g for either
 sign, and r = 0 means v is on the grid.  `QFormat.split` makes the same
-split on a fixed-point grid, so the exact laws live in `rounding` (`law`,
-`prob_round_down`, `expected_round`) and serve both formats; `fl_round`
-draws from `rounding.law`.  q and q + 1 are the neighbours' significands
+split on a fixed-point grid, so the exact law lives in `rounding.law` and
+serves both formats: `oracle.round_distribution` is its one exact reader,
+and `fl_round` draws from it.  q and q + 1 are the neighbours' significands
 (at a binade top q + 1 = 2**sig_bits, even like the upper neighbour's own),
 so rn's ties-to-even and the sign that sr_eps reads come out as in the
 fixed-point case, just on a magnitude-dependent grid.

@@ -169,7 +169,7 @@ class FixedBackend(_ConstTable):
 
     def _quantize(self, c) -> int:
         """A stored constant's mantissa; c must sit on the grid exactly."""
-        return from_exact(c, self.fmt).m
+        return from_exact(c, self.fmt)
 
     def add(self, a, b):
         self.tag += 1
@@ -306,9 +306,18 @@ class EnumBackend(FixedBackend):
         self.used = 0
         self.prob = Fraction(1)
 
-    def _round_ratio(self, num: int, den: int, out_fmt: Optional[QFormat] = None) -> int:
+    def _round_ratio(self, num, den: int, out_fmt: Optional[QFormat] = None):
+        """num/den rounded onto out_fmt (default: the backend's format) under
+        one tag.  num is a Python int, or one lane's list of them, which
+        branches element by element in index order, as `FixedBackend` draws
+        them."""
         fmt = self.fmt if out_fmt is None else out_fmt
         self.tag += 1
+        if type(num) is list:
+            return [self._branch(v, den, fmt) for v in num]
+        return self._branch(num, den, fmt)
+
+    def _branch(self, num: int, den: int, fmt: QFormat) -> int:
         q, r = divmod(num * fmt.scale, den)
         t, cap = rounding.up_weight(q, r, den, self.scheme)
         if not r or t in (0, cap):  # decided by the law: no branch
@@ -368,7 +377,6 @@ class Objective:
     n: int
     f: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    x_star: Optional[np.ndarray] = None
     f_star: Optional[float] = None
     lip_grad: Optional[float] = None
     pl_mu: Optional[float] = None
@@ -507,7 +515,6 @@ def quadratic(a_diag, x_star=None) -> Objective:
         n=n,
         f=_row_by_row(f, per_coord=False),  # np.dot goes through BLAS
         grad=grad,
-        x_star=xs,
         f_star=0.0,
         lip_grad=float(a.max()),
         pl_mu=float(a.min()),
@@ -546,7 +553,6 @@ def rosenbrock() -> Objective:
         n=2,
         f=f,
         grad=grad,
-        x_star=np.array([1.0, 1.0]),
         f_star=0.0,
         recipe=recipe,
         minima=[np.array([1.0, 1.0])],
@@ -594,7 +600,6 @@ def himmelblau() -> Objective:
         n=2,
         f=f,
         grad=grad,
-        x_star=HIMMELBLAU_MINIMA[0],
         f_star=0.0,
         recipe=recipe,
         minima=list(HIMMELBLAU_MINIMA),

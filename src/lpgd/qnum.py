@@ -101,11 +101,6 @@ class QFormat:
     def max_value(self) -> Fraction:
         return Fraction(self.max_mantissa, self.scale)
 
-    def holds_exactly(self, x: ExactReal) -> bool:
-        """True when x lies on this grid and inside the range."""
-        v = to_fraction(x) * self.scale
-        return v.denominator == 1 and self.min_mantissa <= v <= self.max_mantissa
-
     def check_mantissa(self, m: int) -> int:
         """Return m unchanged, or raise OverflowError when out of range."""
         if not self.min_mantissa <= m <= self.max_mantissa:
@@ -150,50 +145,29 @@ def parse_rational(value: Union[str, ExactReal]) -> Fraction:
     return to_fraction(value)
 
 
-def make_format(spec: Union[str, QFormat], qf: Union[int, None] = None) -> QFormat:
-    """Build a QFormat from 'Q<qi>.<qf>', from (qi, qf) ints, or pass through."""
+def make_format(spec: Union[str, Tuple[int, int], QFormat]) -> QFormat:
+    """Build a QFormat from 'Q<qi>.<qf>', from a (qi, qf) pair of integers,
+    or pass one through."""
     if isinstance(spec, QFormat):
         return spec
-    if isinstance(spec, int):
-        if qf is None:
-            raise TypeError("make_format(qi, qf) needs both bit counts")
-        return QFormat(spec, qf)
     if isinstance(spec, (tuple, list)):
-        qi_, qf_ = spec
-        return QFormat(int(qi_), int(qf_))
-    m = _Q_PATTERN.match(spec.strip())
+        if len(spec) != 2 or any(
+            isinstance(b, bool) or not isinstance(b, (int, np.integer)) for b in spec
+        ):
+            raise ValueError(f"a format pair must be two integers (qi, qf), got {spec!r}")
+        return QFormat(int(spec[0]), int(spec[1]))
+    m = _Q_PATTERN.match(spec.strip()) if isinstance(spec, str) else None
     if not m:
         raise ValueError(f"not a fixed-point format spec: {spec!r}")
     return QFormat(int(m.group(1)), int(m.group(2)))
 
 
-@dataclass(frozen=True)
-class FixedVal:
-    """One fixed-point number: integer mantissa m in format fmt."""
-
-    m: int
-    fmt: QFormat
-
-    def __post_init__(self) -> None:
-        self.fmt.check_mantissa(self.m)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.m, self.fmt.scale)
-
-    def __float__(self) -> float:
-        return self.m / self.fmt.scale
-
-    def __str__(self) -> str:
-        return f"{float(self)}[{self.fmt}]"
-
-
-def from_exact(x: ExactReal, fmt: QFormat) -> FixedVal:
-    """Wrap a value that must already be representable in fmt."""
+def from_exact(x: ExactReal, fmt: QFormat) -> int:
+    """The mantissa of a value that must already be representable in fmt."""
     v = to_fraction(x) * fmt.scale
     if v.denominator != 1:
         raise ValueError(f"{x} is not on the {fmt} grid (u = 2^-{fmt.qf})")
-    return FixedVal(int(v), fmt)
+    return fmt.check_mantissa(int(v))
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +202,13 @@ class FixedVec:
         vec.m, vec.fmt = m, fmt
         return vec
 
-    @property
-    def n(self) -> int:
-        return int(self.m.shape[-1])
-
     def to_floats(self) -> np.ndarray:
         return self.m / self.fmt.scale
 
     def to_fractions(self) -> list[Fraction]:
         return [Fraction(int(mi), self.fmt.scale) for mi in self.m]
 
-    def __getitem__(self, i: int) -> FixedVal:
-        return FixedVal(int(self.m[i]), self.fmt)
-
-    def copy(self) -> "FixedVec":
-        return FixedVec(self.m.copy(), self.fmt)
-
 
 def vec_from_exact(xs, fmt: QFormat) -> FixedVec:
     """Build a FixedVec from values that must all be representable in fmt."""
-    return FixedVec(
-        np.array([from_exact(x, fmt).m for x in xs], dtype=np.int64), fmt
-    )
+    return FixedVec(np.array([from_exact(x, fmt) for x in xs], dtype=np.int64), fmt)

@@ -140,10 +140,6 @@ class RandomStream:
             raise ValueError(f"op address must be in [0, 2**64), got k={k}, tag={tag}")
         return OpWords(self._key, k, tag)
 
-    def u64(self, k: int, tag: int, n: int) -> np.ndarray:
-        """n uniform 64-bit words for op (k, tag)."""
-        return self.generator(k, tag).integers(0, _FULL, size=n, dtype=np.uint64)
-
 
 def _lanes(gen, n: int) -> List[OpWords]:
     """The per-lane word sources of a draw call; n must split evenly over them."""

@@ -12,19 +12,19 @@ In grid units the value sits at position q + r/den with q = floor and
 
 where eps = a/b and s = sign(x) for sr_eps.  Only `law`,
 `oracle.round_distribution` and `lpfloat.fl_round` take a v_sign, and only
-lowfloat's update and `oracle.check_float_drift` give one (-sign(g));
-`prob_round_down`, `expected_round` and the vector kernels take none and
-round signed_sr_eps at s = 0.  Every exact law in the package -- the vector
-kernels, the binary64 fallback, the exhaustive `EnumBackend` (a FixedBackend
-whose rounding step branches on the same weight) and the bound estimators
--- calls it.  The scalar laws go through one function, `law`, which serves
-both number formats: a QFormat and an `lpfloat.FloatFormat` each `split` an
-integer ratio x = n/d, in any terms, into (q, r, den, g) with
-x = (q + r/den) * 2**g, and `prob_round_down`, `expected_round`,
-`lpfloat.fl_round` and `oracle.round_distribution` all read it.  A value
-already on the grid (r = 0) rounds to itself under every scheme, including
-the eps-perturbed ones; the vector kernels mask those elements after
-drawing, so the draw layout never depends on the data.
+lowfloat's update and `oracle.check_float_drift` give one (-sign(g)); the
+vector kernels take none and round signed_sr_eps at s = 0.  Every exact law
+in the package -- the vector kernels, the binary64 fallback, the exhaustive
+`EnumBackend` (a FixedBackend whose rounding step branches on the same
+weight) and the bound estimators -- calls it.  The scalar law is one
+function, `law`, which serves both number formats: a QFormat and an
+`lpfloat.FloatFormat` each `split` an integer ratio x = n/d, in any terms,
+into (q, r, den, g) with x = (q + r/den) * 2**g.  `lpfloat.fl_round` samples
+it, and `oracle.round_distribution` is its one exact reader: P(round down)
+is the lower neighbour's mass and E[round(x)] the distribution's
+`dist_mean`.  A value already on the grid (r = 0) rounds to itself under
+every scheme, including the eps-perturbed ones; the vector kernels mask
+those elements after drawing, so the draw layout never depends on the data.
 
 Probabilities are exact rationals end to end: the hot path works on integer
 ratios num/den = x * 2**qf and draws exact Bernoullis, so there is no hidden
@@ -32,10 +32,7 @@ binary64 rounding anywhere in the emulation itself.  The int64 row kernel
 rounds sr on den = 2**s (every fixed-point product, at den = scale**2)
 without splitting the position pos = q*den + r: with u the word's low s
 bits, q + [u < r] = (pos + den - 1 - u) >> s, since r + den - 1 - u
-reaches den exactly when u < r.  Other schemes split with a shift and a
-mask: q = pos >> s and r = pos & (den - 1) are the floor and the residue,
-negative positions included, since `>>` on int64 is arithmetic and `&`
-takes the two's complement.  Other denominators go through `np.divmod`.
+reaches den exactly when u < r.  Every other row splits with `np.divmod`.
 
 Range checks cost no pass when the input's bounds settle them:
 `round_ratio_vec` takes each row's max and min to choose its kernel, every
@@ -75,7 +72,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .qnum import ExactReal, QFormat, parse_rational, to_ratio
+from .qnum import QFormat, parse_rational, to_ratio
 
 SCHEME_KINDS = ("rn", "sr", "sr_eps", "signed_sr_eps")
 
@@ -179,18 +176,6 @@ def law(x, fmt, scheme: RoundScheme, v_sign=0):
         return q, g, 0, 1
     t, cap = up_weight(q, r, den, scheme, v_sign)
     return q, g, t, cap
-
-
-def prob_round_down(x: ExactReal, fmt, scheme: RoundScheme) -> Fraction:
-    """Exact probability that x rounds to its lower neighbour on fmt's grid."""
-    _, _, t, cap = law(x, fmt, scheme)
-    return 1 - Fraction(t, cap)
-
-
-def expected_round(x: ExactReal, fmt, scheme: RoundScheme) -> Fraction:
-    """Exact E[round(x)] = (q + P(round up)) * 2**g over the two neighbours."""
-    q, g, t, cap = law(x, fmt, scheme)
-    return (q + Fraction(t, cap)) * Fraction(2) ** g
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +306,8 @@ def _round_rows(pos, den, out_fmt, scheme, gens, bounds=None) -> np.ndarray:
     in the words (an on-grid element, r = 0, never rounds up).  The sum
     stays below 2**63 when pos <= 2**63 - den, as it does for every row
     `round_ratio_vec` sends (|pos| < 2**62); larger positions split instead.
-    Other schemes and denominators split pos into q and r and draw against
-    `up_weight`.
+    Other schemes and denominators split pos into q and r with `np.divmod`
+    and draw against `up_weight`.
 
     bounds is (lo, hi) with lo <= pos <= hi elementwise, read off pos when
     not given.  Every mantissa lies in [floor(lo/den), ceil(hi/den)], and
@@ -333,18 +318,14 @@ def _round_rows(pos, den, out_fmt, scheme, gens, bounds=None) -> np.ndarray:
         raise ValueError(f"{scheme} needs a word source")
     if bounds is None:
         bounds = (int(pos.min()), int(pos.max())) if pos.size else (0, 0)
-    dyadic = den & (den - 1) == 0
-    if scheme.kind == "sr" and dyadic and bounds[1] <= 2**63 - den:
+    if scheme.kind == "sr" and den & (den - 1) == 0 and bounds[1] <= 2**63 - den:
         m = rng.uniform_below(gens, den, pos.size).view(np.int64)
         np.subtract(den - 1, m, out=m)
         m += pos.reshape(-1)
         m >>= den.bit_length() - 1
         m = m.reshape(pos.shape)
     else:
-        if dyadic:  # den = 2**s: the dyadic split
-            q, r = pos >> (den.bit_length() - 1), pos & (den - 1)
-        else:
-            q, r = np.divmod(pos, den)
+        q, r = np.divmod(pos, den)
         nums, cap = up_weight(q, r, den, scheme)
         if not scheme.is_random:
             up = nums > 0

@@ -128,6 +128,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="stagnation_window"):
             quad_config(stagnation_window=window)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["iterations", "stagnation_window", "seed", "stop_below_f"])
+    def test_bools_are_not_numbers(self, field, value):
+        # iterations=True used to run 1 step, stop_below_f=True to stop at f <= 1.0
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            quad_config(**{field: value})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None], ids=repr)
+    def test_stop_on_stagnation_must_be_a_bool(self, value):
+        # a quoted YAML "false" is a non-empty string: it turned stagnation stops on
+        with pytest.raises(ValueError, match="^stop_on_stagnation must be true or false"):
+            quad_config(stop_on_stagnation=value)
+
 
 class TestClassify:
     def test_all_three_cases(self):

@@ -149,6 +149,16 @@ class TestSpec:
             tiny_spec(seeds=seeds)
 
     @pytest.mark.parametrize(
+        "seeds",
+        ["3", 2.0, [1, "2"], [1.5], [True], [-1], [2**64]],
+        ids=["text", "float", "text-entry", "float-entry", "bool-entry", "negative", "past-uint64"],
+    )
+    def test_malformed_seeds_rejected(self, seeds):
+        # "3" and 2.0 used to load, then die mid-run with a TypeError
+        with pytest.raises(ValueError, match="seeds must be a count or a list"):
+            tiny_spec(seeds=seeds)
+
+    @pytest.mark.parametrize(
         "x0", ["00", "1", 1, 0.5, [["1", "1"]]], ids=["text", "char", "int", "float", "nested"]
     )
     def test_text_or_scalar_x0_rejected(self, x0):
@@ -157,7 +167,8 @@ class TestSpec:
             tiny_spec(x0=x0)
 
     @pytest.mark.parametrize(
-        "line, field", [("x0: 1", "x0"), ('x0: "12"', "x0"), ("seeds: true", "seeds")]
+        "line, field",
+        [("x0: 1", "x0"), ('x0: "12"', "x0"), ("seeds: true", "seeds"), ('seeds: "3"', "seeds")],
     )
     def test_load_config_names_a_malformed_field(self, tmp_path, line, field):
         # YAML x0: 1 used to die with "'int' object is not iterable"

@@ -5,9 +5,11 @@ The copies below are the fixed-point `prob_round_down`, `expected_round`,
 `fixed_round_distribution` and `EnumBackend`, and the float grid's
 split, `prob_round_down_fl`, `expected_round_fl` and
 `float_round_distribution`, as they were written once per format.  Inside
-each format's range the current functions must agree with them exactly
-(values, types and the order of distribution entries), and the enumerator
-must give the same leaves in the same order wherever the old one returned.
+each format's range the one exact reader, `round_distribution`, must agree
+with them exactly: its lower neighbour's mass with P(round down), its mean
+with E[round] and the distribution itself (values, types and the order of
+entries).  The enumerator must give the same leaves in the same order
+wherever the old one returned.
 
 The int64 row kernel `rounding._round_rows` is checked the same way against
 a copy of its `np.divmod` form: the same mantissas, the same words drawn per
@@ -31,15 +33,10 @@ from lpgd import rng, rounding
 from lpgd.gdengine import SIGMA2_TAG, GDConfig, _LowFloat
 from lpgd.lpfloat import FloatFormat, pair_fraction, parse_float_format
 from lpgd.objectives import FloatBackend, enumerate_recipe, make_objective
-from lpgd.oracle import round_distribution
+from lpgd.oracle import dist_mean, round_distribution
 from lpgd.qnum import QFormat, from_exact, to_fraction
 from lpgd.rng import RandomStream
-from lpgd.rounding import (
-    expected_round,
-    parse_scheme,
-    prob_round_down,
-    up_weight,
-)
+from lpgd.rounding import parse_scheme, up_weight
 
 FLOAT_FORMATS = [FloatFormat(3, 5), parse_float_format("fp16e5"), FloatFormat(2, 2)]
 SCHEMES = ["rn", "sr", "sr_eps:0.4", "sr_eps:1/3", "signed_sr_eps:0.25", "signed_sr_eps:0.9"]
@@ -187,7 +184,7 @@ class _OldEnumBackend:
         return self.fmt.check_mantissa(q + choice)
 
     def const(self, c):
-        return from_exact(c, self.fmt).m
+        return from_exact(c, self.fmt)
 
     def add(self, a, b):
         self.tag += 1
@@ -322,12 +319,12 @@ def test_laws_match_the_per_format_originals(case, spec, v_sign):
         old = (_old_prob_round_down, _old_expected_round, _old_fixed_round_distribution)
     else:
         old = (_old_prob_round_down_fl, _old_expected_round_fl, _old_float_round_distribution)
-    # only round_distribution takes a lean; the other two read the law at 0
+    dist = round_distribution(v, fmt, scheme, v_sign)
+    p_down = sum((p for w, p in dist.items() if w <= v), Fraction(0))  # the mass at or below v
     pairs = [
-        ("prob_round_down", prob_round_down(v, fmt, scheme), old[0](v, fmt, scheme)),
-        ("expected_round", expected_round(v, fmt, scheme), old[1](v, fmt, scheme)),
-        ("round_distribution", round_distribution(v, fmt, scheme, v_sign),
-         old[2](v, fmt, scheme, v_sign)),
+        ("P(round down)", p_down, old[0](v, fmt, scheme, v_sign)),
+        ("E[round]", dist_mean(dist), old[1](v, fmt, scheme, v_sign)),
+        ("round_distribution", dist, old[2](v, fmt, scheme, v_sign)),
     ]
     for name, got, want in pairs:
         assert got == want and type(got) is type(want), (name, got, want)

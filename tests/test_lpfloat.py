@@ -19,11 +19,21 @@ from lpgd.lpfloat import (
 from lpgd.oracle import dist_mean, round_distribution
 from lpgd.qnum import to_ratio
 from lpgd.rng import RandomStream
-from lpgd.rounding import expected_round, parse_scheme, prob_round_down, up_weight
+from lpgd.rounding import parse_scheme, up_weight
 
 FP8 = FloatFormat(3, 5)  # 1 sign + 5 exp + 2 stored significand bits
 SR = parse_scheme("sr")
 RN = parse_scheme("rn")
+
+
+def p_down(x, fmt, scheme):
+    """P(x rounds down): the mass `round_distribution` puts at or below x."""
+    return sum((p for v, p in round_distribution(x, fmt, scheme).items() if v <= x), Fraction(0))
+
+
+def mean_round(x, fmt, scheme):
+    """E[round(x)]: the mean of `round_distribution`."""
+    return dist_mean(round_distribution(x, fmt, scheme))
 
 
 def split_gap(x, fmt):
@@ -146,9 +156,8 @@ class TestRoundingLaws:
         # even/odd is judged on the significand integer within the binade
         lo, hi = neighbors(Fraction(9, 8), FP8)
         mid = (lo + hi) / 2
-        p = prob_round_down(mid, FP8, RN)
         down = fl_round(mid, FP8, RN)
-        assert p in (Fraction(0), Fraction(1))
+        assert round_distribution(mid, FP8, RN) == {down: 1}
         assert down in (lo, hi)
         # whichever neighbor wins must have an even significand
         e_gap = split_gap(down, FP8)
@@ -156,17 +165,17 @@ class TestRoundingLaws:
 
     def test_sr_probability_is_distance_fraction(self):
         x = Fraction(11, 10)
-        p = prob_round_down(x, FP8, SR)
-        assert p == 1 - (x - 1) / Fraction(1, 4)
+        p = 1 - (x - 1) / Fraction(1, 4)
+        assert round_distribution(x, FP8, SR) == {1: p, Fraction(5, 4): 1 - p}
 
     def test_sr_is_exactly_unbiased(self):
         for x in (Fraction(11, 10), Fraction(19, 10), Fraction(-3, 7)):
-            assert expected_round(x, FP8, SR) == x
+            assert mean_round(x, FP8, SR) == x
 
     def test_sr_eps_bias_is_eps_times_gap(self):
         scheme = parse_scheme("sr_eps:0.1")
         x = Fraction(11, 10)  # interior, away from the clamp
-        got = expected_round(x, FP8, scheme)
+        got = mean_round(x, FP8, scheme)
         assert got == x + scheme.eps * Fraction(1, 4)
 
     def test_signed_scheme_uses_caller_sign(self):
@@ -221,7 +230,7 @@ def test_neighbors_enclose_and_touch_grid(num, den):
 @settings(max_examples=200, deadline=None)
 def test_sr_unbiased_everywhere(num, den):
     x = Fraction(num, den)
-    assert expected_round(x, FP8, SR) == x
+    assert mean_round(x, FP8, SR) == x
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +406,12 @@ def _float_grid_value(draw):
 def test_prob_round_down_fl_matches_reference(case, spec, v_sign):
     fmt, v = case
     scheme = parse_scheme(spec)
-    assert prob_round_down(v, fmt, scheme) == _reference_prob_round_down_fl(v, fmt, scheme)
-    # the lean reaches the law through round_distribution: its mass on the
-    # lower neighbour is the reference's P(round down) at that lean
+    # round_distribution's mass on the lower neighbour is the reference's
+    # P(round down), at lean 0 and at the lean given
     lo = _ref_neighbors(v, fmt)[0]
-    p_down = round_distribution(v, fmt, scheme, v_sign).get(lo, Fraction(0))
-    assert p_down == _reference_prob_round_down_fl(v, fmt, scheme, v_sign)
+    for lean in (0, v_sign):
+        got = round_distribution(v, fmt, scheme, lean).get(lo, Fraction(0))
+        assert got == _reference_prob_round_down_fl(v, fmt, scheme, lean)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +499,7 @@ def _outcome(fn, *args):
 
 def _all_outcomes(api, v, fmt, scheme, v_sign, stream):
     """Each reader's value or error type; v_sign is the rounding's lean, which
-    prob_round_down and expected_round do not take."""
+    the P(round down) and E[round] readers read at 0."""
     neighbors_, prob_, expected_, round_ = api
     return (
         _outcome(neighbors_, v, fmt),
@@ -516,7 +525,7 @@ def test_integer_split_matches_fraction_reference(case, spec, v_sign, deltas, wi
     words = _prefix_script(p if isinstance(p, Fraction) and 0 < p < 1 else Fraction(1, 2), deltas)
     streams = [_ScriptedStream(words) if with_stream else None for _ in range(2)]
     got = _all_outcomes(
-        (neighbors, prob_round_down, expected_round, fl_round), v, fmt, scheme, v_sign,
+        (neighbors, p_down, mean_round, fl_round), v, fmt, scheme, v_sign,
         streams[0],
     )
     want = _all_outcomes(

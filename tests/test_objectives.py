@@ -1,5 +1,7 @@
 """Tests for the objective zoo and its low-precision gradient recipes."""
 
+import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -341,7 +343,7 @@ class TestEnumeration:
         mean0 = sum(v[0] * p for v, p in leaves)
         var0 = sum((v[0] - mean0) ** 2 * p for v, p in leaves)
         se = float(var0 / n) ** 0.5
-        mean = np.mean([float(g[0].value) for g in samples])
+        mean = np.mean([g.m[0] / fmt.scale for g in samples])
         assert abs(mean - float(mean0)) <= 4 * se
 
     def test_signed_sr_eps_in_a_recipe_has_the_sr_law(self):
@@ -380,6 +382,30 @@ class TestEnumeration:
             leaves = enumerate_recipe(lambda be: [be.coef(t, g_m, mul) << 4], work, scheme)
             got = {value: p for (value,), p in leaves}
             assert got == round_distribution(t * Fraction(g_m, work.scale), mul, scheme)
+
+    @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
+    def test_one_lane_update_branches_element_by_element(self, spec):
+        # the engine's one-lane update coef(t, g_list, mul): one tag for the
+        # list, then one branch per element in index order, so the leaves are
+        # the product of the per-element laws, the first element outermost
+        work, mul = QFormat(8, 12), QFormat(8, 8)
+        scheme, t = parse_scheme(spec), Fraction(1, 32)
+        g_m = [-5000, 37, 0, 12345, 16]
+        tags = []
+
+        def recipe(be):
+            d = be.coef(t, g_m, mul)
+            tags.append(be.tag)
+            return [di << 4 for di in d]
+
+        leaves = enumerate_recipe(recipe, work, scheme)
+        laws = [round_distribution(t * Fraction(m, work.scale), mul, scheme) for m in g_m]
+        want = [
+            (tuple(v for v, _ in combo), math.prod(p for _, p in combo))
+            for combo in itertools.product(*(law.items() for law in laws))
+        ]
+        assert leaves == want
+        assert set(tags) == {1}
 
 
 class TestBlr:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lpgd.qnum import (
-    FixedVal,
     FixedVec,
     QFormat,
     from_exact,
@@ -45,6 +44,19 @@ class TestQFormat:
         assert make_format((6, 10)) == QFormat(6, 10)
         assert make_format(QFormat(2, 3)) == QFormat(2, 3)
 
+    @pytest.mark.parametrize(
+        "pair", [(8.7, 6.2), [True, 6], (8, "6"), (8,)], ids=["floats", "bool", "text", "one"]
+    )
+    def test_pair_must_be_two_integers(self, pair):
+        # int() would read (8.7, 6.2) as Q8.6 and [True, 6] as Q1.6
+        with pytest.raises(ValueError, match="two integers"):
+            make_format(pair)
+
+    def test_bare_integer_is_no_spec(self):
+        # the two-int form make_format(qi, qf) is gone; one count names no format
+        with pytest.raises(ValueError, match="not a fixed-point format spec: 8"):
+            make_format(8)
+
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
             QFormat(0, 8)
@@ -54,12 +66,15 @@ class TestQFormat:
             QFormat(8, -1)
 
     def test_holds_exactly(self):
+        # from_exact takes exactly the values on the grid and inside the range
         fmt = QFormat(8, 8)
-        assert fmt.holds_exactly(Fraction(1, 256))
-        assert not fmt.holds_exactly(Fraction(1, 512))
-        assert not fmt.holds_exactly(Fraction(3, 10))
-        assert fmt.holds_exactly(Fraction(-128))
-        assert not fmt.holds_exactly(Fraction(128))
+        assert from_exact(Fraction(1, 256), fmt) == 1
+        assert from_exact(Fraction(-128), fmt) == fmt.min_mantissa
+        for off_grid in (Fraction(1, 512), Fraction(3, 10)):
+            with pytest.raises(ValueError, match="not on the Q8.8 grid"):
+                from_exact(off_grid, fmt)
+        with pytest.raises(OverflowError):
+            from_exact(Fraction(128), fmt)
 
 
 class TestParseRational:
@@ -97,10 +112,11 @@ class TestParseRational:
 
 
 class TestFixedVal:
+    """One fixed-point value is its checked mantissa, as `from_exact` gives it."""
+
     def test_from_exact_on_grid(self):
-        fx = from_exact(Fraction(3, 4), QFormat(4, 4))
-        assert fx.m == 12
-        assert fx.value == Fraction(3, 4)
+        m = from_exact(Fraction(3, 4), QFormat(4, 4))
+        assert type(m) is int and m == 12
 
     def test_from_exact_off_grid_raises(self):
         with pytest.raises(ValueError):
@@ -109,7 +125,7 @@ class TestFixedVal:
     def test_from_exact_out_of_range_raises(self):
         with pytest.raises(OverflowError):
             from_exact(8, QFormat(4, 4))
-        assert from_exact(-8, QFormat(4, 4)).m == -128
+        assert from_exact(-8, QFormat(4, 4)) == -128
 
 
 class TestFixedVec:
@@ -125,13 +141,6 @@ class TestFixedVec:
             FixedVec(np.array([fmt.max_mantissa + 1]), fmt)
         with pytest.raises(OverflowError):
             FixedVec(np.array([fmt.min_mantissa - 1]), fmt)
-
-    def test_copy_is_independent(self):
-        fmt = QFormat(8, 8)
-        v = vec_from_exact([1, 2], fmt)
-        w = v.copy()
-        w.m[0] = 0
-        assert v.m[0] == 256
 
 
 @given(

@@ -56,7 +56,7 @@ class TestRandomStream:
     def test_frozen_words(self):
         # pins the key layout and counter addressing; if these move, every
         # recorded run in the repo silently stops replaying
-        assert RandomStream(0).u64(0, 0, 4).tolist() == [
+        assert draw(RandomStream(0).generator(0, 0), 4).tolist() == [
             11721511951678247024,
             3236630202515739198,
             12923347060025754066,
@@ -66,16 +66,15 @@ class TestRandomStream:
     def test_frozen_words_at_largest_exact_float_seed(self):
         # seeds below 2**53 keep the draws they had when the key went
         # through float64
-        assert RandomStream(2**53 - 1).u64(7, 3, 2).tolist() == [
+        assert draw(RandomStream(2**53 - 1).generator(7, 3), 2).tolist() == [
             5464155899517687569,
             8731085657604688881,
         ]
 
     def test_large_seeds_are_distinct_streams(self):
         # a float64 key would round 2**60 + 1 onto 2**60
-        assert RandomStream(2**60).u64(0, 0, 2).tolist() != RandomStream(2**60 + 1).u64(
-            0, 0, 2
-        ).tolist()
+        a = draw(RandomStream(2**60).generator(0, 0), 2)
+        assert a.tolist() != draw(RandomStream(2**60 + 1).generator(0, 0), 2).tolist()
 
     @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**64 + 5])
     def test_seeds_outside_uint64_are_rejected(self, seed):
@@ -110,15 +109,15 @@ class TestRandomStream:
             run_ensemble(cfg, [0, 2**64])
 
     def test_replay_is_exact(self):
-        a = RandomStream(42).u64(3, 17, 8)
-        b = RandomStream(42).u64(3, 17, 8)
+        a = draw(RandomStream(42).generator(3, 17), 8)
+        b = draw(RandomStream(42).generator(3, 17), 8)
         assert a.tolist() == b.tolist()
 
     def test_addresses_are_distinct_streams(self):
-        base = RandomStream(0).u64(0, 0, 2).tolist()
-        assert RandomStream(0).u64(0, 1, 2).tolist() != base
-        assert RandomStream(0).u64(1, 0, 2).tolist() != base
-        assert RandomStream(7).u64(0, 0, 2).tolist() != base
+        base = draw(RandomStream(0).generator(0, 0), 2).tolist()
+        assert draw(RandomStream(0).generator(0, 1), 2).tolist() != base
+        assert draw(RandomStream(0).generator(1, 0), 2).tolist() != base
+        assert draw(RandomStream(7).generator(0, 0), 2).tolist() != base
 
     def test_generator_starts_fresh_per_call(self):
         s = RandomStream(9)
@@ -133,13 +132,13 @@ class TestRandomStream:
     def test_top_iteration_is_not_iteration_zero(self):
         # a float64 counter list turned k = 2**64 - 1 into 0
         s = RandomStream(0)
-        assert s.u64(2**64 - 1, 5, 2).tolist() != s.u64(0, 5, 2).tolist()
+        assert draw(s.generator(2**64 - 1, 5), 2).tolist() != draw(s.generator(0, 5), 2).tolist()
 
     @pytest.mark.parametrize("k, tag", [(2**63 + 1, 4), (3, 2**63 + 1), (2**64 - 1, 2**64 - 1)])
     def test_addresses_above_int64_are_exact(self, k, tag):
         # 2**63 + 1 used to round onto 2**63 on its way through float64
         want = draw(fresh(11, k, tag), 6)
-        assert RandomStream(11).u64(k, tag, 6).tolist() == want.tolist()
+        assert draw(RandomStream(11).generator(k, tag), 6).tolist() == want.tolist()
 
     @pytest.mark.parametrize("k, tag", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_addresses_outside_uint64_are_rejected(self, k, tag):
@@ -337,7 +336,7 @@ class TestUniformBelow:
     def test_power_of_two_masks_low_bits(self):
         g = RandomStream(3).generator(0, 0)
         got = uniform_below(g, 16, 6)
-        words = RandomStream(3).u64(0, 0, 6)
+        words = draw(RandomStream(3).generator(0, 0), 6)
         assert got.tolist() == (words & np.uint64(15)).tolist()
 
     def test_rejection_path_frozen(self):

@@ -10,15 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from lpgd import rng
 from lpgd.lpfloat import FloatFormat, fl_round
-from lpgd.oracle import round_distribution
+from lpgd.oracle import dist_mean, round_distribution
 from lpgd.qnum import QFormat
 from lpgd.rng import RandomStream
 from lpgd.rounding import (
     RoundScheme,
-    expected_round,
     law,
     parse_scheme,
-    prob_round_down,
     round_doubles_vec,
     round_ratio_vec,
     up_weight,
@@ -66,37 +64,47 @@ class TestScheme:
 
 
 class TestProbRoundDown:
+    """P(round down) is the lower neighbour's mass in `round_distribution`."""
+
     def test_frozen_sr_values(self):
         # 0.24 on the 0.5 grid: frac/u = 0.48
-        assert prob_round_down(Fraction(24, 100), Q11, parse_scheme("sr")) == Fraction(13, 25)
-        assert prob_round_down(Fraction(26, 100), Q11, parse_scheme("sr")) == Fraction(12, 25)
+        half, sr = Fraction(1, 2), parse_scheme("sr")
+        assert round_distribution(Fraction(24, 100), Q11, sr) == {
+            0: Fraction(13, 25), half: Fraction(12, 25)
+        }
+        assert round_distribution(Fraction(26, 100), Q11, sr) == {
+            0: Fraction(12, 25), half: Fraction(13, 25)
+        }
 
     def test_rn_tie_goes_to_even_mantissa(self):
         rn = parse_scheme("rn")
         # 0.25 sits exactly between mantissas 0 and 1; floor mantissa 0 is even
-        assert prob_round_down(Fraction(1, 4), Q11, rn) == 1
+        assert round_distribution(Fraction(1, 4), Q11, rn) == {0: 1}
         # 0.75 sits between mantissas 1 and 2; chooses 2 (even) on Q2.1
-        assert prob_round_down(Fraction(3, 4), QFormat(2, 1), rn) == 0
+        assert round_distribution(Fraction(3, 4), QFormat(2, 1), rn) == {1: 1}
         # Q1.1 ends at mantissa 1, so 0.75 is outside it
         with pytest.raises(OverflowError):
-            prob_round_down(Fraction(3, 4), Q11, rn)
+            round_distribution(Fraction(3, 4), Q11, rn)
 
     def test_on_grid_is_identity_for_all_schemes(self):
         half = Fraction(1, 2)
         for spec in ("rn", "sr", "sr_eps:0.4", "signed_sr_eps:0.4"):
-            assert prob_round_down(half, Q11, parse_scheme(spec)) == 1
+            assert round_distribution(half, Q11, parse_scheme(spec)) == {half: 1}
             assert round_distribution(half, Q11, parse_scheme(spec), 1) == {half: 1}
 
     def test_sr_eps_shifts_by_value_sign(self):
         se = parse_scheme("sr_eps:0.2")
-        x = Fraction(1, 5) * Q88.u + 3 * Q88.u  # frac 0.2u, positive
-        assert prob_round_down(x, Q88, se) == Fraction(1) - Fraction(1, 5) - Fraction(1, 5)
-        assert prob_round_down(-x, Q88, se) == Fraction(1) - Fraction(4, 5) + Fraction(1, 5)
+        u = Q88.u
+        x = Fraction(1, 5) * u + 3 * u  # frac 0.2u, positive
+        p_down = Fraction(1) - Fraction(1, 5) - Fraction(1, 5)
+        assert round_distribution(x, Q88, se) == {3 * u: p_down, 4 * u: 1 - p_down}
+        p_down = Fraction(1) - Fraction(4, 5) + Fraction(1, 5)
+        assert round_distribution(-x, Q88, se) == {-4 * u: p_down, -3 * u: 1 - p_down}
 
     def test_sr_eps_clamps(self):
         se = parse_scheme("sr_eps:0.6")
         x = Fraction(1, 2) * Q88.u  # p_down would be 1 - 0.5 - 0.6 < 0
-        assert prob_round_down(x, Q88, se) == 0
+        assert round_distribution(x, Q88, se) == {Q88.u: 1}
 
     def test_signed_uses_caller_sign(self):
         ss = parse_scheme("signed_sr_eps:0.2")
@@ -179,15 +187,17 @@ class TestUpWeight:
 
 
 class TestExpectedRound:
+    """E[round(x)] is the `dist_mean` of `round_distribution`."""
+
     def test_sr_unbiased(self):
         x = Fraction(24, 100)
-        assert expected_round(x, Q11, parse_scheme("sr")) == x
+        assert dist_mean(round_distribution(x, Q11, parse_scheme("sr"))) == x
 
     def test_sr_eps_bias_is_eps_u_signed(self):
         se = parse_scheme("sr_eps:0.4")
         x = Fraction(1, 5) * Q88.u + Q88.u  # interior for eps=0.4
-        assert expected_round(x, Q88, se) == x + Fraction(2, 5) * Q88.u
-        assert expected_round(-x, Q88, se) == -x - Fraction(2, 5) * Q88.u
+        assert dist_mean(round_distribution(x, Q88, se)) == x + Fraction(2, 5) * Q88.u
+        assert dist_mean(round_distribution(-x, Q88, se)) == -x - Fraction(2, 5) * Q88.u
 
 
 FP8 = FloatFormat(3, 5)
@@ -211,7 +221,7 @@ class TestOutOfRange:
     @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
     def test_raises(self, fmt, x, spec):
         scheme = parse_scheme(spec)
-        for fn in (law, prob_round_down, expected_round, round_distribution):
+        for fn in (law, round_distribution):
             with pytest.raises(OverflowError):
                 fn(x, fmt, scheme)
         if isinstance(fmt, FloatFormat):
@@ -221,7 +231,7 @@ class TestOutOfRange:
     def test_values_past_binary64_keep_their_messages(self):
         # the messages show the value without dividing n / d in binary64
         with pytest.raises(OverflowError, match=r"^1\.0+e\+400 is outside the range of Q8\.8$"):
-            prob_round_down(10**400, Q88, parse_scheme("sr"))
+            round_distribution(10**400, Q88, parse_scheme("sr"))
         # inside binary64's range, though n / d overflows a double
         with pytest.raises(ValueError, match=r"^sr needs a RandomStream to round 1\.79769"):
             fl_round((2**1024 + 2**900 + 1, 1), FloatFormat(53, 11), parse_scheme("sr"))
@@ -370,7 +380,7 @@ def test_round_lands_on_enclosing_grid_points(xf, spec):
     assert type(m) is int
     gap = Fraction(m, fmt.scale) - x
     assert abs(gap) < fmt.u
-    if fmt.holds_exactly(x):
+    if (x * fmt.scale).denominator == 1:  # on the grid
         assert gap == 0
 
 
@@ -379,7 +389,7 @@ def test_round_lands_on_enclosing_grid_points(xf, spec):
 def test_expected_round_is_mean_of_two_point_distribution(xf):
     x, fmt = xf
     sr = parse_scheme("sr")
-    assert expected_round(x, fmt, sr) == x  # unbiasedness, exactly
+    assert dist_mean(round_distribution(x, fmt, sr)) == x  # unbiasedness, exactly
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +827,8 @@ class _ViewWords:
     """A word source whose `integers` hands out views into its own script."""
 
     def __init__(self, seed, size):
-        self.script = RandomStream(seed).u64(0, 0, size)
+        gen = RandomStream(seed).generator(0, 0)
+        self.script = gen.integers(0, 2**64, size=size, dtype=np.uint64)
         self._at = 0
 
     def integers(self, low, high, size, dtype):
