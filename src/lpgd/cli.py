@@ -1,7 +1,8 @@
 """Command-line front end: run configs, verify kernels, sweep, estimate PL.
 
 Exit status is nonzero when a verify check fails or a run errors, so the
-commands compose with shell scripts and CI.
+commands compose with shell scripts and CI.  A malformed config or argument
+ends a command with one line on stderr and status 1.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import yaml
 from . import oracle
 from .bounds import estimate_pl_constants
 from .harness import (
+    ConfigError,
     ExperimentSpec,
     load_config,
     run_experiment,
@@ -37,12 +39,23 @@ def _load_spec(path):
         return load_config(path)
     except FileNotFoundError:
         raise SystemExit(f"no such config file: {path}")
+    except ValueError as exc:  # a malformed field
+        raise SystemExit(str(exc))
+
+
+def _run(spec):
+    """run_experiment(spec); a malformed config ends the command with its
+    one-line error, while an error of the descent itself propagates."""
+    try:
+        return run_experiment(spec)
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
 
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args.config)
     t0 = time.perf_counter()
-    result = run_experiment(spec)
+    result = _run(spec)
     elapsed = time.perf_counter() - t0
     summary = summarize(result)
     summary["wall_seconds"] = round(elapsed, 3)
@@ -72,8 +85,11 @@ def _cmd_sweep(args) -> int:
     for value in values.split(","):
         raw = dict(asdict(base), name=f"{base.name}[{field}={value}]")
         raw[field] = yaml.safe_load(value)  # typed as the same text in a config file
-        spec = ExperimentSpec.from_dict(raw)
-        result = run_experiment(spec)
+        try:
+            spec = ExperimentSpec.from_dict(raw)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        result = _run(spec)
         s = summarize(result)
         below = None
         if args.threshold is not None:

@@ -50,10 +50,11 @@ seeds one at a time to raise the first failing seed's exception, as a
 sequential run would.  A run's record is the list of its
 realized steps' dicts, joined column by column when the run ends, so memory
 grows with the steps taken, never with the iteration budget.  A step records
-only what the other columns cannot give (fixed point: the mantissas;
-lowfloat: the iterate's floats, the floats of exact values, and the case
-labels, which need the exact grid pairs; reference: its gradient, which is
-its update) and does no binary64 work beyond that.  The other columns
+its new iterate's column (the mantissas x_m on fixed point, xs otherwise)
+and only what the other columns cannot give (fixed point: the mantissas of
+g and d; lowfloat: the floats of exact values, and the case labels, which
+need the exact grid pairs; reference: its gradient, which is its update) and
+does no binary64 work beyond that.  The other columns
 follow once per run, over the rows of every lane: fixed point's xs from
 x_m, f at every iterate in one `f` call, the binary64 gradient at every
 pre-step iterate in one `eval_grad_reference` call, the other float columns
@@ -71,8 +72,10 @@ beyond its step and that step's record.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -119,59 +122,19 @@ class GDConfig:
     stagnation_window: int = 50
 
     def __post_init__(self) -> None:
-        self.t = parse_rational(self.t)
-        if self.t <= 0:
-            raise ValueError(f"step size must be positive, got {self.t}")
-        for name in ("iterations", "stagnation_window", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):  # YAML's true would read as 1
-                    raise TypeError
-                setattr(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if not isinstance(self.stop_on_stagnation, bool):  # "false" is truthy
-            raise ValueError(
-                f"stop_on_stagnation must be true or false, got {self.stop_on_stagnation!r}"
-            )
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be >= 1")
-        if self.number_system not in _SYSTEMS:
-            raise ValueError(f"unknown number system {self.number_system!r}")
-        self.sigma1_scheme = rounding.parse_scheme(self.sigma1_scheme)
-        self.sigma2_scheme = rounding.parse_scheme(self.sigma2_scheme)
-        if isinstance(self.stop_below_f, bool):
-            raise ValueError(f"stop_below_f must be a number, got {self.stop_below_f!r}")
-        if self.stop_below_f is not None:
-            self.stop_below_f = float(self.stop_below_f)
-        if self.working_fmt is not None and not isinstance(self.working_fmt, QFormat):
-            self.working_fmt = make_format(self.working_fmt)
-        if self.mul_fmt is not None and not isinstance(self.mul_fmt, QFormat):
-            self.mul_fmt = make_format(self.mul_fmt)
-        if self.float_fmt is not None and not isinstance(
-            self.float_fmt, lpfloat.FloatFormat
-        ):
-            self.float_fmt = lpfloat.parse_float_format(self.float_fmt)
-        check_x0(self.x0)
-        if len(self.x0) != self.objective.n:
-            raise ValueError(
-                f"x0 has {len(self.x0)} coordinates, objective wants {self.objective.n}"
-            )
-        if self.number_system == "fixed":
-            if self.working_fmt is None:
-                raise ValueError("fixed mode needs working_fmt")
-            if self.mul_fmt is None:
-                self.mul_fmt = self.working_fmt
-            if self.mul_fmt.qf > self.working_fmt.qf:
-                raise ValueError(
-                    f"update grid {self.mul_fmt} is finer than working grid "
-                    f"{self.working_fmt}; the iterate update could not stay exact"
-                )
-        elif self.number_system == "lowfloat":
-            if self.float_fmt is None:
-                raise ValueError("lowfloat mode needs float_fmt")
+        _check_run_fields(self, self.objective.n)
+
+    @classmethod
+    def check_fields(cls, **fields) -> None:
+        """Raise the ValueError a GDConfig of these fields would raise, the
+        objective's own check aside, with no objective built: every field
+        but `objective` may be given, the others take their defaults."""
+        defaults = {
+            f.name: f.default if f.default_factory is MISSING else f.default_factory()
+            for f in dataclass_fields(cls)
+            if f.default is not MISSING or f.default_factory is not MISSING
+        }
+        _check_run_fields(SimpleNamespace(**{**defaults, **fields}))
 
     @property
     def u_mul(self) -> Fraction:
@@ -179,6 +142,65 @@ class GDConfig:
         if self.mul_fmt is None:
             raise ValueError("u_mul is only defined in fixed mode")
         return self.mul_fmt.u
+
+
+def _check_run_fields(c, n: Optional[int] = None) -> None:
+    """GDConfig's checks, in place on c (a GDConfig, or any holder of its
+    fields but the objective): each field is parsed to its type, and a
+    malformed one raises a ValueError that names it.  x0's length is checked
+    against n, the objective's dimension, when given."""
+    c.t = parse_rational(c.t)
+    if c.t <= 0:
+        raise ValueError(f"step size must be positive, got {c.t}")
+    for name in ("iterations", "stagnation_window", "seed"):
+        value = getattr(c, name)
+        try:
+            if isinstance(value, bool):  # YAML's true would read as 1
+                raise TypeError
+            setattr(c, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(c.stop_on_stagnation, bool):  # "false" is truthy
+        raise ValueError(
+            f"stop_on_stagnation must be true or false, got {c.stop_on_stagnation!r}"
+        )
+    if c.iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    if c.stagnation_window < 1:
+        raise ValueError("stagnation_window must be >= 1")
+    if c.number_system not in _SYSTEMS:
+        raise ValueError(f"unknown number system {c.number_system!r}")
+    c.sigma1_scheme = rounding.parse_scheme(c.sigma1_scheme)
+    c.sigma2_scheme = rounding.parse_scheme(c.sigma2_scheme)
+    if isinstance(c.stop_below_f, bool):
+        raise ValueError(f"stop_below_f must be a number, got {c.stop_below_f!r}")
+    if c.stop_below_f is not None:
+        try:
+            c.stop_below_f = float(c.stop_below_f)
+        except (TypeError, ValueError):
+            raise ValueError(f"stop_below_f must be a number, got {c.stop_below_f!r}") from None
+    if c.working_fmt is not None and not isinstance(c.working_fmt, QFormat):
+        c.working_fmt = make_format(c.working_fmt)
+    if c.mul_fmt is not None and not isinstance(c.mul_fmt, QFormat):
+        c.mul_fmt = make_format(c.mul_fmt)
+    if c.float_fmt is not None and not isinstance(c.float_fmt, lpfloat.FloatFormat):
+        c.float_fmt = lpfloat.parse_float_format(c.float_fmt)
+    check_x0(c.x0)
+    if n is not None and len(c.x0) != n:
+        raise ValueError(f"x0 has {len(c.x0)} coordinates, objective wants {n}")
+    if c.number_system == "fixed":
+        if c.working_fmt is None:
+            raise ValueError("fixed mode needs working_fmt")
+        if c.mul_fmt is None:
+            c.mul_fmt = c.working_fmt
+        if c.mul_fmt.qf > c.working_fmt.qf:
+            raise ValueError(
+                f"update grid {c.mul_fmt} is finer than working grid "
+                f"{c.working_fmt}; the iterate update could not stay exact"
+            )
+    elif c.number_system == "lowfloat":
+        if c.float_fmt is None:
+            raise ValueError("lowfloat mode needs float_fmt")
 
 
 @dataclass
@@ -279,11 +301,12 @@ class _System:
 
     `lanes(R)` is the state of R lanes at x0, `select` keeps some lanes and
     `lane(x, j)` is lane j's iterate as a one-seed run returns it.
-    `floats(x)` are the lanes' binary64 rows, and `iterates(x)` the column
-    that records the lanes' iterates: "xs", or the mantissas "x_m" on fixed
-    point.  `step(x, streams, k)` is one update of every lane.  `columns`
-    maps what a step records, the iterate column included, to (dtype, one
-    entry per coordinate?).  `finish(cols, pre)` derives the other columns,
+    `floats(x)` are the lanes' binary64 rows.  `step(x, streams, k)` is one
+    update of every lane, and it records the new iterates' column: "xs", or
+    the mantissas "x_m" on fixed point.  `iterates(x)` is that column's x0
+    row, the one iterate no step records.  `columns` maps what a step
+    records, the iterate column included, to (dtype, one entry per
+    coordinate?).  `finish(cols, pre)` derives the other columns,
     the sign flips aside, once per run over all rows, `pre` selecting the
     rows of the iterate columns that a step starts from: xs where a step
     does not record it, fs at every iterate, g_exact at the pre-step
@@ -371,7 +394,7 @@ class _Fixed(_System):
             d_m = be.coef(cfg.t, g_t.m, cfg.mul_fmt)
             step = d_m.astype(object) if self.wide_step else d_m
             new_x = FixedVec(x.m - (step << self.shift), x.fmt)
-        return new_x, {"g_tilde_m": g_t.m, "d_m": d_m}
+        return new_x, {"x_m": new_x.m, "g_tilde_m": g_t.m, "d_m": d_m}
 
     def _step_lane(self, x: FixedVec, d: list):
         """x - d for one live lane on Python ints, d its rounded update
@@ -404,7 +427,8 @@ class _LowFloat(_System):
     x - t*g rounded once.  The state of R lanes is a list of R rows of grid
     pairs (M, E) of Python ints, each the value M * 2**E; `lane` gives one
     lane's iterate as Fractions.  The binary64 columns come from the ints by
-    one correct rounding each, as float(Fraction) rounds."""
+    one correct rounding each, as float(Fraction) rounds, and a step builds
+    its four (g_tilde, d, sigma2, xs) as one float array."""
 
     columns = {
         **dict.fromkeys(("xs", "g_tilde", "d", "sigma2"), (np.float64, True)),
@@ -433,44 +457,49 @@ class _LowFloat(_System):
         return np.array([[lpfloat.pair_float(m, e) for m, e in row] for row in x])
 
     def step(self, x: list, streams: list, k: int):
+        """Each coordinate's values come from one pass on Python ints: the
+        ratios that classify it, the rounded x - t*g, and its four binary64
+        values; the float columns are one array per step."""
         cfg = self.cfg
         fmt, t, scheme = cfg.float_fmt, cfg.t, cfg.sigma2_scheme
         tn, td = t.numerator, t.denominator
+        pair_ratio, pair_float = lpfloat.pair_ratio, lpfloat.pair_float
         g_t = [
             cfg.objective.grad_rounded_float(row, fmt, cfg.sigma1_scheme, stream, k)
             for row, stream in zip(x, streams)
         ]
-        # C2 when |t*g_i| < 2**G_i, the grid spacing at x_i, on integer ratios
-        case, c2 = zip(*(
-            classify_case(
-                [lpfloat.pair_ratio(m, e) for m, e in g_r],
-                t,
-                [lpfloat.pair_ratio(1, fmt.gap_exponent(m, e)) for m, e in row],
-            )
-            for row, g_r in zip(x, g_t)
-        ))
-        new_x, out = [], np.empty((3, len(x), len(x[0])))  # out: g_tilde, d, sigma2
-        for r, (row, g_r, stream) in enumerate(zip(x, g_t, streams)):
-            new_row = []
+        new_x, cases, c2s, floats = [], [], [], []
+        for row, g_r, stream in zip(x, g_t, streams):
+            new_row, g_ratios, u_ratios, row_floats = [], [], [], []
             for i, ((xm, xe), (gm, ge)) in enumerate(zip(row, g_r)):
+                # C2 when |t*g_i| < u_i = 2**G_i, the grid spacing at x_i
+                g_ratios.append(pair_ratio(gm, ge))
+                u_ratios.append(pair_ratio(1, fmt.gap_exponent(xm, xe)))
                 v_sign = (gm < 0) - (gm > 0)  # -sign(g): descent; only signed_sr_eps reads it
                 # x - t*g = (td*xm*2**xe - tn*gm*2**ge) / td as one ratio n/d
                 e = min(xe, ge)
-                n, d = lpfloat.pair_ratio((td * xm << (xe - e)) - (tn * gm << (ge - e)), e)
+                n, d = pair_ratio((td * xm << (xe - e)) - (tn * gm << (ge - e)), e)
                 d *= td
                 ym, ye = lpfloat.fl_round((n, d), fmt, scheme, stream, k, SIGMA2_TAG + i, v_sign)
                 new_row.append((ym, ye))
                 # d = x - y, and sigma2 = d - t*g = n/d - y
                 e = min(xe, ye)
-                yn, yd = lpfloat.pair_ratio(ym, ye)
-                out[:, r, i] = (
-                    lpfloat.pair_float(gm, ge),
-                    lpfloat.pair_float((xm << (xe - e)) - (ym << (ye - e)), e),
+                yn, yd = pair_ratio(ym, ye)
+                row_floats.append((
+                    pair_float(gm, ge),
+                    pair_float((xm << (xe - e)) - (ym << (ye - e)), e),
                     (n * yd - yn * d) / (d * yd),
-                )
+                    pair_float(ym, ye),
+                ))
+            case, c2 = classify_case(g_ratios, t, u_ratios)
             new_x.append(new_row)
+            cases.append(case)
+            c2s.append(c2)
+            floats.append(row_floats)
+        cols = np.array(floats).transpose(2, 0, 1)
         return new_x, {
-            "g_tilde": out[0], "d": out[1], "sigma2": out[2], "case": case, "c2_mask": c2,
+            "g_tilde": cols[0], "d": cols[1], "sigma2": cols[2], "xs": cols[3],
+            "case": cases, "c2_mask": c2s,
         }
 
     def finish(self, cols: dict, pre: np.ndarray) -> None:
@@ -490,7 +519,8 @@ class _Reference(_System):
     def step(self, x: np.ndarray, streams: list, k: int):
         g_ref = eval_grad_reference(self.cfg.objective, x)
         d = float(self.cfg.t) * g_ref
-        return x - d, {"g_exact": g_ref, "d": d}
+        new_x = x - d
+        return new_x, {"xs": new_x, "g_exact": g_ref, "d": d}
 
     def finish(self, cols: dict, pre: np.ndarray) -> None:
         """The rounded gradient is the exact one, with no error and case 0."""
@@ -611,7 +641,6 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     for k in range(0 if below_at_x0 else cfg.iterations):
         x_pre = x if check_stag else None
         x, rec = gd_step(x, system, lane_streams, k)
-        rec.update(system.iterates(x))
         steps.append((live, rec))
         if not (check_f or check_stag):
             continue

@@ -203,9 +203,9 @@ def build_objective(spec: ExperimentSpec) -> Objective:
     return make_objective(name, **obj_spec)
 
 
-def spec_to_gd_config(spec: ExperimentSpec, obj: Objective) -> GDConfig:
-    return GDConfig(
-        objective=obj,
+def _run_fields(spec: ExperimentSpec) -> Dict:
+    """The spec's GDConfig fields, all but the objective."""
+    return dict(
         t=spec.t,
         x0=spec.x0,
         iterations=spec.iterations,
@@ -219,6 +219,10 @@ def spec_to_gd_config(spec: ExperimentSpec, obj: Objective) -> GDConfig:
         stop_on_stagnation=spec.stop_on_stagnation,
         stagnation_window=spec.stagnation_window,
     )
+
+
+def spec_to_gd_config(spec: ExperimentSpec, obj: Objective) -> GDConfig:
+    return GDConfig(objective=obj, **_run_fields(spec))
 
 
 @dataclass
@@ -235,9 +239,19 @@ class ExperimentResult:
         return np.array([r.final_f for r in self.runs])
 
 
+class ConfigError(ValueError):
+    """A malformed experiment: the ValueError of building its objective or
+    GDConfig, with the same message, raised before any step runs."""
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    obj = build_objective(spec)
-    cfg = spec_to_gd_config(spec, obj)
+    try:
+        # a malformed run field fails before the objective loads a dataset or SciPy
+        GDConfig.check_fields(**_run_fields(spec))
+        obj = build_objective(spec)
+        cfg = spec_to_gd_config(spec, obj)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     runs = run_ensemble(cfg, seeds=spec.seeds)
     return ExperimentResult(spec=spec, objective=obj, runs=runs)
 

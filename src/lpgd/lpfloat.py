@@ -100,29 +100,31 @@ class FloatFormat:
         den is not reduced.  The floor acts on the signed numerator, so q < 0
         for v < 0.  |v| beyond the largest finite value raises OverflowError.
         """
+        emin, emax, p = self.emin, self.emax, self.sig_bits
         if not n:
-            return 0, 0, 1, self.emin - self.sig_bits + 1
+            return 0, 0, 1, emin - p + 1
         a = abs(n)
         e = a.bit_length() - d.bit_length()  # floor(log2 |v|) is e or e - 1
         if (a < d << e) if e >= 0 else (a << -e < d):
             e -= 1
-        g = min(max(e, self.emin), self.emax) - self.sig_bits + 1
+        g = (emin if e < emin else emax if e > emax else e) - p + 1
         if g < 0:
             den = d
             q, r = divmod(n << -g, d)
         else:
             den = d << g
             q, r = divmod(n, den)
-        if e >= self.emax:  # g is clamped to the top binade's, where max_finite is top * 2**g
-            top = (1 << self.sig_bits) - 1
+        if e >= emax:  # g is clamped to the top binade's, where max_finite is top * 2**g
+            top = (1 << p) - 1
             if q < -top or q + (r > 0) > top:
                 raise OverflowError(f"{ratio_str(n, d)} is beyond the largest finite {self} value")
         return q, r, den, g
 
     def gap_exponent(self, m: int, e: int) -> int:
         """`split`'s g at the grid value m * 2**e: 2**g is its grid spacing."""
-        b = m.bit_length() - 1 + e if m else self.emin  # the binade of |m| * 2**e
-        return min(max(b, self.emin), self.emax) - self.sig_bits + 1
+        emin, emax = self.emin, self.emax
+        b = m.bit_length() - 1 + e if m else emin  # the binade of |m| * 2**e
+        return (emin if b < emin else emax if b > emax else b) - self.sig_bits + 1
 
     def __str__(self) -> str:
         return f"fp{self.total_bits}e{self.exp_bits}"

@@ -238,9 +238,9 @@ class FloatBackend(_ConstTable):
     def _round(self, m: int, e: int, d: int = 1) -> tuple:
         """The exact value m * 2**e / d, rounded."""
         tag = self.tag
-        self.tag += 1
-        n, d2 = lpfloat.pair_ratio(m, e)
-        return lpfloat.fl_round((n, d2 * d), self.fmt, self.scheme, self.stream, self.k, tag)
+        self.tag = tag + 1
+        ratio = (m << e, d) if e >= 0 else (m, d << -e)
+        return lpfloat.fl_round(ratio, self.fmt, self.scheme, self.stream, self.k, tag)
 
     def _quantize(self, c) -> tuple:
         """A stored constant's grid pair: c rounded to nearest-even."""
@@ -253,7 +253,10 @@ class FloatBackend(_ConstTable):
         return self._round((am << (ae - be)) + bm, be)
 
     def sub(self, a, b) -> tuple:
-        return self.add(a, (-b[0], b[1]))
+        (am, ae), (bm, be) = a, b
+        if ae <= be:
+            return self._round(am - (bm << (be - ae)), ae)
+        return self._round((am << (ae - be)) - bm, be)
 
     def mul(self, a, b) -> tuple:
         return self._round(a[0] * b[0], a[1] + b[1])

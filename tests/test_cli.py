@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lpgd import cli
+from lpgd import cli, harness
 from lpgd.cli import main
 
 CONFIG = """\
@@ -86,8 +86,54 @@ class TestRun:
     def test_stop_below_f_must_be_a_number(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text(CONFIG + "stop_below_f: low\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit, match="^stop_below_f must be a number, got 'low'$"):
             main(["run", str(p)])
+
+    def test_an_error_of_the_descent_propagates(self, config_path, monkeypatch):
+        # only building the run turns a ValueError into a one-line exit
+        def failing_run(cfg, seeds):
+            raise ValueError("raised mid-run")
+
+        monkeypatch.setattr(harness, "run_ensemble", failing_run)
+        with pytest.raises(ValueError, match="^raised mid-run$"):
+            main(["run", str(config_path)])
+
+
+def _cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "lpgd.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('seeds: "3"', "seeds must be a count or a list of seeds"),
+        ('stop_on_stagnation: "false"', "stop_on_stagnation must be true or false, got 'false'"),
+        ("stagnation_window: true", "stagnation_window must be an integer, got True"),
+        ('working_fmt: "Q8"', "not a fixed-point format spec"),
+    ],
+    ids=["seeds", "stop_on_stagnation", "stagnation_window", "working_fmt"],
+)
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--set", "iterations=2,3"]], ids=["run", "sweep"])
+def test_malformed_config_exits_with_one_line(tmp_path, command, line, message):
+    # the line overrides the demo config's own value of that field, if any
+    field = line.partition(":")[0]
+    kept = [row for row in CONFIG.splitlines() if not row.startswith(field + ":")]
+    p = tmp_path / "bad.yaml"
+    p.write_text("\n".join(kept + [line]) + "\n")
+    proc = _cli(command[0], str(p), *command[1:])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(message)
+
+
+def test_malformed_sweep_value_exits_with_one_line(config_path):
+    proc = _cli("sweep", str(config_path), "--set", "seeds=2,0")
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("seeds must be")
 
 
 class TestSweep:

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import lpgd
+from lpgd import harness
 from lpgd.harness import (
+    ConfigError,
     ExperimentSpec,
     build_objective,
     idx_blr_dataset,
@@ -267,6 +269,25 @@ class TestBuildAndRun:
         spec = tiny_spec(objective={"name": "blr", "dataset": {"kind": "csv"}})
         with pytest.raises(ValueError):
             build_objective(spec)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stop_on_stagnation", "false"), ("iterations", True), ("stop_below_f", "low")],
+    )
+    def test_run_fields_fail_before_the_objective_is_built(self, monkeypatch, field, value):
+        # a blr objective loads its dataset and SciPy: a bad run field must stop first
+        spec = load_config(Path(__file__).resolve().parents[1] / "configs" / "blr_stepsize.yaml")
+        setattr(spec, field, value)
+        built = []
+        monkeypatch.setattr(harness, "build_objective", lambda s: built.append(s))
+        with pytest.raises(ValueError, match=f"^{field} must be") as err:
+            run_experiment(spec)
+        assert built == []
+        assert isinstance(err.value, ConfigError)
+
+    def test_objective_errors_are_config_errors(self):
+        with pytest.raises(ConfigError, match="^unknown dataset kind 'csv'$"):
+            run_experiment(tiny_spec(objective={"name": "blr", "dataset": {"kind": "csv"}}))
 
     def test_run_experiment_and_summary(self):
         result = run_experiment(tiny_spec())

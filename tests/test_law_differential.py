@@ -26,6 +26,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -728,6 +729,27 @@ def test_float_backend_matches_the_fraction_original(fmt, spec, data, seed, k):
         assert streams[0].log() == streams[1].log()
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((1025, -10), (3, -14)),  # a's exponent above b's: a's mantissa shifts
+        ((3, -14), (1025, -10)),  # a's exponent below b's: b's mantissa shifts
+        ((1025, -10), (3, -10)),  # one exponent
+        ((-2047, -5), (1, -20)),  # far apart, a negative
+    ],
+)
+@pytest.mark.parametrize("spec", LOWFLOAT_SCHEMES)
+@pytest.mark.parametrize("fmt", [parse_float_format("fp16e5"), FloatFormat(60, 4)], ids=str)
+def test_float_backend_sub_aligns_either_way(a, b, spec, fmt):
+    # `sub` aligns the two mantissas itself, on whichever side has the larger
+    # exponent; FloatFormat(60, 4) holds every difference here exactly
+    scheme = parse_scheme(spec)
+    streams = [_LoggedStream(7), _LoggedStream(7)]
+    new, old = FloatBackend(fmt, scheme, streams[0], 3), _OldFloatBackend(fmt, scheme, streams[1], 3)
+    assert pair_fraction(*new.sub(a, b)) == old.sub(pair_fraction(*a), pair_fraction(*b))
+    assert streams[0].log() == streams[1].log()
+
+
 @given(
     fmt=st.sampled_from(LOWFLOAT_FORMATS),
     name=st.sampled_from(sorted(_STEP_OBJECTIVES)),
@@ -752,12 +774,15 @@ def test_lowfloat_step_matches_the_fraction_original(fmt, name, t, sigma1, sigma
         new_x, rec = _LowFloat(cfg).step(rows, streams[0], k)
         columns = np.stack([rec["g_tilde"], rec["d"], rec["sigma2"]])
         values = [[pair_fraction(*v) for v in row] for row in new_x]
-        return values, columns.tobytes(), tuple(rec["case"]), np.array(rec["c2_mask"]).tolist()
+        return (values, columns.tobytes(), tuple(rec["case"]), np.array(rec["c2_mask"]).tolist(),
+                rec["xs"].tobytes())
 
     def old_step():
         fr_rows = [[pair_fraction(*v) for v in row] for row in rows]
         new_x, out, case, c2 = _old_lowfloat_step(cfg, fr_rows, streams[1], k)
-        return new_x, out.tobytes(), case, np.array(c2).tolist()
+        # the step records its new iterate: the binary64 image of each new value
+        xs = np.array([[float(v) for v in row] for row in new_x], dtype=np.float64)
+        return new_x, out.tobytes(), case, np.array(c2).tolist(), xs.tobytes()
 
     assert _errors_as_messages(new_step) == _errors_as_messages(old_step)
     assert [s.log() for s in streams[0]] == [s.log() for s in streams[1]]
