@@ -2,7 +2,9 @@
 
 Exit status is nonzero when a verify check fails or a run errors, so the
 commands compose with shell scripts and CI.  A malformed config or argument
-ends a command with one line on stderr and status 1.
+ends a command with one line on stderr and status 1.  For a config that
+line is a `harness.ConfigError`, the one error of a malformed config, which
+`main` alone turns into the exit; `run` and `sweep` meet it before any step.
 """
 
 from __future__ import annotations
@@ -34,35 +36,21 @@ from .qnum import make_format
 from .rounding import parse_scheme
 
 
-def _load_spec(path):
-    try:
-        return load_config(path)
-    except FileNotFoundError:
-        raise SystemExit(f"no such config file: {path}")
-    except ValueError as exc:  # a malformed field
-        raise SystemExit(str(exc))
-
-
-def _run(spec):
-    """run_experiment(spec); a malformed config ends the command with its
-    one-line error, while an error of the descent itself propagates."""
-    try:
-        return run_experiment(spec)
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
-
-
 def _cmd_run(args) -> int:
-    spec = _load_spec(args.config)
+    spec = load_config(args.config)
+    out = Path(args.out) if args.out else None
+    if out:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(f"cannot make the --out directory {out}: {exc.strerror}")
     t0 = time.perf_counter()
-    result = _run(spec)
+    result = run_experiment(spec)
     elapsed = time.perf_counter() - t0
     summary = summarize(result)
     summary["wall_seconds"] = round(elapsed, 3)
     print(yaml.safe_dump(summary, sort_keys=False), end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "summary.yaml").write_text(yaml.safe_dump(summary, sort_keys=False))
         write_trace_csv(result, out / "trace.csv")
         curve = result.mean_f_curve()
@@ -75,21 +63,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = _load_spec(args.config)
+    base = load_config(args.config)
     field, _, values = args.set.partition("=")
     if not values:
         raise SystemExit("--set wants FIELD=v1,v2,...")
-    if field not in ExperimentSpec.__dataclass_fields__:
-        raise SystemExit(f"unknown spec field {field!r}")
-    rows = []
+    specs = []  # every value's spec is checked before the first run
     for value in values.split(","):
-        raw = dict(asdict(base), name=f"{base.name}[{field}={value}]")
-        raw[field] = yaml.safe_load(value)  # typed as the same text in a config file
         try:
-            spec = ExperimentSpec.from_dict(raw)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        result = _run(spec)
+            typed = yaml.safe_load(value)  # typed as the same text in a config file
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{field}={value} is not valid YAML: {exc}") from None
+        raw = {**asdict(base), "name": f"{base.name}[{field}={value}]", field: typed}
+        specs.append((value, ExperimentSpec.from_dict(raw)))
+    rows = []
+    for value, spec in specs:
+        result = run_experiment(spec)
         s = summarize(result)
         below = None
         if args.threshold is not None:
@@ -256,7 +244,10 @@ def main(argv=None) -> int:
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        raise SystemExit(" ".join(str(exc).split()))
 
 
 if __name__ == "__main__":

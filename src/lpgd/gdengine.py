@@ -72,8 +72,7 @@ beyond its step and that step's record.
 from __future__ import annotations
 
 import operator
-from dataclasses import MISSING, dataclass, field, replace
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import List, Optional, Sequence
@@ -126,15 +125,19 @@ class GDConfig:
 
     @classmethod
     def check_fields(cls, **fields) -> None:
-        """Raise the ValueError a GDConfig of these fields would raise, the
-        objective's own check aside, with no objective built: every field
-        but `objective` may be given, the others take their defaults."""
-        defaults = {
-            f.name: f.default if f.default_factory is MISSING else f.default_factory()
-            for f in dataclass_fields(cls)
-            if f.default is not MISSING or f.default_factory is not MISSING
-        }
-        _check_run_fields(SimpleNamespace(**{**defaults, **fields}))
+        """Raise the ValueError a GDConfig of these fields (all but objective
+        and seed) would raise, naming the field, or one for an x0 entry off
+        its grid: once per config, not on the per-seed copies `run` makes."""
+        c = SimpleNamespace(seed=0, **fields)
+        c.t = _parsed("t", parse_rational, c.t, "a rational number")
+        c.sigma1_scheme = _parsed("sigma1", rounding.parse_scheme, c.sigma1_scheme, _SCHEMES)
+        c.sigma2_scheme = _parsed("sigma2", rounding.parse_scheme, c.sigma2_scheme, _SCHEMES)
+        _check_run_fields(c)
+        grid = {"fixed": c.working_fmt, "lowfloat": c.float_fmt}.get(c.number_system)
+        for text in c.x0:
+            v = _parsed("x0 entry", parse_rational, text, "a rational number")
+            if grid is not None and not lpfloat.is_representable(v, grid):
+                raise ValueError(f"x0 entry {v} is not on the {grid} grid")
 
     @property
     def u_mul(self) -> Fraction:
@@ -142,6 +145,17 @@ class GDConfig:
         if self.mul_fmt is None:
             raise ValueError("u_mul is only defined in fixed mode")
         return self.mul_fmt.u
+
+
+_SCHEMES = "rn, sr, sr_eps:<eps> or signed_sr_eps:<eps> with eps a rational in (0, 1)"
+
+
+def _parsed(name: str, parse, value, want: str):
+    """parse(value), or a ValueError naming the field for a value it cannot read."""
+    try:
+        return parse(value)
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"{name} must be {want}, got {value!r}") from None
 
 
 def _check_run_fields(c, n: Optional[int] = None) -> None:

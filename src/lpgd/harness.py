@@ -9,6 +9,10 @@ mean objective curves.
 Stepsizes and start coordinates stay strings until they reach the engine,
 which parses them as exact rationals; writing them as YAML floats would
 silently snap them to binary64.
+
+`ConfigError` is the one error of a malformed config: `load_config`,
+`ExperimentSpec.from_dict` and `run_experiment` raise it before the first
+step.  An error of the descent itself propagates as raised.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -117,6 +122,19 @@ def idx_blr_dataset(
 # ---------------------------------------------------------------------------
 
 
+class ConfigError(ValueError):
+    """A malformed experiment config, raised before any step runs."""
+
+
+@contextmanager
+def _config_errors(prefix: str = ""):
+    """Any error raised inside as a ConfigError: prefix, then its message."""
+    try:
+        yield
+    except Exception as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 @dataclass
 class ExperimentSpec:
     """One ensemble: an objective, a number system, and run settings."""
@@ -139,23 +157,29 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: Dict) -> "ExperimentSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = [
-            f.name for f in fields(cls)
-            if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
-        ]
-        if missing:
-            raise ValueError(f"missing config keys: {missing}")
-        spec = dict(raw)
-        if "seeds" in spec:
-            spec["seeds"] = _seed_list(spec["seeds"])
-        check_x0(spec["x0"])
-        spec["x0"] = [str(v) for v in spec["x0"]]
-        spec["t"] = str(spec["t"])
-        return cls(**spec)
+        """The spec of a config mapping, its run fields checked as run_experiment does."""
+        with _config_errors():
+            unknown = set(raw) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            missing = [
+                f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING and f.name not in raw
+            ]
+            if missing:
+                raise ValueError(f"missing config keys: {missing}")
+            objective = raw["objective"]
+            if not isinstance(objective, dict) or "name" not in objective:
+                raise ValueError(f"objective must be a mapping with a name, got {objective!r}")
+            spec = dict(raw)
+            if "seeds" in spec:
+                spec["seeds"] = _seed_list(spec["seeds"])
+            check_x0(spec["x0"])
+            spec["x0"] = [str(v) for v in spec["x0"]]
+            spec["t"] = str(spec["t"])
+            spec = cls(**spec)
+            GDConfig.check_fields(**_run_fields(spec))
+        return spec
 
 
 def _seed_list(seeds) -> List[int]:
@@ -177,10 +201,17 @@ def _seed_list(seeds) -> List[int]:
 def load_config(path) -> ExperimentSpec:
     import yaml  # only config files need it; imported here to keep start-up light
 
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"no such config file: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError(f"{path} does not hold a config mapping")
+        raise ConfigError(f"{path} does not hold a config mapping")
     return ExperimentSpec.from_dict(raw)
 
 
@@ -204,21 +235,11 @@ def build_objective(spec: ExperimentSpec) -> Objective:
 
 
 def _run_fields(spec: ExperimentSpec) -> Dict:
-    """The spec's GDConfig fields, all but the objective."""
-    return dict(
-        t=spec.t,
-        x0=spec.x0,
-        iterations=spec.iterations,
-        number_system=spec.number_system,
-        working_fmt=spec.working_fmt,
-        mul_fmt=spec.mul_fmt,
-        float_fmt=spec.float_fmt,
-        sigma1_scheme=spec.sigma1,
-        sigma2_scheme=spec.sigma2,
-        stop_below_f=spec.stop_below_f,
-        stop_on_stagnation=spec.stop_on_stagnation,
-        stagnation_window=spec.stagnation_window,
-    )
+    """The spec's GDConfig fields, all but the objective: its own fields but
+    name, objective and seeds, sigma1 and sigma2 read as the two schemes."""
+    run = {k: v for k, v in vars(spec).items() if k not in ("name", "objective", "seeds")}
+    run["sigma1_scheme"], run["sigma2_scheme"] = run.pop("sigma1"), run.pop("sigma2")
+    return run
 
 
 def spec_to_gd_config(spec: ExperimentSpec, obj: Objective) -> GDConfig:
@@ -239,19 +260,15 @@ class ExperimentResult:
         return np.array([r.final_f for r in self.runs])
 
 
-class ConfigError(ValueError):
-    """A malformed experiment: the ValueError of building its objective or
-    GDConfig, with the same message, raised before any step runs."""
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    try:
+    with _config_errors():
         # a malformed run field fails before the objective loads a dataset or SciPy
         GDConfig.check_fields(**_run_fields(spec))
+    # an argument the factory or dataset does not take, a value of a wrong
+    # type, or an x0 of another length
+    with _config_errors(f"{spec.objective['name']}: "):
         obj = build_objective(spec)
         cfg = spec_to_gd_config(spec, obj)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     runs = run_ensemble(cfg, seeds=spec.seeds)
     return ExperimentResult(spec=spec, objective=obj, runs=runs)
 
@@ -284,54 +301,25 @@ def summarize(result: ExperimentResult) -> Dict:
 def write_trace_csv(result: ExperimentResult, path) -> None:
     """Per-iteration trace of the first run, with the single-run factor estimates."""
     run_ = result.runs[0]
-    obj = result.objective
-    L = obj.lip_grad
-    cfg = run_.config
-    u = float(cfg.u_mul) if cfg.number_system == "fixed" else float("nan")
-    u_work = (
-        float(cfg.working_fmt.u) if cfg.number_system == "fixed" else float("nan")
-    )
-    gamma = np.full(run_.steps, np.nan)
+    cfg, L = run_.config, result.objective.lip_grad
+    fixed = cfg.number_system == "fixed"
+    nan = np.full(run_.steps, np.nan)
+    gamma = nan.copy()
     if run_.steps:
         g, ok = bounds.gamma_of([run_])
         gamma[: g.shape[1]] = np.where(ok[0], g[0], np.nan)
-    theta = (
-        bounds.theta_of(run_.g_tilde, L, u)
-        if L is not None and cfg.number_system == "fixed"
-        else np.full(run_.steps, np.nan)
-    )
+    theta = bounds.theta_of(run_.g_tilde, L, float(cfg.u_mul)) if fixed and L is not None else nan
+    # sigma1 in units of the working grid, which only fixed point has
+    s1_over_u = np.abs(run_.sigma1).max(axis=1) / float(cfg.working_fmt.u) if fixed else nan
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            [
-                "k",
-                "f",
-                "case",
-                "gamma",
-                "theta",
-                "max_abs_sigma1_over_u",
-                "num_c2",
-                "nonopposite_violations",
-            ]
-        )
+        w.writerow(["k", "f", "case", "gamma", "theta", "max_abs_sigma1_over_u", "num_c2",
+                    "nonopposite_violations"])
         for k in range(run_.steps):
-            s1_over_u = (
-                float(np.abs(run_.sigma1[k]).max() / u_work)
-                if not math.isnan(u_work)
-                else float("nan")
-            )
-            w.writerow(
-                [
-                    k,
-                    f"{run_.fs[k]:.10g}",
-                    int(run_.case[k]),
-                    f"{gamma[k]:.6g}",
-                    f"{theta[k]:.6g}",
-                    f"{s1_over_u:.6g}",
-                    int(run_.c2_mask[k].sum()),
-                    int(run_.nonopp_violations[k]),
-                ]
-            )
+            w.writerow([
+                k, f"{run_.fs[k]:.10g}", int(run_.case[k]), f"{gamma[k]:.6g}", f"{theta[k]:.6g}",
+                f"{s1_over_u[k]:.6g}", int(run_.c2_mask[k].sum()), int(run_.nonopp_violations[k]),
+            ])
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,7 @@ def neighbors(x: ExactReal, fmt: FloatFormat) -> Tuple[Fraction, Fraction]:
 
 
 def is_representable(x: ExactReal, fmt: FloatFormat) -> bool:
+    """x is on fmt's grid: fmt is a FloatFormat, or a QFormat (same split)."""
     try:
         return fmt.split(*to_ratio(x))[1] == 0
     except OverflowError:

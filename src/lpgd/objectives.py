@@ -486,6 +486,9 @@ def quadratic(a_diag, x_star=None) -> Objective:
     values, or text like '1/10', '0.1' or '2^-4'); the recipe uses them
     exactly, the binary64 f/grad use their float images.
     """
+    for name, v in (("a_diag", a_diag), ("x_star", x_star)):
+        if v is not None and np.ndim(v) != 1:  # text would split into its characters
+            raise ValueError(f"{name} must be a list of numbers, got {v!r}")
     a_fr = [parse_rational(v) for v in a_diag]
     if any(v <= 0 for v in a_fr):
         raise ValueError("diagonal entries must be positive")

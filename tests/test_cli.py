@@ -130,6 +130,93 @@ def test_malformed_config_exits_with_one_line(tmp_path, command, line, message):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(message)
 
 
+# one config per fault, each a mapping of the demo config's lines to replace
+# (None drops the line), and the start of its one-line error
+BAD_CONFIGS = {
+    "missing-file": (None, "no such config file: "),
+    "unclosed-brace": ({"objective": "objective: {name: quadratic, a_diag: [1, 1]"}, ""),
+    "objective-text": ({"objective": "objective: quadratic"}, "objective must be a mapping"),
+    "objective-no-name": ({"objective": "objective: {a_diag: [1, 1]}"}, "objective must be a mapping"),
+    "objective-argument": (
+        {"objective": "objective: {name: quadratic, a_diag: [1, 1], scale: 2}"},
+        "quadratic: quadratic() got an unexpected keyword argument 'scale'",
+    ),
+    "a_diag-scalar": (
+        {"objective": "objective: {name: quadratic, a_diag: 1}", "x0": 'x0: ["1"]'},
+        "quadratic: a_diag must be a list of numbers, got 1",
+    ),
+    "dataset-argument": (
+        {"objective": "objective: {name: blr, dataset: {kind: synthetic, n_sample: 5}}",
+         "working_fmt": "working_fmt: Q15.8"},
+        "blr: synthetic_blr_dataset() got an unexpected keyword argument 'n_sample'",
+    ),
+    "x0-text": ({"x0": 'x0: ["abc", "1"]'}, "x0 entry must be a rational number, got 'abc'"),
+    "x0-off-fixed-grid": ({"x0": 'x0: ["1/3", "1"]'}, "x0 entry 1/3 is not on the Q8.8 grid"),
+    "x0-off-float-grid": (
+        {"x0": 'x0: ["1/3", "0"]', "working_fmt": "number_system: lowfloat\nfloat_fmt: fp16e5"},
+        "x0 entry 1/3 is not on the fp16e5 grid",
+    ),
+    "t-text": ({"t": 't: "bad"'}, "t must be a rational number, got 'bad'"),
+    "sigma1-eps": ({"sigma1": 'sigma1: "sr_eps:abc"'}, "sigma1 must be rn, sr, sr_eps:<eps>"),
+    "sigma2-eps": ({"sigma2": 'sigma2: "signed_sr_eps:2"'}, "sigma2 must be rn, sr, sr_eps:<eps>"),
+}
+
+
+def _bad_config(tmp_path, case):
+    lines, _ = BAD_CONFIGS[case]
+    p = tmp_path / "bad.yaml"
+    if lines is not None:
+        rows = [lines.get(row.partition(":")[0], row) for row in CONFIG.splitlines()]
+        p.write_text("\n".join(rows) + "\n")
+    return p
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--set", "iterations=2,3"]], ids=["run", "sweep"])
+def test_a_malformed_config_stops_before_the_first_run(tmp_path, monkeypatch, capsys, command, case):
+    # the fault ends the command with its one line before any ensemble runs
+    ran = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda cfg, seeds: ran.append(cfg))
+    p = _bad_config(tmp_path, case)
+    with pytest.raises(SystemExit) as exit_:
+        main([command[0], str(p), *command[1:]])
+    message = str(exit_.value.code)
+    assert "\n" not in message and message.startswith(BAD_CONFIGS[case][1])
+    assert ran == [] and capsys.readouterr().out == ""
+
+
+def test_an_unclosed_brace_names_the_file_and_its_line(tmp_path):
+    proc = _cli("run", str(_bad_config(tmp_path, "unclosed-brace")))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"{tmp_path / 'bad.yaml'} is not valid YAML: ")
+    assert "line 2" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("t=1/4,bad", "t must be a rational number, got 'bad'"), ("x0=[1", "x0=[1 is not valid YAML")],
+    ids=["second-value", "not-yaml"],
+)
+def test_sweep_checks_every_value_before_the_first_run(config_path, monkeypatch, setting, message):
+    ran = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda cfg, seeds: ran.append(cfg))
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", str(config_path), "--set", setting])
+    assert str(exit_.value.code).startswith(message)
+    assert ran == []
+
+
+def test_out_path_that_is_a_file_stops_before_the_run(config_path, tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    ran = []
+    monkeypatch.setattr(harness, "run_ensemble", lambda cfg, seeds: ran.append(cfg))
+    with pytest.raises(SystemExit, match=f"^cannot make the --out directory {re.escape(str(taken))}: "):
+        main(["run", str(config_path), "--out", str(taken)])
+    assert ran == [] and capsys.readouterr().out == ""
+
+
 def test_malformed_sweep_value_exits_with_one_line(config_path):
     proc = _cli("sweep", str(config_path), "--set", "seeds=2,0")
     assert proc.returncode == 1

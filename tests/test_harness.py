@@ -217,6 +217,45 @@ class TestSpec:
         with pytest.raises(ValueError):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "no such config file: "),
+            ("", "cannot read config file "),  # a directory
+            ("name: [demo\n", "is not valid YAML: "),
+            ("- a list\n", "does not hold a config mapping"),
+        ],
+        ids=["missing", "unreadable", "yaml-syntax", "not-a-mapping"],
+    )
+    def test_load_config_faults_are_config_errors(self, tmp_path, text, message):
+        p = tmp_path / "cfg.yaml"
+        if text == "":
+            p.mkdir()
+        elif text is not None:
+            p.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"stepsize": "0.1"}, "unknown config keys"),
+            ({"seeds": "3"}, "seeds must be"),
+            ({"x0": "11"}, "x0 must be a list"),
+            ({"objective": "quadratic"}, "objective must be a mapping with a name, got 'quadratic'"),
+            ({"objective": {"a_diag": [1, 1]}}, "objective must be a mapping with a name"),
+            ({"t": "bad"}, "t must be a rational number, got 'bad'"),
+            ({"sigma1": "sr_eps:abc"}, "sigma1 must be rn, sr, "),
+            ({"x0": ["1", "x"]}, "x0 entry must be a rational number, got 'x'"),
+            ({"x0": ["1", "1/3"]}, "x0 entry 1/3 is not on the Q8.8 grid"),
+            ({"stop_on_stagnation": "false"}, "stop_on_stagnation must be true or false"),
+        ],
+    )
+    def test_from_dict_faults_are_config_errors(self, over, message):
+        # from_dict runs the run-field checks run_experiment runs, x0's entries included
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            tiny_spec(**over)
+
 
 class TestBuildAndRun:
     def test_build_quadratic(self):
@@ -286,7 +325,7 @@ class TestBuildAndRun:
         assert isinstance(err.value, ConfigError)
 
     def test_objective_errors_are_config_errors(self):
-        with pytest.raises(ConfigError, match="^unknown dataset kind 'csv'$"):
+        with pytest.raises(ConfigError, match="^blr: unknown dataset kind 'csv'$"):
             run_experiment(tiny_spec(objective={"name": "blr", "dataset": {"kind": "csv"}}))
 
     def test_run_experiment_and_summary(self):
