@@ -62,13 +62,28 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _top_level_split(text: str) -> list:
+    """text split at its commas outside [] and {}, so that a list or a
+    mapping is one value."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     field, _, values = args.set.partition("=")
     if not values:
         raise SystemExit("--set wants FIELD=v1,v2,...")
     specs = []  # every value's spec is checked before the first run
-    for value in values.split(","):
+    for value in _top_level_split(values):
         try:
             typed = yaml.safe_load(value)  # typed as the same text in a config file
         except yaml.YAMLError as exc:

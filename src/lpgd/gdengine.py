@@ -41,15 +41,18 @@ of one state, and each iteration steps every live lane once.  Draws do not
 depend on the batch -- lane r's words for op (k, tag) come from
 RandomStream(seed_r).generator(k, tag), in index order -- so a lane's
 trajectory is bit for bit the run of its seed alone, and `run(cfg)` is the
-one-lane case of the same engine.  A fixed-point step of one live lane runs
-on Python ints end to end (the recipe, the update rounding and x - d) with
-the lanes' law, words and errors; the path follows from the number of live
-lanes alone.  Lanes leave the batch one by one when they stop (stop_below_f,
+one-lane case of the same engine.  One live fixed-point lane is its row of
+mantissas as a list of Python ints, from x0 or from the batch's `select`
+down to one lane, and its step runs on the ints end to end (the recipe, the
+update rounding and x - d) with the lanes' law, words and errors, and
+records one-row lists; the path follows from the number of live lanes
+alone.  Lanes leave the batch one by one when they stop (stop_below_f,
 stop_on_stagnation).  An exception ends the batch, and `run` reruns the
 seeds one at a time to raise the first failing seed's exception, as a
 sequential run would.  A run's record is the list of its
-realized steps' dicts, joined column by column when the run ends, so memory
-grows with the steps taken, never with the iteration budget.  A step records
+realized steps' dicts, joined column by column when the run ends (a run of
+one-row lists becoming one array per column), so memory grows with the
+steps taken, never with the iteration budget.  A step records
 its new iterate's column (the mantissas x_m on fixed point, xs otherwise)
 and only what the other columns cannot give (fixed point: the mantissas of
 g and d; lowfloat: the floats of exact values, and the case labels, which
@@ -82,7 +85,8 @@ import numpy as np
 from . import lpfloat, rng, rounding
 from .objectives import FixedBackend, Objective, eval_grad_reference
 from .qnum import (
-    FixedVec, QFormat, make_format, parse_rational, to_fraction, to_ratio, vec_from_exact,
+    FixedVec, QFormat, from_exact, make_format, parse_named, parse_rational, to_fraction,
+    to_ratio,
 )
 
 SIGMA2_TAG = 1 << 20
@@ -127,17 +131,23 @@ class GDConfig:
     def check_fields(cls, **fields) -> None:
         """Raise the ValueError a GDConfig of these fields (all but objective
         and seed) would raise, naming the field, or one for an x0 entry off
-        its grid: once per config, not on the per-seed copies `run` makes."""
+        its grid or, on reference, past binary64: once per config, not on the
+        per-seed copies `run` makes."""
         c = SimpleNamespace(seed=0, **fields)
-        c.t = _parsed("t", parse_rational, c.t, "a rational number")
-        c.sigma1_scheme = _parsed("sigma1", rounding.parse_scheme, c.sigma1_scheme, _SCHEMES)
-        c.sigma2_scheme = _parsed("sigma2", rounding.parse_scheme, c.sigma2_scheme, _SCHEMES)
+        c.t = parse_named("t", c.t)
+        c.sigma1_scheme = parse_named("sigma1", c.sigma1_scheme, rounding.parse_scheme, _SCHEMES)
+        c.sigma2_scheme = parse_named("sigma2", c.sigma2_scheme, rounding.parse_scheme, _SCHEMES)
         _check_run_fields(c)
         grid = {"fixed": c.working_fmt, "lowfloat": c.float_fmt}.get(c.number_system)
         for text in c.x0:
-            v = _parsed("x0 entry", parse_rational, text, "a rational number")
+            v = parse_named("x0 entry", text)
             if grid is not None and not lpfloat.is_representable(v, grid):
                 raise ValueError(f"x0 entry {v} is not on the {grid} grid")
+            if c.number_system == "reference":  # a reference run starts from its binary64 image
+                try:
+                    float(v)
+                except OverflowError:
+                    raise ValueError(f"x0 entry {text} is beyond the binary64 range") from None
 
     @property
     def u_mul(self) -> Fraction:
@@ -148,14 +158,6 @@ class GDConfig:
 
 
 _SCHEMES = "rn, sr, sr_eps:<eps> or signed_sr_eps:<eps> with eps a rational in (0, 1)"
-
-
-def _parsed(name: str, parse, value, want: str):
-    """parse(value), or a ValueError naming the field for a value it cannot read."""
-    try:
-        return parse(value)
-    except (AttributeError, TypeError, ValueError):
-        raise ValueError(f"{name} must be {want}, got {value!r}") from None
 
 
 def _check_run_fields(c, n: Optional[int] = None) -> None:
@@ -317,10 +319,11 @@ class _System:
     `lane(x, j)` is lane j's iterate as a one-seed run returns it.
     `floats(x)` are the lanes' binary64 rows.  `step(x, streams, k)` is one
     update of every lane, and it records the new iterates' column: "xs", or
-    the mantissas "x_m" on fixed point.  `iterates(x)` is that column's x0
-    row, the one iterate no step records.  `columns` maps what a step
-    records, the iterate column included, to (dtype, one entry per
-    coordinate?).  `finish(cols, pre)` derives the other columns,
+    the mantissas "x_m" on fixed point.  Every recorded value leads with the
+    lane axis: an array, or a list of one row per lane.  `iterates(x)` is
+    that column's x0 row, the one iterate no step records.  `columns` maps
+    what a step records, the iterate column included, to (dtype, one entry
+    per coordinate?).  `finish(cols, pre)` derives the other columns,
     the sign flips aside, once per run over all rows, `pre` selecting the
     rows of the iterate columns that a step starts from: xs where a step
     does not record it, fs at every iterate, g_exact at the pre-step
@@ -358,23 +361,30 @@ class _System:
 
 
 class _Fixed(_System):
-    """Two's-complement grids: an (R, n) FixedVec of mantissas, the recipe on
-    the working format, the update product t * g rounded onto the mul format
-    by a working-format `FixedBackend` at tag SIGMA2_TAG, as `coef` rounds
-    any product.  signed_sr_eps rounds there as sr_eps: t > 0, so the descent
-    sign of t * g is the sign of the value rounded, the sign sr_eps reads."""
+    """Two's-complement grids, the recipe on the working format, the update
+    product t * g rounded onto the mul format by a working-format
+    `FixedBackend` at tag SIGMA2_TAG, as `coef` rounds any product.
+    signed_sr_eps rounds there as sr_eps: t > 0, so the descent sign of
+    t * g is the sign of the value rounded, the sign sr_eps reads.
+
+    The state of R lanes is an (R, n) FixedVec of mantissas; one live lane's
+    is its row as a list of Python ints, which `lanes(1)` and `select` down
+    to one lane give.  A step of that list runs the recipe, the update
+    rounding and x - d on the ints and records one-row lists, so a one-lane
+    run builds arrays only for x0's row and for each column when it ends."""
 
     columns = dict.fromkeys(("x_m", "g_tilde_m", "d_m"), (np.int64, True))
     streak_key = "d_m"
 
     def __init__(self, cfg: GDConfig):
-        # the config-only constants of the update: its scheme, the
-        # mul-to-working shift, whether d_m << shift may leave int64 on lanes
-        # (once the mul format's integer bits plus the working fraction bits
-        # exceed 62; one lane steps on Python ints) and u_mul, and the
-        # backend that rounds the update, pointed at each step's lanes
+        # the config-only constants of the update: t as an integer ratio, its
+        # scheme, the mul-to-working shift, whether d_m << shift may leave
+        # int64 on lanes (once the mul format's integer bits plus the working
+        # fraction bits exceed 62; one lane steps on Python ints) and u_mul,
+        # and the backend that rounds the update, pointed at each step's lanes
         w, m = cfg.working_fmt, cfg.mul_fmt
         self.cfg, self.u = cfg, cfg.u_mul
+        self.t = to_ratio(cfg.t)
         scheme = cfg.sigma2_scheme
         self.update = FixedBackend(
             w, replace(scheme, kind="sr_eps") if scheme.uses_given_sign else scheme
@@ -383,50 +393,53 @@ class _Fixed(_System):
         self.wide_step = m.qi + w.qf > 62
         self.u_stag = float(self.u)
 
-    def lanes(self, count: int) -> FixedVec:
-        x0 = vec_from_exact([parse_rational(v) for v in self.cfg.x0], self.cfg.working_fmt)
-        return FixedVec(np.tile(x0.m, (count, 1)), x0.fmt)
+    def lanes(self, count: int):
+        fmt = self.cfg.working_fmt
+        row = [from_exact(parse_rational(v), fmt) for v in self.cfg.x0]
+        return row if count == 1 else FixedVec(np.tile(np.array(row, np.int64), (count, 1)), fmt)
 
-    def select(self, x: FixedVec, idx) -> FixedVec:
-        return FixedVec.of_checked(x.m[idx], x.fmt)
+    def select(self, x, idx):
+        if type(x) is list:  # one lane: idx can only keep it
+            return x
+        m = x.m[idx]
+        return m[0].tolist() if len(m) == 1 else FixedVec.of_checked(m, x.fmt)
 
-    def floats(self, x: FixedVec) -> np.ndarray:
-        return x.to_floats()
+    @staticmethod
+    def _mantissas(x) -> np.ndarray:
+        """The (R, n) int64 mantissas of either state."""
+        return np.array([x], np.int64) if type(x) is list else x.m
 
-    def iterates(self, x: FixedVec) -> dict:
-        return {"x_m": x.m}
+    def lane(self, x, j: int) -> FixedVec:
+        return FixedVec.of_checked(self._mantissas(x)[j], self.cfg.working_fmt)
 
-    def step(self, x: FixedVec, streams: list, k: int):
-        cfg = self.cfg
-        g_t = cfg.objective.grad_rounded_fixed(x, cfg.sigma1_scheme, streams, k)
+    def floats(self, x) -> np.ndarray:
+        return self._mantissas(x) / self.cfg.working_fmt.scale
 
-        be = self.update
+    def iterates(self, x) -> dict:
+        return {"x_m": self._mantissas(x)}
+
+    def step(self, x, streams: list, k: int):
+        cfg, be, fmt = self.cfg, self.update, self.cfg.working_fmt
+        g = cfg.objective.grad_rounded_fixed(x, cfg.sigma1_scheme, streams, k, fmt)
         be.streams, be.k, be.tag = streams, k, SIGMA2_TAG
-        if len(x.m) == 1:  # one live lane: Python ints, no array op
-            new_x, d_m = self._step_lane(x, be.coef(cfg.t, g_t.m[0].tolist(), cfg.mul_fmt))
-        else:
-            d_m = be.coef(cfg.t, g_t.m, cfg.mul_fmt)
-            step = d_m.astype(object) if self.wide_step else d_m
-            new_x = FixedVec(x.m - (step << self.shift), x.fmt)
-        return new_x, {"x_m": new_x.m, "g_tilde_m": g_t.m, "d_m": d_m}
-
-    def _step_lane(self, x: FixedVec, d: list):
-        """x - d for one live lane on Python ints, d its rounded update
-        mantissas: (new iterate, (1, n) d_m)."""
-        new = [xi - (di << self.shift) for xi, di in zip(x.m[0].tolist(), d)]
-        if min(new, default=0) < x.fmt.min_mantissa or max(new, default=0) > x.fmt.max_mantissa:
-            FixedVec(np.array([new], dtype=object), x.fmt)  # raises the range error
-        return (
-            FixedVec.of_checked(np.array([new], dtype=np.int64), x.fmt),
-            np.array([d], dtype=np.int64),
-        )
+        if type(x) is list:  # one live lane: Python ints, no array op
+            d = be.coef(self.t, g, cfg.mul_fmt)
+            new = [xi - (di << self.shift) for xi, di in zip(x, d)]
+            for v in new:
+                if not fmt.min_mantissa <= v <= fmt.max_mantissa:
+                    raise OverflowError(f"mantissa {v} outside {fmt}")
+            return new, {"x_m": [new], "g_tilde_m": [g], "d_m": [d]}
+        d_m = be.coef(self.t, g.m, cfg.mul_fmt)
+        step = d_m.astype(object) if self.wide_step else d_m
+        new_x = FixedVec(x.m - (step << self.shift), fmt)
+        return new_x, {"x_m": new_x.m, "g_tilde_m": g.m, "d_m": d_m}
 
     def finish(self, cols: dict, pre: np.ndarray) -> None:
         """xs from the mantissas, then fs and g_exact, the other float
         columns elementwise as in one step, and the case labels of all rows
         in one integer comparison."""
         cfg, g_m = self.cfg, cols["g_tilde_m"]
-        cols["xs"] = self.floats(FixedVec.of_checked(cols["x_m"], cfg.working_fmt))
+        cols["xs"] = cols["x_m"] / cfg.working_fmt.scale
         super().finish(cols, pre)
         case, c2 = classify_case(FixedVec.of_checked(g_m, cfg.working_fmt), cfg.t, self.u)
         g, d = g_m / cfg.working_fmt.scale, cols["d_m"] / cfg.mul_fmt.scale
@@ -553,8 +566,8 @@ def gd_step(x_state, system: _System, streams: list, k: int):
     """One update of R lanes in `system`'s number system: x_state is their
     state, streams their RandomStreams.  Returns (new_state, step dict);
     every value in the dict has a leading lane axis.  The run keeps the
-    dict's arrays as its record until it ends, so no step writes into an
-    array after returning it: every step builds new arrays."""
+    dict's arrays and lists as its record until it ends, so no step writes
+    into one after returning it: every step builds new ones."""
     return system.step(x_state, streams, k)
 
 
@@ -614,6 +627,24 @@ def _stagnation_iters(
     return out
 
 
+def _join(parts: list, dtype) -> np.ndarray:
+    """One column from its parts in order: arrays, and lists of rows (one
+    lane's, or lowfloat's per-lane labels), each run of consecutive lists
+    becoming one array."""
+    arrays, rows = [], []
+    for part in parts:
+        if type(part) is list:
+            rows += part
+            continue
+        if rows:
+            arrays.append(np.array(rows, dtype))
+            rows = []
+        arrays.append(part)
+    if rows:
+        arrays.append(np.array(rows, dtype))
+    return np.concatenate(arrays)
+
+
 def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
     """Runs of configs that differ only in seed, one lane each, in lockstep.
 
@@ -664,7 +695,7 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
         else:
             stop = np.zeros(len(live), dtype=bool)
         if check_stag:
-            streak = np.where(rec[system.streak_key].any(axis=1), 0, streak + 1)
+            streak = np.where(np.any(rec[system.streak_key], axis=1), 0, streak + 1)
             due = np.flatnonzero(streak >= window)
             if due.size:
                 # the gradient at the step's start, as `finish` records it
@@ -699,7 +730,7 @@ def _run_lanes(cfgs: List[GDConfig]) -> List[RunResult]:
             head, order = x0_rows[key], iterate_order
         else:
             head, order = np.zeros((0, obj.n) if per_coord else (0,), dtype), step_order
-        rows = np.concatenate([head] + [rec[key] for _, rec in steps])
+        rows = _join([head] + [rec[key] for _, rec in steps], dtype)
         cols[key] = rows.astype(dtype, copy=False)[order]
     system.finish(cols, pre)
     cols["nonopp_violations"] = check_nonopposite(cols["g_tilde"], cols["g_exact"])

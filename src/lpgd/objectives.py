@@ -47,7 +47,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import lpfloat, rng, rounding
-from .qnum import FixedVec, QFormat, from_exact, parse_rational, to_fraction, to_ratio
+from .qnum import FixedVec, QFormat, from_exact, parse_named, to_fraction, to_ratio
 
 _INT64_LIMIT = 1 << 63
 _RN = rounding.RoundScheme("rn")
@@ -389,27 +389,31 @@ class Objective:
     _consts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def grad_rounded_fixed(
-        self, x: FixedVec, scheme: rounding.RoundScheme, stream, k: int
-    ) -> FixedVec:
-        """Gradient recipe on the fixed-point grid of x.
+        self, x, scheme: rounding.RoundScheme, stream, k: int, fmt: Optional[QFormat] = None
+    ):
+        """Gradient recipe on a fixed-point grid.
 
-        x holds one iterate (n,) with `stream` its RandomStream, or R lanes
-        (R, n) with `stream` a list of R per-lane streams; either may be None
-        under rn.  Each lane rounds and draws exactly as a one-lane call on
-        its own stream would; the recipe runs once over all lanes.
+        x is a FixedVec: one iterate (n,) with `stream` its RandomStream, or
+        R lanes (R, n) with `stream` a list of R per-lane streams; either may
+        be None under rn.  Each lane rounds and draws exactly as a one-lane
+        call on its own stream would; the recipe runs once over all lanes.
+        Or x is one lane's list of Python-int mantissas in `fmt` (which a
+        FixedVec does not need): the recipe runs on the ints and gives the
+        gradient's mantissas as a list, with the words and errors of the
+        one-row FixedVec.
         """
         if self.recipe is None:
             raise NotImplementedError(f"{self.name} has no low-precision recipe")
+        if type(x) is list:
+            # blr's recipe gives an array, whose numpy ints would wrap in the update
+            g = self.recipe(FixedBackend(fmt, scheme, stream, k, self._consts), x)
+            return g if type(g) is list else g.tolist()
         lanes = x.m.ndim == 2
         rows = x.m if lanes else x.m[None, :]
         be = FixedBackend(x.fmt, scheme, stream, k, self._consts)
-        if len(rows) == 1:
-            # a single lane runs on Python ints, cheaper than 1-element arrays
-            g = np.array([self.recipe(be, rows[0].tolist())], dtype=np.int64)
-        else:
-            # the recipe reads the (n, R) view: xv[i] is coordinate i of every lane
-            g = np.empty(rows.shape, dtype=np.int64)
-            g.T[...] = self.recipe(be, rows.T)
+        # the recipe reads the (n, R) view: xv[i] is coordinate i of every lane
+        g = np.empty(rows.shape, dtype=np.int64)
+        g.T[...] = self.recipe(be, rows.T)
         # every recipe output is the result of a checked backend op
         return FixedVec.of_checked(g if lanes else g[0], x.fmt)
 
@@ -483,20 +487,21 @@ def quadratic(a_diag, x_star=None) -> Objective:
     """f(x) = 0.5 (x - x*)' A (x - x*) with diagonal A > 0.
 
     Entries of a_diag and x_star are read by `qnum.parse_rational` (exact
-    values, or text like '1/10', '0.1' or '2^-4'); the recipe uses them
-    exactly, the binary64 f/grad use their float images.
+    values, or text like '1/10', '0.1' or '2^-4'), and one it cannot read is
+    a ValueError naming its argument; the recipe uses them exactly, the
+    binary64 f/grad use their float images.
     """
     for name, v in (("a_diag", a_diag), ("x_star", x_star)):
         if v is not None and np.ndim(v) != 1:  # text would split into its characters
             raise ValueError(f"{name} must be a list of numbers, got {v!r}")
-    a_fr = [parse_rational(v) for v in a_diag]
+    a_fr = [parse_named("a_diag entry", v) for v in a_diag]
     if any(v <= 0 for v in a_fr):
         raise ValueError("diagonal entries must be positive")
     n = len(a_fr)
     if x_star is None:
         xs_fr = [Fraction(0)] * n
     else:
-        xs_fr = [parse_rational(v) for v in x_star]
+        xs_fr = [parse_named("x_star entry", v) for v in x_star]
         if len(xs_fr) != n:
             raise ValueError(f"x_star has length {len(xs_fr)}, a_diag has length {n}")
     a = np.array([float(v) for v in a_fr])

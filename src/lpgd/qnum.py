@@ -145,6 +145,14 @@ def parse_rational(value: Union[str, ExactReal]) -> Fraction:
     return to_fraction(value)
 
 
+def parse_named(name: str, value, parse=parse_rational, want: str = "a rational number"):
+    """parse(value), or a ValueError naming the field for a value it cannot read."""
+    try:
+        return parse(value)
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"{name} must be {want}, got {value!r}") from None
+
+
 def make_format(spec: Union[str, Tuple[int, int], QFormat]) -> QFormat:
     """Build a QFormat from 'Q<qi>.<qf>', from a (qi, qf) pair of integers,
     or pass one through."""

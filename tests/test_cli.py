@@ -150,7 +150,19 @@ BAD_CONFIGS = {
          "working_fmt": "working_fmt: Q15.8"},
         "blr: synthetic_blr_dataset() got an unexpected keyword argument 'n_sample'",
     ),
+    "a_diag-entry": (
+        {"objective": "objective: {name: quadratic, a_diag: [x, 1]}"},
+        "quadratic: a_diag entry must be a rational number, got 'x'",
+    ),
+    "x_star-entry": (
+        {"objective": "objective: {name: quadratic, a_diag: [1, 1], x_star: [0, 1/0]}"},
+        "quadratic: x_star entry must be a rational number, got '1/0'",
+    ),
     "x0-text": ({"x0": 'x0: ["abc", "1"]'}, "x0 entry must be a rational number, got 'abc'"),
+    "x0-past-binary64": (
+        {"x0": 'x0: ["1e400", "0"]', "working_fmt": "number_system: reference"},
+        "x0 entry 1e400 is beyond the binary64 range",
+    ),
     "x0-off-fixed-grid": ({"x0": 'x0: ["1/3", "1"]'}, "x0 entry 1/3 is not on the Q8.8 grid"),
     "x0-off-float-grid": (
         {"x0": 'x0: ["1/3", "0"]', "working_fmt": "number_system: lowfloat\nfloat_fmt: fp16e5"},
@@ -276,6 +288,25 @@ class TestSweep:
         ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in table]
         assert ends[0] == ends[1] == ends[2]
 
+    @pytest.mark.parametrize(
+        "setting, typed",
+        [
+            ("x0=[2.5,1.5],[3,2]", [["2.5", "1.5"], ["3", "2"]]),
+            ("objective={name: quadratic, a_diag: [1, 1]},{name: quadratic, a_diag: [2, 1]}",
+             [{"name": "quadratic", "a_diag": [1, 1]}, {"name": "quadratic", "a_diag": [2, 1]}]),
+        ],
+        ids=["list", "mapping"],
+    )
+    def test_lists_and_mappings_are_one_value(self, config_path, monkeypatch, capsys, setting, typed):
+        # only the commas outside [] and {} split the values
+        field = setting.partition("=")[0]
+        specs, real_run = [], cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or real_run(spec))
+        assert main(["sweep", str(config_path), "--set", setting]) == 0
+        assert [getattr(s, field) for s in specs] == typed
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+
     def test_unknown_field_rejected(self, config_path):
         with pytest.raises(SystemExit):
             main(["sweep", str(config_path), "--set", "bogus=1"])
@@ -320,11 +351,19 @@ class TestPlEstimate:
              "--a-diag and --x-star apply only to the quadratic objective"),
             (["himmelblau", "--box", "0,2;0,2", "--x-star", "1,2"],
              "--a-diag and --x-star apply only to the quadratic objective"),
-            (["quadratic", "--a-diag", "1/0", "--box", "0,1"], "zero denominator in '1/0'"),
+            (["quadratic", "--a-diag", "1/0", "--box", "0,1"],
+             "a_diag entry must be a rational number, got '1/0'"),
+            (["quadratic", "--a-diag", "1,x", "--box", "0,1;0,1"],
+             "a_diag entry must be a rational number, got 'x'"),
+            (["quadratic", "--a-diag", "1,1", "--x-star", "0,y", "--box", "0,1;0,1"],
+             "x_star entry must be a rational number, got 'y'"),
             (["quadratic", "--a-diag", "1,2", "--x-star", "1", "--box", "0,1;0,1"],
              "x_star has length 1, a_diag has length 2"),
         ],
-        ids=["box-pairs", "resolution", "a-diag", "x-star", "zero-denominator", "x-star-length"],
+        ids=[
+            "box-pairs", "resolution", "a-diag", "x-star", "zero-denominator", "a-diag-entry",
+            "x-star-entry", "x-star-length",
+        ],
     )
     def test_bad_input_exits_with_one_line(self, argv, message):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -503,13 +503,15 @@ class TestStepRecord:
 
     @pytest.mark.parametrize("name", ["fixed", "lowfloat", "reference"])
     def test_step_values_lead_with_the_lane_axis(self, name):
+        # one fixed-point lane steps on Python ints and records one-row lists
         system = gdengine._SYSTEMS[name](_two_coord(name))
-        x = system.lanes(3)
-        streams = [RandomStream(s) for s in range(3)]
-        _, rec = gdengine.gd_step(x, system, streams, 0)
-        for key, (_, per_coord) in system.columns.items():
-            if key in rec:
-                assert np.shape(rec[key]) == ((3, 2) if per_coord else (3,)), key
+        for lanes in (3, 1):
+            x = system.lanes(lanes)
+            streams = [RandomStream(s) for s in range(lanes)]
+            _, rec = gdengine.gd_step(x, system, streams, 0)
+            for key, (_, per_coord) in system.columns.items():
+                if key in rec:
+                    assert np.shape(rec[key]) == ((lanes, 2) if per_coord else (lanes,)), key
 
     @pytest.mark.parametrize("system", ["fixed", "lowfloat", "reference"])
     @pytest.mark.parametrize("how", [dict(iterations=0), dict(stop_below_f=1.25)])
@@ -1172,6 +1174,36 @@ class TestLockstepEnsembles:
         runs = run_ensemble(cfg, seeds)
         assert {r.stagnated for r in runs} == {True, False}
         assert len({r.steps for r in runs if r.stagnated}) > 1
+        assert_same_outcome(cfg, seeds)
+
+    @pytest.mark.parametrize(
+        "over, seeds",
+        [
+            # seeds 3 and 7 reach f = 0 at step 13, seed 6 alone at step 16
+            (dict(objective=make_objective("himmelblau"), t="0.012", x0=["5/2", "3/2"],
+                  iterations=1500, sigma1_scheme="sr", stop_below_f=1e-28), [3, 7, 6]),
+            # seed 2 stagnates at step 4, seed 0 alone at step 11 (see the test above)
+            (dict(x0=["13/256"], t="1/32", iterations=60, stagnation_window=4,
+                  stop_on_stagnation=True), [2, 0]),
+        ],
+        ids=["stop_below_f", "stop_on_stagnation"],
+    )
+    def test_last_live_lane_steps_alone_to_its_stop(self, monkeypatch, over, seeds):
+        cfg = quad_config(sigma2_scheme="sr", **over)
+        states, step = [], _Fixed.step
+
+        def recording_step(self, x, streams, k):
+            states.append((len(streams), type(x)))
+            return step(self, x, streams, k)
+
+        monkeypatch.setattr(_Fixed, "step", recording_step)
+        steps = sorted(r.steps for r in run_ensemble(cfg, seeds))
+        # the batch steps as lanes until one is left, which steps on its list
+        # of Python ints until it stops too, before the budget runs out
+        assert steps[-2] < steps[-1] < cfg.iterations
+        alone = steps[-1] - steps[-2]
+        assert states[-alone:] == [(1, list)] * alone
+        assert all(n > 1 and kind is FixedVec for n, kind in states[:-alone])
         assert_same_outcome(cfg, seeds)
 
     def test_object_path_on_some_lanes_only(self):

@@ -156,10 +156,24 @@ class TestAnalyticGradients:
             make_objective("quadratic", a_diag=[1, 0])
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(a_diag=["1/0"]), dict(a_diag=["1"], x_star=["1/0"])], ids=["a_diag", "x_star"]
+        "kwargs, name",
+        [(dict(a_diag=["1/0"]), "a_diag"), (dict(a_diag=["1"], x_star=["1/0"]), "x_star")],
+        ids=["a_diag", "x_star"],
     )
-    def test_quadratic_zero_denominator_is_a_value_error(self, kwargs):
-        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+    def test_quadratic_zero_denominator_is_a_value_error(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} entry must be a rational number, got '1/0'$"):
+            make_objective("quadratic", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(a_diag=["1", "x"]), "a_diag entry must be a rational number, got 'x'"),
+            (dict(a_diag=["1"], x_star=[None]), "x_star entry must be a rational number, got None"),
+        ],
+        ids=["a_diag", "x_star"],
+    )
+    def test_quadratic_entry_errors_name_their_argument(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             make_objective("quadratic", **kwargs)
 
     @pytest.mark.parametrize("x_star", [["1"], ["1", "2", "3"]], ids=["short", "long"])
