@@ -63,17 +63,32 @@ def _cmd_run(args) -> int:
 
 
 def _top_level_split(text: str) -> list:
-    """text split at its commas outside [] and {}, so that a list or a
-    mapping is one value."""
+    """text split at its commas outside [], {} and quoted strings, so that a
+    list, a mapping or a quoted string is one value.  As in YAML, a quote
+    opens a string only where a value starts, '' is a quote inside '...',
+    and a backslash escapes the next character inside "..."."""
     parts, depth, start = [], 0, 0
+    quote, skip, lead = None, False, ","  # lead: the last non-blank outside a string
     for i, ch in enumerate(text):
-        if ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
+        if skip:
+            skip = False
+        elif quote:
+            if ch == quote and not (quote == "'" and text[i + 1:i + 2] == "'"):
+                quote, lead = None, ch
+            else:
+                skip = ch == "\\" if quote == '"' else ch == "'"
+        elif ch in "'\"" and lead in ",[{:":
+            quote = ch
+        else:
+            if ch in "[{":
+                depth += 1
+            elif ch in "]}":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                parts.append(text[start:i])
+                start = i + 1
+            if not ch.isspace():
+                lead = ch
     return parts + [text[start:]]
 
 

@@ -536,7 +536,10 @@ class _LowFloat(_System):
 
 class _Reference(_System):
     """Plain binary64 descent, no rounding: (R, n) float64 rows.  A step
-    records its gradient, since the update is that gradient."""
+    records its gradient, since the update is that gradient.
+
+    A reference run ignores its seed, so every live lane holds the same row:
+    a step updates the first and repeats the new row for every lane."""
 
     columns = dict.fromkeys(("xs", "g_exact", "d"), (np.float64, True))
 
@@ -544,10 +547,14 @@ class _Reference(_System):
         return np.tile([float(parse_rational(v)) for v in self.cfg.x0], (count, 1))
 
     def step(self, x: np.ndarray, streams: list, k: int):
-        g_ref = eval_grad_reference(self.cfg.objective, x)
+        g_ref = eval_grad_reference(self.cfg.objective, x[:1])
         d = float(self.cfg.t) * g_ref
-        new_x = x - d
-        return new_x, {"xs": new_x, "g_exact": g_ref, "d": d}
+        lanes = len(x)
+        new_x = np.repeat(x[:1] - d, lanes, axis=0)
+        return new_x, {
+            "xs": new_x, "g_exact": np.repeat(g_ref, lanes, axis=0),
+            "d": np.repeat(d, lanes, axis=0),
+        }
 
     def finish(self, cols: dict, pre: np.ndarray) -> None:
         """The rounded gradient is the exact one, with no error and case 0."""

@@ -32,6 +32,12 @@ row sum z = sum_j x_ij w_j (`FixedBackend.sum`) and the label subtraction
 s - y.  Its roundings therefore sit at tags 0-4: products 0, logistic
 values 1, residual products 2, mean 3, regularizer 4.
 
+The binary64 `f` and `grad` take one point or rows (N, n).  A BLAS product
+(quadratic's dot, blr's matrix-vector products) runs over rows as one
+stacked `np.matmul`, which calls for each row the BLAS routine that point
+alone calls, so each row keeps its bits; one matrix-matrix product over the
+rows (one gemm) would not.
+
 blr's logistic is SciPy's `expit`, imported when a blr objective is built
 (so only blr runs load SciPy, and never inside a timed step).  It is kept
 over a numpy `1 / (1 + exp(-z))`, which need not be bitwise equal to it:
@@ -135,20 +141,13 @@ class FixedBackend(_ConstTable):
         return m.astype(np.int64, copy=False)
 
     def _total(self, a, axis: int):
-        """Exact sum of checked mantissas along axis: int64 while no sum can
-        leave it, else Python ints."""
+        """Exact sum of checked mantissas along axis: int64 through `np.einsum`
+        while no sum can leave it, else Python ints.  Integer adds are exact
+        in any order, so einsum's sums are `.sum`'s."""
         if a.shape[axis] * self._peak >= _INT64_LIMIT:
-            a = a.astype(object)
-        return a.sum(axis=axis)
-
-    def _by_lane(self, v, gens, kernel):
-        """kernel(row, gen) on each lane's row of v, as int64 in v's shape.
-        rn draws nothing, so its lanes need not be told apart."""
-        rows = np.reshape(v, (len(gens) if gens else 1, -1))
-        out = np.empty(rows.shape, dtype=np.int64)
-        for i, g in enumerate(gens or [None]):
-            out[i] = kernel(rows[i], g)
-        return out.reshape(np.shape(v))
+            return a.astype(object).sum(axis=axis)
+        dims, axis = list(range(a.ndim)), axis % a.ndim
+        return np.einsum(a, dims, dims[:axis] + dims[axis + 1:])
 
     def _round_ratio(self, num, den: int, out_fmt: Optional[QFormat] = None):
         """num/den rounded once onto out_fmt (default: the backend's format)."""
@@ -158,14 +157,10 @@ class FixedBackend(_ConstTable):
             return rounding.round_ratio_vec(
                 num, den, fmt, self.scheme, None if gens is None else gens[0]
             )
-        if num.ndim <= 2:
-            # each lane's elements form one row: every lane in one call
-            rows = num.reshape(len(gens) if gens else 1, -1)
-            return rounding.round_ratio_vec(rows, den, fmt, self.scheme, gens).reshape(num.shape)
-        # per-lane matrices: one call per lane is cheaper than one call over all lanes
-        return self._by_lane(
-            num, gens, lambda row, g: rounding.round_ratio_vec(row, den, fmt, self.scheme, g)
-        )
+        # lane r's elements, in index order, form row r: every lane in one
+        # call, whatever num's shape
+        rows = num.reshape(len(gens) if gens else 1, -1)
+        return rounding.round_ratio_vec(rows, den, fmt, self.scheme, gens).reshape(num.shape)
 
     def _quantize(self, c) -> int:
         """A stored constant's mantissa; c must sit on the grid exactly."""
@@ -203,11 +198,15 @@ class FixedBackend(_ConstTable):
         return self._round_ratio(self._total(a, axis), a.shape[axis] * self.fmt.scale)
 
     def doubles(self, v):
-        """Binary64 values, taken exactly, each rounded once into the format."""
+        """Binary64 values, taken exactly, each rounded once into the format:
+        one call per lane's row of v.  rn draws nothing, so its lanes need
+        not be told apart."""
         gens = self._next_gens()
-        return self._by_lane(
-            v, gens, lambda row, g: rounding.round_doubles_vec(row, self.fmt, self.scheme, g)
-        )
+        rows = np.reshape(v, (len(gens) if gens else 1, -1))
+        out = np.empty(rows.shape, dtype=np.int64)
+        for i, g in enumerate(gens or [None]):
+            out[i] = rounding.round_doubles_vec(rows[i], self.fmt, self.scheme, g)
+        return out.reshape(np.shape(v))
 
 
 class FloatBackend(_ConstTable):
@@ -371,9 +370,12 @@ class Objective:
     `f` and `grad` are binary64 and take one point (n,) or rows (N, n): f
     gives a float or an (N,) array, grad an (n,) or (N, n) array, and each
     row's value is bitwise the value of that row alone, so a run may
-    evaluate all its iterates in one call.  Not so in nan payload bits from
-    9 rows up when a row's input nans carry different payloads (numpy's
-    SIMD loops); arithmetic makes only the default nan, as in every record.
+    evaluate all its iterates in one call.  A BLAS product over rows is one
+    stacked `np.matmul`, which makes for each row the BLAS call that row
+    alone makes.  Not so in nan payload bits from 9 rows up when a row's input nans carry
+    different payloads (numpy's SIMD loops); arithmetic makes only the
+    default nan, as in every record.  blr's `expit` flips a nan's sign, so
+    blr evaluates a row holding an inf or a nan again alone.
     """
 
     name: str
@@ -439,19 +441,34 @@ def eval_grad_reference(obj: Objective, x) -> np.ndarray:
     return np.asarray(obj.grad(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
 
-def _row_by_row(point_fn: Callable, per_coord: bool) -> Callable:
-    """point_fn, which takes one point (n,), extended to rows (N, n) by one
-    call per row: for a value whose batched form is not bitwise equal to the
-    one-point form (a BLAS dot product, a matvec against a matmat)."""
+def _dot(u, v):
+    """u . v over the last axis of one vector (n,) or of rows (N, n), by one
+    stacked matmul: for each row numpy calls the BLAS dot that `np.dot` of
+    that row alone calls, so each row keeps its bits."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
-    def fn(x):
+
+def _point_or_rows(out):
+    """A per-point value as a float for one point, an (N,) array for rows."""
+    return out if out.ndim else float(out)
+
+
+def _nonfinite_rows_alone(fn: Callable) -> Callable:
+    """fn, which takes one point (n,) or rows (N, n) in one stacked call, with
+    every row that holds an inf or a nan evaluated again alone.  From such a
+    row blr's terms can be nans of either sign (expit flips a nan's sign),
+    and numpy's elementwise loops pick between two nans by the element's
+    place in the call, so only alone does that row keep its point's bits."""
+
+    def on_rows(x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return point_fn(x)
-        out = np.array([point_fn(row) for row in x], dtype=np.float64)
-        return out.reshape(x.shape if per_coord else x.shape[:1])
+        out = fn(x)
+        if x.ndim == 2:
+            for i in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+                out[i] = fn(x[i])
+        return out
 
-    return fn
+    return on_rows
 
 
 def _of_x1_x2(fn: Callable) -> Callable:
@@ -507,9 +524,9 @@ def quadratic(a_diag, x_star=None) -> Objective:
     a = np.array([float(v) for v in a_fr])
     xs = np.array([float(v) for v in xs_fr])
 
-    def f(x: np.ndarray) -> float:
-        d = x - xs
-        return float(0.5 * np.dot(a * d, d))
+    def f(x):
+        d = np.asarray(x, dtype=np.float64) - xs
+        return _point_or_rows(0.5 * _dot(a * d, d))
 
     def grad(x: np.ndarray) -> np.ndarray:
         return a * (np.asarray(x, dtype=np.float64) - xs)
@@ -524,7 +541,7 @@ def quadratic(a_diag, x_star=None) -> Objective:
     return Objective(
         name="quadratic",
         n=n,
-        f=_row_by_row(f, per_coord=False),  # np.dot goes through BLAS
+        f=f,
         grad=grad,
         f_star=0.0,
         lip_grad=float(a.max()),
@@ -656,17 +673,20 @@ def blr(
     yv = y.astype(np.float64)
     lam = float(reg)
 
-    # one matvec per point: a matmat over rows need not be bitwise equal to it
-    def f(w: np.ndarray) -> float:
-        z = x_q @ w
+    # one stacked matmul over rows makes one BLAS matvec per row, the one a
+    # point alone makes; a matmat over rows (one gemm) need not equal it
+    @_nonfinite_rows_alone
+    def f(w):
+        z = np.matmul(x_q, w[..., None])[..., 0]
         # log(1 + e^z) - y z, stable via logaddexp
         loss = np.logaddexp(0.0, z) - yv * z
-        return float(loss.mean() + 0.5 * lam * np.dot(w, w))
+        return _point_or_rows(loss.mean(axis=-1) + 0.5 * lam * _dot(w, w))
 
-    def grad(w: np.ndarray) -> np.ndarray:
-        z = x_q @ w
+    @_nonfinite_rows_alone
+    def grad(w):
+        z = np.matmul(x_q, w[..., None])[..., 0]
         r = expit(z) - yv
-        return x_q.T @ r / n_samples + lam * w
+        return np.matmul(x_q.T, r[..., None])[..., 0] / n_samples + lam * w
 
     lam_fr = to_fraction(lam)
 
@@ -693,8 +713,8 @@ def blr(
     return Objective(
         name="blr",
         n=n_features,
-        f=_row_by_row(f, per_coord=False),
-        grad=_row_by_row(grad, per_coord=True),
+        f=f,
+        grad=grad,
         lip_grad=hess_bound,
         recipe=recipe,
     )

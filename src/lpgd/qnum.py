@@ -210,13 +210,5 @@ class FixedVec:
         vec.m, vec.fmt = m, fmt
         return vec
 
-    def to_floats(self) -> np.ndarray:
-        return self.m / self.fmt.scale
-
     def to_fractions(self) -> list[Fraction]:
         return [Fraction(int(mi), self.fmt.scale) for mi in self.m]
-
-
-def vec_from_exact(xs, fmt: QFormat) -> FixedVec:
-    """Build a FixedVec from values that must all be representable in fmt."""
-    return FixedVec(np.array([from_exact(x, fmt) for x in xs], dtype=np.int64), fmt)

@@ -307,6 +307,23 @@ class TestSweep:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize(
+        "setting, typed",
+        [
+            ('name="a,b",c', ["a,b", "c"]),
+            ("name='it''s, ok',o'brien", ["it's, ok", "o'brien"]),
+            ('name="say \\"a,b\\"",\'[x,\'', ['say "a,b"', "[x,"]),
+        ],
+        ids=["double", "single-and-apostrophe", "escapes"],
+    )
+    def test_quoted_strings_are_one_value(self, config_path, monkeypatch, capsys, setting, typed):
+        # a quote opens a string only where a value starts, as in YAML
+        specs, real_run = [], cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or real_run(spec))
+        assert main(["sweep", str(config_path), "--set", setting]) == 0
+        assert [s.name for s in specs] == typed
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_unknown_field_rejected(self, config_path):
         with pytest.raises(SystemExit):
             main(["sweep", str(config_path), "--set", "bogus=1"])

@@ -590,6 +590,23 @@ class TestBinary64Columns:
         assert run(replace(cfg, seed=1)).steps == 40
         assert calls == [("f", (41, 2)), ("grad", (40, 2))]
 
+    def test_a_reference_ensemble_steps_one_row(self):
+        # a reference run ignores its seed, so its lanes share one row: the
+        # loop evaluates the gradient there once per step, whatever R is
+        calls = []
+        cfg = _quad3(number_system="reference", working_fmt=None, iterations=20)
+        cfg = replace(cfg, objective=_counted(cfg.objective, calls))
+        runs = run(cfg, seeds=[0, 1, 2])
+        assert [r.steps for r in runs] == [20] * 3
+        assert calls == [("grad", (1, 3))] * 20 + [("f", (3 * 21, 3))]
+
+    @pytest.mark.parametrize("stop", [{}, dict(stop_below_f=0.3)], ids=["to-the-end", "stop-below-f"])
+    def test_each_reference_lane_is_its_one_seed_run(self, stop):
+        cfg = _rosen_fp16(number_system="reference", float_fmt=None, iterations=450, **stop)
+        runs = run(cfg, seeds=[4, 0, 9])
+        for seed, res in zip([4, 0, 9], runs):
+            assert digest_records([res]) == digest_records([run(replace(cfg, seed=seed))])
+
     def test_stop_below_f_evaluates_f_on_the_live_lanes(self):
         calls = []
         cfg = _quad3(iterations=300, stop_below_f=1e-2)

@@ -275,11 +275,11 @@ class TestBuildAndRun:
         assert obj.n == 3
         # the fixed path accepts iterates in the working format, proving the
         # dataset was quantized onto it
-        from lpgd.qnum import vec_from_exact
+        from lpgd.qnum import FixedVec
         from lpgd.rounding import parse_scheme
 
         obj.grad_rounded_fixed(
-            vec_from_exact([0, 0, 0], QFormat(15, 8)), parse_scheme("rn"), None, 0
+            FixedVec(np.zeros(3, np.int64), QFormat(15, 8)), parse_scheme("rn"), None, 0
         )
 
     @pytest.mark.parametrize("system", ["reference", "lowfloat"])

@@ -33,11 +33,12 @@ from hypothesis import strategies as st
 from lpgd import rng, rounding
 from lpgd.gdengine import SIGMA2_TAG, GDConfig, _LowFloat
 from lpgd.lpfloat import FloatFormat, pair_fraction, parse_float_format
-from lpgd.objectives import FloatBackend, enumerate_recipe, make_objective
+from lpgd.objectives import FixedBackend, FloatBackend, enumerate_recipe, make_objective
 from lpgd.oracle import dist_mean, round_distribution
 from lpgd.qnum import QFormat, from_exact, to_fraction
 from lpgd.rng import RandomStream
 from lpgd.rounding import parse_scheme, up_weight
+from test_objectives import _rows
 
 FLOAT_FORMATS = [FloatFormat(3, 5), parse_float_format("fp16e5"), FloatFormat(2, 2)]
 SCHEMES = ["rn", "sr", "sr_eps:0.4", "sr_eps:1/3", "signed_sr_eps:0.25", "signed_sr_eps:0.9"]
@@ -786,3 +787,109 @@ def test_lowfloat_step_matches_the_fraction_original(fmt, name, t, sigma1, sigma
 
     assert _errors_as_messages(new_step) == _errors_as_messages(old_step)
     assert [s.log() for s in streams[0]] == [s.log() for s in streams[1]]
+
+
+# ---------------------------------------------------------------------------
+# binary64 rows and exact int64 sums
+# ---------------------------------------------------------------------------
+
+
+def _old_quadratic_f(a, xs):
+    def f(x):
+        d = x - xs
+        return float(0.5 * np.dot(a * d, d))
+
+    return f
+
+
+def _old_blr_point(x_q, yv, lam):
+    from scipy.special import expit
+
+    def f(w):
+        z = x_q @ w
+        loss = np.logaddexp(0.0, z) - yv * z
+        return float(loss.mean() + 0.5 * lam * np.dot(w, w))
+
+    def grad(w):
+        z = x_q @ w
+        r = expit(z) - yv
+        return x_q.T @ r / len(yv) + lam * w
+
+    return f, grad
+
+
+_BLR_X = np.random.default_rng(41).normal(size=(37, 5))
+_BLR_LABELS = np.arange(37) % 3 == 0
+_ROW_CASES = {
+    "quadratic": (
+        make_objective("quadratic", a_diag=["3", "1/10", "1/1000"], x_star=["1/3", "-2", "0.7"]),
+        (_old_quadratic_f(np.array([3, 0.1, 0.001]), np.array([1 / 3, -2, 0.7])), None),
+    ),
+    "blr-q8.8": (
+        make_objective("blr", x_data=_BLR_X, y=_BLR_LABELS, data_fmt=QFormat(8, 8), reg=0.25),
+        _old_blr_point(
+            rounding.round_doubles_vec(_BLR_X.reshape(-1), QFormat(8, 8), parse_scheme("rn"))
+            .reshape(_BLR_X.shape) / 256, _BLR_LABELS.astype(np.float64), 0.25,
+        ),
+    ),
+    "blr-raw": (
+        make_objective("blr", x_data=_BLR_X, y=_BLR_LABELS),
+        _old_blr_point(_BLR_X, _BLR_LABELS.astype(np.float64), 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stacked_rows_are_the_one_point_forms(name, data):
+    # f and grad on rows go through one stacked matmul; each row must keep
+    # the bits of the one-point BLAS call, whatever the rows hold.  A numpy
+    # that batched the rows into one gemm would move every blr record.
+    obj, (old_f, old_grad) = _ROW_CASES[name]
+    x = data.draw(_rows(obj.n))
+    with np.errstate(all="ignore"):
+        f_rows = obj.f(x)
+        f_pts = [obj.f(row) for row in x]
+        want_f = [old_f(row) for row in x]
+        if old_grad is not None:
+            g_rows = obj.grad(x)
+            want_g = np.array([old_grad(row) for row in x], dtype=np.float64).reshape(x.shape)
+    assert f_rows.tobytes() == np.array(want_f, dtype=np.float64).tobytes()
+    assert all(type(v) is float for v in f_pts)
+    assert np.array(f_pts, dtype=np.float64).tobytes() == f_rows.tobytes()
+    if old_grad is not None:
+        assert g_rows.tobytes() == want_g.tobytes()
+
+
+@given(
+    bits=st.sampled_from([8, 24, 61, 62, 63]),
+    shape=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+    transpose=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_einsum_totals_are_the_sums(bits, shape, transpose, data):
+    # below the guard shape[axis] * peak < 2**63 the sum is one int64 einsum,
+    # at and past it Python ints; either way it is the exact sum
+    fmt = QFormat(bits, 0)
+    be = FixedBackend(fmt, parse_scheme("rn"))
+    edge = st.sampled_from([fmt.min_mantissa, fmt.max_mantissa])
+    size = math.prod(shape)
+    values = data.draw(st.lists(edge | st.integers(fmt.min_mantissa, fmt.max_mantissa),
+                                min_size=size, max_size=size))
+    a = np.array(values, dtype=np.int64).reshape(shape)
+    a = a.T if transpose else a
+    axis = data.draw(st.integers(-a.ndim, a.ndim - 1))
+    got = be._total(a, axis)
+    assert np.asarray(got).tolist() == np.asarray(a.astype(object).sum(axis=axis)).tolist()
+    if a.shape[axis] * -fmt.min_mantissa < 2**63:
+        assert got.dtype == np.int64
+
+
+@pytest.mark.parametrize("axis", [-1, -2, 0])
+def test_einsum_totals_of_blr_products(axis):
+    # the shape of blr-wide's two lanes of (500, 20) products
+    a = np.random.default_rng(5 + axis).integers(-(2**22), 2**22, size=(2, 500, 20))
+    got = FixedBackend(QFormat(15, 8), parse_scheme("rn"))._total(a, axis)
+    assert got.dtype == np.int64 and got.tobytes() == a.sum(axis=axis).tobytes()

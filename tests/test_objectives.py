@@ -21,12 +21,17 @@ from lpgd.objectives import (
     make_objective,
 )
 from lpgd.oracle import round_distribution
-from lpgd.qnum import FixedVec, QFormat, vec_from_exact
+from lpgd.qnum import FixedVec, QFormat, from_exact
 from lpgd.rng import RandomStream
 from lpgd.rounding import parse_scheme
 
 RN = parse_scheme("rn")
 SR = parse_scheme("sr")
+
+
+def _vec(xs, fmt):
+    """A FixedVec of values that sit on fmt's grid."""
+    return FixedVec(np.array([from_exact(x, fmt) for x in xs], dtype=np.int64), fmt)
 
 
 def central_diff(obj, x, h=1e-5):
@@ -215,7 +220,7 @@ class TestRecipeBackends:
         # integer point, integer intermediates: no rounding at all
         obj = make_objective("himmelblau")
         fmt = QFormat(10, 4)
-        x = vec_from_exact([1, 2], fmt)
+        x = _vec([1, 2], fmt)
         g = obj.grad_rounded_fixed(x, RN, None, 0)
         assert g.to_fractions() == [Fraction(-36), Fraction(-32)]
 
@@ -232,7 +237,7 @@ class TestRecipeBackends:
         obj = replace(make_objective("rosenbrock"), recipe=None)
         fmt = QFormat(8, 8)
         with pytest.raises(NotImplementedError, match="rosenbrock has no low-precision recipe"):
-            obj.grad_rounded_fixed(vec_from_exact([1, 2], fmt), RN, None, 0)
+            obj.grad_rounded_fixed(_vec([1, 2], fmt), RN, None, 0)
         with pytest.raises(NotImplementedError, match="rosenbrock has no scalar recipe"):
             obj.grad_rounded_float([(1, 0), (2, 0)], lpfloat.parse_float_format("fp16e5"),
                                    RN, None, 0)
@@ -342,7 +347,7 @@ class TestEnumeration:
         scheme = parse_scheme(spec)
         obj = make_objective("himmelblau")
         fmt = QFormat(8, 2)
-        x = vec_from_exact([Fraction(9, 4), Fraction(7, 4)], fmt)
+        x = _vec([Fraction(9, 4), Fraction(7, 4)], fmt)
         x_m = [int(m) for m in x.m]
         leaves = enumerate_recipe(lambda be: obj.recipe(be, x_m), fmt, scheme)
         assert sum(p for _, p in leaves) == 1
@@ -442,7 +447,7 @@ class TestBlr:
         # at w = 0 the rounded path is exact: z = 0, the logistic value 1/2,
         # the residuals and their products with 0/1 features, and the mean
         # over 4 samples all sit on the Q15.8 grid
-        w = vec_from_exact([0, 0, 0], fmt)
+        w = _vec([0, 0, 0], fmt)
         g = obj.grad_rounded_fixed(w, RN, None, 0)
         ref = eval_grad_reference(obj, [0.0, 0.0, 0.0])
         assert [float(v) for v in g.to_fractions()] == ref.tolist()
@@ -450,13 +455,13 @@ class TestBlr:
     def test_fixed_path_requires_data_format(self):
         x_data, y = self._tiny()
         obj = make_objective("blr", x_data=x_data, y=y, data_fmt=QFormat(15, 8))
-        w = vec_from_exact([0, 0, 0], QFormat(15, 6))
+        w = _vec([0, 0, 0], QFormat(15, 6))
         with pytest.raises(ValueError):
             obj.grad_rounded_fixed(w, RN, None, 0)
         obj_no_fmt = make_objective("blr", x_data=x_data, y=y)
         with pytest.raises(ValueError):
             obj_no_fmt.grad_rounded_fixed(
-                vec_from_exact([0, 0, 0], QFormat(15, 8)), RN, None, 0
+                _vec([0, 0, 0], QFormat(15, 8)), RN, None, 0
             )
 
     @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
@@ -469,12 +474,12 @@ class TestBlr:
         scheme = parse_scheme(spec)
         obj = make_objective("blr", x_data=x_data, y=y, data_fmt=fmt)
         # at w = 0 every rounding is on the grid: binary64's gradient exactly
-        g = obj.grad_rounded_fixed(vec_from_exact([0, 0, 0], fmt), scheme, RandomStream(3), 0)
+        g = obj.grad_rounded_fixed(_vec([0, 0, 0], fmt), scheme, RandomStream(3), 0)
         assert g.to_fractions() == [Fraction(-1, 4), 0, Fraction(1, 8)]
         assert eval_grad_reference(obj, [0.0, 0.0, 0.0]).tolist() == [-0.25, 0.0, 0.125]
         # elsewhere the logistic values round once onto 2^-40, and the rest is
         # exact up to the mean's one rounding: within one grid step of binary64
-        w = vec_from_exact([Fraction(1, 2), Fraction(-1, 4), Fraction(1)], fmt)
+        w = _vec([Fraction(1, 2), Fraction(-1, 4), Fraction(1)], fmt)
         ref = eval_grad_reference(obj, [0.5, -0.25, 1.0])
         one = obj.grad_rounded_fixed(w, scheme, RandomStream(3), 0)
         for v, r in zip(one.to_fractions(), ref.tolist()):
@@ -496,7 +501,7 @@ class TestBlr:
         x_data, y = self._tiny()
         fmt = QFormat(15, 8)
         obj = make_objective("blr", x_data=x_data, y=y, data_fmt=fmt)
-        w = vec_from_exact([Fraction(1, 4), Fraction(-1, 2), Fraction(3, 4)], fmt)
+        w = _vec([Fraction(1, 4), Fraction(-1, 2), Fraction(3, 4)], fmt)
         a = obj.grad_rounded_fixed(w, SR, RandomStream(5), 7)
         b = obj.grad_rounded_fixed(w, SR, RandomStream(5), 7)
         assert a.m.tolist() == b.m.tolist()
@@ -507,8 +512,8 @@ class TestBlr:
         }
         assert others - {tuple(a.m.tolist())}
         # the rounded gradient stays within one grid step of the reference
-        ref = eval_grad_reference(obj, w.to_floats())
-        assert np.all(np.abs(a.to_floats() - ref) < 16 * float(fmt.u))
+        ref = eval_grad_reference(obj, w.m / fmt.scale)
+        assert np.all(np.abs(a.m / fmt.scale - ref) < 16 * float(fmt.u))
 
     @pytest.mark.parametrize("reg", [0.25, 0.01])
     @pytest.mark.parametrize("spec", ["rn", "sr", "sr_eps:0.4"])
@@ -526,11 +531,11 @@ class TestBlr:
             FixedVec(np.array(ws) * fmt.scale, fmt), scheme, [RandomStream(s) for s in (0, 1)], 5
         )
         for r, w in enumerate(ws):
-            x = vec_from_exact(w, fmt)
-            ref = eval_grad_reference(obj, x.to_floats())
+            x = _vec(w, fmt)
+            ref = eval_grad_reference(obj, x.m / fmt.scale)
             one = obj.grad_rounded_fixed(x, scheme, RandomStream(r), 5)
             assert one.m.tolist() == lanes.m[r].tolist()
-            assert np.abs(one.to_floats() - ref).max() <= 4 * float(fmt.u)
+            assert np.abs(one.m / fmt.scale - ref).max() <= 4 * float(fmt.u)
 
     def test_regularizer_enters_gradient(self):
         x_data, y = self._tiny()
