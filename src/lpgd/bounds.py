@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gdengine import RunResult
+from .gdengine import RunResult, fixed_update_scheme
 from .objectives import Objective
 from .rounding import up_weight
 
@@ -120,21 +120,21 @@ def beta_and_h_of(runs: Sequence[RunResult]) -> Tuple[np.ndarray, np.ndarray]:
     step |t g~_i| is below the update grid spacing contribute eps when the
     perturbed probability is interior, and omega = 1 - |t g~_i|/u when it
     clamped; h is that average, beta_k = min_i h_k,i.  The law is the
-    engine's: signed_sr_eps leans by sign(g~_i), as the update rounding does.
+    engine's, under `fixed_update_scheme`.
     Exact-zero steps contribute 0 (no randomness left).  Entries outside C2
     are skipped; an (iteration, coordinate) with no C2 data is nan.
     """
     cfg = runs[0].config
     if cfg.number_system != "fixed":
         raise ValueError("beta/h reconstruction needs fixed-point runs")
-    scheme = cfg.sigma2_scheme
+    scheme = fixed_update_scheme(cfg)
     gm = _stack(runs, "g_tilde_m")
     c2 = _stack(runs, "c2_mask")
     # t g~ on the update grid sits at num/den, exactly (Python ints)
     num = gm.astype(object) * (cfg.t.numerator * cfg.mul_fmt.scale)
     den = cfg.t.denominator * cfg.working_fmt.scale
     r = num % den
-    weight, cap = up_weight(num // den, r, den, scheme, np.sign(gm))
+    weight, cap = up_weight(num // den, r, den, scheme)
     omega = ((den - abs(num)) / den).astype(np.float64)  # 1 - |t g~|/u, correctly rounded
     eps = float(scheme.eps or 0)
     contrib = np.where(r == 0, 0.0, np.where((weight > 0) & (weight < cap), eps, omega))

@@ -36,44 +36,46 @@ mode that is the sign of t*g, which is the sign of the value rounded since
 t > 0, so the update rounds as sr_eps there; in float mode the rounded value
 is x - t*g, so the favored direction is -sign(g).
 
-Ensembles run in lockstep in every number system: the R seeds are R lanes
-of one state, and each iteration steps every live lane once.  Draws do not
+Ensembles run in lockstep in every number system: the R seeds are R lanes of
+one state, and each iteration steps every live lane once.  Draws do not
 depend on the batch -- lane r's words for op (k, tag) come from
 RandomStream(seed_r).generator(k, tag), in index order -- so a lane's
 trajectory is bit for bit the run of its seed alone, and `run(cfg)` is the
-one-lane case of the same engine.  One live fixed-point lane is its row of
-mantissas as a list of Python ints, from x0 or from the batch's `select`
-down to one lane, and its step runs on the ints end to end (the recipe, the
-update rounding and x - d) with the lanes' law, words and errors, and
-records one-row lists; the path follows from the number of live lanes
-alone.  Lanes leave the batch one by one when they stop (stop_below_f,
-stop_on_stagnation).  An exception ends the batch, and `run` reruns the
-seeds one at a time to raise the first failing seed's exception, as a
-sequential run would.  A run's record is the list of its
-realized steps' dicts, joined column by column when the run ends (a run of
-one-row lists becoming one array per column), so memory grows with the
-steps taken, never with the iteration budget.  A step records
-its new iterate's column (the mantissas x_m on fixed point, xs otherwise)
-and only what the other columns cannot give (fixed point: the mantissas of
-g and d; lowfloat: the floats of exact values, and the case labels, which
-need the exact grid pairs; reference: its gradient, which is its update) and
-does no binary64 work beyond that.  The other columns
-follow once per run, over the rows of every lane: fixed point's xs from
-x_m, f at every iterate in one `f` call, the binary64 gradient at every
-pre-step iterate in one `eval_grad_reference` call, the other float columns
-with the binary64 expressions of one step, and the case labels of fixed
-point (one integer comparison over all rows of g_tilde_m) and reference
-(all 0).  Each row is bitwise the value of that row alone.  The loop tests
-only the configured stop criteria: f at the live lanes when stop_below_f is
-set, and with stop_on_stagnation the zero-update streak and the gradient at
-the lanes whose streak reaches the window, each on the same float rows with
-the same calls as the record.  `stagnation_iter` is derived from the record
-once per run, so a run with no stop criterion does no work per iteration
-beyond its step and that step's record.
+one-lane case of the same engine.  Seeds address draws and nothing else: an
+ensemble whose config draws no word (reference, or sigma1 = sigma2 = rn)
+runs one lane, and each seed gets its own copy of that lane's record.  One
+live fixed-point lane is its row of mantissas as a list of Python ints, from
+x0 or from the batch's `select` down to one lane, and its step runs on the
+ints end to end (the recipe, the update rounding and x - d) with the lanes'
+law, words and errors, and records one-row lists; the path follows from the
+number of live lanes alone.  Lanes leave the batch one by one when they stop
+(stop_below_f, stop_on_stagnation).  An exception ends the batch, and `run`
+reruns the seeds one at a time to raise the first failing seed's exception,
+as a sequential run would.  A run's record is the list of its realized
+steps' dicts, joined column by column when the run ends (a run of one-row
+lists becoming one array per column), so memory grows with the steps taken,
+never with the iteration budget.  A step records its new iterate's column
+(the mantissas x_m on fixed point, xs otherwise) and only what the other
+columns cannot give (fixed point: the mantissas of g and d; lowfloat: the
+floats of exact values, and the case labels, which need the exact grid
+pairs; reference: its gradient, which is its update) and does no binary64
+work beyond that.  The other columns follow once per run, over the rows of
+every lane: fixed point's xs from x_m, f at every iterate in one `f` call,
+the binary64 gradient at every pre-step iterate in one `eval_grad_reference`
+call, the other float columns with the binary64 expressions of one step, and
+the case labels of fixed point (one integer comparison over all rows of
+g_tilde_m) and reference (all 0).  Each row is bitwise the value of that row
+alone.  The loop tests only the configured stop criteria: f at the live
+lanes when stop_below_f is set, and with stop_on_stagnation the zero-update
+streak and the gradient at the lanes whose streak reaches the window, each
+on the same float rows with the same calls as the record.  `stagnation_iter`
+is derived from the record once per run, so a run with no stop criterion
+does no work per iteration beyond its step and that step's record.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -134,9 +136,6 @@ class GDConfig:
         its grid or, on reference, past binary64: once per config, not on the
         per-seed copies `run` makes."""
         c = SimpleNamespace(seed=0, **fields)
-        c.t = parse_named("t", c.t)
-        c.sigma1_scheme = parse_named("sigma1", c.sigma1_scheme, rounding.parse_scheme, _SCHEMES)
-        c.sigma2_scheme = parse_named("sigma2", c.sigma2_scheme, rounding.parse_scheme, _SCHEMES)
         _check_run_fields(c)
         grid = {"fixed": c.working_fmt, "lowfloat": c.float_fmt}.get(c.number_system)
         for text in c.x0:
@@ -165,7 +164,7 @@ def _check_run_fields(c, n: Optional[int] = None) -> None:
     fields but the objective): each field is parsed to its type, and a
     malformed one raises a ValueError that names it.  x0's length is checked
     against n, the objective's dimension, when given."""
-    c.t = parse_rational(c.t)
+    c.t = parse_named("t", c.t)
     if c.t <= 0:
         raise ValueError(f"step size must be positive, got {c.t}")
     for name in ("iterations", "stagnation_window", "seed"):
@@ -176,6 +175,8 @@ def _check_run_fields(c, n: Optional[int] = None) -> None:
             setattr(c, name, operator.index(value))
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= c.seed < 1 << 64:  # RandomStream's range, checked whether the run draws or not
+        raise ValueError(f"seed must be in [0, 2**64), got {c.seed}")
     if not isinstance(c.stop_on_stagnation, bool):  # "false" is truthy
         raise ValueError(
             f"stop_on_stagnation must be true or false, got {c.stop_on_stagnation!r}"
@@ -186,8 +187,8 @@ def _check_run_fields(c, n: Optional[int] = None) -> None:
         raise ValueError("stagnation_window must be >= 1")
     if c.number_system not in _SYSTEMS:
         raise ValueError(f"unknown number system {c.number_system!r}")
-    c.sigma1_scheme = rounding.parse_scheme(c.sigma1_scheme)
-    c.sigma2_scheme = rounding.parse_scheme(c.sigma2_scheme)
+    c.sigma1_scheme = parse_named("sigma1", c.sigma1_scheme, rounding.parse_scheme, _SCHEMES)
+    c.sigma2_scheme = parse_named("sigma2", c.sigma2_scheme, rounding.parse_scheme, _SCHEMES)
     if isinstance(c.stop_below_f, bool):
         raise ValueError(f"stop_below_f must be a number, got {c.stop_below_f!r}")
     if c.stop_below_f is not None:
@@ -217,6 +218,13 @@ def _check_run_fields(c, n: Optional[int] = None) -> None:
     elif c.number_system == "lowfloat":
         if c.float_fmt is None:
             raise ValueError("lowfloat mode needs float_fmt")
+
+
+def fixed_update_scheme(cfg: GDConfig) -> rounding.RoundScheme:
+    """The scheme of fixed point's update t * g: signed_sr_eps rounds as
+    sr_eps, since t > 0 makes the descent sign of t * g the value's own."""
+    s = cfg.sigma2_scheme
+    return replace(s, kind="sr_eps") if s.uses_given_sign else s
 
 
 @dataclass
@@ -363,9 +371,8 @@ class _System:
 class _Fixed(_System):
     """Two's-complement grids, the recipe on the working format, the update
     product t * g rounded onto the mul format by a working-format
-    `FixedBackend` at tag SIGMA2_TAG, as `coef` rounds any product.
-    signed_sr_eps rounds there as sr_eps: t > 0, so the descent sign of
-    t * g is the sign of the value rounded, the sign sr_eps reads.
+    `FixedBackend` at tag SIGMA2_TAG, as `coef` rounds any product, with
+    `fixed_update_scheme`.
 
     The state of R lanes is an (R, n) FixedVec of mantissas; one live lane's
     is its row as a list of Python ints, which `lanes(1)` and `select` down
@@ -385,10 +392,7 @@ class _Fixed(_System):
         w, m = cfg.working_fmt, cfg.mul_fmt
         self.cfg, self.u = cfg, cfg.u_mul
         self.t = to_ratio(cfg.t)
-        scheme = cfg.sigma2_scheme
-        self.update = FixedBackend(
-            w, replace(scheme, kind="sr_eps") if scheme.uses_given_sign else scheme
-        )
+        self.update = FixedBackend(w, fixed_update_scheme(cfg))
         self.shift = w.qf - m.qf
         self.wide_step = m.qi + w.qf > 62
         self.u_stag = float(self.u)
@@ -536,10 +540,8 @@ class _LowFloat(_System):
 
 class _Reference(_System):
     """Plain binary64 descent, no rounding: (R, n) float64 rows.  A step
-    records its gradient, since the update is that gradient.
-
-    A reference run ignores its seed, so every live lane holds the same row:
-    a step updates the first and repeats the new row for every lane."""
+    records its gradient, since the update is that gradient.  It draws no
+    word, so `run` steps one lane for all seeds."""
 
     columns = dict.fromkeys(("xs", "g_exact", "d"), (np.float64, True))
 
@@ -547,14 +549,10 @@ class _Reference(_System):
         return np.tile([float(parse_rational(v)) for v in self.cfg.x0], (count, 1))
 
     def step(self, x: np.ndarray, streams: list, k: int):
-        g_ref = eval_grad_reference(self.cfg.objective, x[:1])
+        g_ref = eval_grad_reference(self.cfg.objective, x)
         d = float(self.cfg.t) * g_ref
-        lanes = len(x)
-        new_x = np.repeat(x[:1] - d, lanes, axis=0)
-        return new_x, {
-            "xs": new_x, "g_exact": np.repeat(g_ref, lanes, axis=0),
-            "d": np.repeat(d, lanes, axis=0),
-        }
+        new_x = x - d
+        return new_x, {"xs": new_x, "g_exact": g_ref, "d": d}
 
     def finish(self, cols: dict, pre: np.ndarray) -> None:
         """The rounded gradient is the exact one, with no error and case 0."""
@@ -584,19 +582,25 @@ def run(cfg: GDConfig, seeds: Optional[Sequence[int]] = None):
     `run(cfg)` is one run at cfg.seed.  `run(cfg, seeds)` is one run per
     seed (each with config `replace(cfg, seed=s)`), returned in seed order;
     the runs advance together in lockstep, whatever the number system.  A
-    failing run raises, as running the seeds one after another would: when
-    a batch of several seeds raises, each seed reruns alone until one raises
-    its own exception (the batch's is raised if none does).
+    config that draws no word (reference, or sigma1 = sigma2 = rn) runs one
+    lane, and each seed gets a copy of its record.  A failing run raises, as
+    running the seeds one after another would: when a batch of several seeds
+    raises, each seed reruns alone until one raises its own exception (the
+    batch's is raised if none does).
     """
-    cfgs = [cfg] if seeds is None else [replace(cfg, seed=operator.index(s)) for s in seeds]
+    cfgs = [cfg] if seeds is None else [replace(cfg, seed=s) for s in seeds]
+    draws = cfg.sigma1_scheme.is_random or cfg.sigma2_scheme.is_random
+    lanes = cfgs if draws and cfg.number_system != "reference" else cfgs[:1]
     try:
-        results = _run_lanes(cfgs)
+        results = _run_lanes(lanes)
     except Exception:
-        if len(cfgs) < 2:
+        if len(lanes) < 2:
             raise
-        for c in cfgs:  # draws are addressed by seed, so a rerun replays its words
+        for c in lanes:  # draws are addressed by seed, so a rerun replays its words
             _run_lanes([c])
         raise
+    if len(lanes) < len(cfgs):  # the memo swaps each seed's config into its copy
+        results = [copy.deepcopy(results[0], {id(lanes[0]): c}) for c in cfgs]
     return results[0] if seeds is None else results
 
 

@@ -591,14 +591,15 @@ class TestBinary64Columns:
         assert calls == [("f", (41, 2)), ("grad", (40, 2))]
 
     def test_a_reference_ensemble_steps_one_row(self):
-        # a reference run ignores its seed, so its lanes share one row: the
-        # loop evaluates the gradient there once per step, whatever R is
+        # a reference run draws no word, so its seeds share one lane: the
+        # loop evaluates the gradient there once per step and f once over
+        # that lane's rows, whatever R is
         calls = []
         cfg = _quad3(number_system="reference", working_fmt=None, iterations=20)
         cfg = replace(cfg, objective=_counted(cfg.objective, calls))
         runs = run(cfg, seeds=[0, 1, 2])
         assert [r.steps for r in runs] == [20] * 3
-        assert calls == [("grad", (1, 3))] * 20 + [("f", (3 * 21, 3))]
+        assert calls == [("grad", (1, 3))] * 20 + [("f", (21, 3))]
 
     @pytest.mark.parametrize("stop", [{}, dict(stop_below_f=0.3)], ids=["to-the-end", "stop-below-f"])
     def test_each_reference_lane_is_its_one_seed_run(self, stop):
@@ -1020,6 +1021,63 @@ class TestFullRecordDigests:
         runs = run_ensemble(cfg, seeds=range(8))
         assert all(r.stagnated for r in runs) and len({r.steps for r in runs}) > 1
         assert digest_records(runs) == "c1bd47e71cf06dc786ce69c97d3d2b00e7a80de3bf960f6395e624d569260905"
+
+
+# every reference run, and rn/rn in the rounding systems: no run draws a word
+_DRAW_FREE = {
+    "reference": lambda **o: _quad3(number_system="reference", working_fmt=None, **o),
+    "fixed": lambda **o: _quad3(sigma1_scheme="rn", sigma2_scheme="rn", **o),
+    "lowfloat": lambda **o: _rosen_fp16(sigma1_scheme="rn", sigma2_scheme="rn", **o),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_DRAW_FREE))
+class TestDrawFreeEnsembles:
+    """Seeds address draws and nothing else: an ensemble that draws no word
+    is its one-seed run for every seed, each result under its own config."""
+
+    SEEDS = [4, 0, 9]
+
+    def test_each_seed_is_its_one_seed_run(self, system):
+        cfg = _DRAW_FREE[system](iterations=120, stop_below_f=1e-3)
+        for seed, res in zip(self.SEEDS, run(cfg, seeds=self.SEEDS)):
+            assert res.config == replace(cfg, seed=seed)
+            assert digest_records([res]) == digest_records([run(replace(cfg, seed=seed))])
+
+    def test_the_objective_sees_one_lane(self, system):
+        calls = []
+        cfg = _DRAW_FREE[system](iterations=60, stop_below_f=1e-3)
+        cfg = replace(cfg, objective=_counted(cfg.objective, calls))
+        run(replace(cfg, seed=4))
+        alone = calls.copy()
+        calls.clear()
+        runs = run(cfg, seeds=self.SEEDS)
+        assert calls == alone
+        # f at one row per step for stop_below_f, and once over one lane's rows
+        n, steps = cfg.objective.n, runs[0].steps
+        assert calls.count(("f", (1, n))) == steps > 0 and ("f", (steps + 1, n)) in calls
+
+    def test_each_seed_owns_its_record(self, system):
+        runs = run(_DRAW_FREE[system](iterations=30), seeds=self.SEEDS)
+        want = [digest_records([r]) for r in runs]
+        for name in _RECORD_ARRAYS:
+            a = getattr(runs[0], name)
+            if a is not None:
+                a[...] = 0
+        state = runs[0].final_state
+        if isinstance(state, list):
+            state[:] = [Fraction(0)] * len(state)
+        else:
+            (state.m if isinstance(state, FixedVec) else state)[...] = 0
+        assert [digest_records([r]) for r in runs[1:]] == want[1:]
+
+    @pytest.mark.parametrize("seed", [2**64, -1, True])
+    def test_bad_seeds_raise_as_in_a_drawing_ensemble(self, system, seed):
+        with pytest.raises(ValueError) as drawing:
+            run(_quad3(iterations=3), seeds=[0, seed])
+        with pytest.raises(ValueError) as draw_free:
+            run(_DRAW_FREE[system](iterations=3), seeds=[0, seed])
+        assert str(draw_free.value) == str(drawing.value)
 
 
 # ---------------------------------------------------------------------------
